@@ -1,5 +1,6 @@
 #include "core/compiled_table.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bits.hpp"
@@ -286,6 +287,41 @@ void CuckooTemplateTable::prefetch(const uint8_t* pkt, const proto::ParseInfo& p
   uint8_t key[8 * flow::kNumFields];
   const uint32_t key_len = key_from_packet(pkt, pi, key);
   index_.prefetch(key, key_len);
+}
+
+void CuckooTemplateTable::lookup_burst(const uint8_t* const* pkts,
+                                       const proto::ParseInfo* const* pis, uint32_t m,
+                                       uint64_t* res) const {
+  constexpr uint32_t kGroup = 32;
+  const uint32_t key_len = static_cast<uint32_t>(8 * fields_.size());
+  // One catch-all load per call: a concurrent catch-all add/remove lands
+  // old-or-new for the whole group, as it would between scalar lookups.
+  const uint64_t catch_all = catch_all_result_.load(std::memory_order_acquire);
+  uint8_t keys[kGroup * 8 * flow::kNumFields];
+  const uint8_t* key_ptrs[kGroup];
+  uint32_t lens[kGroup];
+  uint32_t owner[kGroup];  // key j belongs to packet base + owner[j]
+  cls::CuckooTable::Value vals[kGroup];
+  bool hit[kGroup];
+  for (uint32_t base = 0; base < m; base += kGroup) {
+    const uint32_t c = std::min(kGroup, m - base);
+    uint32_t k = 0;
+    for (uint32_t i = 0; i < c; ++i) {
+      const proto::ParseInfo& pi = *pis[base + i];
+      if ((pi.proto_mask & proto_required_) != proto_required_) {
+        res[base + i] = catch_all;
+        continue;
+      }
+      uint8_t* key = keys + k * key_len;
+      key_from_packet(pkts[base + i], pi, key);
+      key_ptrs[k] = key;
+      lens[k] = key_len;
+      owner[k++] = i;
+    }
+    index_.lookup_burst(key_ptrs, lens, k, vals, hit);
+    for (uint32_t j = 0; j < k; ++j)
+      res[base + owner[j]] = hit[j] ? vals[j].value : catch_all;
+  }
 }
 
 size_t CuckooTemplateTable::memory_bytes() const { return index_.memory_bytes(); }

@@ -61,6 +61,17 @@ class CompiledTable {
     (void)pi;
   }
 
+  /// Bulk probe: res[i] = lookup(pkts[i], *pis[i]) for i < m, element-wise
+  /// identical to the scalar calls.  The default is that scalar loop;
+  /// templates whose probes stall on memory (cuckoo) override it with a
+  /// pipelined probe that keeps a whole group's cache misses in flight.  The
+  /// fused walk calls it once per round for each batched stage
+  /// (FusedPipeline::Stage::batched).
+  virtual void lookup_burst(const uint8_t* const* pkts, const proto::ParseInfo* const* pis,
+                            uint32_t m, uint64_t* res) const {
+    for (uint32_t i = 0; i < m; ++i) res[i] = lookup(pkts[i], *pis[i]);
+  }
+
   virtual TableTemplate kind() const = 0;
   virtual size_t size() const = 0;
   virtual size_t memory_bytes() const = 0;
@@ -185,6 +196,11 @@ class CuckooTemplateTable final : public CompiledTable {
   uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                   MemTrace* trace) const override;
   void prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const override;
+  /// Builds the group's keys, answers packets without the required protocol
+  /// layers with the catch-all, and probes the rest through
+  /// cls::CuckooTable::lookup_burst.
+  void lookup_burst(const uint8_t* const* pkts, const proto::ParseInfo* const* pis,
+                    uint32_t m, uint64_t* res) const override;
   TableTemplate kind() const override { return TableTemplate::kCuckooHash; }
   size_t size() const override { return count_; }
   size_t memory_bytes() const override;

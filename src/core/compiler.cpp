@@ -159,6 +159,10 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
     st.miss = t.miss_policy();
     st.want_prefetch =
         impl->memory_bytes() >= CompiledDatapath::kPrefetchMinBytes;
+    // Cuckoo stages probe a round's packets in one pipelined call; compound
+    // hash and LPM keep the per-transition prefetch.
+    st.batched = impl->kind() == TableTemplate::kCuckooHash;
+    if (st.batched) fused->batched.push_back(static_cast<uint32_t>(fused->stages.size()));
     fused->stage_of_slot[static_cast<size_t>(slot)] =
         static_cast<int32_t>(fused->stages.size());
     const bool is_dc = impl->kind() == TableTemplate::kDirectCode;

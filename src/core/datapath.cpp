@@ -481,17 +481,48 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
 
   // Round 0 keeps the staged walk's one-ahead start-stage prefetch.
   const FusedPipeline::Stage& ss = fp.stages[fp.start_stage];
-  if (ss.want_prefetch) ss.impl->prefetch(pkts[0]->data(), ctx.pis[0]);
+  const bool ahead = ss.want_prefetch && !ss.batched;
+  if (ahead) ss.impl->prefetch(pkts[0]->data(), ctx.pis[0]);
+
+  // Batched-stage results of the current round, by packet.  Lookups have no
+  // side effects, so probing a round's group up front is observably the
+  // same as probing each packet at its turn.
+  uint64_t probed[net::kBurstSize];
 
   // Round-based walk: every live packet advances at least one stage per
   // round (gotos are forward-only in a fused plan), so n_stages rounds
   // finish every packet; anything still live after the clamp takes the
   // same drop the kMaxHops guard applies on the staged paths.
   for (uint32_t round = 0; round <= n_stages && live > 0; ++round) {
+    for (const uint32_t bs : fp.batched) {
+      uint32_t who[net::kBurstSize];
+      const uint8_t* data[net::kBurstSize];
+      const proto::ParseInfo* pip[net::kBurstSize];
+      uint32_t m = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        if (cur[i] != static_cast<int32_t>(bs)) continue;
+        who[m] = i;
+        data[m] = pkts[i]->data();
+        pip[m++] = &ctx.pis[i];
+      }
+      const FusedPipeline::Stage& st = fp.stages[bs];
+      const CompiledTable* impl = st.impl;
+      if (m == 1) {
+        // A lone packet (the low-rate case) gains nothing from the
+        // pipeline: take the scalar probe, primed as the unbatched walk
+        // would (both candidate buckets in flight at once).
+        if (st.want_prefetch) impl->prefetch(data[0], *pip[0]);
+        probed[who[0]] = impl->lookup(data[0], *pip[0]);
+      } else if (m > 1) {
+        uint64_t res[net::kBurstSize];
+        impl->lookup_burst(data, pip, m, res);
+        for (uint32_t j = 0; j < m; ++j) probed[who[j]] = res[j];
+      }
+    }
     for (uint32_t i = 0; i < n; ++i) {
       const int32_t cs = cur[i];
       if (cs < 0) continue;
-      if (round == 0 && i + 1 < n && ss.want_prefetch)
+      if (round == 0 && i + 1 < n && ahead)
         ss.impl->prefetch(pkts[i + 1]->data(), ctx.pis[i + 1]);
       net::Packet& pkt = *pkts[i];
       proto::ParseInfo& pi = ctx.pis[i];
@@ -522,10 +553,11 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
         }
         ts = static_cast<int32_t>(jit::fused_exit_stage(word));
       } else {
-        // Staged stage inside the plan: pinned impl, same decode as the
-        // slot walk, stats into the shared delta block.
+        // Staged stage inside the plan: pinned impl (or this round's bulk
+        // probe), same decode as the slot walk, stats into the shared delta
+        // block.
         ++delta[cs * jit::kFusedStatStride + jit::kFusedStatLookups];
-        const uint64_t r = s.impl->lookup(pkt.data(), pi);
+        const uint64_t r = s.batched ? probed[i] : s.impl->lookup(pkt.data(), pi);
         if (ESW_UNLIKELY(r == jit::kMissResult)) {
           ++delta[cs * jit::kFusedStatStride + jit::kFusedStatMisses];
           vd[i] = s.miss == flow::FlowTable::MissPolicy::kController
@@ -555,9 +587,10 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
         continue;
       }
       // Transition: issue the next stage's lookup prefetch now, consume it
-      // next round — the cross-table extension of the one-ahead pipelining.
+      // next round — the cross-table extension of the one-ahead pipelining
+      // (off for batched stages, whose bulk probe pipelines itself).
       const FusedPipeline::Stage& nx = fp.stages[ts];
-      if (nx.want_prefetch) nx.impl->prefetch(pkt.data(), pi);
+      if (nx.want_prefetch && !nx.batched) nx.impl->prefetch(pkt.data(), pi);
       cur[i] = ts;
     }
   }

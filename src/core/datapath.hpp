@@ -55,9 +55,16 @@ struct FusedPipeline {
     const CompiledTable* impl = nullptr;
     flow::FlowTable::MissPolicy miss = flow::FlowTable::MissPolicy::kDrop;
     bool want_prefetch = false;
+    /// Probed once per walk round for every packet sitting at this stage,
+    /// through CompiledTable::lookup_burst (cuckoo stages).  Batched stages
+    /// skip the per-transition and one-ahead prefetch — the bulk probe
+    /// pipelines its own misses; want_prefetch then only primes a lone
+    /// packet's scalar probe.
+    bool batched = false;
     jit::FusedProgram::Fn entry = nullptr;  // machine entry; null = staged stage
   };
   std::vector<Stage> stages;           // pipeline walk order (ascending table id)
+  std::vector<uint32_t> batched;       // indexes of the batched stages
   std::vector<int32_t> stage_of_slot;  // slot id -> stage index, -1 = not in plan
   uint32_t start_stage = 0;
   std::shared_ptr<const jit::FusedProgram> program;  // null = no machine members

@@ -5,7 +5,7 @@
 // polls every port.  `SwitchRuntime` shards the port panel's RX rings across
 // std::thread workers, each running the DPDK-style loop
 //
-//   rx_burst -> Backend::process_burst(worker ctx) -> execute verdicts
+//   rx_burst -> Backend::process_burst(worker ctx) -> execute_burst
 //
 // while the control thread keeps exclusive ownership of the update plane
 // (`apply`/`apply_batch`, or a `uc::OfAgent` session bridged to the backend)
@@ -17,8 +17,13 @@
 //     exactly one worker (round-robin sharding), and that worker is also the
 //     only injector when a traffic source is configured;
 //   * TX rings — any worker may output to any port: multi-producer enqueue
-//     (Ring::enqueue_burst_mp); the owning worker drains its ports' TX back
-//     into the pool when `sink_tx` is on (the wire carrying frames away);
+//     (Ring::enqueue_burst_mp), batched per port — a worker stages a burst's
+//     frames by egress port and enqueues each port's group in one call.
+//     Order guarantee: each port receives one worker's frames in packet
+//     order (within a burst and across its bursts); frames from different
+//     workers interleave at burst granularity, with no order between them.
+//     The owning worker drains its ports' TX back into the pool when
+//     `sink_tx` is on (the wire carrying frames away);
 //   * buffers — one shared MbufPool, accessed only through per-worker
 //     MbufCaches (bulk refill/spill, lock-free per packet);
 //   * counters — per-worker cacheline-padded blocks of single-writer relaxed
@@ -91,15 +96,18 @@ class SwitchRuntime {
 
   /// Verdict-execution counters; one padded block per worker, aggregated on
   /// read.  `processed` is the throughput counter Fig. 19 reports.
+  /// Every frame takes exactly one exit, so
+  /// processed + flood_copies == tx_packets + tx_rejected + bad_port + drops
+  /// + packet_ins.
   struct Counters {
     uint64_t polls = 0;          // worker loop iterations
     uint64_t processed = 0;      // packets through process_burst
     uint64_t source_packets = 0; // injected by the traffic source hook
-    uint64_t tx_packets = 0;
-    uint64_t flood_copies = 0;
-    uint64_t drops = 0;
+    uint64_t tx_packets = 0;     // frames accepted by a TX ring (flood copies too)
+    uint64_t flood_copies = 0;   // frames a flood copied beyond the original
+    uint64_t drops = 0;          // kDrop verdicts, floods with no egress port
     uint64_t packet_ins = 0;
-    uint64_t tx_rejected = 0;
+    uint64_t tx_rejected = 0;    // frames refused by a full TX ring
     uint64_t bad_port = 0;
     uint64_t pool_exhausted = 0;
     uint64_t backpressure_events = 0;  // bounded pauses under pool exhaustion
@@ -164,6 +172,8 @@ class SwitchRuntime {
       ws->id = i;
       ws->ctx = backend_.register_worker();
       ESW_CHECK_MSG(ws->ctx != nullptr, "backend worker limit exceeded");
+      ws->tx.resize(net::PortSet::kFirstPort + ports_.size());
+      ws->tx_touched.reserve(ports_.size());
       for (uint32_t no = net::PortSet::kFirstPort;
            no < net::PortSet::kFirstPort + ports_.size(); ++no)
         if ((no - net::PortSet::kFirstPort) % cfg_.n_workers == i)
@@ -308,12 +318,20 @@ class SwitchRuntime {
         pool_exhausted{0}, backpressure_events{0};
   };
 
+  /// One egress port's frames of the burst being executed, in packet order.
+  struct TxBucket {
+    uint32_t n = 0;
+    net::Packet* pkts[net::kBurstSize];
+  };
+
   struct WorkerState {
     WorkerState(net::MbufPool& pool, uint32_t cache_size) : cache(pool, cache_size) {}
     uint32_t id = 0;
     typename Backend::Worker* ctx = nullptr;
     std::vector<uint32_t> owned_ports;
     net::MbufCache cache;
+    std::vector<TxBucket> tx;           // indexed by port number
+    std::vector<uint32_t> tx_touched;   // ports with a non-empty bucket, first-touch order
     StatBlock stats;
     // Raised while the worker provably holds no datapath pointers (bounded
     // backpressure sleep, or the worker_stall failpoint).  The watchdog may
@@ -367,14 +385,13 @@ class SwitchRuntime {
           // record the amortized per-packet cycles, weighted by the burst.
           const uint64_t t0 = rdtsc_serialized();
           backend_.process_burst(*ws.ctx, burst, n, verdicts);
-          for (uint32_t i = 0; i < n; ++i) execute(ws, burst[i], verdicts[i]);
+          execute_burst(ws, burst, verdicts, n);
           const uint64_t dt = rdtsc_serialized() - t0;
           ws.latency.record_n(dt / n, n);
         } else {
           backend_.process_burst(*ws.ctx, burst, n, verdicts);
-          for (uint32_t i = 0; i < n; ++i) execute(ws, burst[i], verdicts[i]);
+          execute_burst(ws, burst, verdicts, n);
         }
-        bump(ws.stats.processed, n);
         did += n;
       }
       if (cfg_.sink_tx) {
@@ -427,59 +444,98 @@ class SwitchRuntime {
     ws.parked.store(false, std::memory_order_release);
   }
 
-  void execute(WorkerState& ws, net::Packet* pkt, const flow::Verdict& v) {
-    switch (v.kind) {
-      case flow::Verdict::Kind::kOutput:
-        tx_one(ws, v.port, pkt);
-        break;
-      case flow::Verdict::Kind::kFlood: {
-        const uint32_t ingress = pkt->in_port();
-        for (uint32_t no = net::PortSet::kFirstPort;
-             no < net::PortSet::kFirstPort + ports_.size(); ++no) {
-          if (no == ingress) continue;
-          net::Packet* copy = ws.cache.alloc();
-          if (copy == nullptr) {
-            bump(ws.stats.pool_exhausted, 1);
-            continue;
+  /// Executes a burst's verdicts.  Frames bound for a port are staged in
+  /// that port's bucket in packet order (stable), then each touched port
+  /// gets one multi-producer enqueue — one CAS on the shared ring index per
+  /// port per burst instead of one per packet.  A refused suffix is freed
+  /// and counted in tx_rejected.  A flood sends the original frame to the
+  /// first egress port and a copy to every further one (no egress port at
+  /// all counts as a drop), which keeps the Counters identity exact.
+  /// Counters are bumped once per burst.
+  void execute_burst(WorkerState& ws, net::Packet* const* pkts,
+                     const flow::Verdict* verdicts, uint32_t n) {
+    Counters d;
+    const auto stage = [&ws](uint32_t port_no, net::Packet* pkt) {
+      TxBucket& b = ws.tx[port_no];
+      if (b.n == 0) ws.tx_touched.push_back(port_no);
+      ESW_DCHECK(b.n < net::kBurstSize);  // at most one frame per packet
+      b.pkts[b.n++] = pkt;
+    };
+    for (uint32_t i = 0; i < n; ++i) {
+      net::Packet* pkt = pkts[i];
+      const flow::Verdict& v = verdicts[i];
+      switch (v.kind) {
+        case flow::Verdict::Kind::kOutput:
+          if (ports_.valid(v.port)) {
+            stage(v.port, pkt);
+          } else {
+            ++d.bad_port;
+            ws.cache.free(pkt);
           }
-          copy->assign(pkt->data(), pkt->len());
-          copy->set_in_port(ingress);
-          if (tx_one(ws, no, copy)) bump(ws.stats.flood_copies, 1);
+          break;
+        case flow::Verdict::Kind::kFlood: {
+          // Copies are taken while the original is still only staged: no
+          // frame of this burst reaches a ring before the loop ends.
+          const uint32_t ingress = pkt->in_port();
+          bool original_sent = false;
+          for (uint32_t no = net::PortSet::kFirstPort;
+               no < net::PortSet::kFirstPort + ports_.size(); ++no) {
+            if (no == ingress) continue;
+            if (!original_sent) {
+              stage(no, pkt);
+              original_sent = true;
+              continue;
+            }
+            net::Packet* copy = ws.cache.alloc();
+            if (copy == nullptr) {
+              ++d.pool_exhausted;
+              continue;
+            }
+            copy->assign(pkt->data(), pkt->len());
+            copy->set_in_port(ingress);
+            stage(no, copy);
+            ++d.flood_copies;
+          }
+          if (!original_sent) {
+            ++d.drops;
+            ws.cache.free(pkt);
+          }
+          break;
         }
-        ws.cache.free(pkt);
-        break;
-      }
-      case flow::Verdict::Kind::kController: {
-        bump(ws.stats.packet_ins, 1);
-        {
-          std::lock_guard<std::mutex> lock(pin_mu_);
-          if (pending_pins_.size() < cfg_.max_pending_packet_ins)
-            pending_pins_.push_back(
-                {{pkt->data(), pkt->data() + pkt->len()}, pkt->in_port()});
+        case flow::Verdict::Kind::kController: {
+          ++d.packet_ins;
+          {
+            std::lock_guard<std::mutex> lock(pin_mu_);
+            if (pending_pins_.size() < cfg_.max_pending_packet_ins)
+              pending_pins_.push_back(
+                  {{pkt->data(), pkt->data() + pkt->len()}, pkt->in_port()});
+          }
+          ws.cache.free(pkt);
+          break;
         }
-        ws.cache.free(pkt);
-        break;
+        case flow::Verdict::Kind::kDrop:
+          ++d.drops;
+          ws.cache.free(pkt);
+          break;
       }
-      case flow::Verdict::Kind::kDrop:
-        bump(ws.stats.drops, 1);
-        ws.cache.free(pkt);
-        break;
     }
-  }
-
-  bool tx_one(WorkerState& ws, uint32_t port_no, net::Packet* pkt) {
-    if (!ports_.valid(port_no)) {
-      bump(ws.stats.bad_port, 1);
-      ws.cache.free(pkt);
-      return false;
+    for (const uint32_t no : ws.tx_touched) {
+      TxBucket& b = ws.tx[no];
+      const uint32_t accepted = ports_.port(no).tx_burst_mp(b.pkts, b.n);
+      d.tx_packets += accepted;
+      d.tx_rejected += b.n - accepted;
+      for (uint32_t j = accepted; j < b.n; ++j) ws.cache.free(b.pkts[j]);
+      b.n = 0;
     }
-    if (ports_.port(port_no).tx_burst_mp(&pkt, 1) == 1) {
-      bump(ws.stats.tx_packets, 1);
-      return true;
-    }
-    bump(ws.stats.tx_rejected, 1);
-    ws.cache.free(pkt);
-    return false;
+    ws.tx_touched.clear();
+    bump(ws.stats.processed, n);
+    bump(ws.stats.tx_packets, d.tx_packets);
+    bump(ws.stats.flood_copies, d.flood_copies);
+    bump(ws.stats.drops, d.drops);
+    bump(ws.stats.packet_ins, d.packet_ins);
+    bump(ws.stats.tx_rejected, d.tx_rejected);
+    bump(ws.stats.bad_port, d.bad_port);
+    bump(ws.stats.pool_exhausted, d.pool_exhausted);
   }
 
   Config cfg_;

@@ -51,7 +51,7 @@ Port::Port(const Config& cfg)
 uint32_t Port::inject_rx(Packet* const* pkts, uint32_t n) {
   return enqueue_counted(
       pkts, n, [this](Packet* const* p, uint32_t c) { return rx_.enqueue_burst(p, c); },
-      counters_.rx_packets, counters_.rx_bytes);
+      rx_counters_.packets, rx_counters_.bytes);
 }
 
 uint32_t Port::rx_burst(Packet** out, uint32_t n) { return rx_.dequeue_burst(out, n); }
@@ -74,8 +74,8 @@ uint32_t Port::tx_burst(Packet* const* pkts, uint32_t n, uint64_t now_ns) {
   const uint32_t queued = enqueue_counted(
       pkts, admitted,
       [this](Packet* const* p, uint32_t c) { return tx_.enqueue_burst(p, c); },
-      counters_.tx_packets, counters_.tx_bytes);
-  counter_add(counters_.tx_drops, n - queued);
+      tx_counters_.packets, tx_counters_.bytes);
+  counter_add(tx_counters_.drops, n - queued);
   return queued;
 }
 
@@ -84,8 +84,8 @@ uint32_t Port::tx_burst_mp(Packet* const* pkts, uint32_t n) {
   const uint32_t queued = enqueue_counted(
       pkts, n,
       [this](Packet* const* p, uint32_t c) { return tx_.enqueue_burst_mp(p, c); },
-      counters_.tx_packets, counters_.tx_bytes);
-  counter_add(counters_.tx_drops, n - queued);
+      tx_counters_.packets, tx_counters_.bytes);
+  counter_add(tx_counters_.drops, n - queued);
   return queued;
 }
 

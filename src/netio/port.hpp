@@ -11,9 +11,10 @@
 //     port is sharded to);
 //   * TX side — any number of producers via tx_burst_mp (verdict execution
 //     on any worker may output here), one drainer;
-//   * counters — cacheline-padded relaxed atomics updated once per burst and
-//     aggregated only by readers (counters()/PortSet::totals()), so hot
-//     bursts never share a counter line with another port;
+//   * counters — relaxed atomics updated once per burst and aggregated only
+//     by readers (counters()/PortSet::totals()); RX and TX each sit on their
+//     own cache line, so the injector and the TX producers never share one,
+//     nor do hot bursts share a counter line with another port;
 //   * the rate cap keeps plain state and therefore requires a single TX
 //     caller — tx_burst_mp insists the port is uncapped.
 #pragma once
@@ -69,24 +70,28 @@ class Port {
 
   /// Counter snapshot (relaxed-aggregated; exact once producers pause).
   PortCounters counters() const {
-    return {counters_.rx_packets.load(std::memory_order_relaxed),
-            counters_.tx_packets.load(std::memory_order_relaxed),
-            counters_.rx_bytes.load(std::memory_order_relaxed),
-            counters_.tx_bytes.load(std::memory_order_relaxed),
-            counters_.tx_drops.load(std::memory_order_relaxed)};
+    return {rx_counters_.packets.load(std::memory_order_relaxed),
+            tx_counters_.packets.load(std::memory_order_relaxed),
+            rx_counters_.bytes.load(std::memory_order_relaxed),
+            tx_counters_.bytes.load(std::memory_order_relaxed),
+            tx_counters_.drops.load(std::memory_order_relaxed)};
   }
   const std::string& name() const { return name_; }
   bool rate_capped() const { return max_tx_pps_ > 0.0; }
 
  private:
-  /// Padded so a burst's counter flush never false-shares with the adjacent
-  /// port's counters or the ring indexes.
-  struct alignas(64) Counters {
-    std::atomic<uint64_t> rx_packets{0};
-    std::atomic<uint64_t> tx_packets{0};
-    std::atomic<uint64_t> rx_bytes{0};
-    std::atomic<uint64_t> tx_bytes{0};
-    std::atomic<uint64_t> tx_drops{0};
+  /// One direction's counters on its own line, so a burst's counter flush
+  /// never false-shares with the other direction, the adjacent port's
+  /// counters or the ring indexes.  RX is written by the port's single
+  /// injector, TX by every worker's MP enqueue.
+  struct alignas(64) RxCounters {
+    std::atomic<uint64_t> packets{0};
+    std::atomic<uint64_t> bytes{0};
+  };
+  struct alignas(64) TxCounters {
+    std::atomic<uint64_t> packets{0};
+    std::atomic<uint64_t> bytes{0};
+    std::atomic<uint64_t> drops{0};
   };
 
   std::string name_;
@@ -95,7 +100,8 @@ class Port {
   double max_tx_pps_;
   double tx_credit_ = 0.0;
   uint64_t last_tx_ns_ = 0;
-  Counters counters_;
+  RxCounters rx_counters_;
+  TxCounters tx_counters_;
 };
 
 }  // namespace esw::net

@@ -485,21 +485,15 @@ SoakReport run_soak(const SoakOptions& opts) {
       "source=" + u64s(c.source_packets) + " processed=" + u64s(c.processed) +
           " leftover_rx=" + u64s(leftover_rx));
 
-  // Verdict conservation: every processed packet took exactly one exit.
-  // Flood duplicates frames, so the strict identity only holds flood-free
-  // (the L3 soak pipeline never floods; a flood here is itself suspicious
-  // but not a conservation violation).
+  // Verdict conservation: every frame — each processed packet plus each
+  // flood copy — took exactly one exit.
   const uint64_t exits =
       c.tx_packets + c.tx_rejected + c.bad_port + c.drops + c.packet_ins;
-  if (c.flood_copies == 0)
-    add("verdict-conservation", c.processed == exits,
-        "processed=" + u64s(c.processed) + " exits=" + u64s(exits) + " (tx=" +
-            u64s(c.tx_packets) + " rej=" + u64s(c.tx_rejected) + " badport=" +
-            u64s(c.bad_port) + " drop=" + u64s(c.drops) + " pin=" +
-            u64s(c.packet_ins) + ")");
-  else
-    add("verdict-conservation", true,
-        "skipped: flood_copies=" + u64s(c.flood_copies));
+  add("verdict-conservation", c.processed + c.flood_copies == exits,
+      "processed=" + u64s(c.processed) + " flood_copies=" + u64s(c.flood_copies) +
+          " exits=" + u64s(exits) + " (tx=" + u64s(c.tx_packets) + " rej=" +
+          u64s(c.tx_rejected) + " badport=" + u64s(c.bad_port) + " drop=" +
+          u64s(c.drops) + " pin=" + u64s(c.packet_ins) + ")");
 
   // Byte conservation: only meaningful when no verdict consumed or copied a
   // frame (L3 rewrites headers in place, lengths unchanged).

@@ -10,6 +10,7 @@
 // scalable via ESW_CONC_SCALE (CI's TSan job runs with the default).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/eswitch.hpp"
 #include "core/switch_runtime.hpp"
@@ -518,6 +520,132 @@ TEST(Concurrency, SwitchRuntimeConservation) {
       for (uint32_t i = 0; i < n; ++i) rt.pool().free(out[i]);
   }
   EXPECT_EQ(rt.pool().available(), rt.pool().capacity());
+}
+
+// --- per-port batched TX (SwitchRuntime::execute_burst) ---------------------
+
+/// The verdict each mixed-burst packet gets, chosen by its UDP port.
+enum class MixKind : uint16_t { kOut2 = 1, kOut3, kFlood, kController, kDrop, kBadPort, kMiss };
+
+Pipeline mixed_verdict_pipeline() {
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=5,udp_dst=1,actions=output:2"));
+  pl.table(0).add(parse_rule("priority=5,udp_dst=2,actions=output:3"));
+  pl.table(0).add(parse_rule("priority=5,udp_dst=3,actions=flood"));
+  pl.table(0).add(parse_rule("priority=5,udp_dst=4,actions=controller"));
+  pl.table(0).add(parse_rule("priority=5,udp_dst=5,actions=drop"));
+  pl.table(0).add(parse_rule("priority=5,udp_dst=6,actions=output:9"));  // 4 ports: absent
+  return pl;  // udp_dst=7 misses: drop
+}
+
+/// One worker, four ports, TX left queued: `n` packets (sequence number in
+/// ip_src, verdict kind in udp_dst) are injected on port 1 before start(),
+/// so the worker takes them as one burst.
+struct MixedBurstRun {
+  static constexpr uint32_t kPorts = 4;
+  SwitchRuntime<Eswitch> rt;
+  std::vector<MixKind> kinds;
+
+  static SwitchRuntime<Eswitch>::Config config() {
+    SwitchRuntime<Eswitch>::Config cfg;
+    cfg.n_workers = 1;
+    cfg.n_ports = kPorts;
+    cfg.pool_capacity = 512;
+    cfg.sink_tx = false;
+    return cfg;
+  }
+
+  explicit MixedBurstRun(uint64_t seed) : rt(config()) {
+    rt.backend().install(mixed_verdict_pipeline());
+    Rng rng(seed);
+    for (uint32_t seq = 0; seq < net::kBurstSize; ++seq) {
+      // The first seven cover every kind; the rest are random.
+      const auto kind = static_cast<MixKind>(seq < 7 ? seq + 1 : 1 + rng.below(7));
+      kinds.push_back(kind);
+      const net::Packet p =
+          make_packet(test::udp_spec(seq, 2, 9, static_cast<uint16_t>(kind)));
+      EXPECT_TRUE(rt.inject(1, p.data(), p.len()));
+    }
+    rt.start();
+    while (rt.counters().processed < net::kBurstSize) std::this_thread::yield();
+    rt.stop();
+  }
+
+  uint64_t count(MixKind k) const {
+    return static_cast<uint64_t>(std::count(kinds.begin(), kinds.end(), k));
+  }
+  /// Frames each port must receive, in packet order (the TX order guarantee).
+  std::vector<uint32_t> expected_tx(uint32_t port) const {
+    std::vector<uint32_t> seqs;
+    for (uint32_t seq = 0; seq < kinds.size(); ++seq) {
+      const MixKind k = kinds[seq];
+      if ((k == MixKind::kOut2 && port == 2) || (k == MixKind::kOut3 && port == 3) ||
+          (k == MixKind::kFlood && port != 1))
+        seqs.push_back(seq);
+    }
+    return seqs;
+  }
+  /// Drains a port's TX ring back into the pool; returns the frames' sequence
+  /// numbers in ring order.
+  std::vector<uint32_t> drain(uint32_t port) {
+    std::vector<uint32_t> seqs;
+    net::Packet* out[net::kBurstSize];
+    uint32_t n;
+    while ((n = rt.ports().port(port).drain_tx(out, net::kBurstSize)) > 0) {
+      for (uint32_t i = 0; i < n; ++i) {
+        const proto::ParseInfo pi = test::parse_packet(*out[i]);
+        seqs.push_back(
+            static_cast<uint32_t>(extract_field(FieldId::kIpSrc, out[i]->data(), pi)));
+        rt.pool().free(out[i]);
+      }
+    }
+    return seqs;
+  }
+};
+
+TEST(Concurrency, SwitchRuntimeBatchedTxKeepsPacketOrder) {
+  // One burst mixing output, flood, drop, controller, bad-port and miss
+  // verdicts onto the same ports: each port's TX holds exactly its frames in
+  // packet order, and every frame is accounted once.
+  MixedBurstRun run(testing::test_seed(0x7B0ULL, "runtime batched tx order"));
+  for (uint32_t port = 1; port <= MixedBurstRun::kPorts; ++port)
+    EXPECT_EQ(run.drain(port), run.expected_tx(port)) << "port " << port;
+
+  const auto c = run.rt.counters();
+  const uint64_t floods = run.count(MixKind::kFlood);
+  EXPECT_EQ(c.processed, net::kBurstSize);
+  EXPECT_EQ(c.tx_packets,
+            run.count(MixKind::kOut2) + run.count(MixKind::kOut3) + 3 * floods);
+  EXPECT_EQ(c.flood_copies, 2 * floods);  // the original takes the first egress port
+  EXPECT_EQ(c.drops, run.count(MixKind::kDrop) + run.count(MixKind::kMiss));
+  EXPECT_EQ(c.packet_ins, run.count(MixKind::kController));
+  EXPECT_EQ(c.bad_port, run.count(MixKind::kBadPort));
+  EXPECT_EQ(c.tx_rejected, 0u);
+  EXPECT_EQ(c.processed + c.flood_copies,
+            c.tx_packets + c.tx_rejected + c.bad_port + c.drops + c.packet_ins);
+  EXPECT_EQ(run.rt.drain_packet_ins().size(), run.count(MixKind::kController));
+  EXPECT_EQ(run.rt.pool().available(), run.rt.pool().capacity());
+}
+
+TEST(Concurrency, SwitchRuntimeRefusedTxGroupsFreeEveryBuffer) {
+  // Every TX enqueue refused (the ring.enqueue_mp failpoint, as if full):
+  // each per-port group is returned to the pool frame by frame and counted
+  // in tx_rejected, and conservation still holds.
+  common::FailpointRegistry& fpr = common::FailpointRegistry::instance();
+  ASSERT_TRUE(fpr.arm("ring.enqueue_mp", "always"));
+  MixedBurstRun run(testing::test_seed(0x7B1ULL, "runtime refused tx"));
+  fpr.disarm("ring.enqueue_mp");
+  for (uint32_t port = 1; port <= MixedBurstRun::kPorts; ++port)
+    EXPECT_TRUE(run.drain(port).empty()) << "port " << port;
+
+  const auto c = run.rt.counters();
+  const uint64_t floods = run.count(MixKind::kFlood);
+  EXPECT_EQ(c.tx_packets, 0u);
+  EXPECT_EQ(c.tx_rejected,
+            run.count(MixKind::kOut2) + run.count(MixKind::kOut3) + 3 * floods);
+  EXPECT_EQ(c.processed + c.flood_copies,
+            c.tx_packets + c.tx_rejected + c.bad_port + c.drops + c.packet_ins);
+  EXPECT_EQ(run.rt.pool().available(), run.rt.pool().capacity());
 }
 
 }  // namespace

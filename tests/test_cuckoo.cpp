@@ -1,6 +1,7 @@
 // The million-flow control plane: the resizable reader-safe cuckoo table
-// (cls level), the cuckoo template's selection/re-selection inside Eswitch,
-// and the once-per-batch recompile/fusion schedule it feeds.
+// (cls level), the cuckoo template's bulk probe and its selection/
+// re-selection inside Eswitch, and the once-per-batch recompile/fusion
+// schedule it feeds.
 //
 // Scale knob: ESW_CUCKOO_CHURN_KEYS sets the churn test's target entry count
 // (default 200'000; the CI TSan leg runs it at 1'000'000 under 4 readers).
@@ -17,6 +18,7 @@
 #include "cls/cuckoo.hpp"
 #include "common/epoch.hpp"
 #include "common/rng.hpp"
+#include "core/compiler.hpp"
 #include "core/eswitch.hpp"
 #include "test_util.hpp"
 #include "testing/seed.hpp"
@@ -277,18 +279,35 @@ TEST(Cuckoo, SeededChurnWithConcurrentReaders) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(seed + 1000 + static_cast<uint64_t>(r));
+      // Odd readers probe through the pipelined bulk path, even ones through
+      // prefetch + scalar lookup: both must hold up under the same churn.
+      const bool bulk = r % 2 == 1;
+      constexpr uint32_t kBurst = 64;
+      uint64_t ids[kBurst];
+      std::string keys[kBurst];
+      const uint8_t* ptrs[kBurst];
+      uint32_t lens[kBurst];
+      CuckooTable::Value vals[kBurst];
+      bool hit[kBurst];
       while (!stop.load(std::memory_order_relaxed)) {
-        for (int burst = 0; burst < 64; ++burst) {
-          const uint64_t i = rng.below(n_stable);
-          const auto k = key_of(i);
-          t.prefetch(bytes(k), 8);
-          const auto got = t.lookup(bytes(k), 8);
-          if (!got.has_value() || got->value != value_of(i) ||
-              got->aux != static_cast<uint16_t>(i))
-            anomalies.fetch_add(1, std::memory_order_relaxed);
+        for (uint32_t b = 0; b < kBurst; ++b) {
+          ids[b] = rng.below(n_stable);
+          keys[b] = key_of(ids[b]);
+          ptrs[b] = bytes(keys[b]);
+          lens[b] = 8;
+          if (bulk) continue;
+          t.prefetch(ptrs[b], 8);
+          const auto got = t.lookup(ptrs[b], 8);
+          hit[b] = got.has_value();
+          if (hit[b]) vals[b] = *got;
         }
+        if (bulk) t.lookup_burst(ptrs, lens, kBurst, vals, hit);
+        for (uint32_t b = 0; b < kBurst; ++b)
+          if (!hit[b] || vals[b].value != value_of(ids[b]) ||
+              vals[b].aux != static_cast<uint16_t>(ids[b]))
+            anomalies.fetch_add(1, std::memory_order_relaxed);
         domain.quiescent(*slots[r]);  // burst boundary: holds no pointers
-        reads.fetch_add(64, std::memory_order_relaxed);
+        reads.fetch_add(kBurst, std::memory_order_relaxed);
       }
     });
   }
@@ -371,6 +390,185 @@ Pipeline udp_fanout(size_t n) {
     pl.table(0).add(e);
   }
   return pl;
+}
+
+/// Compiles table 0 of `pl` straight into the cuckoo template.
+std::unique_ptr<CompiledTable> build_cuckoo(Pipeline& pl, BuildCtx& ctx) {
+  CompilerConfig cfg;
+  cfg.cuckoo_min_entries = 16;
+  TableTemplate chosen = TableTemplate::kLinkedList;
+  auto impl = build_table_impl(to_build_entries(pl.table(0)), cfg, ctx, &chosen);
+  EXPECT_EQ(chosen, TableTemplate::kCuckooHash);
+  return impl;
+}
+
+/// A parsed probe frame the template tests hand to lookup()/lookup_burst().
+struct Probe {
+  net::Packet pkt;
+  proto::ParseInfo pi;
+  explicit Probe(const proto::PacketSpec& spec)
+      : pkt(make_packet(spec)), pi(test::parse_packet(pkt)) {}
+};
+
+proto::PacketSpec kind_spec(proto::PacketKind kind) {
+  proto::PacketSpec s;
+  s.kind = kind;
+  return s;
+}
+
+TEST(CuckooTemplate, BurstLookupMatchesScalar) {
+  // Hits, misses (dports past the rule range) and frames without a UDP layer
+  // (TCP, ARP, raw Ethernet), with and without a catch-all to absorb the
+  // last two; group sizes straddle the template's 32-key chunking.
+  const uint64_t seed = testing::test_seed(0xB1B0ULL, "cuckoo template burst parity");
+  for (const bool catch_all : {false, true}) {
+    Pipeline pl = udp_fanout(600);
+    if (catch_all) pl.table(0).add(parse_rule("priority=1,actions=output:9"));
+    ActionSetRegistry registry;
+    const GotoMap gmap(256, -1);
+    BuildCtx ctx{registry, gmap};
+    const auto impl = build_cuckoo(pl, ctx);
+
+    Rng rng(seed);
+    std::vector<Probe> probes;
+    for (int i = 0; i < 200; ++i) {
+      switch (rng.below(5)) {
+        case 0:
+          probes.emplace_back(test::tcp_spec(1, 2, 9, static_cast<uint16_t>(rng.below(600))));
+          break;
+        case 1:
+          probes.emplace_back(kind_spec(rng.chance(1, 2) ? proto::PacketKind::kArp
+                                                         : proto::PacketKind::kRawEth));
+          break;
+        default:  // ~half of the UDP probes hit
+          probes.emplace_back(test::udp_spec(1, 2, 9, static_cast<uint16_t>(rng.below(1200))));
+      }
+    }
+    std::vector<const uint8_t*> data;
+    std::vector<const proto::ParseInfo*> pis;
+    for (const Probe& p : probes) {
+      data.push_back(p.pkt.data());
+      pis.push_back(&p.pi);
+    }
+    uint64_t misses = 0;
+    for (const uint32_t m : {1u, 2u, 31u, 32u, 33u, 200u}) {
+      std::vector<uint64_t> res(m);
+      impl->lookup_burst(data.data(), pis.data(), m, res.data());
+      for (uint32_t i = 0; i < m; ++i) {
+        ASSERT_EQ(res[i], impl->lookup(data[i], *pis[i]))
+            << "probe " << i << " of " << m << (catch_all ? " with" : " without")
+            << " catch-all";
+        misses += res[i] == jit::kMissResult;
+      }
+    }
+    // Without a catch-all, misses and proto-absent frames both miss; with
+    // one, nothing does.
+    if (catch_all)
+      EXPECT_EQ(misses, 0u);
+    else
+      EXPECT_GT(misses, 0u);
+  }
+}
+
+TEST(CuckooTemplate, BurstLookupUnderConcurrentGrowth) {
+  // A reader thread bulk-probes while the control-plane writer grows the
+  // table in place from 64 entries through several incremental grows (and
+  // erases behind itself), with epoch retirement live.  Stable keys must
+  // always return their own result, frames without UDP the catch-all, and
+  // churned keys one of their two valid states.
+  const uint64_t seed = testing::test_seed(0xB1B1ULL, "cuckoo template burst growth");
+  Pipeline pl = udp_fanout(64);
+  pl.table(0).add(parse_rule("priority=1,actions=output:9"));
+  ActionSetRegistry registry;
+  const GotoMap gmap(256, -1);
+  BuildCtx ctx{registry, gmap};
+  const auto impl = build_cuckoo(pl, ctx);
+  auto& table = static_cast<CuckooTemplateTable&>(*impl);
+  common::EpochDomain domain;
+  impl->attach_epoch_domain(&domain);
+
+  std::vector<uint64_t> stable_result(64);
+  for (uint16_t d = 0; d < 64; ++d) {
+    const Probe p(test::udp_spec(1, 2, 9, d));
+    stable_result[d] = impl->lookup(p.pkt.data(), p.pi);
+  }
+  const Probe tcp(test::tcp_spec(1, 2, 9, 7));
+  const uint64_t catch_all = impl->lookup(tcp.pkt.data(), tcp.pi);
+  // Churned keys all output to port 2 — the same interned action set as
+  // stable key 1 (1 + 1 % 7), hence the same packed result.
+  const uint64_t churned_result = stable_result[1];
+
+  constexpr uint16_t kChurnBase = 1000, kChurnKeys = 20000;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bursts{0};
+  std::atomic<uint64_t> anomalies{0};
+  common::EpochDomain::WorkerSlot* slot = domain.register_worker();
+  ASSERT_NE(slot, nullptr);
+  std::thread reader([&] {
+    Rng rng(seed);
+    constexpr uint32_t kBurst = 32;
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::vector<Probe> probes;
+      std::vector<uint16_t> dport;
+      for (uint32_t i = 0; i < kBurst; ++i) {
+        const uint64_t k = rng.below(4);
+        dport.push_back(k == 0 ? static_cast<uint16_t>(rng.below(64))
+                               : static_cast<uint16_t>(kChurnBase + rng.below(kChurnKeys)));
+        if (k == 3)
+          probes.emplace_back(test::tcp_spec(1, 2, 9, dport.back()));
+        else
+          probes.emplace_back(test::udp_spec(1, 2, 9, dport.back()));
+      }
+      const uint8_t* data[kBurst];
+      const proto::ParseInfo* pis[kBurst];
+      for (uint32_t i = 0; i < kBurst; ++i) {
+        data[i] = probes[i].pkt.data();
+        pis[i] = &probes[i].pi;
+      }
+      uint64_t res[kBurst];
+      impl->lookup_burst(data, pis, kBurst, res);
+      for (uint32_t i = 0; i < kBurst; ++i) {
+        bool ok;
+        if (!probes[i].pi.has(proto::kProtoUdp))
+          ok = res[i] == catch_all;
+        else if (dport[i] < 64)
+          ok = res[i] == stable_result[dport[i]];
+        else
+          ok = res[i] == churned_result || res[i] == catch_all;
+        if (!ok) anomalies.fetch_add(1, std::memory_order_relaxed);
+      }
+      domain.quiescent(*slot);  // burst boundary: holds no pointers
+      bursts.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (bursts.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+
+  const auto churn_entry = [](uint16_t d) {
+    FlowEntry e;
+    e.priority = 10;
+    e.match.set(FieldId::kUdpDst, d);
+    e.actions = {Action::output(2)};
+    return e;
+  };
+  uint32_t refused = 0;
+  for (uint16_t k = 0; k < kChurnKeys; ++k) {
+    refused += table.try_add(churn_entry(kChurnBase + k), ctx) ? 0 : 1;
+    if (k % 3 == 0 && k > 0) {  // erase behind the insert front
+      const FlowEntry e = churn_entry(kChurnBase + k / 2);
+      table.try_remove(e.match, e.priority);
+    }
+    if (k % 256 == 0) impl->epoch_reclaim(domain.advance_and_horizon());
+    if (k % 4096 == 0) std::this_thread::yield();
+  }
+  stop = true;
+  reader.join();
+  domain.unregister_worker(slot);
+
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(anomalies.load(), 0u);
+  EXPECT_GE(table.grows(), 2u);
+  impl->epoch_reclaim(domain.advance_and_horizon());
+  EXPECT_EQ(impl->retired_pending(), 0u);
 }
 
 TEST(CuckooTemplate, Tab02ScaleParityWithLinkedList) {

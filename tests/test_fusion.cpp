@@ -86,9 +86,10 @@ struct RunResult {
   std::vector<uint64_t> digests;
 };
 
-/// Replays the sequence in deterministic irregular bursts (singletons,
-/// partial bursts, > kBurstSize chunked calls) through process_burst.
-RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+/// Replays the sequence through process_burst in bursts of `burst` packets,
+/// or, with burst == 0, in deterministic irregular bursts (singletons,
+/// partial bursts, > kBurstSize chunked calls).
+RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n, uint32_t burst = 0) {
   RunResult r;
   Rng rng(0xF5D);
   std::vector<net::Packet> bufs(2 * net::kBurstSize);
@@ -98,15 +99,16 @@ RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
 
   size_t i = 0;
   while (i < n) {
-    const uint32_t want = static_cast<uint32_t>(rng.range(1, bufs.size()));
-    const uint32_t burst = static_cast<uint32_t>(std::min<size_t>(want, n - i));
-    for (uint32_t b = 0; b < burst; ++b) ts.load(i + b, bufs[b]);
-    sw.process_burst(ptrs.data(), burst, verdicts.data());
-    for (uint32_t b = 0; b < burst; ++b) {
+    const uint32_t want =
+        burst != 0 ? burst : static_cast<uint32_t>(rng.range(1, bufs.size()));
+    const uint32_t m = static_cast<uint32_t>(std::min<size_t>(want, n - i));
+    for (uint32_t b = 0; b < m; ++b) ts.load(i + b, bufs[b]);
+    sw.process_burst(ptrs.data(), m, verdicts.data());
+    for (uint32_t b = 0; b < m; ++b) {
       r.verdicts.push_back(verdicts[b]);
       r.digests.push_back(packet_digest(bufs[b]));
     }
-    i += burst;
+    i += m;
   }
   return r;
 }
@@ -129,11 +131,12 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
 }
 
 /// Same pipeline into a fused and a fusion-disabled switch, same burst
-/// sequence: verdicts, frame mutations, verdict-level and per-slot stats must
-/// agree packet for packet.
+/// sequence (run_bursts' `burst`): verdicts, frame mutations, verdict-level
+/// and per-slot stats must agree packet for packet.
 void expect_fused_parity(const Pipeline& pl,
                          const std::vector<net::FlowSpec>& flows,
-                         CompilerConfig cfg = {}, size_t n_packets = 3000) {
+                         CompilerConfig cfg = {}, size_t n_packets = 3000,
+                         uint32_t burst = 0) {
   CompilerConfig fused_cfg = cfg, staged_cfg = cfg;
   fused_cfg.enable_fusion = true;
   staged_cfg.enable_fusion = false;
@@ -144,8 +147,8 @@ void expect_fused_parity(const Pipeline& pl,
   ASSERT_FALSE(staged_sw.fused_active());
   const auto ts = net::TrafficSet::from_flows(flows);
 
-  const RunResult f = run_bursts(fused_sw, ts, n_packets);
-  const RunResult s = run_bursts(staged_sw, ts, n_packets);
+  const RunResult f = run_bursts(fused_sw, ts, n_packets, burst);
+  const RunResult s = run_bursts(staged_sw, ts, n_packets, burst);
   ASSERT_EQ(f.verdicts.size(), s.verdicts.size());
   for (size_t i = 0; i < f.verdicts.size(); ++i) {
     ASSERT_EQ(f.verdicts[i], s.verdicts[i]) << "packet " << i;
@@ -173,6 +176,13 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
     Case c;
     c.expect = TableTemplate::kCompoundHash;
     c.pl = uc::make_l2(64).pipeline;
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c;
+    c.expect = TableTemplate::kCuckooHash;
+    c.pl = uc::make_l2(64).pipeline;
+    c.cfg.cuckoo_min_entries = 16;
     cases.push_back(std::move(c));
   }
   {
@@ -207,6 +217,11 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
     const FusedPipeline* fp = sw.datapath().fused();
     ASSERT_NE(fp, nullptr);
     EXPECT_EQ(fp->stages.size(), 1u);
+    // Only cuckoo stages probe in bulk; every other plan has no batched
+    // stage at all.
+    const bool cuckoo = c.expect == TableTemplate::kCuckooHash;
+    EXPECT_EQ(fp->stages[0].batched, cuckoo);
+    EXPECT_EQ(fp->batched.size(), cuckoo ? 1u : 0u);
     // Only direct-code members get machine code; the rest is a pinned plan.
     if (c.expect == TableTemplate::kDirectCode && jit::ExecBuffer::supported()) {
       EXPECT_NE(fp->program, nullptr);
@@ -269,6 +284,43 @@ TEST(Fusion, ParityDirectCodeGotoChainWithMutationsAndControllerMiss) {
 TEST(Fusion, ParityHashL2) {
   const auto uc = uc::make_l2(256);
   expect_fused_parity(uc.pipeline, uc.traffic(1000, 7));
+}
+
+TEST(Fusion, ParityBatchedCuckooBetweenDirectCodeStages) {
+  // Direct code -> cuckoo -> direct code: the middle stage is probed in bulk
+  // once per walk round, between two machine-code members.  Paths end at
+  // every stage (controller at 0, output at 1, output at 2), misses and
+  // frames without UDP reach the cuckoo's controller miss policy, and the
+  // frame is rewritten (dec_ttl) on the way.  Bursts of 1 (the scalar
+  // fallback), 2 (the smallest bulk group) and 32 (a full burst).
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=30,eth_type=0x0800,actions=dec_ttl,goto:1"));
+  pl.table(0).add(parse_rule("priority=10,eth_type=0x0806,actions=controller"));
+  for (int d = 0; d < 512; ++d)
+    pl.table(1).add(parse_rule("priority=10,udp_dst=" + std::to_string(d) +
+                               (d % 2 == 0 ? ",actions=dec_ttl,goto:2"
+                                           : ",actions=output:" + std::to_string(4 + d % 3))));
+  pl.table(1).set_miss_policy(flow::FlowTable::MissPolicy::kController);
+  pl.table(2).add(parse_rule("priority=10,ip_dst=10.0.0.0/8,actions=output:3"));
+  pl.table(2).add(parse_rule("priority=1,actions=output:9"));
+  CompilerConfig cfg;
+  cfg.cuckoo_min_entries = 16;
+
+  Eswitch probe(cfg);
+  probe.install(pl);
+  ASSERT_EQ(probe.table_template(0), TableTemplate::kDirectCode);
+  ASSERT_EQ(probe.table_template(1), TableTemplate::kCuckooHash);
+  ASSERT_EQ(probe.table_template(2), TableTemplate::kDirectCode);
+  ASSERT_TRUE(probe.fused_active());
+  const FusedPipeline* fp = probe.datapath().fused();
+  ASSERT_EQ(fp->batched, std::vector<uint32_t>{1});
+  EXPECT_TRUE(fp->stages[1].batched);
+
+  const auto flows = random_traffic(1200, 0xB47);
+  for (const uint32_t burst : {1u, 2u, 32u}) {
+    SCOPED_TRACE("burst " + std::to_string(burst));
+    expect_fused_parity(pl, flows, cfg, flows.size(), burst);
+  }
 }
 
 TEST(Fusion, ParityLpmL3) {
@@ -465,9 +517,9 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   auto fp = std::make_unique<FusedPipeline>();
   fp->stage_of_slot.assign(static_cast<size_t>(dp.num_slots()), -1);
   fp->stages.push_back({s0, dp.impl(s0), flow::FlowTable::MissPolicy::kDrop,
-                        false, nullptr});
+                        false, false, nullptr});
   fp->stages.push_back({s1, dp.impl(s1), flow::FlowTable::MissPolicy::kDrop,
-                        false, nullptr});
+                        false, false, nullptr});
   fp->stage_of_slot[static_cast<size_t>(s0)] = 0;
   fp->stage_of_slot[static_cast<size_t>(s1)] = 1;
   dp.set_fused(std::move(fp));
