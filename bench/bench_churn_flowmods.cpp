@@ -2,10 +2,10 @@
 // core::SwitchRuntime with concurrent packet workers, while the control
 // thread streams flow-mod *batches* through apply_batch_partial — the
 // OfAgent ingestion path — at a target rate from 0 (baseline) to 100k
-// mods/s.  The L2 table is sized past cuckoo_min_entries so the churn lands
-// on the resizable cuckoo template: every add/delete rides the in-place
-// single-slot path plus one fusion refresh and one epoch reclaim per batch,
-// which is what makes 100k mods/s sustainable at all.
+// mods/s.  The L2 table compiles to the resizable cuckoo template: every
+// add/delete rides the in-place single-slot path plus one fusion refresh and
+// one epoch reclaim per batch, which is what makes 100k mods/s sustainable
+// at all.
 //
 // Reported per point: aggregate `pps` and per-worker `pps_w<i>` (the CI
 // gate checks the 100k point keeps >= 0.7x the unchurned baseline),

@@ -1,8 +1,8 @@
 // Fig. 9: per-lookup running time (CPU cycles) as a function of the number of
-// flow entries, for the direct code / compound hash / linked list templates
-// on the paper's synthetic table (vlan_vid=3, ip_src=10.0.0.3, ip_proto=17,
-// udp_dst=N).  The crossover calibrates the direct-code fallback constant
-// (the paper fixes it at 4).
+// flow entries, for the direct code / compound hash (cuckoo) / linked list
+// templates on the paper's synthetic table (vlan_vid=3, ip_src=10.0.0.3,
+// ip_proto=17, udp_dst=N).  The crossover calibrates the direct-code
+// fallback constant (the paper fixes it at 4).
 //
 // Also serves as the keys-in-code ablation: "direct-interp" executes the same
 // lowered entries from data memory instead of specialized machine code.
@@ -78,7 +78,7 @@ void BM_Fig09_DirectCodeInterp(benchmark::State& state) {
   template_point(state, TableTemplate::kDirectCode, false);
 }
 void BM_Fig09_Hash(benchmark::State& state) {
-  template_point(state, TableTemplate::kCompoundHash, true);
+  template_point(state, TableTemplate::kCuckooHash, true);
 }
 void BM_Fig09_LinkedList(benchmark::State& state) {
   template_point(state, TableTemplate::kLinkedList, true);

@@ -19,7 +19,6 @@ uint32_t round_pow2(uint32_t v) {
 CuckooTable::CuckooTable(const Config& cfg) : cfg_(cfg), salt_(cfg.salt) {
   cfg_.initial_buckets = round_pow2(cfg_.initial_buckets == 0 ? 4 : cfg_.initial_buckets);
   if (cfg_.max_kicks == 0) cfg_.max_kicks = 1;
-  kick_undo_.reserve(cfg_.max_kicks);
   front_.store(new View(cfg_.initial_buckets, next_salt()), std::memory_order_release);
 }
 

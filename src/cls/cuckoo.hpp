@@ -1,13 +1,12 @@
 // Resizable, reader-safe bucketized cuckoo hash over byte-string keys — the
-// engine behind the million-flow *cuckoo hash* template.
+// one exact-match index in the tree: it serves the compound hash template
+// (§3.1) at every table size and each tuple of the tuple-space classifier.
 //
-// The fixed-capacity ExactMatchTable rebuilds (and, under workers, is cloned
-// and republished wholesale) whenever it grows; at 1M+ entries that clone
-// dominates update cost.  This table instead follows the shared-memory cuckoo
-// map design (tasvir's CuckooMap, SNIPPETS.md Snippet 1): 4-way buckets whose
-// slots are single atomic words packing a 48-bit entry pointer with a 16-bit
-// tag, so one control-plane writer mutates *in place* while packet workers
-// read concurrently.
+// It follows the shared-memory cuckoo map design (tasvir's CuckooMap,
+// SNIPPETS.md Snippet 1): 4-way buckets whose slots are single atomic words
+// packing a 48-bit entry pointer with a 16-bit tag, so one control-plane
+// writer mutates *in place* while packet workers read concurrently — a table
+// never has to be cloned and republished to absorb an update.
 //
 // Reader safety rests on three rules:
 //   * entries are immutable heap blobs published/retired through the owning
@@ -46,7 +45,7 @@ class CuckooTable {
   static constexpr uint32_t kSlotsPerBucket = 4;
 
   struct Config {
-    uint32_t initial_buckets = 1024;   // rounded up to a power of two
+    uint32_t initial_buckets = 1024;   // rounded up to a power of two (>= 4)
     uint32_t max_kicks = 96;           // displacement bound before reseed/grow
     double grow_load = 0.8;            // proactive incremental-grow threshold
     uint32_t migrate_per_mutation = 8; // back-view buckets drained per write

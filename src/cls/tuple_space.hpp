@@ -2,12 +2,13 @@
 // the paper's *linked list* template and the OVS-model megaflow cache.
 //
 // Entries are grouped into tuples by their exact mask signature; each tuple
-// indexes its entries with an exact-match hash over the masked key.  Lookup
-// scans tuples best-rank-first with early exit (OVS's "tuple priority
-// sorting") and can report which tuples were visited — the information a
-// flow-caching switch turns into megaflow wildcards (§2.2: fields "that
-// caused a match as well as those higher priority ones that did not, need to
-// be taken into consideration").
+// indexes its entries with a cuckoo hash (cls::CuckooTable, created at its
+// smallest size and grown in place) over the masked key — the dpcls subtable
+// shape.  Lookup scans tuples best-rank-first with early exit (OVS's "tuple
+// priority sorting") and can report which tuples were visited — the
+// information a flow-caching switch turns into megaflow wildcards (§2.2:
+// fields "that caused a match as well as those higher priority ones that did
+// not, need to be taken into consideration").
 //
 // `Value` is the per-entry payload (compiled lookup results, megaflow
 // entries, …).  Rank is the total match order: lower rank wins; callers build
@@ -22,7 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "cls/exact_match.hpp"
+#include "cls/cuckoo.hpp"
 #include "common/check.hpp"
 #include "common/memtrace.hpp"
 #include "flow/match.hpp"
@@ -47,10 +48,11 @@ class TupleSpace {
   TupleSpace() = default;
   /// Deep copy — the copy-on-write update path clones the classifier, mutates
   /// the clone and publishes it, leaving the source (still visible to
-  /// concurrent readers) untouched.
+  /// concurrent readers) untouched.  Each tuple's index is rebuilt from its
+  /// chain heads.
   TupleSpace(const TupleSpace& other) : size_(other.size_) {
     tuples_.reserve(other.tuples_.size());
-    for (const auto& tp : other.tuples_) tuples_.push_back(std::make_unique<Tuple>(*tp));
+    for (const auto& tp : other.tuples_) tuples_.push_back(tp->clone());
   }
   TupleSpace& operator=(const TupleSpace& other) {
     if (this != &other) *this = TupleSpace(other);
@@ -79,10 +81,11 @@ class TupleSpace {
 
     // Insert into the per-key chain, kept sorted by rank ascending.
     int32_t head = -1;
-    if (auto found = t->index.lookup(key, key_len)) head = static_cast<int32_t>(*found);
+    if (auto found = t->index.lookup(key, key_len))
+      head = static_cast<int32_t>(found->value);
     if (head < 0 || t->entries[head].rank > rank) {
       t->next[slot] = head;
-      t->index.insert(key, key_len, static_cast<uint32_t>(slot));
+      t->index.insert(key, key_len, static_cast<uint64_t>(slot));
     } else {
       int32_t prev = head;
       while (t->next[prev] >= 0 && t->entries[t->next[prev]].rank < rank)
@@ -105,7 +108,7 @@ class TupleSpace {
     auto found = t->index.lookup(key, key_len);
     if (!found) return false;
 
-    int32_t cur = static_cast<int32_t>(*found);
+    int32_t cur = static_cast<int32_t>(found->value);
     int32_t prev = -1;
     while (cur >= 0 && t->entries[cur].rank != rank) {
       prev = cur;
@@ -114,7 +117,7 @@ class TupleSpace {
     if (cur < 0) return false;
     if (prev < 0) {
       if (t->next[cur] >= 0)
-        t->index.insert(key, key_len, static_cast<uint32_t>(t->next[cur]));
+        t->index.insert(key, key_len, static_cast<uint64_t>(t->next[cur]));
       else
         t->index.erase(key, key_len);
     } else {
@@ -153,7 +156,7 @@ class TupleSpace {
       const uint32_t key_len = key_from_packet(t, pkt, pi, key);
       const auto found = t.index.lookup(key, key_len, trace);
       if (!found) continue;
-      const Entry& e = t.entries[*found];  // chain head = lowest rank
+      const Entry& e = t.entries[found->value];  // chain head = lowest rank
       if (trace) trace->touch(&e, sizeof(Entry));
       if (best == nullptr || e.rank < best->rank) best = &e;
     }
@@ -191,13 +194,15 @@ class TupleSpace {
 
  private:
   static constexpr uint32_t kMaxKeyBytes = 8 * flow::kNumFields;
+  // Tuples start at the index's smallest size: most hold a handful of keys.
+  static constexpr CuckooTable::Config kIndexConfig{.initial_buckets = 1};
 
   struct Tuple {
     uint32_t present = 0;
     std::array<uint64_t, flow::kNumFields> masks{};
     uint32_t proto_required = 0;
     uint32_t min_rank = 0xFFFFFFFF;
-    ExactMatchTable index;
+    CuckooTable index{kIndexConfig};  // masked key -> chain head slot
     std::vector<Entry> entries;
     std::vector<int32_t> next;
     std::vector<bool> slot_live;
@@ -224,6 +229,31 @@ class TupleSpace {
       min_rank = 0xFFFFFFFF;
       for (size_t i = 0; i < entries.size(); ++i)
         if (slot_live[i] && entries[i].rank < min_rank) min_rank = entries[i].rank;
+    }
+
+    /// Deep copy; the index is not copyable, so it is rebuilt from the
+    /// chain heads (live slots no other slot links to).
+    std::unique_ptr<Tuple> clone() const {
+      auto c = std::make_unique<Tuple>();
+      c->present = present;
+      c->masks = masks;
+      c->proto_required = proto_required;
+      c->min_rank = min_rank;
+      c->entries = entries;
+      c->next = next;
+      c->slot_live = slot_live;
+      c->free_list = free_list;
+      c->live = live;
+      std::vector<bool> linked(entries.size(), false);
+      for (size_t i = 0; i < entries.size(); ++i)
+        if (slot_live[i] && next[i] >= 0) linked[next[i]] = true;
+      uint8_t key[kMaxKeyBytes];
+      for (size_t i = 0; i < entries.size(); ++i) {
+        if (!slot_live[i] || linked[i]) continue;
+        const uint32_t key_len = key_from_match(*c, entries[i].match, key);
+        c->index.insert(key, key_len, i);
+      }
+      return c;
     }
   };
 

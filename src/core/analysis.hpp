@@ -3,8 +3,9 @@
 // The compiler "always attempts to compile into the most efficient table
 // template available" and falls back along Fig. 4's chain when a prerequisite
 // fails: direct code (#flows ≤ CONST) → compound hash (global mask, exact
-// match) → LPM (single-field prefix rules, priorities consistent) → linked
-// list (no prerequisite).
+// match; served by the resizable cuckoo table at every size) → LPM
+// (single-field prefix rules, priorities consistent) → range → linked list
+// (no prerequisite).
 #pragma once
 
 #include <optional>
@@ -35,12 +36,8 @@ struct CompilerConfig {
   std::optional<TableTemplate> force_template;
   /// tbl8 budget for LPM tables.
   uint32_t lpm_max_tbl8_groups = 1024;
-  /// Hash-shaped tables at or above this entry count compile into the
-  /// resizable reader-safe cuckoo template instead of the fixed-capacity
-  /// compound hash (and a compound-hash table growing past it re-selects on
-  /// its next rebuild).  0 disables the cuckoo template.  The default sits
-  /// above every figure-scale table so the calibrated benches keep the
-  /// paper's compound hash; the million-flow scale/churn benches cross it.
+  /// Unused: kept only because bench/e2e still assigns it; delete it in the
+  /// next benchmark change.
   uint32_t cuckoo_min_entries = 32768;
   /// Enable the range extension template (binary search over flattened
   /// intervals) for single-field tables LPM cannot take.
@@ -78,11 +75,11 @@ struct AnalysisResult {
   std::string reason;
 };
 
-/// Compound-hash prerequisite: all entries share one field set and identical
-/// per-field masks ("every field is matched by exactly the same mask in each
-/// entry"), plus at most one catch-all default with strictly lowest priority.
-/// On success reports the shared mask template via `mask_out` and whether a
-/// catch-all exists.
+/// Compound-hash prerequisite (served by the cuckoo template): all entries
+/// share one field set and identical per-field masks ("every field is
+/// matched by exactly the same mask in each entry"), plus at most one
+/// catch-all default with strictly lowest priority.  On success reports the
+/// shared mask template via `mask_out` and whether a catch-all exists.
 bool hash_prerequisite(const AnalysisEntries& entries, flow::Match* mask_out,
                        bool* has_catch_all);
 

@@ -75,153 +75,17 @@ size_t DirectCodeTable::memory_bytes() const {
   return n;
 }
 
-// --- compound hash -----------------------------------------------------------
-
-std::unique_ptr<HashTemplateTable> HashTemplateTable::build(
-    const std::vector<BuildEntry>& entries, const Match& mask_template, BuildCtx& ctx) {
-  auto t = std::unique_ptr<HashTemplateTable>(new HashTemplateTable());
-  for (FieldId f : flow::MatchFields(mask_template)) {
-    t->fields_.push_back(f);
-    t->field_masks_.push_back(mask_template.mask(f));
-  }
-  t->proto_required_ = mask_template.proto_required();
-
-  // Entries arrive priority-descending: on duplicate keys the first (highest
-  // priority) wins, preserving flow-table semantics.
-  uint8_t key[8 * flow::kNumFields];
-  for (const BuildEntry& e : entries) {
-    if (e.match.is_catch_all()) {
-      if (!t->has_catch_all_) {
-        t->has_catch_all_ = true;
-        t->catch_all_priority_ = e.priority;
-        t->catch_all_result_ = resolve_result(e, ctx);
-        ++t->count_;
-      }
-      continue;
-    }
-    const uint32_t key_len = t->key_from_match(e.match, key);
-    if (t->index_.lookup(key, key_len).has_value()) continue;  // shadowed
-    t->stored_.push_back({resolve_result(e, ctx), e.priority});
-    t->index_.insert(key, key_len, static_cast<uint32_t>(t->stored_.size() - 1));
-    t->min_specific_priority_ = std::min(t->min_specific_priority_, e.priority);
-    ++t->count_;
-  }
-  return t;
-}
-
-uint32_t HashTemplateTable::key_from_match(const Match& m, uint8_t* out) const {
-  uint32_t n = 0;
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    const uint64_t v = m.value(fields_[i]) & field_masks_[i];
-    std::memcpy(out + n, &v, 8);
-    n += 8;
-  }
-  return n;
-}
-
-uint32_t HashTemplateTable::key_from_packet(const uint8_t* pkt,
-                                            const proto::ParseInfo& pi,
-                                            uint8_t* out) const {
-  uint32_t n = 0;
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    const uint64_t v = flow::extract_field(fields_[i], pkt, pi) & field_masks_[i];
-    std::memcpy(out + n, &v, 8);
-    n += 8;
-  }
-  return n;
-}
-
-uint64_t HashTemplateTable::lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
-                                   MemTrace* trace) const {
-  if ((pi.proto_mask & proto_required_) == proto_required_) {
-    uint8_t key[8 * flow::kNumFields];
-    const uint32_t key_len = key_from_packet(pkt, pi, key);
-    if (const auto idx = index_.lookup(key, key_len, trace)) {
-      if (trace != nullptr) trace->touch(&stored_[*idx], sizeof(Stored));
-      return stored_[*idx].result;
-    }
-  }
-  return catch_all_result_;  // kMissResult when no default is configured
-}
-
-void HashTemplateTable::prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const {
-  if ((pi.proto_mask & proto_required_) != proto_required_) return;
-  uint8_t key[8 * flow::kNumFields];
-  const uint32_t key_len = key_from_packet(pkt, pi, key);
-  index_.prefetch(key, key_len);
-}
-
-size_t HashTemplateTable::memory_bytes() const {
-  return index_.capacity() * 24 + stored_.size() * sizeof(Stored);
-}
-
-bool HashTemplateTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
-  // Injectable insert refusal: false is the template's normal "I cannot take
-  // this incrementally" answer, so the caller rebuilds — never crashes.
-  if (ESW_FAILPOINT("hash.insert")) return false;
-  if (e.match.is_catch_all()) {
-    if (e.priority >= min_specific_priority_) return false;
-    const BuildEntry be{e.match, e.priority, e.actions, e.goto_table, -1};
-    if (!has_catch_all_) ++count_;
-    has_catch_all_ = true;
-    catch_all_priority_ = e.priority;
-    catch_all_result_ = resolve_result(be, ctx);
-    return true;
-  }
-  // Must share the template's exact mask set and outrank the default.
-  if (static_cast<unsigned>(__builtin_popcount(e.match.present_bits())) !=
-      fields_.size())
-    return false;
-  for (size_t i = 0; i < fields_.size(); ++i)
-    if (!e.match.has(fields_[i]) || e.match.mask(fields_[i]) != field_masks_[i])
-      return false;
-  if (has_catch_all_ && e.priority <= catch_all_priority_) return false;
-
-  uint8_t key[8 * flow::kNumFields];
-  const uint32_t key_len = key_from_match(e.match, key);
-  const BuildEntry be{e.match, e.priority, e.actions, e.goto_table, -1};
-  if (const auto idx = index_.lookup(key, key_len)) {
-    // Same key at another priority: keep whichever outranks (flow-table
-    // semantics); replacing same-priority entries updates in place.
-    if (stored_[*idx].priority > e.priority) return false;  // shadowed: rebuild-free no-op would lose the entry
-    stored_[*idx] = {resolve_result(be, ctx), e.priority};
-    return true;
-  }
-  stored_.push_back({resolve_result(be, ctx), e.priority});
-  index_.insert(key, key_len, static_cast<uint32_t>(stored_.size() - 1));
-  min_specific_priority_ = std::min(min_specific_priority_, e.priority);
-  ++count_;
-  return true;
-}
-
-bool HashTemplateTable::try_remove(const Match& m, uint16_t priority) {
-  if (m.is_catch_all()) {
-    if (!has_catch_all_ || catch_all_priority_ != priority) return false;
-    has_catch_all_ = false;
-    catch_all_result_ = jit::kMissResult;
-    --count_;
-    return true;
-  }
-  uint8_t key[8 * flow::kNumFields];
-  // Shape check (cheap) before the hash probe.
-  if (static_cast<unsigned>(__builtin_popcount(m.present_bits())) != fields_.size())
-    return false;
-  for (size_t i = 0; i < fields_.size(); ++i)
-    if (!m.has(fields_[i]) || m.mask(fields_[i]) != field_masks_[i]) return false;
-  const uint32_t key_len = key_from_match(m, key);
-  const auto idx = index_.lookup(key, key_len);
-  if (!idx || stored_[*idx].priority != priority) return false;
-  index_.erase(key, key_len);
-  --count_;
-  // stored_ slot leaks until the next rebuild; acceptable for update churn.
-  return true;
-}
-
 // --- cuckoo hash -------------------------------------------------------------
 
 std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
     const std::vector<BuildEntry>& entries, const Match& mask_template, BuildCtx& ctx) {
-  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable());
+  // Room for every input key below the grow threshold.
+  cls::CuckooTable::Config icfg;
+  icfg.initial_buckets = static_cast<uint32_t>(
+      static_cast<double>(entries.size()) /
+          (icfg.grow_load * cls::CuckooTable::kSlotsPerBucket) +
+      1);
+  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(icfg));
   for (FieldId f : flow::MatchFields(mask_template)) {
     t->fields_.push_back(f);
     t->field_masks_.push_back(mask_template.mask(f));
@@ -233,21 +97,34 @@ std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
   uint8_t key[8 * flow::kNumFields];
   for (const BuildEntry& e : entries) {
     if (e.match.is_catch_all()) {
-      if (!t->has_catch_all_) {
-        t->has_catch_all_ = true;
-        t->catch_all_priority_ = e.priority;
-        t->catch_all_result_.store(resolve_result(e, ctx), std::memory_order_relaxed);
-        ++t->count_;
+      if (t->has_catch_all_) {
+        t->shadows_ = true;
+        continue;
       }
+      t->has_catch_all_ = true;
+      t->catch_all_priority_ = e.priority;
+      t->catch_all_result_.store(resolve_result(e, ctx), std::memory_order_relaxed);
+      ++t->count_;
       continue;
     }
     const uint32_t key_len = t->key_from_match(e.match, key);
-    if (t->index_.lookup(key, key_len).has_value()) continue;  // shadowed
+    if (t->index_.lookup(key, key_len).has_value()) {
+      t->shadows_ = true;
+      continue;
+    }
     t->index_.insert(key, key_len, resolve_result(e, ctx), e.priority);
     t->min_specific_priority_ = std::min(t->min_specific_priority_, e.priority);
     ++t->count_;
   }
   return t;
+}
+
+bool CuckooTemplateTable::same_shape(const Match& m) const {
+  if (static_cast<unsigned>(__builtin_popcount(m.present_bits())) != fields_.size())
+    return false;
+  for (size_t i = 0; i < fields_.size(); ++i)
+    if (!m.has(fields_[i]) || m.mask(fields_[i]) != field_masks_[i]) return false;
+  return true;
 }
 
 uint32_t CuckooTemplateTable::key_from_match(const Match& m, uint8_t* out) const {
@@ -327,12 +204,13 @@ void CuckooTemplateTable::lookup_burst(const uint8_t* const* pkts,
 size_t CuckooTemplateTable::memory_bytes() const { return index_.memory_bytes(); }
 
 bool CuckooTemplateTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
-  // Injectable insert refusal, mirroring the compound hash's edge: false is
-  // "I cannot take this incrementally", so the caller rebuilds — never crashes.
-  if (ESW_FAILPOINT("cuckoo.insert")) return false;
+  // Injectable insert refusal: false is the template's normal "I cannot take
+  // this incrementally" answer, so the caller rebuilds — never crashes.
+  if (ESW_FAILPOINT("hash.insert")) return false;
+  const BuildEntry be{e.match, e.priority, e.actions, e.goto_table, -1};
   if (e.match.is_catch_all()) {
     if (e.priority >= min_specific_priority_) return false;
-    const BuildEntry be{e.match, e.priority, e.actions, e.goto_table, -1};
+    if (has_catch_all_ && catch_all_priority_ != e.priority) return false;
     if (!has_catch_all_) ++count_;
     has_catch_all_ = true;
     catch_all_priority_ = e.priority;
@@ -340,21 +218,15 @@ bool CuckooTemplateTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
     return true;
   }
   // Must share the template's exact mask set and outrank the default.
-  if (static_cast<unsigned>(__builtin_popcount(e.match.present_bits())) !=
-      fields_.size())
-    return false;
-  for (size_t i = 0; i < fields_.size(); ++i)
-    if (!e.match.has(fields_[i]) || e.match.mask(fields_[i]) != field_masks_[i])
-      return false;
+  if (!same_shape(e.match)) return false;
   if (has_catch_all_ && e.priority <= catch_all_priority_) return false;
 
   uint8_t key[8 * flow::kNumFields];
   const uint32_t key_len = key_from_match(e.match, key);
-  const BuildEntry be{e.match, e.priority, e.actions, e.goto_table, -1};
   if (const auto v = index_.lookup(key, key_len)) {
-    // Same key at another priority: keep whichever outranks (flow-table
-    // semantics); replacing same-priority entries updates in place.
-    if (v->aux > e.priority) return false;  // shadowed: a no-op would lose the entry
+    // Same key: a same-priority add replaces in place; another priority
+    // would leave two entries for one slot, so rebuild.
+    if (v->aux != e.priority) return false;
     index_.insert(key, key_len, resolve_result(be, ctx), e.priority);
     return true;
   }
@@ -365,6 +237,7 @@ bool CuckooTemplateTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
 }
 
 bool CuckooTemplateTable::try_remove(const Match& m, uint16_t priority) {
+  if (shadows_) return false;
   if (m.is_catch_all()) {
     if (!has_catch_all_ || catch_all_priority_ != priority) return false;
     has_catch_all_ = false;
@@ -372,12 +245,8 @@ bool CuckooTemplateTable::try_remove(const Match& m, uint16_t priority) {
     --count_;
     return true;
   }
+  if (!same_shape(m)) return false;  // cheap check before the hash probe
   uint8_t key[8 * flow::kNumFields];
-  // Shape check (cheap) before the hash probe.
-  if (static_cast<unsigned>(__builtin_popcount(m.present_bits())) != fields_.size())
-    return false;
-  for (size_t i = 0; i < fields_.size(); ++i)
-    if (!m.has(fields_[i]) || m.mask(fields_[i]) != field_masks_[i]) return false;
   const uint32_t key_len = key_from_match(m, key);
   const auto v = index_.lookup(key, key_len);
   if (!v || v->aux != priority) return false;

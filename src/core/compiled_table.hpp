@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cls/cuckoo.hpp"
-#include "cls/exact_match.hpp"
 #include "cls/lpm.hpp"
 #include "cls/range_tree.hpp"
 #include "cls/tuple_space.hpp"
@@ -82,17 +81,19 @@ class CompiledTable {
   virtual bool try_remove(const flow::Match&, uint16_t) { return false; }
 
   /// True when try_add/try_remove may mutate this table *in place* while
-  /// other threads are inside lookup() (single writer).  Only the LPM
-  /// template qualifies: its cells are self-contained words published with
-  /// release/acquire, the rte_lpm-under-RCU model.
+  /// other threads are inside lookup() (single writer): the cuckoo template
+  /// (atomic slot words, immutable epoch-retired entries) and LPM (cells are
+  /// self-contained words published with release/acquire, the
+  /// rte_lpm-under-RCU model).
   virtual bool concurrent_update_safe() const { return false; }
 
   /// Deep copy for the copy-on-write update path: with concurrent readers,
-  /// templates whose incremental update mutates reader-visible structure
-  /// (hash rebuilds, tuple-space chains) are cloned, updated privately and
+  /// a template whose incremental update mutates reader-visible structure
+  /// (the linked list's tuple-space chains) is cloned, updated privately and
   /// republished via trampoline swap — same incremental data-structure work
   /// as in place, plus an O(table) copy.  nullptr = not clonable (direct
-  /// code and range rebuild from scratch anyway).
+  /// code and range rebuild from scratch anyway; cuckoo and LPM update in
+  /// place).
   virtual std::unique_ptr<CompiledTable> clone_for_update() const { return nullptr; }
 
   /// Epoch-reclamation hooks for templates that retire *internal* memory
@@ -132,63 +133,17 @@ class DirectCodeTable final : public CompiledTable {
   std::optional<jit::DirectCodeFn> jit_;
 };
 
-// --- compound hash -------------------------------------------------------------
+// --- cuckoo hash (the compound hash template) -------------------------------------
 
-class HashTemplateTable final : public CompiledTable {
- public:
-  /// `mask_template` is the shared mask set (values zeroed).  Entries must
-  /// satisfy the hash prerequisite (checked by analysis; re-verified here).
-  static std::unique_ptr<HashTemplateTable> build(const std::vector<BuildEntry>& entries,
-                                                  const flow::Match& mask_template,
-                                                  BuildCtx& ctx);
-
-  uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
-                  MemTrace* trace) const override;
-  void prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const override;
-  TableTemplate kind() const override { return TableTemplate::kCompoundHash; }
-  size_t size() const override { return count_; }
-  size_t memory_bytes() const override;
-
-  bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
-  bool try_remove(const flow::Match& m, uint16_t priority) override;
-  std::unique_ptr<CompiledTable> clone_for_update() const override {
-    return std::unique_ptr<CompiledTable>(new HashTemplateTable(*this));
-  }
-
-  uint64_t hash_rebuilds() const { return index_.rebuilds(); }
-
- private:
-  HashTemplateTable() = default;
-  HashTemplateTable(const HashTemplateTable&) = default;
-
-  uint32_t key_from_match(const flow::Match& m, uint8_t* out) const;
-  uint32_t key_from_packet(const uint8_t* pkt, const proto::ParseInfo& pi,
-                           uint8_t* out) const;
-
-  std::vector<flow::FieldId> fields_;
-  std::vector<uint64_t> field_masks_;
-  uint32_t proto_required_ = 0;
-  cls::ExactMatchTable index_;
-  struct Stored {
-    uint64_t result;
-    uint16_t priority;
-  };
-  std::vector<Stored> stored_;
-  uint64_t catch_all_result_ = jit::kMissResult;
-  uint16_t catch_all_priority_ = 0;
-  bool has_catch_all_ = false;
-  uint16_t min_specific_priority_ = 0xFFFF;
-  size_t count_ = 0;
-};
-
-// --- cuckoo hash (million-flow exact match) ----------------------------------------
-
-/// Same matching semantics and prerequisite as the compound hash, backed by
-/// the resizable reader-safe cls::CuckooTable: one control-plane writer
-/// mutates in place under live readers (epoch-retired entries, seqlock-guarded
-/// displacement), so updates at million-flow scale never clone the table.
+/// The paper's compound hash (§3.1): exact match under one global mask, at
+/// most one lowest-priority catch-all.  Backed by the resizable reader-safe
+/// cls::CuckooTable: one control-plane writer mutates in place under live
+/// readers (epoch-retired entries, seqlock-guarded displacement), so no
+/// update ever clones the table, from a dozen entries to millions.
 class CuckooTemplateTable final : public CompiledTable {
  public:
+  /// Sizes the index from `entries`, so the build never grows it and small
+  /// tables stay small.
   static std::unique_ptr<CuckooTemplateTable> build(
       const std::vector<BuildEntry>& entries, const flow::Match& mask_template,
       BuildCtx& ctx);
@@ -205,6 +160,9 @@ class CuckooTemplateTable final : public CompiledTable {
   size_t size() const override { return count_; }
   size_t memory_bytes() const override;
 
+  /// Both refuse (the caller rebuilds) whenever a same-match entry at
+  /// another priority exists: the index holds one entry per key, so the
+  /// shadowed one lives only in the flow table.
   bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
   bool try_remove(const flow::Match& m, uint16_t priority) override;
   /// In-place incremental updates are reader-safe: slot words are atomic,
@@ -222,8 +180,9 @@ class CuckooTemplateTable final : public CompiledTable {
   const cls::CuckooTable& index() const { return index_; }
 
  private:
-  CuckooTemplateTable() = default;
+  explicit CuckooTemplateTable(const cls::CuckooTable::Config& c) : index_(c) {}
 
+  bool same_shape(const flow::Match& m) const;
   uint32_t key_from_match(const flow::Match& m, uint8_t* out) const;
   uint32_t key_from_packet(const uint8_t* pkt, const proto::ParseInfo& pi,
                            uint8_t* out) const;
@@ -239,6 +198,9 @@ class CuckooTemplateTable final : public CompiledTable {
   bool has_catch_all_ = false;
   uint16_t min_specific_priority_ = 0xFFFF;
   size_t count_ = 0;
+  // The build dropped a lower-priority duplicate key (or catch-all): removals
+  // rebuild so the shadowed entry resurfaces.
+  bool shadows_ = false;
 };
 
 // --- LPM ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
   FieldId lpm_field = FieldId::kCount;
   FieldId range_field = FieldId::kCount;
   switch (ar.chosen) {
-    case TableTemplate::kCompoundHash:
-    case TableTemplate::kCuckooHash:  // same prerequisite as the compound hash
+    case TableTemplate::kCuckooHash:
       if (!hash_prerequisite(entries, &mask_template, &has_catch_all))
         ar.chosen = TableTemplate::kLinkedList;
       break;
@@ -41,9 +40,6 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
       case TableTemplate::kDirectCode:
         impl = DirectCodeTable::build(entries, ctx, cfg.enable_jit);
         break;
-      case TableTemplate::kCompoundHash:
-        impl = HashTemplateTable::build(entries, mask_template, ctx);
-        break;
       case TableTemplate::kCuckooHash:
         impl = CuckooTemplateTable::build(entries, mask_template, ctx);
         break;
@@ -53,7 +49,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
       case TableTemplate::kRange:
         impl = RangeTemplateTable::build(entries, range_field, ctx);
         break;
-      case TableTemplate::kLinkedList:
+      default:  // kLinkedList; analysis never hands out kCompoundHash
         impl = LinkedListTable::build(entries, ctx);
         break;
     }
@@ -159,9 +155,11 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
     st.miss = t.miss_policy();
     st.want_prefetch =
         impl->memory_bytes() >= CompiledDatapath::kPrefetchMinBytes;
-    // Cuckoo stages probe a round's packets in one pipelined call; compound
-    // hash and LPM keep the per-transition prefetch.
-    st.batched = impl->kind() == TableTemplate::kCuckooHash;
+    // Cuckoo stages past the private caches probe a round's packets in one
+    // pipelined call, which pays only where probes stall on memory; cache-
+    // resident ones (every small hash table) keep the scalar lookup, and LPM
+    // and the linked list the per-transition prefetch.
+    st.batched = impl->kind() == TableTemplate::kCuckooHash && st.want_prefetch;
     if (st.batched) fused->batched.push_back(static_cast<uint32_t>(fused->stages.size()));
     fused->stage_of_slot[static_cast<size_t>(slot)] =
         static_cast<int32_t>(fused->stages.size());

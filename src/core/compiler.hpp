@@ -62,8 +62,9 @@ struct FusionResult {
 /// When `prev` (the currently published plan) is passed: an identical
 /// fingerprint short-circuits to `unchanged`, and an identical direct-code
 /// member set (program_key) reuses the previous machine program instead of
-/// re-emitting — churn that only touched non-direct-code tables (hash
-/// clone-swaps, in-place LPM) republishes the plan without running the JIT.
+/// re-emitting — churn that only touched non-direct-code tables (linked-list
+/// clone-swaps, template fallbacks) republishes the plan without running the
+/// JIT.
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map,
                            const std::array<bool, 256>& decomposed,

@@ -56,7 +56,8 @@ struct FusedPipeline {
     flow::FlowTable::MissPolicy miss = flow::FlowTable::MissPolicy::kDrop;
     bool want_prefetch = false;
     /// Probed once per walk round for every packet sitting at this stage,
-    /// through CompiledTable::lookup_burst (cuckoo stages).  Batched stages
+    /// through CompiledTable::lookup_burst (cuckoo stages whose table is past
+    /// kPrefetchMinBytes).  Batched stages
     /// skip the per-transition and one-ahead prefetch — the bulk probe
     /// pipelines its own misses; want_prefetch then only primes a lone
     /// packet's scalar probe.
@@ -72,8 +73,8 @@ struct FusedPipeline {
   /// the published plan is still exact and republish can be skipped.
   uint64_t fingerprint = 0;
   /// Identity of the direct-code member set only: when churn touched other
-  /// tables (e.g. a hash clone-swap) the previous plan's machine program is
-  /// reused instead of re-emitted.
+  /// tables (e.g. a linked-list clone-swap) the previous plan's machine
+  /// program is reused instead of re-emitted.
   uint64_t program_key = 0;
 };
 

@@ -295,12 +295,13 @@ void Eswitch::apply_to_pipeline(flow::Pipeline& pl, const FlowMod& fm) const {
 ///   * no registered workers — mutate the published impl in place (the
 ///     single-threaded fast path; the caller is the only thread inside the
 ///     datapath between its own calls);
-///   * workers registered + template is reader-safe in place (LPM) — same;
-///   * workers registered otherwise — clone, update the private copy, and
-///     publish it with a trampoline swap; the displaced impl retires through
-///     the epoch domain.  Inside a batch (`cow` non-null) the clone is made
-///     once per table, accumulates every mod of the batch, and is published
-///     by apply_batch with one swap.
+///   * workers registered + template is reader-safe in place (cuckoo, LPM)
+///     — same;
+///   * workers registered otherwise (linked list) — clone, update the
+///     private copy, and publish it with a trampoline swap; the displaced
+///     impl retires through the epoch domain.  Inside a batch (`cow`
+///     non-null) the clone is made once per table, accumulates every mod of
+///     the batch, and is published by apply_batch with one swap.
 bool Eswitch::try_incremental(uint8_t table, const FlowMod& fm, CowMap* cow) {
   const int32_t root = goto_map_[table];
   CompiledTable* published = root >= 0 ? dp_.impl_mut(root) : nullptr;
@@ -347,19 +348,6 @@ bool Eswitch::try_incremental(uint8_t table, const FlowMod& fm, CowMap* cow) {
   return true;
 }
 
-/// True when an incremental update just pushed a table past its template's
-/// sweet spot and a rebuild would re-select a better shape: today's one
-/// trigger is a fixed-capacity compound hash crossing cuckoo_min_entries
-/// (small direct-code tables crossing direct_code_max_entries re-select for
-/// free — their try_add refuses, forcing the rebuild anyway).
-bool Eswitch::wants_reselection(uint8_t table) const {
-  if (decomposed_[table] || cfg_.force_template.has_value()) return false;
-  if (root_template_[table] != TableTemplate::kCompoundHash) return false;
-  if (cfg_.cuckoo_min_entries == 0) return false;
-  const FlowTable* t = pipeline_.find_table(table);
-  return t != nullptr && t->size() >= cfg_.cuckoo_min_entries;
-}
-
 void Eswitch::apply_one(const FlowMod& fm, CowMap* cow, DirtySet* dirty) {
   const bool new_table =
       fm.command != FlowMod::Cmd::kDelete && pipeline_.find_table(fm.table_id) == nullptr;
@@ -392,20 +380,6 @@ void Eswitch::apply_one(const FlowMod& fm, CowMap* cow, DirtySet* dirty) {
   if (!try_incremental(fm.table_id, fm, cow)) {
     // Rebuilding from the pipeline (which already carries this batch's mods
     // for the table) obsoletes any pending clone.
-    if (cow != nullptr) cow->erase(fm.table_id);
-    if (dirty != nullptr) {
-      dirty->emplace(fm.table_id, false);
-      return;
-    }
-    rebuild_logical(fm.table_id);
-    refresh_start_and_plan();
-    return;
-  }
-
-  // The add landed incrementally but pushed the table past its template's
-  // sweet spot: schedule the re-selecting rebuild (deferred to commit inside
-  // a batch, so a churn burst re-selects once).
-  if (fm.command == FlowMod::Cmd::kAdd && wants_reselection(fm.table_id)) {
     if (cow != nullptr) cow->erase(fm.table_id);
     if (dirty != nullptr) {
       dirty->emplace(fm.table_id, false);
@@ -460,7 +434,7 @@ void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
   // lands incrementally where its table's template allows, so a batch of
   // route adds does not force wholesale LPM rebuilds.  Tables that do need a
   // rebuild collect in the dirty set and rebuild once at commit; under
-  // concurrent workers, clone-and-swap tables are cloned once for the whole
+  // concurrent workers, linked-list tables are cloned once for the whole
   // batch and published with a single trampoline swap each.
   CowMap cow;
   DirtySet dirty;

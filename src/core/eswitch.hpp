@@ -4,7 +4,7 @@
 // datapath (the specialized machine-code realization), and keeps the two in
 // sync the way §3.4 prescribes:
 //   * templates supporting it are updated incrementally and non-destructively
-//     (compound hash, LPM, linked list);
+//     (cuckoo hash, LPM, linked list);
 //   * the direct-code template rebuilds unconditionally;
 //   * prerequisite violations rebuild the table under the next template in
 //     Fig. 4's fallback chain (via re-analysis);
@@ -16,10 +16,10 @@
 // Concurrency: apply()/apply_batch() run on one control thread while any
 // number of registered packet workers process bursts.  While workers are
 // registered, incremental updates take one of two reader-safe shapes —
-// in place for templates that publish per-cell (LPM), or clone-update-swap
-// for the rest — and every displaced object is retired through the datapath's
-// epoch domain (freed only after all workers tick past the retirement; see
-// common/epoch.hpp).  install() is stop-the-world: no workers registered.
+// in place for templates that publish per-cell or per-slot (LPM, cuckoo), or
+// clone-update-swap for the linked list — and every displaced object is
+// retired through the datapath's epoch domain (freed only after all workers
+// tick past the retirement; see common/epoch.hpp).  install() is stop-the-world: no workers registered.
 //
 // Decomposed logical tables occupy a fixed root slot; a rebuild appends fresh
 // sub-table slots and swaps the root, so cross-table gotos stay valid.  The
@@ -135,9 +135,9 @@ class Eswitch {
     uint64_t table_rebuilds = 0;  // side-by-side rebuild + trampoline swap
     // Rebuilds whose re-analysis picked a *different* template than the one
     // the table ran on — the table grew (or shrank) past its shape's sweet
-    // spot: exact-match hash → cuckoo at cuckoo_min_entries, small
-    // direct-code → hash past direct_code_max_entries, and every fallback
-    // demotion.  Wholesale install() recompiles are not re-selections.
+    // spot: small direct-code → cuckoo past direct_code_max_entries, and
+    // every fallback demotion.  Wholesale install() recompiles are not
+    // re-selections.
     uint64_t template_reselections = 0;
     // Fused whole-pipeline plans actually republished (set_fused with a new
     // plan).  A batch republishes at most once however many mods it carried;
@@ -192,7 +192,6 @@ class Eswitch {
   void maybe_widen_plan(const flow::FlowEntry& e);
   void apply_one(const flow::FlowMod& fm, CowMap* cow, DirtySet* dirty = nullptr);
   bool try_incremental(uint8_t table, const flow::FlowMod& fm, CowMap* cow);
-  bool wants_reselection(uint8_t table) const;
   void commit_batch(CowMap& cow, const DirtySet& dirty);
   void apply_to_pipeline(flow::Pipeline& pl, const flow::FlowMod& fm) const;
   void check_capacity(const flow::Pipeline& pl, const flow::FlowMod& fm) const;

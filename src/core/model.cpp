@@ -20,12 +20,8 @@ perf::CostModel derive_model(const Eswitch& sw, const std::vector<uint8_t>& path
       case TableTemplate::kDirectCode:
         m.add_direct_stage(name + " (direct)", static_cast<uint32_t>(impl->size()));
         break;
-      case TableTemplate::kCompoundHash:
-        m.add_hash_stage(name + " (hash)");
-        break;
       case TableTemplate::kCuckooHash:
-        // Same probe shape as the compound hash: key hash + bucket walk.
-        m.add_hash_stage(name + " (cuckoo)");
+        m.add_hash_stage(name + " (hash)");
         break;
       case TableTemplate::kLpm:
         m.add_lpm_stage(name + " (lpm)");
@@ -39,7 +35,7 @@ perf::CostModel derive_model(const Eswitch& sw, const std::vector<uint8_t>& path
         m.add_range_stage(name + " (range)", steps);
         break;
       }
-      case TableTemplate::kLinkedList: {
+      default: {  // kLinkedList; no table reports kCompoundHash
         const auto* ll = static_cast<const LinkedListTable*>(impl);
         m.add_linked_list_stage(name + " (linked-list)",
                                 static_cast<uint32_t>(ll->num_tuples()));

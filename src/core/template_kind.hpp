@@ -1,5 +1,5 @@
-// The four flow-table templates of the paper's Fig. 4 and their fallback
-// chain: direct code → compound hash → LPM → linked list.
+// The flow-table templates of the paper's Fig. 4 and their fallback chain:
+// direct code → cuckoo hash → LPM → range → linked list.
 #pragma once
 
 #include <cstdint>
@@ -8,9 +8,11 @@ namespace esw::core {
 
 enum class TableTemplate : uint8_t {
   kDirectCode,    // machine code assembled on-the-fly; any match; few entries
-  kCompoundHash,  // perfect-hash exact match under a global mask
-  kCuckooHash,    // resizable reader-safe cuckoo exact match (million-flow
-                  // variant of the compound hash; same prerequisite)
+  kCompoundHash,  // compatibility alias of kCuckooHash: kept at its ordinal
+                  // for stored artifacts and bench/e2e; delete it in the next
+                  // benchmark change.  No table reports it.
+  kCuckooHash,    // the compound hash (§3.1): exact match under a global
+                  // mask, on the resizable reader-safe cuckoo table
   kLpm,           // DIR-24-8 longest prefix match
   kRange,         // flattened interval search (the paper's proposed "range
                   // search for port matches" extension template)
@@ -36,15 +38,12 @@ inline const char* to_string(TableTemplate t) {
 }
 
 /// Fig. 4's fallback order, extended with the range template between LPM and
-/// the linked list.  The cuckoo variant shares the compound hash's
-/// prerequisite, so it degrades to the fixed-capacity hash first.
+/// the linked list.
 inline TableTemplate fallback_of(TableTemplate t) {
   switch (t) {
     case TableTemplate::kDirectCode:
-      return TableTemplate::kCompoundHash;
+      return TableTemplate::kCuckooHash;
     case TableTemplate::kCuckooHash:
-      return TableTemplate::kCompoundHash;
-    case TableTemplate::kCompoundHash:
       return TableTemplate::kLpm;
     case TableTemplate::kLpm:
       return TableTemplate::kRange;

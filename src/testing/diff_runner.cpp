@@ -133,7 +133,6 @@ std::string cfg_line(const core::CompilerConfig& cfg) {
      << " lpm_max_tbl8_groups=" << cfg.lpm_max_tbl8_groups
      << " enable_range_template=" << (cfg.enable_range_template ? 1 : 0)
      << " enable_fusion=" << (cfg.enable_fusion ? 1 : 0)
-     << " cuckoo_min_entries=" << cfg.cuckoo_min_entries
      << " force_template=";
   if (cfg.force_template.has_value())
     os << static_cast<int>(*cfg.force_template);
@@ -365,6 +364,8 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
   while (std::getline(rf, line)) {
     if (line.empty()) continue;
     if (line.rfind("# cfg ", 0) == 0) {
+      // Unknown keys are skipped, so artifacts written by older builds (which
+      // also recorded the retired cuckoo size threshold) still load.
       std::istringstream is(line.substr(6));
       std::string kv;
       while (is >> kv) {
@@ -386,8 +387,6 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
           art.cfg.enable_range_template = num() != 0;
         else if (key == "enable_fusion")
           art.cfg.enable_fusion = num() != 0;
-        else if (key == "cuckoo_min_entries")
-          art.cfg.cuckoo_min_entries = static_cast<uint32_t>(num());
         else if (key == "force_template" && val != "-")
           art.cfg.force_template = static_cast<core::TableTemplate>(num());
       }

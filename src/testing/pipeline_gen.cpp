@@ -349,12 +349,6 @@ GeneratedWorkload PipelineGen::next_pipeline() {
   wl.cfg.enable_decomposition = opts_.allow_decomposition && rng_.chance(1, 2);
   wl.cfg.enable_range_template = rng_.chance(7, 8);
   if (rng_.chance(1, 8)) wl.cfg.force_template = core::TableTemplate::kLinkedList;
-  // Drop the cuckoo threshold well below the generated table sizes on some
-  // pipelines so campaigns exercise the resizable cuckoo template (default
-  // 32768 would never trigger at fuzz scale) — including growth, reseed and
-  // incremental-rehash paths under the differential oracle.
-  if (!wl.cfg.force_template.has_value() && rng_.chance(1, 4))
-    wl.cfg.cuckoo_min_entries = 16;
 
   wl.description = "pipeline#" + std::to_string(n_generated_++) + " [";
   for (uint32_t id = 0; id < n_tables; ++id) {
@@ -380,7 +374,6 @@ GeneratedWorkload PipelineGen::next_pipeline() {
   if (wl.cfg.enable_decomposition) wl.description += " decompose";
   if (!wl.cfg.specialize_parser) wl.description += " full-parser";
   if (wl.cfg.force_template.has_value()) wl.description += " force-ll";
-  if (wl.cfg.cuckoo_min_entries == 16) wl.description += " cuckoo";
   return wl;
 }
 

@@ -1,8 +1,8 @@
 // Randomized-but-valid workload generation for the differential oracle.
 //
 // PipelineGen emits multi-table OpenFlow pipelines that deliberately sweep the
-// compiler's whole template space — exact/compound-hash, LPM, range, direct-
-// code-eligible small tables, tuple-space/linked-list mask mixes and the
+// compiler's whole template space — cuckoo exact-match hash, LPM, range,
+// direct-code-eligible small tables, tuple-space/linked-list mask mixes and the
 // snort-like ACL shapes that trigger Fig. 6 decomposition — with goto chains,
 // per-table miss policies and randomized compiler knobs.  The matched traffic
 // generator then aims a controllable fraction of packets at installed entries

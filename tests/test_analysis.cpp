@@ -42,7 +42,7 @@ TEST(Analysis, DirectCodeThresholdBoundary) {
   EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kDirectCode);
   t.add(parse_rule("priority=5,eth_dst=00:00:00:00:00:09,actions=output:1"));
   // Fifth entry crosses the Fig. 9 constant: falls to the hash template.
-  EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kCompoundHash);
+  EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kCuckooHash);
 }
 
 TEST(Analysis, HashPrerequisiteGlobalMask) {
@@ -70,7 +70,7 @@ TEST(Analysis, HashAllowsOneLowestPriorityCatchAll) {
   for (int i = 0; i < 6; ++i)
     t.add(parse_rule("priority=5,udp_dst=" + std::to_string(i) + ",actions=output:1"));
   t.add(parse_rule("priority=1,actions=drop"));
-  EXPECT_EQ(analyze_table(t, {}).chosen, TableTemplate::kCompoundHash);
+  EXPECT_EQ(analyze_table(t, {}).chosen, TableTemplate::kCuckooHash);
 
   // A catch-all that outranks a specific entry breaks the prerequisite.
   t.add(parse_rule("priority=9,actions=drop"));
@@ -129,11 +129,14 @@ TEST(Analysis, ForceTemplateOverrides) {
   cfg.force_template = TableTemplate::kLinkedList;
   const auto t = table_from({"priority=1,actions=drop"});
   EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kLinkedList);
+  // The retired compound-hash enumerator compiles as the cuckoo template.
+  cfg.force_template = TableTemplate::kCompoundHash;
+  EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kCuckooHash);
 }
 
 TEST(Analysis, FallbackChainShape) {
-  EXPECT_EQ(fallback_of(TableTemplate::kDirectCode), TableTemplate::kCompoundHash);
-  EXPECT_EQ(fallback_of(TableTemplate::kCompoundHash), TableTemplate::kLpm);
+  EXPECT_EQ(fallback_of(TableTemplate::kDirectCode), TableTemplate::kCuckooHash);
+  EXPECT_EQ(fallback_of(TableTemplate::kCuckooHash), TableTemplate::kLpm);
   EXPECT_EQ(fallback_of(TableTemplate::kLpm), TableTemplate::kRange);
   EXPECT_EQ(fallback_of(TableTemplate::kRange), TableTemplate::kLinkedList);
   EXPECT_EQ(fallback_of(TableTemplate::kLinkedList), TableTemplate::kLinkedList);

@@ -156,7 +156,7 @@ TEST(BurstParity, HashTemplateL2) {
   const auto uc = uc::make_l2(256);
   Eswitch probe;
   probe.install(uc.pipeline);
-  ASSERT_EQ(probe.table_template(0), TableTemplate::kCompoundHash);
+  ASSERT_EQ(probe.table_template(0), TableTemplate::kCuckooHash);
   expect_parity(uc.pipeline, uc.traffic(1000, 7));
 }
 
@@ -211,14 +211,11 @@ TEST(BurstParity, BigHashTableCrossesPrefetchGate) {
   // (kPrefetchMinBytes) turns the hash template's bucket prefetch ON, so the
   // key-recompute hint path runs under the parity check (the LPM hint is
   // always on — tbl24 alone is 64 MiB — and is covered by LpmTemplateL3).
-  // Cuckoo re-selection is disabled: 50K entries would otherwise cross
-  // cuckoo_min_entries, and this test exists to cover the compound hash.
   const auto uc = uc::make_l2(50000);
   core::CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 0;
   Eswitch probe(cfg);
   probe.install(uc.pipeline);
-  ASSERT_EQ(probe.table_template(0), TableTemplate::kCompoundHash);
+  ASSERT_EQ(probe.table_template(0), TableTemplate::kCuckooHash);
   ASSERT_GE(probe.datapath().memory_bytes(), size_t{1} << 20);
   expect_parity(uc.pipeline, uc.traffic(4000, 13), cfg, 4000);
 }
@@ -241,7 +238,7 @@ TEST(BurstParity, PrefetchHintIsPureForEveryTemplate) {
   }
   {
     Case c;
-    c.expect = TableTemplate::kCompoundHash;
+    c.expect = TableTemplate::kCuckooHash;
     c.pl = uc::make_l2(64).pipeline;
     cases.push_back(std::move(c));
   }

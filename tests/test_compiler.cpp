@@ -53,7 +53,7 @@ TEST(Compiler, TemplateSelectionPerUseCase) {
   }
   Eswitch sw_l2;
   sw_l2.install(l2);
-  EXPECT_EQ(sw_l2.table_template(0), TableTemplate::kCompoundHash);
+  EXPECT_EQ(sw_l2.table_template(0), TableTemplate::kCuckooHash);
 
   // L3 routing table -> LPM ("a datapath identical to that of an IP
   // softrouter").

@@ -1,7 +1,7 @@
 // Concurrent correctness of the multicore runtime: registered workers spin
 // process_burst while the control thread streams apply/apply_batch through
-// both incremental shapes (in-place LPM, clone-and-swap hash) and the rebuild
-// path (direct code).  Asserts verdict conservation (nothing lost or
+// the in-place incremental shape (cuckoo hash, LPM) and the rebuild path
+// (direct code).  Asserts verdict conservation (nothing lost or
 // duplicated), old-or-new verdict consistency, eventual visibility of
 // installed rules, and that retired tables are reclaimed via the epoch grace
 // period — while readers are live — rather than via caller quiescence.
@@ -109,8 +109,8 @@ struct BurstReader {
 };
 
 // Workers process a flow that is never touched by the churn; the control
-// thread streams adds/deletes of *other* rules through the clone-and-swap
-// path (hash template + registered workers).  No verdict may be lost,
+// thread streams adds/deletes of *other* rules into the cuckoo hash template
+// in place, under the registered workers.  No verdict may be lost,
 // duplicated, or anything but the stable rule's output.
 TEST(Concurrency, VerdictConservationUnderHashChurn) {
   Pipeline pl;
@@ -119,7 +119,7 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
                                ",actions=output:1"));
   Eswitch sw;
   sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
 
   std::atomic<bool> stop{false};
   constexpr int kReaders = 2;
@@ -137,16 +137,19 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   for (auto& r : readers) wait_for_progress(r->processed);
 
   // Progress-driven churn: at least `churn` rounds, and keep going (bounded)
-  // until the epoch layer has reclaimed at least one displaced table while
-  // the workers are live — on a loaded 1-core machine a fixed count can end
-  // before any worker ticks through a full grace period.
+  // until the epoch layer has reclaimed at least one erased entry while the
+  // workers are live — on a loaded 1-core machine a fixed count can end
+  // before any worker ticks through a full grace period.  Each round's
+  // delete retires exactly one cuckoo entry, so fewer pending retirements
+  // than rounds means some were reclaimed.
+  const CompiledTable* table = sw.datapath().impl(sw.root_slot(0));
   Rng rng(esw::testing::test_seed(
       0xC0C0, "Concurrency.VerdictConservationUnderHashChurn"));
   const int churn = 300 * conc_scale();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   int i = 0;
-  for (; (i < churn || sw.reclaim_stats().reclaimed == 0) &&
+  for (; (i < churn || table->retired_pending() >= static_cast<size_t>(i)) &&
          std::chrono::steady_clock::now() < deadline;
        ++i) {
     // Seeded random churn target: the interleaving is scheduler-driven, but
@@ -158,7 +161,7 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
     if (i % 16 == 15) std::this_thread::yield();  // let workers tick
   }
   const int applied = i;
-  const auto reclaimed_live = sw.reclaim_stats().reclaimed;
+  const size_t pending_live = table->retired_pending();
   stop = true;
   for (auto& t : threads) t.join();
 
@@ -177,11 +180,13 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   EXPECT_EQ(st.outputs, total);
   EXPECT_EQ(st.drops, 0u);
 
-  // The churn ran on the clone-and-swap incremental path and the epoch layer
-  // reclaimed displaced tables while both workers were live.
-  EXPECT_GT(sw.update_stats().cow_swaps, 0u);
+  // Every mod landed in place — no clone, no rebuild, the same impl still
+  // published — and the epoch layer reclaimed erased entries while both
+  // workers were live.
+  EXPECT_EQ(sw.update_stats().cow_swaps, 0u);
   EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * applied));
-  EXPECT_GT(reclaimed_live, 0u);
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), table);
+  EXPECT_LT(pending_live, static_cast<size_t>(applied));
 
   for (auto& r : readers) sw.unregister_worker(r->ctx);
 }

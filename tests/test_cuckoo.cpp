@@ -1,7 +1,6 @@
-// The million-flow control plane: the resizable reader-safe cuckoo table
-// (cls level), the cuckoo template's bulk probe and its selection/
-// re-selection inside Eswitch, and the once-per-batch recompile/fusion
-// schedule it feeds.
+// The exact-match control plane: the resizable reader-safe cuckoo table
+// (cls level), the cuckoo template's sizing, bulk probe and selection inside
+// Eswitch, and the once-per-batch recompile/fusion schedule it feeds.
 //
 // Scale knob: ESW_CUCKOO_CHURN_KEYS sets the churn test's target entry count
 // (default 200'000; the CI TSan leg runs it at 1'000'000 under 4 readers).
@@ -69,6 +68,12 @@ TEST(Cuckoo, InsertLookupEraseReplace) {
   EXPECT_FALSE(t.lookup(bytes(k1), 8).has_value());
   ASSERT_TRUE(t.lookup(bytes(k2), 8).has_value());
   EXPECT_EQ(t.lookup(bytes(k2), 8)->value, 2u);
+
+  // A traced hit reports the bucket and entry lines it touched (the cache
+  // model's input).
+  MemTrace trace;
+  ASSERT_TRUE(t.lookup(bytes(k2), 8, &trace).has_value());
+  EXPECT_GE(trace.lines().size(), 2u);
 }
 
 TEST(Cuckoo, DistinguishesKeyLengths) {
@@ -392,10 +397,9 @@ Pipeline udp_fanout(size_t n) {
   return pl;
 }
 
-/// Compiles table 0 of `pl` straight into the cuckoo template.
+/// Compiles table 0 of `pl` into the cuckoo template.
 std::unique_ptr<CompiledTable> build_cuckoo(Pipeline& pl, BuildCtx& ctx) {
   CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 16;
   TableTemplate chosen = TableTemplate::kLinkedList;
   auto impl = build_table_impl(to_build_entries(pl.table(0)), cfg, ctx, &chosen);
   EXPECT_EQ(chosen, TableTemplate::kCuckooHash);
@@ -578,9 +582,7 @@ TEST(CuckooTemplate, Tab02ScaleParityWithLinkedList) {
   const uint64_t seed = testing::test_seed(0x7AB02ULL, "cuckoo parity");
   const Pipeline pl = udp_fanout(2048);
 
-  CompilerConfig cuckoo_cfg;
-  cuckoo_cfg.cuckoo_min_entries = 16;  // well under 2048: analysis picks cuckoo
-  Eswitch cuckoo(cuckoo_cfg);
+  Eswitch cuckoo;
   cuckoo.install(pl);
   ASSERT_EQ(cuckoo.table_template(0), TableTemplate::kCuckooHash);
 
@@ -622,54 +624,23 @@ TEST(CuckooTemplate, Tab02ScaleParityWithLinkedList) {
   EXPECT_GT(cuckoo.update_stats().incremental, 0u);
 }
 
-TEST(CuckooTemplate, GrowthReselectsCompoundHashToCuckoo) {
-  CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 64;
-  Eswitch sw(cfg);
-  sw.install(udp_fanout(20));
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
-  ASSERT_EQ(sw.update_stats().template_reselections, 0u);
+TEST(CuckooTemplate, SizedFromBuildInput) {
+  // The index is sized from the entries it is built with: a 20-entry table
+  // stays a few hundred bytes of slots (not a default-sized slot array), and
+  // a 5000-entry build lands at its final size without growing.
+  ActionSetRegistry registry;
+  const GotoMap gmap(256, -1);
+  BuildCtx ctx{registry, gmap};
+  Pipeline small = udp_fanout(20);
+  const auto impl = build_cuckoo(small, ctx);
+  EXPECT_LT(impl->memory_bytes(), 4096u);
+  EXPECT_EQ(static_cast<const CuckooTemplateTable&>(*impl).grows(), 0u);
 
-  for (uint16_t i = 20; i < 200; ++i) sw.apply(add_mod(0, i, 1 + i % 7));
-
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
-  EXPECT_GE(sw.update_stats().template_reselections, 1u);
-  for (uint16_t i : {0u, 19u, 20u, 64u, 199u}) {
-    auto p = make_packet(test::udp_spec(1, 2, 9, static_cast<uint16_t>(i)));
-    EXPECT_EQ(sw.process(p), Verdict::output(1 + i % 7)) << i;
-  }
-  auto miss = make_packet(test::udp_spec(1, 2, 9, 999));
-  EXPECT_EQ(sw.process(miss), Verdict::drop());
-
-  // Once on the cuckoo template, further churn is incremental — no rebuilds.
-  const auto rebuilds = sw.update_stats().table_rebuilds;
-  for (uint16_t i = 200; i < 400; ++i) sw.apply(add_mod(0, i, 2));
-  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds);
-  auto p = make_packet(test::udp_spec(1, 2, 9, 333));
-  EXPECT_EQ(sw.process(p), Verdict::output(2));
-}
-
-TEST(CuckooTemplate, BatchReselectsOnceNotPerMod) {
-  // A churn burst crossing the re-selection threshold mid-batch must produce
-  // exactly one re-selecting rebuild at commit, not one per remaining mod.
-  CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 64;
-  Eswitch sw(cfg);
-  sw.install(udp_fanout(20));
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
-  const auto rebuilds_before = sw.update_stats().table_rebuilds;
-
-  std::vector<FlowMod> batch;
-  for (uint16_t i = 20; i < 220; ++i) batch.push_back(add_mod(0, i, 1 + i % 7));
-  sw.apply_batch(batch);
-
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
-  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before + 1);
-  EXPECT_EQ(sw.update_stats().template_reselections, 1u);
-  for (uint16_t i : {0u, 21u, 219u}) {
-    auto p = make_packet(test::udp_spec(1, 2, 9, static_cast<uint16_t>(i)));
-    EXPECT_EQ(sw.process(p), Verdict::output(1 + i % 7)) << i;
-  }
+  Pipeline big = udp_fanout(5000);
+  const auto big_impl = build_cuckoo(big, ctx);
+  const auto& table = static_cast<const CuckooTemplateTable&>(*big_impl);
+  EXPECT_EQ(table.grows(), 0u);
+  EXPECT_EQ(table.size(), 5000u);
 }
 
 TEST(CuckooTemplate, BatchRepublishesFusionOnce) {

@@ -185,6 +185,60 @@ TEST(DiffOracle, EmptyTraceAgreesTrivially) {
   EXPECT_FALSE(runner.run(wl.pipeline, wl.cfg, DiffTrace{}).has_value());
 }
 
+TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
+  PipelineGen gen(11);
+  const GeneratedWorkload wl = gen.next_pipeline();
+  const DiffTrace trace = DiffTrace::from_flows(gen.traffic(wl, 8, 4));
+  core::CompilerConfig cfg;
+  cfg.direct_code_max_entries = 7;
+  cfg.enable_fusion = false;
+  cfg.lpm_max_tbl8_groups = 99;
+  cfg.force_template = core::TableTemplate::kCompoundHash;  // stored as 1
+
+  const std::string dir = ::testing::TempDir();
+  const std::string rules = dir + "esw_roundtrip.rules";
+  const std::string pcap = dir + "esw_roundtrip.pcap";
+  ASSERT_TRUE(esw::testing::write_repro(pcap, rules, wl.pipeline, cfg, trace,
+                                        trace.size(), "round trip"));
+  const auto check = [&](const std::string& what) {
+    std::string err;
+    const auto art = esw::testing::load_repro(rules, pcap, &err);
+    ASSERT_TRUE(art.has_value()) << what << ": " << err;
+    EXPECT_EQ(art->cfg.direct_code_max_entries, 7u) << what;
+    EXPECT_FALSE(art->cfg.enable_fusion) << what;
+    EXPECT_EQ(art->cfg.lpm_max_tbl8_groups, 99u) << what;
+    EXPECT_EQ(art->cfg.force_template, cfg.force_template) << what;
+    EXPECT_EQ(art->trace.size(), trace.size()) << what;
+    EXPECT_EQ(art->pipeline.tables().size(), wl.pipeline.tables().size()) << what;
+  };
+  check("fresh artifact");
+
+  // Artifacts from older builds carry a retired cfg key: it is skipped, and
+  // the rest of the line still applies.
+  std::string text;
+  {
+    std::FILE* f = std::fopen(rules.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+    std::fclose(f);
+  }
+  EXPECT_EQ(text.find("cuckoo_min_entries"), std::string::npos);
+  const size_t at = text.find(" force_template=");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, " cuckoo_min_entries=16");
+  {
+    std::FILE* f = std::fopen(rules.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  }
+  check("artifact with a retired key");
+  std::remove(rules.c_str());
+  std::remove(pcap.c_str());
+}
+
 TEST(DiffOracle, LoadReproRejectsMalformedInputs) {
   std::string err;
   EXPECT_FALSE(esw::testing::load_repro("/nonexistent.rules", "/nonexistent.pcap", &err)

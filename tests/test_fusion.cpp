@@ -174,15 +174,8 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
   }
   {
     Case c;
-    c.expect = TableTemplate::kCompoundHash;
-    c.pl = uc::make_l2(64).pipeline;
-    cases.push_back(std::move(c));
-  }
-  {
-    Case c;
     c.expect = TableTemplate::kCuckooHash;
     c.pl = uc::make_l2(64).pipeline;
-    c.cfg.cuckoo_min_entries = 16;
     cases.push_back(std::move(c));
   }
   {
@@ -217,11 +210,10 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
     const FusedPipeline* fp = sw.datapath().fused();
     ASSERT_NE(fp, nullptr);
     EXPECT_EQ(fp->stages.size(), 1u);
-    // Only cuckoo stages probe in bulk; every other plan has no batched
-    // stage at all.
-    const bool cuckoo = c.expect == TableTemplate::kCuckooHash;
-    EXPECT_EQ(fp->stages[0].batched, cuckoo);
-    EXPECT_EQ(fp->batched.size(), cuckoo ? 1u : 0u);
+    // Every table here is cache-resident, so no stage probes in bulk (see
+    // ParityBatchedCuckooBetweenDirectCodeStages for one that does).
+    EXPECT_FALSE(fp->stages[0].batched);
+    EXPECT_TRUE(fp->batched.empty());
     // Only direct-code members get machine code; the rest is a pinned plan.
     if (c.expect == TableTemplate::kDirectCode && jit::ExecBuffer::supported()) {
       EXPECT_NE(fp->program, nullptr);
@@ -287,11 +279,11 @@ TEST(Fusion, ParityHashL2) {
 }
 
 TEST(Fusion, ParityBatchedCuckooBetweenDirectCodeStages) {
-  // Direct code -> cuckoo -> direct code: the middle stage is probed in bulk
-  // once per walk round, between two machine-code members.  Paths end at
-  // every stage (controller at 0, output at 1, output at 2), misses and
-  // frames without UDP reach the cuckoo's controller miss policy, and the
-  // frame is rewritten (dec_ttl) on the way.  Bursts of 1 (the scalar
+  // Direct code -> cuckoo -> direct code: the middle stage, past the private
+  // caches, is probed in bulk once per walk round, between two machine-code
+  // members.  Paths end at every stage (controller at 0, output at 1, output
+  // at 2), misses and frames without UDP reach the cuckoo's controller miss
+  // policy, and the frame is rewritten (dec_ttl) on the way.  Bursts of 1 (the scalar
   // fallback), 2 (the smallest bulk group) and 32 (a full burst).
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=30,eth_type=0x0800,actions=dec_ttl,goto:1"));
@@ -300,17 +292,23 @@ TEST(Fusion, ParityBatchedCuckooBetweenDirectCodeStages) {
     pl.table(1).add(parse_rule("priority=10,udp_dst=" + std::to_string(d) +
                                (d % 2 == 0 ? ",actions=dec_ttl,goto:2"
                                            : ",actions=output:" + std::to_string(4 + d % 3))));
+  // Filler the traffic never reaches (its UDP ports stay below 0x400) pushes
+  // the table past kPrefetchMinBytes, where the planner batches it.
+  for (int d = 0x1000; d < 0x1000 + 40000; ++d)
+    pl.table(1).add(parse_rule("priority=10,udp_dst=" + std::to_string(d) +
+                               ",actions=output:4"));
   pl.table(1).set_miss_policy(flow::FlowTable::MissPolicy::kController);
   pl.table(2).add(parse_rule("priority=10,ip_dst=10.0.0.0/8,actions=output:3"));
   pl.table(2).add(parse_rule("priority=1,actions=output:9"));
-  CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 16;
+  const CompilerConfig cfg;
 
   Eswitch probe(cfg);
   probe.install(pl);
   ASSERT_EQ(probe.table_template(0), TableTemplate::kDirectCode);
   ASSERT_EQ(probe.table_template(1), TableTemplate::kCuckooHash);
   ASSERT_EQ(probe.table_template(2), TableTemplate::kDirectCode);
+  ASSERT_GE(probe.datapath().impl(probe.root_slot(1))->memory_bytes(),
+            CompiledDatapath::kPrefetchMinBytes);
   ASSERT_TRUE(probe.fused_active());
   const FusedPipeline* fp = probe.datapath().fused();
   ASSERT_EQ(fp->batched, std::vector<uint32_t>{1});
@@ -355,49 +353,65 @@ TEST(Fusion, ParityGatewayMultiTable) {
 // --- churn: republish, fingerprint skip, program reuse ----------------------
 
 TEST(Fusion, InPlaceUpdateKeepsPublishedPlan) {
-  // Without registered workers an incremental add mutates the impl in place:
-  // the (slot, impl, miss) fingerprint is unchanged, so refresh_fusion must
-  // skip the republish and the plan pointer must not move.
-  Pipeline pl;
-  for (int i = 0; i < 20; ++i)
-    pl.table(0).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
-                               ",actions=output:1"));
-  Eswitch sw;
-  sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
-  ASSERT_TRUE(sw.fused_active());
-  const FusedPipeline* before = sw.datapath().fused();
-  const auto rebuilds = sw.update_stats().table_rebuilds;
+  // An incremental cuckoo add mutates the impl in place — without workers
+  // and under a registered one alike: the (slot, impl, miss) fingerprint is
+  // unchanged, so refresh_fusion must skip the republish and the plan
+  // pointer must not move.
+  for (const bool with_worker : {false, true}) {
+    SCOPED_TRACE(with_worker ? "registered worker" : "no workers");
+    Pipeline pl;
+    for (int i = 0; i < 20; ++i)
+      pl.table(0).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
+                                 ",actions=output:1"));
+    Eswitch sw;
+    sw.install(pl);
+    ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
+    ASSERT_TRUE(sw.fused_active());
+    Eswitch::Worker* w = with_worker ? sw.register_worker() : nullptr;
+    ASSERT_EQ(w != nullptr, with_worker);
+    const FusedPipeline* before = sw.datapath().fused();
+    const auto rebuilds = sw.update_stats().table_rebuilds;
+    const auto republishes = sw.update_stats().fusion_republishes;
 
-  sw.apply(add_mod(0, "priority=5,udp_dst=1000,actions=output:7"));
-  ASSERT_EQ(sw.update_stats().table_rebuilds, rebuilds);  // in place indeed
-  EXPECT_EQ(sw.datapath().fused(), before) << "unchanged fingerprint republished";
+    sw.apply(add_mod(0, "priority=5,udp_dst=1000,actions=output:7"));
+    ASSERT_EQ(sw.update_stats().table_rebuilds, rebuilds);  // in place indeed
+    EXPECT_EQ(sw.update_stats().cow_swaps, 0u);
+    EXPECT_EQ(sw.update_stats().fusion_republishes, republishes);
+    EXPECT_EQ(sw.datapath().fused(), before) << "unchanged fingerprint republished";
 
-  // The live plan serves the new rule through the pinned impl.
-  net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, 1000));
-  net::Packet* pp = &p;
-  Verdict v;
-  sw.process_burst(&pp, 1, &v);
-  EXPECT_EQ(v, Verdict::output(7));
+    // The live plan serves the new rule through the pinned impl.
+    net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, 1000));
+    net::Packet* pp = &p;
+    Verdict v;
+    if (with_worker)
+      sw.process_burst(*w, &pp, 1, &v);
+    else
+      sw.process_burst(&pp, 1, &v);
+    EXPECT_EQ(v, Verdict::output(7));
+    if (with_worker) sw.unregister_worker(w);
+  }
 }
 
 TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
-  // Mixed pipeline: a direct-code stage chained into a hash stage.  With a
-  // worker registered, a hash add becomes a clone-update-swap — the impl
-  // pointer changes, so the plan must republish (new fingerprint), but the
-  // direct-code member set is untouched (same program_key), so the previous
-  // machine program must be reused, not re-emitted.  A direct-code mod then
-  // changes the member set and must produce a fresh program.
+  // Mixed pipeline: a direct-code stage chained into a linked-list stage.
+  // With a worker registered, a linked-list add becomes a clone-update-swap
+  // — the impl pointer changes, so the plan must republish (new
+  // fingerprint), but the direct-code member set is untouched (same
+  // program_key), so the previous machine program must be reused, not
+  // re-emitted.  A direct-code mod then changes the member set and must
+  // produce a fresh program.
   if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=10,eth_type=0x0800,actions=goto:1"));
   for (int i = 0; i < 20; ++i)
     pl.table(1).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
                                ",actions=output:1"));
+  // A masked rule breaks the hash prerequisite: table 1 is a linked list.
+  pl.table(1).add(parse_rule("priority=9,udp_dst=0x100/0x100,actions=output:2"));
   Eswitch sw;
   sw.install(pl);
   ASSERT_EQ(sw.table_template(0), TableTemplate::kDirectCode);
-  ASSERT_EQ(sw.table_template(1), TableTemplate::kCompoundHash);
+  ASSERT_EQ(sw.table_template(1), TableTemplate::kLinkedList);
   ASSERT_TRUE(sw.fused_active());
 
   Eswitch::Worker* w = sw.register_worker();
@@ -408,7 +422,9 @@ TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
   ASSERT_NE(plan0->program, nullptr);
   const jit::FusedProgram* prog0 = plan0->program.get();
 
+  const auto swaps = sw.update_stats().cow_swaps;
   sw.apply(add_mod(1, "priority=5,udp_dst=2000,actions=output:7"));
+  EXPECT_EQ(sw.update_stats().cow_swaps, swaps + 1);
   const FusedPipeline* plan1 = sw.datapath().fused();
   ASSERT_NE(plan1, nullptr);
   EXPECT_NE(plan1, plan0) << "clone-swap churn did not republish";
@@ -532,7 +548,7 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
 
 TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
   // One packet worker runs fused bursts while the control thread churns the
-  // MAC table (clone-update-swap per mod => a plan republish per mod).  The
+  // MAC table's cuckoo index in place under the pinned plan.  The
   // run must stay crash-free with exact verdict accounting, and every retired
   // plan/impl must drain once the worker is gone.
   const auto uc = uc::make_l2(2000);

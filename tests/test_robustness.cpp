@@ -398,7 +398,7 @@ TEST_F(FailpointTest, HashInsertRefusalFallsBackToRebuild) {
                                ",actions=output:1"));
   core::Eswitch sw;
   sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), core::TableTemplate::kCompoundHash);
+  ASSERT_EQ(sw.table_template(0), core::TableTemplate::kCuckooHash);
   const auto rebuilds_before = sw.update_stats().table_rebuilds;
 
   ASSERT_TRUE(fpr_.arm("hash.insert", "always"));

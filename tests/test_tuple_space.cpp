@@ -102,6 +102,54 @@ TEST(TupleSpace, SameKeyDifferentRankChains) {
   EXPECT_FALSE(ts.remove(m, 90));
 }
 
+TEST(TupleSpace, CopyIsDeepAndIndependent) {
+  // The linked-list template's clone-and-swap path: a copy rebuilds every
+  // tuple's index (chains with several ranks per key included) and mutating
+  // it never shows through the original.
+  TupleSpace<int> orig;
+  for (uint16_t port = 0; port < 40; ++port) orig.add(m_port(port), 100 + port, port);
+  orig.add(m_port(7), 50, 700);  // new chain head for port 7
+  orig.add(m_port(7), 90, 701);  // mid-chain
+  orig.add(m_ipdst24(0x0A000100), 60, 800);
+  EXPECT_TRUE(orig.remove(m_port(9), 109));  // a freed slot in the copy's source
+
+  const auto value_at = [](const TupleSpace<int>& ts, uint32_t dst, uint16_t port) {
+    auto p = make_packet(test::tcp_spec(1, dst, 7, port));
+    auto pi = parse_packet(p);
+    const auto* e = ts.lookup(p.data(), pi);
+    return e != nullptr ? e->value : -1;
+  };
+  const auto snapshot = [&](const TupleSpace<int>& ts) {
+    std::vector<int> out;
+    for (uint16_t port = 0; port < 42; ++port) {
+      out.push_back(value_at(ts, 0x0B000001, port));
+      out.push_back(value_at(ts, 0x0A000142, port));
+    }
+    return out;
+  };
+  const std::vector<int> before = snapshot(orig);
+
+  TupleSpace<int> copy(orig);
+  EXPECT_EQ(copy.size(), orig.size());
+  EXPECT_EQ(copy.num_tuples(), orig.num_tuples());
+  EXPECT_EQ(snapshot(copy), before);
+
+  // Mutate the copy: drop a chain head, the whole ip tuple, add new keys and
+  // a better rank on an existing one.
+  EXPECT_TRUE(copy.remove(m_port(7), 50));
+  EXPECT_TRUE(copy.remove(m_ipdst24(0x0A000100), 60));
+  copy.add(m_port(41), 1, 4100);
+  copy.add(m_port(3), 2, 300);
+  EXPECT_EQ(value_at(copy, 0x0B000001, 7), 701);
+  EXPECT_EQ(value_at(copy, 0x0A000142, 20), 20);
+  EXPECT_EQ(value_at(copy, 0x0B000001, 41), 4100);
+  EXPECT_EQ(value_at(copy, 0x0B000001, 3), 300);
+  EXPECT_EQ(copy.num_tuples(), 1u);
+
+  EXPECT_EQ(snapshot(orig), before);
+  EXPECT_EQ(orig.num_tuples(), 2u);
+}
+
 TEST(TupleSpace, ProtocolPrerequisiteSkipsTuple) {
   TupleSpace<int> ts;
   ts.add(m_port(80), 1, 1);  // tcp tuple

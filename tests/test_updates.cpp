@@ -42,7 +42,7 @@ TEST(Updates, HashTemplateIncrementalAddRemove) {
                                ",actions=output:1"));
   Eswitch sw;
   sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
   const auto rebuilds_before = sw.update_stats().table_rebuilds;
 
   sw.apply(add_mod(0, "priority=5,udp_dst=1000,actions=output:7"));
@@ -58,6 +58,42 @@ TEST(Updates, HashTemplateIncrementalAddRemove) {
   EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before);
 }
 
+TEST(Updates, ShadowedEntrySurvivesIncrementalDelete) {
+  // The exact-match index holds one entry per key.  Adding a higher-priority
+  // duplicate and deleting it again must leave the shadowed lower-priority
+  // entry serving — for a specific key and for the catch-all — with and
+  // without a registered worker (in-place shape under readers).
+  for (const bool with_worker : {false, true}) {
+    SCOPED_TRACE(with_worker ? "registered worker" : "no workers");
+    Pipeline pl;
+    for (int i = 0; i < 10; ++i)
+      pl.table(0).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
+                                 ",actions=output:1"));
+    pl.table(0).add(parse_rule("priority=1,actions=output:4"));
+    Eswitch sw;
+    sw.install(pl);
+    ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
+    Eswitch::Worker* w = with_worker ? sw.register_worker() : nullptr;
+    ASSERT_EQ(w != nullptr, with_worker);
+    const auto verdict = [&](uint16_t dport) {
+      auto p = make_packet(test::udp_spec(1, 2, 9, dport));
+      return with_worker ? sw.process(*w, p) : sw.process(p);
+    };
+
+    sw.apply(add_mod(0, "priority=9,udp_dst=3,actions=output:7"));
+    EXPECT_EQ(verdict(3), Verdict::output(7));
+    sw.apply(del_mod(0, "priority=9,udp_dst=3,actions=output:7"));
+    EXPECT_EQ(verdict(3), Verdict::output(1)) << "shadowed entry lost";
+
+    sw.apply(add_mod(0, "priority=2,actions=output:6"));
+    EXPECT_EQ(verdict(500), Verdict::output(6));
+    sw.apply(del_mod(0, "priority=2,actions=output:6"));
+    EXPECT_EQ(verdict(500), Verdict::output(4)) << "shadowed catch-all lost";
+    EXPECT_EQ(verdict(3), Verdict::output(1));
+    if (with_worker) sw.unregister_worker(w);
+  }
+}
+
 TEST(Updates, PrerequisiteViolationFallsBack) {
   Pipeline pl;
   for (int i = 0; i < 20; ++i)
@@ -65,7 +101,7 @@ TEST(Updates, PrerequisiteViolationFallsBack) {
                                ",actions=output:1"));
   Eswitch sw;
   sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
 
   // A masked rule breaks the global-mask prerequisite: the table must be
   // rebuilt under a fallback template, atomically, without losing rules.
@@ -97,7 +133,7 @@ TEST(Updates, GrowthPromotesDirectCodeToHash) {
   for (int i = 0; i < 10; ++i)
     sw.apply(add_mod(0, ("priority=5,udp_dst=" + std::to_string(i) +
                          ",actions=output:1").c_str()));
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
   for (int i = 0; i < 10; ++i) {
     auto p = make_packet(test::udp_spec(1, 2, 9, static_cast<uint16_t>(i)));
     EXPECT_EQ(sw.process(p), Verdict::output(1));

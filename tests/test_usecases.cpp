@@ -18,7 +18,7 @@ TEST(UseCases, L2CompilesToHashAndForwards) {
   const auto uc = uc::make_l2(100);
   Eswitch sw;
   sw.install(uc.pipeline);
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
 
   const auto flows = uc.traffic(1000, 7);
   ASSERT_EQ(flows.size(), 1000u);
@@ -100,11 +100,11 @@ TEST(UseCases, GatewayNatsAndRoutes) {
   sw.install(uc.pipeline);
   // Table 0 & per-CE & downstream tables are hash templates; the routing
   // table is LPM — the compilation the paper describes for this use case.
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
-  EXPECT_EQ(sw.table_template(1), TableTemplate::kCompoundHash);
+  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
+  EXPECT_EQ(sw.table_template(1), TableTemplate::kCuckooHash);
   EXPECT_EQ(sw.table_template(uc::kGatewayRoutingTable), TableTemplate::kLpm);
   EXPECT_EQ(sw.table_template(uc::kGatewayDownstreamTable),
-            TableTemplate::kCompoundHash);
+            TableTemplate::kCuckooHash);
 
   // Upstream: user 3 behind CE 2 sends to the Internet.
   proto::PacketSpec spec = test::udp_spec(0x0A000002 + 3, ip("93.184.216.34"), 777, 53);
