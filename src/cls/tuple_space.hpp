@@ -10,21 +10,40 @@
 // fields "that caused a match as well as those higher priority ones that did
 // not, need to be taken into consideration").
 //
-// `Value` is the per-entry payload (compiled lookup results, megaflow
-// entries, …).  Rank is the total match order: lower rank wins; callers build
-// it from (priority, insertion order) so results are deterministic and equal
-// to the reference interpreter's.
+// The tuple space owns the match order: an entry's rank is its priority, then
+// a 64-bit insertion sequence (earlier wins among equals), exactly the
+// reference FlowTable's order.  Re-adding an existing (match, priority)
+// replaces the value and keeps the rank, as an OpenFlow modify does.
+//
+// One control-plane writer mutates the structure in place while packet
+// workers look up concurrently, the CuckooTable contract one level up:
+//   * a tuple's index maps a masked key to the head of an immutable chain of
+//     nodes (same match, priority-descending).  A mod copies the chain prefix
+//     in front of its change and publishes the new head with one index
+//     insert/erase, so a reader sees the old chain or the new one;
+//   * the scan order is an immutable {tuple, min_rank} array published with
+//     one atomic store.  The published min_rank never exceeds the tuple's
+//     live minimum at any instant a reader can observe, so early exit never
+//     skips a better entry;
+//   * displaced nodes, arrays and emptied tuples retire through the owning
+//     datapath's EpochDomain.  Without a domain (or without registered
+//     workers) they are freed at once.
+//
+// `Value` is the per-entry payload (compiled lookup results, megaflow entry
+// indexes, slow-path actions).
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "cls/cuckoo.hpp"
-#include "common/check.hpp"
+#include "common/epoch.hpp"
 #include "common/memtrace.hpp"
 #include "flow/match.hpp"
 
@@ -39,110 +58,101 @@ struct TupleVisitStats {
 template <typename Value>
 class TupleSpace {
  public:
+  /// Total match order; lower wins: higher priority first, then earlier
+  /// insertion.  Unique per entry.
+  struct Rank {
+    uint16_t priority = 0;
+    uint64_t seq = 0;
+    friend bool operator<(const Rank& a, const Rank& b) {
+      return a.priority != b.priority ? a.priority > b.priority : a.seq < b.seq;
+    }
+  };
+
+  /// One chain node; immutable once a reader can reach it.
   struct Entry {
     flow::Match match;
-    uint32_t rank;  // lower wins
+    Rank rank;
     Value value;
+    const Entry* next;  // same key, next lower priority (writer side only)
   };
 
   TupleSpace() = default;
-  /// Deep copy — the copy-on-write update path clones the classifier, mutates
-  /// the clone and publishes it, leaving the source (still visible to
-  /// concurrent readers) untouched.  Each tuple's index is rebuilt from its
-  /// chain heads.
-  TupleSpace(const TupleSpace& other) : size_(other.size_) {
-    tuples_.reserve(other.tuples_.size());
-    for (const auto& tp : other.tuples_) tuples_.push_back(tp->clone());
-  }
-  TupleSpace& operator=(const TupleSpace& other) {
-    if (this != &other) *this = TupleSpace(other);
-    return *this;
-  }
-  TupleSpace(TupleSpace&&) noexcept = default;
-  TupleSpace& operator=(TupleSpace&&) noexcept = default;
+  ~TupleSpace() { delete[] order_.load(std::memory_order_relaxed); }
+  TupleSpace(const TupleSpace&) = delete;
+  TupleSpace& operator=(const TupleSpace&) = delete;
 
-  /// Adds an entry.  (match, rank) pairs must be unique.
-  void add(const flow::Match& match, uint32_t rank, Value value) {
+  /// Wires retirement to the datapath's epoch domain (null: free at once).
+  void set_domain(common::EpochDomain* d) {
+    domain_ = d;
+    for (const auto& t : tuples_) t->index.set_domain(d);
+  }
+
+  /// Adds an entry, or replaces the value of the (match, priority) entry
+  /// already present, keeping its rank.
+  void add(const flow::Match& match, uint16_t priority, Value value) {
+    std::unique_ptr<Tuple> fresh;  // a new tuple joins the scan order last
     Tuple* t = find_tuple(match);
     if (t == nullptr) {
-      auto fresh = std::make_unique<Tuple>();
-      fresh->present = match.present_bits();
-      for (flow::FieldId f : flow::MatchFields(match))
-        fresh->masks[static_cast<unsigned>(f)] = match.mask(f);
-      fresh->proto_required = match.proto_required();
+      fresh = make_tuple(match);
       t = fresh.get();
-      tuples_.push_back(std::move(fresh));
     }
-    uint8_t key[kMaxKeyBytes];
-    const uint32_t key_len = key_from_match(*t, match, key);
-
-    const int32_t slot = t->alloc_slot();
-    t->entries[slot] = {match, rank, std::move(value)};
-
-    // Insert into the per-key chain, kept sorted by rank ascending.
-    int32_t head = -1;
-    if (auto found = t->index.lookup(key, key_len))
-      head = static_cast<int32_t>(found->value);
-    if (head < 0 || t->entries[head].rank > rank) {
-      t->next[slot] = head;
-      t->index.insert(key, key_len, static_cast<uint64_t>(slot));
-    } else {
-      int32_t prev = head;
-      while (t->next[prev] >= 0 && t->entries[t->next[prev]].rank < rank)
-        prev = t->next[prev];
-      t->next[slot] = t->next[prev];
-      t->next[prev] = slot;
+    const Spot s = locate(match, priority, t);
+    if (s.found) {
+      relink(s, std::make_unique<const Entry>(
+                    Entry{match, s.at->rank, std::move(value), s.at->next}));
+      return;
     }
-    ++t->live;
+    const Rank rank{priority, next_seq_++};
+    if (fresh == nullptr && rank < t->min_rank) {
+      t->min_rank = rank;  // lower the bound before the entry can show
+      publish_order();
+    }
+    relink(s, std::make_unique<const Entry>(Entry{match, rank, std::move(value), s.at}));
     ++size_;
-    if (rank < t->min_rank) t->min_rank = rank;
-    resort();
+    if (fresh != nullptr) {  // complete before any reader can see it
+      t->min_rank = rank;
+      tuples_.push_back(std::move(fresh));
+      publish_order();
+    }
   }
 
-  /// Removes the entry with this (match, rank); true if found.
-  bool remove(const flow::Match& match, uint32_t rank) {
-    Tuple* t = find_tuple(match);
-    if (t == nullptr) return false;
-    uint8_t key[kMaxKeyBytes];
-    const uint32_t key_len = key_from_match(*t, match, key);
-    auto found = t->index.lookup(key, key_len);
-    if (!found) return false;
-
-    int32_t cur = static_cast<int32_t>(found->value);
-    int32_t prev = -1;
-    while (cur >= 0 && t->entries[cur].rank != rank) {
-      prev = cur;
-      cur = t->next[cur];
-    }
-    if (cur < 0) return false;
-    if (prev < 0) {
-      if (t->next[cur] >= 0)
-        t->index.insert(key, key_len, static_cast<uint64_t>(t->next[cur]));
-      else
-        t->index.erase(key, key_len);
-    } else {
-      t->next[prev] = t->next[cur];
-    }
-    t->free_slot(cur);
-    --t->live;
+  /// Removes the (match, priority) entry; true if it was present.
+  bool remove(const flow::Match& match, uint16_t priority) {
+    const Spot s = locate(match, priority, find_tuple(match));
+    if (!s.found) return false;
+    relink(s, nullptr);
     --size_;
-    if (t->live == 0) {
-      tuples_.erase(std::find_if(tuples_.begin(), tuples_.end(),
-                                 [&](const auto& p) { return p.get() == t; }));
-    } else {
-      t->recompute_min_rank();
-      resort();
+    Tuple* t = s.tuple;
+    if (t->nodes.empty()) {
+      const auto pos = std::find_if(tuples_.begin(), tuples_.end(),
+                                    [&](const auto& p) { return p.get() == t; });
+      std::unique_ptr<Tuple> gone = std::move(*pos);
+      tuples_.erase(pos);
+      publish_order();  // unlink before the tuple retires
+      retire(retired_tuples_, std::move(gone));
+    } else if (t->min_rank < t->nodes.begin()->first) {
+      t->min_rank = t->nodes.begin()->first;
+      publish_order();
     }
     return true;
   }
 
-  /// Best (lowest-rank) matching entry, or nullptr.
+  /// The (match, priority) entry, or nullptr (writer side).
+  const Entry* find(const flow::Match& match, uint16_t priority) const {
+    const Spot s = locate(match, priority, find_tuple(match));
+    return s.found ? s.at : nullptr;
+  }
+
+  /// Best (lowest-rank) matching entry, or nullptr.  Safe concurrently with
+  /// the writer; the entry stays valid until the reader's next quiescent tick.
   const Entry* lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                       TupleVisitStats* visit = nullptr, MemTrace* trace = nullptr) const {
+    const Slot* s = order_.load(std::memory_order_acquire);
+    if (s == nullptr) return nullptr;
     const Entry* best = nullptr;
-    for (const auto& tp : tuples_) {
-      const Tuple& t = *tp;
-      if (best != nullptr && best->rank <= t.min_rank) break;  // early exit
+    for (; s->tuple != nullptr; ++s) {
+      if (best != nullptr && !(s->min_rank < best->rank)) break;  // early exit
+      const Tuple& t = *s->tuple;
       if (visit) {
         ++visit->tuples_visited;
         visit->fields_union |= t.present;
@@ -156,9 +166,9 @@ class TupleSpace {
       const uint32_t key_len = key_from_packet(t, pkt, pi, key);
       const auto found = t.index.lookup(key, key_len, trace);
       if (!found) continue;
-      const Entry& e = t.entries[found->value];  // chain head = lowest rank
-      if (trace) trace->touch(&e, sizeof(Entry));
-      if (best == nullptr || e.rank < best->rank) best = &e;
+      const Entry* e = reinterpret_cast<const Entry*>(found->value);  // chain head
+      if (trace) trace->touch(e, sizeof(Entry));
+      if (best == nullptr || e->rank < best->rank) best = e;
     }
     return best;
   }
@@ -168,8 +178,9 @@ class TupleSpace {
   /// primed: it is where lookup() probes first, and with tuple priority
   /// sorting it terminates most scans.
   void prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const {
-    if (tuples_.empty()) return;
-    const Tuple& t = *tuples_.front();
+    const Slot* order = order_.load(std::memory_order_acquire);
+    if (order == nullptr) return;
+    const Tuple& t = *order->tuple;
     if ((pi.proto_mask & t.proto_required) != t.proto_required) return;
     uint8_t key[kMaxKeyBytes];
     const uint32_t key_len = key_from_packet(t, pkt, pi, key);
@@ -179,17 +190,19 @@ class TupleSpace {
   size_t size() const { return size_; }
   size_t num_tuples() const { return tuples_.size(); }
 
-  void clear() {
-    tuples_.clear();
-    size_ = 0;
+  /// Frees retired nodes, scan arrays and tuples stamped strictly below
+  /// `horizon` (control thread; rides the datapath's reclaim pass).
+  uint64_t epoch_reclaim(uint64_t horizon) {
+    uint64_t n = retired_nodes_.reclaim(horizon) + retired_orders_.reclaim(horizon) +
+                 retired_tuples_.reclaim(horizon);
+    for (const auto& t : tuples_) n += t->index.epoch_reclaim(horizon);
+    return n;
   }
-
-  /// Visits every live entry (eviction, invalidation, debugging).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& tp : tuples_)
-      for (size_t i = 0; i < tp->entries.size(); ++i)
-        if (tp->slot_live[i]) fn(tp->entries[i]);
+  size_t retired_pending() const {
+    size_t n = retired_nodes_.pending() + retired_orders_.pending() +
+               retired_tuples_.pending();
+    for (const auto& t : tuples_) n += t->index.retired_pending();
+    return n;
   }
 
  private:
@@ -198,67 +211,24 @@ class TupleSpace {
   static constexpr CuckooTable::Config kIndexConfig{.initial_buckets = 1};
 
   struct Tuple {
+    // Immutable after creation: readers use these without synchronization.
     uint32_t present = 0;
     std::array<uint64_t, flow::kNumFields> masks{};
     uint32_t proto_required = 0;
-    uint32_t min_rank = 0xFFFFFFFF;
-    CuckooTable index{kIndexConfig};  // masked key -> chain head slot
-    std::vector<Entry> entries;
-    std::vector<int32_t> next;
-    std::vector<bool> slot_live;
-    std::vector<int32_t> free_list;
-    size_t live = 0;
-
-    int32_t alloc_slot() {
-      if (!free_list.empty()) {
-        const int32_t s = free_list.back();
-        free_list.pop_back();
-        slot_live[s] = true;
-        return s;
-      }
-      entries.push_back({});
-      next.push_back(-1);
-      slot_live.push_back(true);
-      return static_cast<int32_t>(entries.size() - 1);
-    }
-    void free_slot(int32_t s) {
-      slot_live[s] = false;
-      free_list.push_back(s);
-    }
-    void recompute_min_rank() {
-      min_rank = 0xFFFFFFFF;
-      for (size_t i = 0; i < entries.size(); ++i)
-        if (slot_live[i] && entries[i].rank < min_rank) min_rank = entries[i].rank;
-    }
-
-    /// Deep copy; the index is not copyable, so it is rebuilt from the
-    /// chain heads (live slots no other slot links to).
-    std::unique_ptr<Tuple> clone() const {
-      auto c = std::make_unique<Tuple>();
-      c->present = present;
-      c->masks = masks;
-      c->proto_required = proto_required;
-      c->min_rank = min_rank;
-      c->entries = entries;
-      c->next = next;
-      c->slot_live = slot_live;
-      c->free_list = free_list;
-      c->live = live;
-      std::vector<bool> linked(entries.size(), false);
-      for (size_t i = 0; i < entries.size(); ++i)
-        if (slot_live[i] && next[i] >= 0) linked[next[i]] = true;
-      uint8_t key[kMaxKeyBytes];
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (!slot_live[i] || linked[i]) continue;
-        const uint32_t key_len = key_from_match(*c, entries[i].match, key);
-        c->index.insert(key, key_len, i);
-      }
-      return c;
-    }
+    CuckooTable index{kIndexConfig};  // masked key -> chain head (const Entry*)
+    // Writer side only: every live node by rank, and the min_rank last
+    // published in the scan order.
+    std::map<Rank, std::unique_ptr<const Entry>> nodes;
+    Rank min_rank;
   };
 
-  Tuple* find_tuple(const flow::Match& match) {
-    for (auto& tp : tuples_) {
+  struct Slot {
+    const Tuple* tuple = nullptr;  // null terminates the scan order
+    Rank min_rank;
+  };
+
+  Tuple* find_tuple(const flow::Match& match) const {
+    for (const auto& tp : tuples_) {
       if (tp->present != match.present_bits()) continue;
       bool same = true;
       for (flow::FieldId f : flow::MatchFields(match))
@@ -270,6 +240,94 @@ class TupleSpace {
     }
     return nullptr;
   }
+
+  /// A tuple for `match`'s mask signature, not yet in the scan order.
+  std::unique_ptr<Tuple> make_tuple(const flow::Match& match) {
+    auto t = std::make_unique<Tuple>();
+    t->present = match.present_bits();
+    for (flow::FieldId f : flow::MatchFields(match))
+      t->masks[static_cast<unsigned>(f)] = match.mask(f);
+    t->proto_required = match.proto_required();
+    t->index.set_domain(domain_);
+    return t;
+  }
+
+  /// Where a (match, priority) entry sits, or would go, in its key's chain.
+  struct Spot {
+    Tuple* tuple = nullptr;  // null: no tuple has the mask signature
+    uint8_t key[kMaxKeyBytes];
+    uint32_t key_len = 0;
+    const Entry* head = nullptr;
+    const Entry* at = nullptr;  // first node at or below the priority
+    bool found = false;         // `at` is the entry itself
+  };
+
+  Spot locate(const flow::Match& match, uint16_t priority, Tuple* t) const {
+    Spot s;
+    s.tuple = t;
+    if (t == nullptr) return s;
+    s.key_len = key_from_match(*t, match, s.key);
+    if (const auto found = t->index.lookup(s.key, s.key_len))
+      s.head = reinterpret_cast<const Entry*>(found->value);
+    s.at = s.head;
+    while (s.at != nullptr && s.at->rank.priority > priority) s.at = s.at->next;
+    s.found = s.at != nullptr && s.at->rank.priority == priority;
+    return s;
+  }
+
+  /// Republishes `s`'s chain with `node` (null: nothing) in place of the
+  /// found entry, or else in front of `s.at`.  The nodes ahead of the change
+  /// are copied and the new head goes out with one index write; then every
+  /// unlinked node retires.
+  void relink(const Spot& s, std::unique_ptr<const Entry> node) {
+    Tuple& t = *s.tuple;
+    std::vector<std::unique_ptr<const Entry>> unlinked;
+    if (s.found) {
+      const auto it = t.nodes.find(s.at->rank);
+      unlinked.push_back(std::move(it->second));
+      t.nodes.erase(it);
+    }
+    const Entry* rest = node != nullptr ? node.get() : s.at->next;
+    if (node != nullptr) {
+      const Rank r = node->rank;
+      t.nodes.emplace(r, std::move(node));
+    }
+    std::vector<const Entry*> prefix;
+    for (const Entry* e = s.head; e != s.at; e = e->next) prefix.push_back(e);
+    for (size_t i = prefix.size(); i-- > 0;) {
+      const Entry* p = prefix[i];
+      auto copy = std::make_unique<const Entry>(Entry{p->match, p->rank, p->value, rest});
+      rest = copy.get();
+      std::unique_ptr<const Entry>& owned = t.nodes.at(p->rank);
+      unlinked.push_back(std::move(owned));
+      owned = std::move(copy);
+    }
+    if (rest != nullptr)
+      t.index.insert(s.key, s.key_len, reinterpret_cast<uint64_t>(rest));
+    else
+      t.index.erase(s.key, s.key_len);
+    for (auto& e : unlinked) retire(retired_nodes_, std::move(e));
+  }
+
+  /// Swaps in a freshly sorted scan order (null when no tuple is left).
+  void publish_order() {
+    std::unique_ptr<Slot[]> order;
+    const size_t n = tuples_.size();
+    if (n != 0) {
+      order = std::make_unique<Slot[]>(n + 1);  // value-initialized terminator
+      for (size_t i = 0; i < n; ++i) order[i] = {tuples_[i].get(), tuples_[i]->min_rank};
+      std::sort(order.get(), order.get() + n,
+                [](const Slot& a, const Slot& b) { return a.min_rank < b.min_rank; });
+    }
+    const Slot* old = order_.exchange(order.release(), std::memory_order_acq_rel);
+    retire(retired_orders_, std::unique_ptr<const Slot[]>(old));
+  }
+
+  template <typename T>
+  void retire(common::RetireList<std::unique_ptr<T>>& list, std::unique_ptr<T> obj) {
+    if (obj != nullptr && domain_ != nullptr && domain_->has_workers())
+      list.retire(std::move(obj), domain_->current_epoch());
+  }  // otherwise `obj` is freed here: no reader can hold it
 
   static uint32_t key_from_match(const Tuple& t, const flow::Match& m, uint8_t* out) {
     uint32_t n = 0;
@@ -297,13 +355,14 @@ class TupleSpace {
     return n;
   }
 
-  void resort() {
-    std::sort(tuples_.begin(), tuples_.end(),
-              [](const auto& a, const auto& b) { return a->min_rank < b->min_rank; });
-  }
-
-  std::vector<std::unique_ptr<Tuple>> tuples_;
+  std::vector<std::unique_ptr<Tuple>> tuples_;  // writer's catalogue, unordered
+  std::atomic<const Slot*> order_{nullptr};  // ascending min_rank
+  uint64_t next_seq_ = 0;
   size_t size_ = 0;
+  common::EpochDomain* domain_ = nullptr;
+  common::RetireList<std::unique_ptr<const Entry>> retired_nodes_;
+  common::RetireList<std::unique_ptr<const Slot[]>> retired_orders_;
+  common::RetireList<std::unique_ptr<Tuple>> retired_tuples_;
 };
 
 }  // namespace esw::cls

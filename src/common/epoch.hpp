@@ -74,9 +74,8 @@ class EpochDomain {
     s.seen.store(epoch_.load(std::memory_order_acquire), std::memory_order_release);
   }
 
-  /// True when at least one packet worker is registered — the signal the
-  /// update path uses to choose copy-on-write publication over in-place
-  /// mutation of reader-visible structures.
+  /// True when at least one packet worker is registered.  Without one, no
+  /// reader can hold a retiring object, so writers free it at once.
   bool has_workers() const { return n_active_.load(std::memory_order_acquire) > 0; }
 
   /// Epoch to stamp a retiring object with (writer side).

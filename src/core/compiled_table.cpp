@@ -431,11 +431,12 @@ uint64_t RangeTemplateTable::lookup(const uint8_t* pkt, const proto::ParseInfo& 
 std::unique_ptr<LinkedListTable> LinkedListTable::build(
     const std::vector<BuildEntry>& entries, BuildCtx& ctx) {
   auto t = std::unique_ptr<LinkedListTable>(new LinkedListTable());
-  for (const BuildEntry& e : entries) {
-    const uint32_t rank = t->rank_of(e.priority);
-    t->ts_.add(e.match, rank, resolve_result(e, ctx));
-    t->mirror_.push_back({e.match, e.priority, rank});
-  }
+  // Entries arrive in match order.  A decomposition branch can carry two
+  // entries with one (match, priority); the first one wins, as in the flow
+  // table, so a later duplicate must not replace it.
+  for (const BuildEntry& e : entries)
+    if (t->ts_.find(e.match, e.priority) == nullptr)
+      t->ts_.add(e.match, e.priority, resolve_result(e, ctx));
   return t;
 }
 
@@ -458,26 +459,13 @@ bool LinkedListTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
   // Injectable refusal (tuple-space shape); deliberately absent from build(),
   // which must stay the infallible last resort of the fallback chain.
   if (ESW_FAILPOINT("tuple.insert")) return false;
-  // Flow-mod replace semantics: an identical (match, priority) entry is
-  // superseded, not duplicated.
-  try_remove(e.match, e.priority);
   const BuildEntry be{e.match, e.priority, e.actions, e.goto_table, -1};
-  const uint32_t rank = rank_of(e.priority);
-  ts_.add(e.match, rank, resolve_result(be, ctx));
-  mirror_.push_back({e.match, e.priority, rank});
+  ts_.add(e.match, e.priority, resolve_result(be, ctx));  // a replace keeps its rank
   return true;
 }
 
 bool LinkedListTable::try_remove(const Match& m, uint16_t priority) {
-  for (size_t i = 0; i < mirror_.size(); ++i) {
-    if (mirror_[i].priority == priority && mirror_[i].match == m) {
-      ts_.remove(m, mirror_[i].rank);
-      mirror_[i] = mirror_.back();
-      mirror_.pop_back();
-      return true;
-    }
-  }
-  return false;
+  return ts_.remove(m, priority);
 }
 
 }  // namespace esw::core

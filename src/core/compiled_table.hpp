@@ -76,30 +76,18 @@ class CompiledTable {
   virtual size_t memory_bytes() const = 0;
 
   /// Incremental update hooks; false = prerequisite broken or unsupported,
-  /// caller must rebuild (possibly falling back along Fig. 4's chain).
+  /// caller must rebuild (possibly falling back along Fig. 4's chain).  A
+  /// template that accepts a mod applies it to itself *in place*, safely
+  /// under concurrent lookup() callers (single writer); a refusal leaves the
+  /// table untouched.
   virtual bool try_add(const flow::FlowEntry&, BuildCtx&) { return false; }
   virtual bool try_remove(const flow::Match&, uint16_t) { return false; }
 
-  /// True when try_add/try_remove may mutate this table *in place* while
-  /// other threads are inside lookup() (single writer): the cuckoo template
-  /// (atomic slot words, immutable epoch-retired entries) and LPM (cells are
-  /// self-contained words published with release/acquire, the
-  /// rte_lpm-under-RCU model).
-  virtual bool concurrent_update_safe() const { return false; }
-
-  /// Deep copy for the copy-on-write update path: with concurrent readers,
-  /// a template whose incremental update mutates reader-visible structure
-  /// (the linked list's tuple-space chains) is cloned, updated privately and
-  /// republished via trampoline swap — same incremental data-structure work
-  /// as in place, plus an O(table) copy.  nullptr = not clonable (direct
-  /// code and range rebuild from scratch anyway; cuckoo and LPM update in
-  /// place).
-  virtual std::unique_ptr<CompiledTable> clone_for_update() const { return nullptr; }
-
   /// Epoch-reclamation hooks for templates that retire *internal* memory
-  /// (cuckoo entries/views) rather than being swapped wholesale.  The
-  /// datapath attaches its domain at publication and drains the template's
-  /// retire lists during its reclaim pass; defaults are no-ops.
+  /// (cuckoo entries/views, tuple-space chain nodes) rather than being
+  /// swapped wholesale.  The datapath attaches its domain at publication and
+  /// drains the template's retire lists during its reclaim pass; defaults
+  /// are no-ops.
   virtual void attach_epoch_domain(common::EpochDomain*) {}
   virtual uint64_t epoch_reclaim(uint64_t horizon) {
     (void)horizon;
@@ -165,9 +153,6 @@ class CuckooTemplateTable final : public CompiledTable {
   /// shadowed one lives only in the flow table.
   bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
   bool try_remove(const flow::Match& m, uint16_t priority) override;
-  /// In-place incremental updates are reader-safe: slot words are atomic,
-  /// entries immutable and epoch-retired, multi-slot moves seqlock-guarded.
-  bool concurrent_update_safe() const override { return true; }
 
   void attach_epoch_domain(common::EpochDomain* d) override { index_.set_domain(d); }
   uint64_t epoch_reclaim(uint64_t horizon) override {
@@ -218,13 +203,11 @@ class LpmTemplateTable final : public CompiledTable {
   size_t size() const override { return prefix_prio_.size(); }
   size_t memory_bytes() const override { return lpm_.memory_bytes(); }
 
+  /// Reader-safe in place: LpmTable cells are single-word acquire/release
+  /// atomics and the results array below is fixed-capacity (overflow falls
+  /// back to a rebuild), so nothing a reader dereferences ever moves.
   bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
   bool try_remove(const flow::Match& m, uint16_t priority) override;
-  /// In-place incremental updates are reader-safe: LpmTable cells are
-  /// single-word acquire/release atomics and the results array below is
-  /// fixed-capacity (overflow falls back to a rebuild), so nothing a reader
-  /// dereferences ever moves.
-  bool concurrent_update_safe() const override { return true; }
 
  private:
   uint32_t intern_result(uint64_t packed);
@@ -283,6 +266,8 @@ class RangeTemplateTable final : public CompiledTable {
 
 // --- linked list ----------------------------------------------------------------------
 
+/// The paper's catch-all template: a tuple space over every entry, which
+/// owns the (priority, insertion) order and updates in place under readers.
 class LinkedListTable final : public CompiledTable {
  public:
   static std::unique_ptr<LinkedListTable> build(const std::vector<BuildEntry>& entries,
@@ -297,28 +282,17 @@ class LinkedListTable final : public CompiledTable {
 
   bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
   bool try_remove(const flow::Match& m, uint16_t priority) override;
-  std::unique_ptr<CompiledTable> clone_for_update() const override {
-    return std::unique_ptr<CompiledTable>(new LinkedListTable(*this));
-  }
+
+  void attach_epoch_domain(common::EpochDomain* d) override { ts_.set_domain(d); }
+  uint64_t epoch_reclaim(uint64_t horizon) override { return ts_.epoch_reclaim(horizon); }
+  size_t retired_pending() const override { return ts_.retired_pending(); }
 
   size_t num_tuples() const { return ts_.num_tuples(); }
 
  private:
   LinkedListTable() = default;
-  LinkedListTable(const LinkedListTable&) = default;
-
-  uint32_t rank_of(uint16_t priority) {
-    return (static_cast<uint32_t>(0xFFFF - priority) << 16) | seq_++;
-  }
 
   cls::TupleSpace<uint64_t> ts_;
-  struct Mirror {
-    flow::Match match;
-    uint16_t priority;
-    uint32_t rank;
-  };
-  std::vector<Mirror> mirror_;
-  uint16_t seq_ = 0;
 };
 
 }  // namespace esw::core

@@ -666,12 +666,15 @@ void CompiledDatapath::clear_stats() {
 }
 
 CompiledDatapath::ReclaimStats CompiledDatapath::reclaim_stats() const {
+  uint64_t internal_pending = 0;
+  for (const auto& t : live_) internal_pending += t->retired_pending();
   return {retired_impls_.retired_total() + retired_slots_.retired_total() +
               retired_fused_.retired_total(),
           retired_impls_.reclaimed_total() + retired_slots_.reclaimed_total() +
               retired_fused_.reclaimed_total(),
           retired_impls_.pending() + retired_slots_.pending() +
-              retired_fused_.pending()};
+              retired_fused_.pending(),
+          internal_pending};
 }
 
 size_t CompiledDatapath::memory_bytes() const {

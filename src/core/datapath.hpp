@@ -102,6 +102,9 @@ class CompiledDatapath {
     uint64_t retired = 0;    // objects handed to the epoch domain
     uint64_t reclaimed = 0;  // freed after their grace period
     uint64_t pending = 0;    // retired, grace period not yet over
+    // Template-internal retirements (cuckoo entries and views, tuple-space
+    // nodes, scan arrays and tuples) awaiting their grace period.
+    uint64_t internal_pending = 0;
   };
 
   /// One loop-bound policy for every walk flavor: a packet that has not
@@ -209,8 +212,8 @@ class CompiledDatapath {
 
   /// Registers a packet-worker context (control thread only; nullptr when
   /// kMaxWorkers are active).  While any worker is registered, reader-visible
-  /// structures may only be updated via copy-and-swap or in-place algorithms
-  /// that are explicitly reader-safe (CompiledTable::concurrent_update_safe).
+  /// structures may only be updated by a side-by-side rebuild and swap or by
+  /// a template's reader-safe in-place update (CompiledTable::try_add).
   Worker* register_worker();
   /// Unregisters (control thread only; the worker's thread must have
   /// finished — joined or provably past its last burst).

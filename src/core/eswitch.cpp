@@ -290,65 +290,31 @@ void Eswitch::apply_to_pipeline(flow::Pipeline& pl, const FlowMod& fm) const {
   }
 }
 
-/// §3.4's non-destructive incremental update, in the shape the concurrency
-/// mode allows:
-///   * no registered workers — mutate the published impl in place (the
-///     single-threaded fast path; the caller is the only thread inside the
-///     datapath between its own calls);
-///   * workers registered + template is reader-safe in place (cuckoo, LPM)
-///     — same;
-///   * workers registered otherwise (linked list) — clone, update the
-///     private copy, and publish it with a trampoline swap; the displaced
-///     impl retires through the epoch domain.  Inside a batch (`cow`
-///     non-null) the clone is made once per table, accumulates every mod of
-///     the batch, and is published by apply_batch with one swap.
-bool Eswitch::try_incremental(uint8_t table, const FlowMod& fm, CowMap* cow) {
+/// §3.4's non-destructive incremental update: the published impl absorbs the
+/// mod in place — every incremental template (cuckoo, LPM, linked list) is
+/// reader-safe under registered workers, retiring what it displaces through
+/// the epoch domain.  False = the template refused; the caller rebuilds.
+bool Eswitch::try_incremental(uint8_t table, const FlowMod& fm) {
   const int32_t root = goto_map_[table];
-  CompiledTable* published = root >= 0 ? dp_.impl_mut(root) : nullptr;
-  if (published == nullptr || decomposed_[table]) return false;
-  const bool is_add = fm.command == FlowMod::Cmd::kAdd;
-  if (!is_add && fm.command != FlowMod::Cmd::kDelete) return false;
+  CompiledTable* impl = root >= 0 ? dp_.impl_mut(root) : nullptr;
+  if (impl == nullptr || decomposed_[table]) return false;
   BuildCtx ctx{dp_.actions(), goto_map_};
-
-  // Resolve the mutation target: the published impl (in place), the batch's
-  // pending clone, or a fresh clone.
-  CompiledTable* target = published;
-  std::unique_ptr<CompiledTable> fresh;
-  const bool in_place = !dp_.has_workers() || published->concurrent_update_safe();
-  if (!in_place) {
-    const auto it = cow != nullptr ? cow->find(table) : CowMap::iterator{};
-    if (cow != nullptr && it != cow->end()) {
-      target = it->second.get();
-    } else {
-      fresh = published->clone_for_update();
-      if (fresh == nullptr) return false;
-      target = fresh.get();
-    }
-  }
-
-  // A failed try_* leaves its target untouched, so a pending batch clone
-  // stays valid and the caller falls back to a rebuild.
-  if (is_add) {
+  if (fm.command == FlowMod::Cmd::kAdd) {
     const FlowEntry e = flow::entry_from(fm);
-    if (!target->try_add(e, ctx)) return false;
+    // Widen the parser plan first: the entry is live the moment try_add
+    // publishes it.
     maybe_widen_plan(e);
+    if (!impl->try_add(e, ctx)) return false;
+  } else if (fm.command == FlowMod::Cmd::kDelete) {
+    if (!impl->try_remove(fm.match, fm.priority)) return false;
   } else {
-    if (!target->try_remove(fm.match, fm.priority)) return false;
+    return false;
   }
   ++update_stats_.incremental;
-
-  if (fresh != nullptr) {
-    if (cow != nullptr) {
-      cow->emplace(table, std::move(fresh));  // published at batch commit
-    } else {
-      dp_.set_impl(root, std::move(fresh));
-      ++update_stats_.cow_swaps;
-    }
-  }
   return true;
 }
 
-void Eswitch::apply_one(const FlowMod& fm, CowMap* cow, DirtySet* dirty) {
+void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
   const bool new_table =
       fm.command != FlowMod::Cmd::kDelete && pipeline_.find_table(fm.table_id) == nullptr;
 
@@ -377,10 +343,7 @@ void Eswitch::apply_one(const FlowMod& fm, CowMap* cow, DirtySet* dirty) {
   // failing mod.
   if (dirty != nullptr && dirty->count(fm.table_id) != 0) return;
 
-  if (!try_incremental(fm.table_id, fm, cow)) {
-    // Rebuilding from the pipeline (which already carries this batch's mods
-    // for the table) obsoletes any pending clone.
-    if (cow != nullptr) cow->erase(fm.table_id);
+  if (!try_incremental(fm.table_id, fm)) {
     if (dirty != nullptr) {
       dirty->emplace(fm.table_id, false);
       return;
@@ -390,24 +353,17 @@ void Eswitch::apply_one(const FlowMod& fm, CowMap* cow, DirtySet* dirty) {
   }
 }
 
-/// Batch commit: one rebuild per dirty table (from the final pipeline state),
-/// one trampoline swap per pending clone, one start/plan refresh.
-void Eswitch::commit_batch(CowMap& cow, const DirtySet& dirty) {
-  for (const auto& [id, fresh] : dirty) {
-    cow.erase(id);  // a rebuild supersedes any pending clone
-    rebuild_logical(id, fresh);
-  }
-  for (auto& [table, impl] : cow) {
-    dp_.set_impl(goto_map_[table], std::move(impl));
-    ++update_stats_.cow_swaps;
-  }
+/// Batch commit: one rebuild per dirty table (from the final pipeline state)
+/// and one start/plan refresh.
+void Eswitch::commit_batch(const DirtySet& dirty) {
+  for (const auto& [id, fresh] : dirty) rebuild_logical(id, fresh);
   if (!dirty.empty()) refresh_start_and_plan();
 }
 
 void Eswitch::apply(const FlowMod& fm) {
   ++update_seq_;
   try {
-    apply_one(fm, nullptr);
+    apply_one(fm);
   } catch (const TableFullError&) {
     ++degradation_.mods_refused_table_full;
     throw;
@@ -433,13 +389,10 @@ void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
   // Commit through the regular path: validated mods cannot throw, and each
   // lands incrementally where its table's template allows, so a batch of
   // route adds does not force wholesale LPM rebuilds.  Tables that do need a
-  // rebuild collect in the dirty set and rebuild once at commit; under
-  // concurrent workers, linked-list tables are cloned once for the whole
-  // batch and published with a single trampoline swap each.
-  CowMap cow;
+  // rebuild collect in the dirty set and rebuild once at commit.
   DirtySet dirty;
-  for (const FlowMod& fm : fms) apply_one(fm, &cow, &dirty);
-  commit_batch(cow, dirty);
+  for (const FlowMod& fm : fms) apply_one(fm, &dirty);
+  commit_batch(dirty);
   maybe_retry_jit();
   refresh_fusion();
   dp_.reclaim();
@@ -449,11 +402,10 @@ std::vector<ModStatus> Eswitch::apply_batch_partial(const std::vector<FlowMod>& 
   ++update_seq_;
   std::vector<ModStatus> out;
   out.reserve(fms.size());
-  CowMap cow;
   DirtySet dirty;
   for (const FlowMod& fm : fms) {
     try {
-      apply_one(fm, &cow, &dirty);
+      apply_one(fm, &dirty);
       out.push_back(ModStatus::kApplied);
     } catch (const TableFullError&) {
       // apply_one throws before mutating anything, so refusing this mod
@@ -464,7 +416,7 @@ std::vector<ModStatus> Eswitch::apply_batch_partial(const std::vector<FlowMod>& 
       out.push_back(ModStatus::kRefusedInvalid);
     }
   }
-  commit_batch(cow, dirty);
+  commit_batch(dirty);
   maybe_retry_jit();
   refresh_fusion();
   dp_.reclaim();

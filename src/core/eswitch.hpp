@@ -14,12 +14,13 @@
 //     so a bad mod in the middle leaves no partial state behind.
 //
 // Concurrency: apply()/apply_batch() run on one control thread while any
-// number of registered packet workers process bursts.  While workers are
-// registered, incremental updates take one of two reader-safe shapes —
-// in place for templates that publish per-cell or per-slot (LPM, cuckoo), or
-// clone-update-swap for the linked list — and every displaced object is
-// retired through the datapath's epoch domain (freed only after all workers
-// tick past the retirement; see common/epoch.hpp).  install() is stop-the-world: no workers registered.
+// number of registered packet workers process bursts.  Updates take one of
+// two reader-safe shapes: in place, for every incremental template (cuckoo
+// slot words, LPM cells, tuple-space chain heads), or a side-by-side rebuild
+// published with a trampoline swap.  Every displaced object is retired
+// through the datapath's epoch domain (freed only after all workers tick
+// past the retirement; see common/epoch.hpp).  install() is stop-the-world:
+// no workers registered.
 //
 // Decomposed logical tables occupy a fixed root slot; a rebuild appends fresh
 // sub-table slots and swaps the root, so cross-table gotos stay valid.  The
@@ -130,8 +131,10 @@ class Eswitch {
   }
 
   struct UpdateStats {
-    uint64_t incremental = 0;     // served by try_add/try_remove (either shape)
-    uint64_t cow_swaps = 0;       // of which: clone-update-swap publications
+    uint64_t incremental = 0;     // served in place by try_add/try_remove
+    // Never incremented: clone-and-swap is gone.  Kept only because the
+    // frozen bench/e2e still reads it; delete in the next benchmark change.
+    uint64_t cow_swaps = 0;
     uint64_t table_rebuilds = 0;  // side-by-side rebuild + trampoline swap
     // Rebuilds whose re-analysis picked a *different* template than the one
     // the table ran on — the table grew (or shrank) past its shape's sweet
@@ -174,11 +177,6 @@ class Eswitch {
   CompiledDatapath::ReclaimStats reclaim_stats() const { return dp_.reclaim_stats(); }
 
  private:
-  /// Pending clone-and-swap copies during a batch: each touched table is
-  /// cloned once, mutated across the whole batch and published with a single
-  /// trampoline swap at commit — not K clones for K mods.
-  using CowMap = std::map<uint8_t, std::unique_ptr<CompiledTable>>;
-
   /// Logical tables whose datapath rebuild is deferred to the batch commit:
   /// each is rebuilt exactly once per batch from the final pipeline state,
   /// however many of the batch's mods touched it.  The mapped flag records
@@ -190,9 +188,9 @@ class Eswitch {
   void rebuild_logical(uint8_t id, bool fresh_table = false);
   void refresh_start_and_plan();
   void maybe_widen_plan(const flow::FlowEntry& e);
-  void apply_one(const flow::FlowMod& fm, CowMap* cow, DirtySet* dirty = nullptr);
-  bool try_incremental(uint8_t table, const flow::FlowMod& fm, CowMap* cow);
-  void commit_batch(CowMap& cow, const DirtySet& dirty);
+  void apply_one(const flow::FlowMod& fm, DirtySet* dirty = nullptr);
+  bool try_incremental(uint8_t table, const flow::FlowMod& fm);
+  void commit_batch(const DirtySet& dirty);
   void apply_to_pipeline(flow::Pipeline& pl, const flow::FlowMod& fm) const;
   void check_capacity(const flow::Pipeline& pl, const flow::FlowMod& fm) const;
   void note_jit_state(uint8_t id, bool degraded);

@@ -24,7 +24,7 @@ MegaflowCache::Ref MegaflowCache::insert(const flow::Match& match,
     fifo_.pop_front();
     Entry& v = entries_[victim];
     if (v.live) {
-      index_[v.proto_mask].remove(v.match, v.rank);
+      index_[v.proto_mask].remove(v.match, kPriority);
       v.live = false;
       --live_count_;
       ++evictions_;
@@ -44,10 +44,9 @@ MegaflowCache::Ref MegaflowCache::insert(const flow::Match& match,
   e.match = match;
   e.actions = std::move(actions);
   e.stamp = next_stamp_++;
-  e.rank = static_cast<uint32_t>(next_rank_++);
   e.proto_mask = proto_mask;
   e.live = true;
-  index_[proto_mask].add(match, e.rank, static_cast<uint64_t>(idx));
+  index_[proto_mask].add(match, kPriority, static_cast<uint64_t>(idx));
   fifo_.push_back(idx);
   ++live_count_;
   return {static_cast<int64_t>(idx), e.stamp};

@@ -1,10 +1,12 @@
 // Megaflow cache — OVS's wildcard match store for traffic aggregates (§2.2).
 //
 // Entries are (wildcarded match → cached action list) pairs indexed by tuple
-// space search without priorities.  A flow limit caps resident entries
-// (evicting oldest first, mirroring OVS's flow limit + revalidator pressure);
-// whole-cache invalidation is the paper's footnote-2 "brute-force strategy to
-// invalidate the entire cache after essentially all changes".
+// space search without priorities: every megaflow takes one constant
+// priority, so the tuple space's insertion sequence orders them.  A flow
+// limit caps resident entries (evicting oldest first, mirroring OVS's flow
+// limit + revalidator pressure); whole-cache invalidation is the paper's
+// footnote-2 "brute-force strategy to invalidate the entire cache after
+// essentially all changes".
 //
 // The cache is sharded by the packet's protocol bitmask: a real OVS flow key
 // always carries the packet's layer structure (ethertype, VLAN TCI presence,
@@ -33,7 +35,6 @@ class MegaflowCache {
     flow::Match match;
     flow::ActionList actions;  // concatenated write-actions of the slow-path walk
     uint64_t stamp = 0;        // uniquifies reused slots for microflow pointers
-    uint32_t rank = 0;         // index key within the tuple space
     uint32_t proto_mask = 0;   // layer structure of the learning packet
     bool live = false;
   };
@@ -76,6 +77,7 @@ class MegaflowCache {
 
  private:
   // One tuple space per packet layer structure (value = entry index).
+  static constexpr uint16_t kPriority = 0;
   std::map<uint32_t, cls::TupleSpace<uint64_t>> index_;
   size_t flow_limit_;
   std::deque<Entry> entries_;
@@ -83,7 +85,6 @@ class MegaflowCache {
   std::deque<size_t> fifo_;  // insertion order for eviction
   size_t live_count_ = 0;
   uint64_t next_stamp_ = 1;
-  uint64_t next_rank_ = 0;
   uint64_t evictions_ = 0;
 };
 

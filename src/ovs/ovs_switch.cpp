@@ -14,25 +14,6 @@ using flow::Verdict;
 OvsSwitch::OvsSwitch(const Config& cfg)
     : cfg_(cfg), microflow_(cfg.microflow_capacity), megaflow_(cfg.megaflow_flow_limit) {}
 
-void OvsSwitch::TableCls::add(const flow::FlowEntry& e) {
-  remove(e.match, e.priority);  // flow-mod replace semantics
-  const uint32_t rank = rank_of(e.priority);
-  ts.add(e.match, rank, SlowValue{e.actions, e.goto_table});
-  mirror.push_back({e.match, e.priority, rank});
-}
-
-bool OvsSwitch::TableCls::remove(const Match& m, uint16_t priority) {
-  for (size_t i = 0; i < mirror.size(); ++i) {
-    if (mirror[i].priority == priority && mirror[i].match == m) {
-      ts.remove(m, mirror[i].rank);
-      mirror[i] = mirror.back();
-      mirror.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
 OvsSwitch::TableCls* OvsSwitch::find_cls(uint8_t id) {
   for (auto& c : classifiers_)
     if (c->table_id == id) return c.get();
@@ -75,7 +56,7 @@ void OvsSwitch::add_flow(uint8_t table, const flow::FlowEntry& e) {
 void OvsSwitch::remove_flow(uint8_t table, const Match& m, uint16_t priority) {
   if (pipeline_.find_table(table) == nullptr) return;
   pipeline_.table(table).remove(m, priority);
-  if (TableCls* c = find_cls(table)) c->remove(m, priority);
+  if (TableCls* c = find_cls(table)) c->ts.remove(m, priority);
   megaflow_.invalidate_all();
   ++generation_;
 }

@@ -94,23 +94,16 @@ class OvsSwitch {
     flow::ActionList actions;
     int16_t goto_table = flow::kNoGoto;
   };
+  // The tuple space keeps the flow table's (priority, insertion) order and
+  // its replace-in-place semantics itself.
   struct TableCls {
     uint8_t table_id = 0;
     flow::FlowTable::MissPolicy miss = flow::FlowTable::MissPolicy::kDrop;
     cls::TupleSpace<SlowValue> ts;
-    struct Mirror {
-      flow::Match match;
-      uint16_t priority;
-      uint32_t rank;
-    };
-    std::vector<Mirror> mirror;
-    uint16_t seq = 0;
 
-    uint32_t rank_of(uint16_t priority) {
-      return (static_cast<uint32_t>(0xFFFF - priority) << 16) | seq++;
+    void add(const flow::FlowEntry& e) {
+      ts.add(e.match, e.priority, SlowValue{e.actions, e.goto_table});
     }
-    void add(const flow::FlowEntry& e);
-    bool remove(const flow::Match& m, uint16_t priority);
   };
 
   TableCls* find_cls(uint8_t id);

@@ -45,7 +45,8 @@ struct SoakOptions {
   size_t n_flows = 10000;       // active flows replayed round-robin
   /// Control-plane churn: paced LPM route add/delete pairs per second in
   /// 230.0.0.0/8 (collision-free with the use case's own prefixes), riding
-  /// the in-place update path + epoch reclamation.  0 = no churn.
+  /// the in-place update path + epoch reclamation.  Each pair also churns
+  /// an exact-match side table and a linked-list side table.  0 = no churn.
   double churn_rate = 1000;
   double checkpoint_every_ms = 100;  // drift-audit cadence
   std::string trace_pcap;       // non-empty: replay this capture's frames

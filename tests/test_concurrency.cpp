@@ -1,7 +1,7 @@
 // Concurrent correctness of the multicore runtime: registered workers spin
 // process_burst while the control thread streams apply/apply_batch through
-// the in-place incremental shape (cuckoo hash, LPM) and the rebuild path
-// (direct code).  Asserts verdict conservation (nothing lost or
+// the in-place incremental shape (cuckoo hash, LPM, linked list) and the
+// rebuild path (direct code).  Asserts verdict conservation (nothing lost or
 // duplicated), old-or-new verdict consistency, eventual visibility of
 // installed rules, and that retired tables are reclaimed via the epoch grace
 // period — while readers are live — rather than via caller quiescence.
@@ -189,6 +189,144 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   EXPECT_LT(pending_live, static_cast<size_t>(applied));
 
   for (auto& r : readers) sw.unregister_worker(r->ctx);
+}
+
+// The linked list on the same in-place path: workers process a flow of one
+// stable rule while the control thread streams adds/deletes that build and
+// retire whole tuples (a better-ranked one included, so the published scan
+// order moves), insert and unlink below the stable rule in its own chain,
+// and fill its exact-match tuple.  No verdict may be lost, duplicated or
+// anything but the stable rule's output; the table is never rebuilt.
+TEST(Concurrency, VerdictConservationUnderLinkedListChurn) {
+  Pipeline pl;
+  for (int i = 0; i < 20; ++i)
+    pl.table(0).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
+                               ",actions=output:1"));
+  // A masked rule breaks the hash prerequisite: the table is a linked list.
+  pl.table(0).add(parse_rule("priority=9,udp_dst=0x100/0x100,actions=output:2"));
+  Eswitch sw;
+  sw.install(pl);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
+  const auto rebuilds_before = sw.update_stats().table_rebuilds;
+
+  std::atomic<bool> stop{false};
+  constexpr int kReaders = 2;
+  std::vector<std::unique_ptr<BurstReader>> readers;  // atomic member: pin it
+  for (int r = 0; r < kReaders; ++r) {
+    Eswitch::Worker* ctx = sw.register_worker();
+    ASSERT_NE(ctx, nullptr);
+    readers.push_back(
+        std::make_unique<BurstReader>(sw, ctx, test::udp_spec(1, 2, 9, 3), stop));
+    readers.back()->allowed_a = Verdict::output(1);
+    readers.back()->allowed_b = Verdict::output(1);
+  }
+  std::vector<std::thread> threads;
+  for (auto& r : readers) threads.emplace_back([&r] { r->run(); });
+  for (auto& r : readers) wait_for_progress(r->processed);
+
+  // Progress-driven like the hash churn: each round's deletes retire at
+  // least one node, so fewer pending retirements than rounds means the
+  // epoch layer reclaimed while the workers were live.
+  const CompiledTable* table = sw.datapath().impl(sw.root_slot(0));
+  Rng rng(esw::testing::test_seed(
+      0xC0C1, "Concurrency.VerdictConservationUnderLinkedListChurn"));
+  const int churn = 300 * conc_scale();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int i = 0;
+  for (; (i < churn || table->retired_pending() >= static_cast<size_t>(i)) &&
+         std::chrono::steady_clock::now() < deadline;
+       ++i) {
+    const std::string k = std::to_string(rng.below(16));
+    const std::string rule[] = {
+        // Own tuple, ranked ahead of every stable entry: the scan order
+        // republishes on add and delete.
+        "priority=50,ip_src=10.9.9." + k + ",actions=output:7",
+        // Below the stable rule in its own chain.
+        "priority=3,udp_dst=3,actions=output:7",
+        // The stable rules' exact-match tuple.
+        "priority=5,udp_dst=" + std::to_string(1000 + rng.below(16)) + ",actions=output:7",
+    };
+    const std::string& pick = rule[i % 3];
+    sw.apply(add_mod(0, pick));
+    sw.apply(del_mod(0, pick));
+    if (i % 16 == 15) std::this_thread::yield();  // let workers tick
+  }
+  const int applied = i;
+  const size_t pending_live = table->retired_pending();
+  stop = true;
+  for (auto& t : threads) t.join();
+
+  uint64_t total = 0, outputs = 0;
+  for (auto& r : readers) {
+    EXPECT_EQ(r->unexpected, 0u) << "worker saw a verdict outside {output:1}";
+    total += r->processed;
+    outputs += r->outputs;
+  }
+  EXPECT_EQ(outputs, total);
+  const DataplaneStats st = sw.stats();
+  EXPECT_EQ(st.packets, total);
+  EXPECT_EQ(st.outputs, total);
+  EXPECT_EQ(st.drops, 0u);
+
+  // Every mod landed in place on the published impl, none rebuilt it, and
+  // the epoch layer reclaimed behind the live workers.
+  EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * applied));
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before);
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), table);
+  EXPECT_LT(pending_live, static_cast<size_t>(applied));
+
+  for (auto& r : readers) sw.unregister_worker(r->ctx);
+}
+
+// A modify of a linked-list rule under live workers: the replace publishes
+// the rule's new actions in place, keeping its rank.  Workers must see the
+// old or the new action, never the lower-priority overlapping rule nor the
+// later equal-priority one.
+TEST(Concurrency, LinkedListModifyOldOrNew) {
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=10,udp_dst=5,actions=output:1"));
+  pl.table(0).add(parse_rule("priority=10,ip_src=0.0.0.1,actions=output:8"));
+  pl.table(0).add(parse_rule("priority=5,udp_src=9,actions=output:9"));
+  pl.table(0).add(parse_rule("priority=4,udp_dst=5,actions=output:9"));
+  pl.table(0).add(parse_rule("priority=1,actions=drop"));
+  Eswitch sw;
+  sw.install(pl);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
+  const CompiledTable* table = sw.datapath().impl(sw.root_slot(0));
+  const auto rebuilds_before = sw.update_stats().table_rebuilds;
+
+  std::atomic<bool> stop{false};
+  constexpr int kReaders = 2;
+  std::vector<std::unique_ptr<BurstReader>> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    Eswitch::Worker* ctx = sw.register_worker();
+    ASSERT_NE(ctx, nullptr);
+    readers.push_back(
+        std::make_unique<BurstReader>(sw, ctx, test::udp_spec(1, 2, 9, 5), stop));
+    readers.back()->allowed_a = Verdict::output(1);
+    readers.back()->allowed_b = Verdict::output(2);
+  }
+  std::vector<std::thread> threads;
+  for (auto& r : readers) threads.emplace_back([&r] { r->run(); });
+  for (auto& r : readers) wait_for_progress(r->processed);
+
+  const int rounds = 400 * conc_scale();
+  for (int round = 0; round < rounds; ++round) {
+    sw.apply(add_mod(0, "priority=10,udp_dst=5,actions=output:2"));
+    sw.apply(add_mod(0, "priority=10,udp_dst=5,actions=output:1"));
+    if (round % 16 == 15) std::this_thread::yield();
+  }
+  stop = true;
+  for (auto& t : threads) t.join();
+  for (auto& r : readers) {
+    EXPECT_GT(r->processed, 0u);
+    EXPECT_EQ(r->unexpected, 0u) << "a modify exposed another rule's action";
+    sw.unregister_worker(r->ctx);
+  }
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before);
+  EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * rounds));
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), table);
 }
 
 // The rebuild path under load: a direct-code table rebuilds on every mod, so

@@ -392,15 +392,10 @@ TEST(Fusion, InPlaceUpdateKeepsPublishedPlan) {
   }
 }
 
-TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
-  // Mixed pipeline: a direct-code stage chained into a linked-list stage.
-  // With a worker registered, a linked-list add becomes a clone-update-swap
-  // — the impl pointer changes, so the plan must republish (new
-  // fingerprint), but the direct-code member set is untouched (same
-  // program_key), so the previous machine program must be reused, not
-  // re-emitted.  A direct-code mod then changes the member set and must
-  // produce a fresh program.
-  if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
+TEST(Fusion, InPlaceLinkedListUpdateKeepsPublishedPlan) {
+  // The linked list updates in place too: under a registered worker a
+  // masked-rule add and a modify land in the published tuple space, so the
+  // plan's fingerprint (and pointer) stay put and the plan serves the change.
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=10,eth_type=0x0800,actions=goto:1"));
   for (int i = 0; i < 20; ++i)
@@ -410,8 +405,51 @@ TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
   pl.table(1).add(parse_rule("priority=9,udp_dst=0x100/0x100,actions=output:2"));
   Eswitch sw;
   sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kDirectCode);
   ASSERT_EQ(sw.table_template(1), TableTemplate::kLinkedList);
+  ASSERT_TRUE(sw.fused_active());
+  Eswitch::Worker* w = sw.register_worker();
+  ASSERT_NE(w, nullptr);
+  const FusedPipeline* before = sw.datapath().fused();
+  const core::CompiledTable* impl = sw.datapath().impl(sw.root_slot(1));
+  const auto rebuilds = sw.update_stats().table_rebuilds;
+
+  sw.apply(add_mod(1, "priority=5,udp_dst=0x2000/0xFFF0,actions=output:7"));
+  sw.apply(add_mod(1, "priority=5,udp_dst=3,actions=output:8"));  // modify
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds);
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(1)), impl);
+  EXPECT_EQ(sw.datapath().fused(), before) << "unchanged fingerprint republished";
+
+  for (const auto& [port, want] : {std::pair<uint16_t, uint32_t>{0x2001, 7}, {3, 8}}) {
+    net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, port));
+    net::Packet* pp = &p;
+    Verdict v;
+    sw.process_burst(*w, &pp, 1, &v);
+    EXPECT_EQ(v, Verdict::output(want)) << "udp_dst=" << port;
+  }
+  sw.unregister_worker(w);
+}
+
+TEST(Fusion, RebuildChurnReusesMachineProgram) {
+  // Mixed pipeline: a direct-code stage chained into an LPM stage.  With a
+  // worker registered, a priority-inverted route breaks the LPM prerequisite
+  // and the table rebuilds — the impl pointer changes, so the plan must
+  // republish (new fingerprint), but the direct-code member set is untouched
+  // (same program_key), so the previous machine program must be reused, not
+  // re-emitted.  A direct-code mod then changes the member set and must
+  // produce a fresh program.
+  if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=10,eth_type=0x0800,actions=goto:1"));
+  for (int i = 0; i < 32; ++i)
+    pl.table(1).add(parse_rule("priority=8,ip_dst=" + std::to_string(i) +
+                               ".0.0.0/8,actions=output:1"));
+  for (int i = 0; i < 8; ++i)  // mixed lengths: analysis lands on LPM
+    pl.table(1).add(parse_rule("priority=16,ip_dst=40." + std::to_string(i) +
+                               ".0.0/16,actions=output:3"));
+  Eswitch sw;
+  sw.install(pl);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kDirectCode);
+  ASSERT_EQ(sw.table_template(1), TableTemplate::kLpm);
   ASSERT_TRUE(sw.fused_active());
 
   Eswitch::Worker* w = sw.register_worker();
@@ -421,13 +459,16 @@ TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
   ASSERT_NE(plan0, nullptr);
   ASSERT_NE(plan0->program, nullptr);
   const jit::FusedProgram* prog0 = plan0->program.get();
+  const core::CompiledTable* impl0 = sw.datapath().impl(sw.root_slot(1));
 
-  const auto swaps = sw.update_stats().cow_swaps;
-  sw.apply(add_mod(1, "priority=5,udp_dst=2000,actions=output:7"));
-  EXPECT_EQ(sw.update_stats().cow_swaps, swaps + 1);
+  const auto rebuilds = sw.update_stats().table_rebuilds;
+  // A /24 below its /8 in priority: LPM refuses, the table rebuilds.
+  sw.apply(add_mod(1, "priority=2,ip_dst=3.0.5.0/24,actions=output:9"));
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds + 1);
+  EXPECT_NE(sw.datapath().impl(sw.root_slot(1)), impl0);
   const FusedPipeline* plan1 = sw.datapath().fused();
   ASSERT_NE(plan1, nullptr);
-  EXPECT_NE(plan1, plan0) << "clone-swap churn did not republish";
+  EXPECT_NE(plan1, plan0) << "rebuild churn did not republish";
   EXPECT_EQ(plan1->program.get(), prog0) << "unchanged member set re-emitted";
 
   sw.apply(add_mod(0, "priority=9,eth_type=0x0806,actions=controller"));

@@ -248,5 +248,90 @@ TEST(Ovs, PropertyEquivalentToInterpreter) {
   }
 }
 
+TEST(Ovs, ModifyKeepsEqualPriorityOrder) {
+  // A flow-mod replace keeps the rule's place ahead of a later overlapping
+  // rule of the same priority, as in the reference flow table.
+  OvsSwitch sw;
+  sw.install(Pipeline{});
+  Pipeline ref;
+  for (const char* rule : {"priority=10,udp_dst=5,actions=output:1",
+                           "priority=10,ip_src=10.0.0.1,actions=output:2",
+                           "priority=10,udp_dst=5,actions=output:3"}) {
+    sw.add_flow(0, parse_rule(rule));
+    ref.table(0).add(parse_rule(rule));
+  }
+  auto p1 = make_packet(test::udp_spec(ip("10.0.0.1"), 2, 9, 5));
+  auto p2 = p1;
+  EXPECT_EQ(ref.run(p2), Verdict::output(3));
+  EXPECT_EQ(sw.process(p1), Verdict::output(3));
+}
+
+TEST(Ovs, OrderSurvives64KAdds) {
+  // Equal-priority order rides a 64-bit insertion sequence: 64K add/remove
+  // pairs later, a new overlapping rule still ranks behind the older one.
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=20,udp_src=0x100/0x100,actions=output:9"));
+  pl.table(0).add(parse_rule("priority=10,udp_dst=5,actions=output:1"));
+  pl.table(0).add(parse_rule("priority=1,actions=drop"));
+  OvsSwitch sw;
+  sw.install(pl);
+  // The build ranked three entries; this many more adds would wrap a 16-bit
+  // sequence to 0, ahead of the udp_dst=5 rule.
+  const FlowEntry churn = parse_rule("priority=10,udp_dst=7,actions=output:4");
+  for (int i = 0; i < 65536 - 3; ++i) {
+    sw.add_flow(0, churn);
+    sw.remove_flow(0, churn.match, churn.priority);
+  }
+  const FlowEntry newer = parse_rule("priority=10,ip_src=10.0.0.1,actions=output:2");
+  sw.add_flow(0, newer);
+  pl.table(0).add(newer);
+
+  auto p1 = make_packet(test::udp_spec(ip("10.0.0.1"), 2, 9, 5));
+  auto p2 = p1;
+  EXPECT_EQ(pl.run(p2), Verdict::output(1));
+  EXPECT_EQ(sw.process(p1), Verdict::output(1));
+}
+
+// Property: flow-mod churn with re-adds (modifies) and a small priority set
+// keeps the OVS model equal to the reference interpreter.
+TEST(Ovs, ChurnWithModifiesEquivalentToInterpreter) {
+  Rng rng(0x0756);
+  OvsSwitch::Config cfg;
+  cfg.megaflow_flow_limit = 16;
+  OvsSwitch sw(cfg);
+  sw.install(Pipeline{});
+  Pipeline ref;
+  std::vector<FlowEntry> live;
+  for (int op = 0; op < 300; ++op) {
+    if (!live.empty() && rng.chance(1, 4)) {
+      const size_t k = rng.below(live.size());
+      sw.remove_flow(0, live[k].match, live[k].priority);
+      ref.table(0).remove(live[k].match, live[k].priority);
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      FlowEntry e;
+      if (!live.empty() && rng.chance(1, 3)) {
+        e = live[rng.below(live.size())];
+      } else {
+        if (rng.chance(2, 3)) e.match.set(FieldId::kUdpDst, rng.below(8));
+        if (rng.chance(1, 3)) e.match.set(FieldId::kIpSrc, rng.below(4));
+        e.priority = static_cast<uint16_t>(10 * rng.below(3));
+        live.push_back(e);
+      }
+      e.actions = {Action::output(static_cast<uint32_t>(rng.below(6)))};
+      sw.add_flow(0, e);
+      ref.table(0).add(e);
+    }
+    for (int q = 0; q < 10; ++q) {
+      auto spec = test::udp_spec(static_cast<uint32_t>(rng.below(5)), 2, 9,
+                                 static_cast<uint16_t>(rng.below(10)));
+      auto p1 = make_packet(spec);
+      auto p2 = make_packet(spec);
+      ASSERT_EQ(sw.process(p1), ref.run(p2)) << "op " << op;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace esw

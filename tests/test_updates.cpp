@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -326,52 +328,143 @@ TEST(Updates, ConcurrentReadersSurviveTableSwaps) {
 }
 
 TEST(Updates, RandomChurnStaysEquivalent) {
-  Rng rng(31337);
-  Eswitch sw;
-  sw.install(Pipeline{});
-  Pipeline ref;
+  // Adds (fresh and re-adds of live rules, i.e. modifies), deletes, and
+  // priorities from a small set so equal-priority overlaps are common.  The
+  // default compiler and a forced linked list, each with and without a
+  // registered worker, must all agree with the reference flow table.
+  struct Leg {
+    const char* name;
+    std::optional<TableTemplate> force;
+    bool worker;
+  };
+  for (const Leg& leg : {Leg{"default", std::nullopt, false},
+                         Leg{"default+worker", std::nullopt, true},
+                         Leg{"linked-list", TableTemplate::kLinkedList, false},
+                         Leg{"linked-list+worker", TableTemplate::kLinkedList, true}}) {
+    SCOPED_TRACE(leg.name);
+    Rng rng(31337);
+    CompilerConfig cfg;
+    cfg.force_template = leg.force;
+    Eswitch sw(cfg);
+    sw.install(Pipeline{});
+    Eswitch::Worker* w = leg.worker ? sw.register_worker() : nullptr;
+    Pipeline ref;
 
-  std::vector<FlowEntry> live;
-  for (int op = 0; op < 400; ++op) {
-    if (!live.empty() && rng.chance(1, 3)) {
-      const size_t k = rng.below(live.size());
-      FlowMod fm;
-      fm.command = FlowMod::Cmd::kDelete;
-      fm.table_id = 0;
-      fm.priority = live[k].priority;
-      fm.match = live[k].match;
-      sw.apply(fm);
-      ref.table(0).remove(live[k].match, live[k].priority);
-      live[k] = live.back();
-      live.pop_back();
-    } else {
-      Match m;
-      if (rng.chance(2, 3)) m.set(FieldId::kUdpDst, rng.below(40));
-      if (rng.chance(1, 4)) m.set(FieldId::kIpSrc, rng.below(4));
-      FlowMod fm;
-      fm.table_id = 0;
-      fm.priority = static_cast<uint16_t>(rng.below(1000));
-      fm.match = m;
-      fm.actions = {Action::output(static_cast<uint32_t>(rng.below(6)))};
-      sw.apply(fm);
-      FlowEntry e;
-      e.match = fm.match;
-      e.priority = fm.priority;
-      e.actions = fm.actions;
-      ref.table(0).add(e);
-      live.push_back(e);
-    }
+    std::vector<FlowEntry> live;
+    for (int op = 0; op < 400; ++op) {
+      if (!live.empty() && rng.chance(1, 3)) {
+        const size_t k = rng.below(live.size());
+        FlowMod fm;
+        fm.command = FlowMod::Cmd::kDelete;
+        fm.table_id = 0;
+        fm.priority = live[k].priority;
+        fm.match = live[k].match;
+        sw.apply(fm);
+        ref.table(0).remove(live[k].match, live[k].priority);
+        live[k] = live.back();
+        live.pop_back();
+      } else {
+        FlowMod fm;
+        fm.table_id = 0;
+        const bool readd = !live.empty() && rng.chance(1, 3);
+        if (readd) {
+          const FlowEntry& old = live[rng.below(live.size())];
+          fm.match = old.match;
+          fm.priority = old.priority;
+        } else {
+          if (rng.chance(2, 3)) fm.match.set(FieldId::kUdpDst, rng.below(40));
+          if (rng.chance(1, 4)) fm.match.set(FieldId::kIpSrc, rng.below(4));
+          fm.priority = static_cast<uint16_t>(10 * rng.below(4));
+        }
+        fm.actions = {Action::output(static_cast<uint32_t>(rng.below(6)))};
+        sw.apply(fm);
+        FlowEntry e;
+        e.match = fm.match;
+        e.priority = fm.priority;
+        e.actions = fm.actions;
+        ref.table(0).add(e);
+        if (std::none_of(live.begin(), live.end(), [&](const FlowEntry& l) {
+              return l.priority == e.priority && l.match == e.match;
+            }))
+          live.push_back(e);
+      }
 
-    if (op % 20 == 0) {
-      for (int q = 0; q < 40; ++q) {
-        auto spec = test::udp_spec(static_cast<uint32_t>(rng.below(5)), 2, 9,
-                                   static_cast<uint16_t>(rng.below(42)));
-        auto p1 = make_packet(spec);
-        auto p2 = make_packet(spec);
-        ASSERT_EQ(sw.process(p1), ref.run(p2)) << "op " << op;
+      if (op % 10 == 0) {
+        for (int q = 0; q < 40; ++q) {
+          auto spec = test::udp_spec(static_cast<uint32_t>(rng.below(5)), 2, 9,
+                                     static_cast<uint16_t>(rng.below(42)));
+          auto p1 = make_packet(spec);
+          auto p2 = make_packet(spec);
+          const Verdict got = w != nullptr ? sw.process(*w, p1) : sw.process(p1);
+          ASSERT_EQ(got, ref.run(p2)) << "op " << op;
+        }
       }
     }
+    if (leg.force.has_value()) {
+      EXPECT_EQ(sw.table_template(0), *leg.force);
+    }
+    if (w != nullptr) sw.unregister_worker(w);
   }
+}
+
+TEST(Updates, LinkedListModifyKeepsEqualPriorityOrder) {
+  // An OpenFlow modify replaces actions in place: the rule keeps its place
+  // ahead of a later equal-priority rule that overlaps it.
+  for (const bool with_worker : {false, true}) {
+    SCOPED_TRACE(with_worker ? "registered worker" : "no workers");
+    CompilerConfig cfg;
+    cfg.force_template = TableTemplate::kLinkedList;
+    Eswitch sw(cfg);
+    sw.install(Pipeline{});
+    Eswitch::Worker* w = with_worker ? sw.register_worker() : nullptr;
+    Pipeline ref;
+    for (const char* rule : {"priority=10,udp_dst=5,actions=output:1",
+                             "priority=10,ip_src=10.0.0.1,actions=output:2",
+                             "priority=10,udp_dst=5,actions=output:3"}) {
+      sw.apply(add_mod(0, rule));
+      ref.table(0).add(parse_rule(rule));
+    }
+    ASSERT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
+    auto p1 = make_packet(test::udp_spec(ip("10.0.0.1"), 2, 9, 5));
+    auto p2 = p1;
+    const Verdict got = w != nullptr ? sw.process(*w, p1) : sw.process(p1);
+    EXPECT_EQ(ref.run(p2), Verdict::output(3));
+    EXPECT_EQ(got, Verdict::output(3));
+    if (w != nullptr) sw.unregister_worker(w);
+  }
+}
+
+TEST(Updates, LinkedListOrderSurvives64KAdds) {
+  // The insertion sequence that orders equal-priority entries must not wrap:
+  // after 64K incremental adds, a new rule still ranks behind an older
+  // overlapping rule of the same priority.
+  Pipeline pl;
+  for (const char* rule : {"priority=20,udp_dst=0x100/0x100,actions=output:9",
+                           "priority=20,udp_src=0x100/0x100,actions=output:9",
+                           "priority=20,ip_dst=11.0.0.0/8,actions=output:9",
+                           "priority=20,ip_src=12.0.0.0/8,actions=output:9",
+                           "priority=10,udp_dst=5,actions=output:1",
+                           "priority=1,actions=drop"})
+    pl.table(0).add(parse_rule(rule));
+  Eswitch sw;
+  sw.install(pl);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
+  const CompiledTable* impl = sw.datapath().impl(sw.root_slot(0));
+
+  const FlowMod add = add_mod(0, "priority=10,udp_dst=7,actions=output:4");
+  const FlowMod del = del_mod(0, "priority=10,udp_dst=7,actions=output:4");
+  // The build ranked six entries; this many more adds would wrap a 16-bit
+  // sequence to 0, ahead of the older udp_dst=5 rule.
+  for (int i = 0; i < 65536 - 6; ++i) sw.apply_batch({add, del});
+  const char* newer = "priority=10,ip_src=10.0.0.1,actions=output:2";
+  sw.apply(add_mod(0, newer));
+  pl.table(0).add(parse_rule(newer));
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), impl) << "churn rebuilt the table";
+
+  auto p1 = make_packet(test::udp_spec(ip("10.0.0.1"), 2, 9, 5));
+  auto p2 = p1;
+  EXPECT_EQ(pl.run(p2), Verdict::output(1));
+  EXPECT_EQ(sw.process(p1), Verdict::output(1));
 }
 
 }  // namespace
