@@ -17,11 +17,17 @@
 //     release advance, so the worker's next burst re-reads the trampoline
 //     and cannot resurrect the retired pointer.
 //
-// Single-writer by contract: retire/advance/min_observed/registration all
-// happen on the control thread.  Workers only touch their own slot.  With no
-// registered workers the grace period is trivially satisfied and retirement
-// degenerates to immediate reclamation (the writer itself is quiescent
-// between its own calls) — the single-threaded benches keep their old cost.
+// Registration is control-thread-only.  advance() and min_observed() may run
+// on any thread: the control-plane writer calls them, and so do packet
+// workers through the conntrack layer (Conntrack::poll's expiry and reclaim,
+// and commit-time eviction, advance the epoch and read the horizon from the
+// packet path).  Each RetireList is owned by one lock or one thread, never by
+// the domain.  Workers write only their own slot's `seen`; a slot's `active`
+// flag is published with release and read with acquire, so a worker scanning
+// the slots while the control thread registers another reads a whole,
+// initialized slot or skips it.  With no registered workers the grace period
+// is trivially satisfied and retirement degenerates to immediate
+// reclamation — the single-threaded benches keep their old cost.
 #pragma once
 
 #include <atomic>
@@ -39,19 +45,21 @@ class EpochDomain {
   static constexpr uint32_t kMaxWorkers = 8;
 
   /// One registered worker's quiescence record.  Own cache line: the owner
-  /// thread stores `seen` every burst; the writer only reads it.
+  /// thread stores `seen` every burst; min_observed() only reads it.
   struct alignas(64) WorkerSlot {
     std::atomic<uint64_t> seen{0};
-    bool active = false;  // control-thread-only bookkeeping
+    /// Written by the control thread (release), read by any min_observed()
+    /// caller (acquire) — packet workers included.
+    std::atomic<bool> active{false};
   };
 
   /// Registers a worker (control thread only).  The slot starts quiescent at
   /// the current epoch.  Returns nullptr when kMaxWorkers are registered.
   WorkerSlot* register_worker() {
     for (WorkerSlot& s : slots_) {
-      if (s.active) continue;
+      if (s.active.load(std::memory_order_relaxed)) continue;
       s.seen.store(epoch_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      s.active = true;
+      s.active.store(true, std::memory_order_release);
       n_active_.fetch_add(1, std::memory_order_release);
       return &s;
     }
@@ -61,8 +69,8 @@ class EpochDomain {
   /// Unregisters (control thread only; the worker's thread must have stopped
   /// — joined or provably past its last tick).
   void unregister_worker(WorkerSlot* s) {
-    ESW_CHECK(s != nullptr && s->active);
-    s->active = false;
+    ESW_CHECK(s != nullptr && s->active.load(std::memory_order_relaxed));
+    s->active.store(false, std::memory_order_release);
     n_active_.fetch_sub(1, std::memory_order_release);
   }
 
@@ -93,7 +101,7 @@ class EpochDomain {
   uint64_t min_observed() const {
     uint64_t min = UINT64_MAX;
     for (const WorkerSlot& s : slots_) {
-      if (!s.active) continue;
+      if (!s.active.load(std::memory_order_acquire)) continue;
       const uint64_t seen = s.seen.load(std::memory_order_acquire);
       if (seen < min) min = seen;
     }

@@ -358,16 +358,20 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   }
 
   // Stage 1: parse the whole burst, the next frame's header line in flight
-  // while the current one parses.  The conntrack pre-stage runs here too —
-  // ct_state must be stamped before any lookup can match it.
+  // while the current one parses.  Then the conntrack pre-stage runs over
+  // the parsed burst — ct_state must be stamped before any lookup can match
+  // it.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
   proto::ParseInfo pis[net::kBurstSize];
   for (uint32_t i = 0; i < n; ++i) {
     if (i + 1 < n) esw_prefetch(pkts[i + 1]->data());
     proto::parse(pkts[i]->data(), pkts[i]->len(), plan, pis[i]);
     pis[i].in_port = pkts[i]->in_port();
-    if (ESW_UNLIKELY(ct != nullptr))
-      ct_hits[i] = ct->pre(pkts[i]->data(), pis[i], ct_now);
+  }
+  if (ESW_UNLIKELY(ct != nullptr)) {
+    const uint8_t* frames[net::kBurstSize] = {};
+    for (uint32_t i = 0; i < n; ++i) frames[i] = pkts[i]->data();
+    ct->pre_burst(frames, pis, n, ct_hits, ct_now);
   }
 
   // Fused fast path: the whole goto graph as one plan (machine code where

@@ -16,10 +16,19 @@
 // candidates (slot, gen) pairs detect staleness without pinning memory.
 //
 // Expiry is a per-shard lazy timeout wheel (64 slots x ~1s) drained by
-// poll(): the datapath calls poll() once per burst chunk, each call draining
-// a bounded amount of one shard's wheel — amortized, never a stop-the-world
-// sweep.  Wheel items whose entry saw traffic are re-inserted at the
-// refreshed deadline rather than expired.
+// poll(): the datapath calls poll() once per burst chunk, each call advancing
+// one shard's wheel cursor to the clock.  The kPollBudget item cap is checked
+// only between wheel slots, so one call drains whole ~1s slots (at least one
+// when due) — amortized across shards and seconds, but not bounded per call
+// (docs/STATEFUL.md "Time and expiry").  Wheel items whose entry saw traffic
+// are re-inserted at the refreshed deadline rather than expired.
+//
+// The pre-stage runs a burst at a time (pre_burst): hash every tuple and
+// prefetch its bucket word, then load each bucket head and prefetch the head
+// link and its entry's key, then walk in packet order from a fresh head load
+// so a commit made for an earlier packet of the burst is seen by later ones.
+// Lookup/hit/miss counts are flushed once per burst, so they are exact at
+// burst boundaries.
 //
 // Degradation policy (docs/STATEFUL.md): commit at capacity force-evicts one
 // accounted victim (`evictions_forced`); when no victim can be found the
@@ -121,9 +130,19 @@ class Conntrack {
   Conntrack(const Conntrack&) = delete;
   Conntrack& operator=(const Conntrack&) = delete;
 
-  /// Pre-stage: lookup, TCP state transition, ct_state stamp, last-seen
-  /// touch.  Lock-free; safe from any worker.  Mutates only pi.ct_state.
-  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms);
+  /// Pre-stage over a burst (n <= net::kBurstSize): lookup, TCP state
+  /// transition, ct_state stamp, last-seen touch and auto_commit for each
+  /// packet, in packet order.  Lock-free reads; safe from any worker.  Of
+  /// its arguments, writes only pis[i].ct_state and hits[i].
+  void pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
+                 Hit* hits, uint64_t now_ms);
+
+  /// Single-packet pre-stage: pre_burst over a burst of one.
+  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms) {
+    Hit hit;
+    pre_burst(&pkt, &pi, 1, &hit, now_ms);
+    return hit;
+  }
 
   /// Post-stage: commit if requested (or auto_commit) and the pre-stage
   /// missed, then apply the entry's NAT rewrite to the packet (checksums
@@ -131,9 +150,11 @@ class Conntrack {
   void post(const Hit& hit, bool commit_requested, uint32_t profile,
             uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms);
 
-  /// Amortized maintenance: drains a bounded slice of one shard's timeout
-  /// wheel (round-robin) and reclaims that shard's grace-expired retirees.
-  /// The datapath calls this once per burst chunk at a quiescent point.
+  /// Amortized maintenance: advances one shard's timeout wheel (round-robin)
+  /// to `now_ms`, expiring what is due, and reclaims that shard's
+  /// grace-expired retirees.  kPollBudget is checked only between wheel
+  /// slots, so a call drains at least one whole due slot.  The datapath
+  /// calls this once per burst chunk at a quiescent point.
   void poll(uint64_t now_ms);
 
   /// Wall clock for the packet path; manual mode reads the test-driven value.
@@ -177,6 +198,10 @@ class Conntrack {
 
   uint32_t bucket_of(uint64_t h) const { return static_cast<uint32_t>(h) & bucket_mask_; }
   uint32_t shard_of(uint32_t bucket) const { return bucket >> shard_shift_; }
+
+  /// Lock-free walk of bucket `b` from a fresh acquire load of its head:
+  /// the live entry keyed on `t` (its direction in *dir_out), or nullptr.
+  Entry* lookup(uint32_t b, const FiveTuple& t, uint8_t* dir_out) const;
 
   uint64_t timeout_ms(const Entry& e) const;
   uint32_t state_bits(const Entry& e, uint8_t dir) const;
@@ -227,7 +252,9 @@ class Conntrack {
   std::atomic<uint32_t> evict_cursor_{0};
   std::atomic<uint64_t> manual_now_ms_{1};
 
-  struct Counters {
+  // Own cache line(s): packet workers flush lookups/hits/misses once per
+  // burst here, apart from the per-chunk poll/evict cursors above.
+  struct alignas(64) Counters {
     std::atomic<uint64_t> lookups{0}, hits{0}, misses{0};
     std::atomic<uint64_t> commits{0}, commit_drops{0}, evictions_forced{0};
     std::atomic<uint64_t> expired{0}, nat_port_exhausted{0};

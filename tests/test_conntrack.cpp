@@ -3,7 +3,10 @@
 // JIT-vs-interpreter parity over the stateful use cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/epoch.hpp"
@@ -445,6 +448,183 @@ TEST(CtParity, LbJitVsInterpreter) {
   expect_parity(uc::make_ct_lb(4), 256, 2048, seed);
 }
 
+// --- burst pre-stage vs the scalar path ---------------------------------------
+
+struct CtOutcome {
+  std::vector<Verdict> verdicts;
+  std::vector<std::vector<uint8_t>> frames;  // post-NAT bytes
+  Conntrack::Stats stats;
+};
+
+// Replays `n_packets` round-robin over `flows`: packet-at-a-time through
+// process() when `burst` is 0, else through process_burst in chunks of `burst`.
+CtOutcome replay_ct(const uc::CtUseCase& c, const std::vector<net::FlowSpec>& flows,
+                    size_t n_packets, uint32_t burst, bool fusion) {
+  CompilerConfig cfg = cfg_for(c);
+  cfg.enable_fusion = fusion;
+  cfg.ct.manual_clock = true;
+  Eswitch sw(cfg);
+  sw.install(c.pipeline);
+
+  std::vector<net::Packet> storage(n_packets);
+  for (size_t i = 0; i < n_packets; ++i) {
+    const net::FlowSpec& fs = flows[i % flows.size()];
+    storage[i] = make_packet(fs.pkt, fs.in_port);
+  }
+  CtOutcome out;
+  out.verdicts.resize(n_packets);
+  if (burst == 0) {
+    for (size_t i = 0; i < n_packets; ++i) out.verdicts[i] = sw.process(storage[i]);
+  } else {
+    std::vector<net::Packet*> ptrs(n_packets);
+    for (size_t i = 0; i < n_packets; ++i) ptrs[i] = &storage[i];
+    for (size_t i = 0; i < n_packets; i += burst) {
+      const uint32_t m = static_cast<uint32_t>(std::min<size_t>(burst, n_packets - i));
+      sw.process_burst(&ptrs[i], m, &out.verdicts[i]);
+    }
+  }
+  for (const net::Packet& p : storage)
+    out.frames.emplace_back(p.data(), p.data() + p.len());
+  out.stats = sw.conntrack()->stats();
+  return out;
+}
+
+/// Direction-free connection identity of a generated flow.
+FiveTuple conn_of(const net::FlowSpec& fs) {
+  const FiveTuple t{fs.pkt.ip_src, fs.pkt.ip_dst, fs.pkt.sport, fs.pkt.dport,
+                    proto::kIpProtoTcp};
+  const FiveTuple r = t.reversed();
+  return std::tie(t.src_ip, t.src_port) < std::tie(r.src_ip, r.src_port) ? t : r;
+}
+
+// The burst contract (docs/STATEFUL.md "Pipeline integration"): every
+// pre-stage of a burst runs before any of its post-stages, so a connection
+// that a ct(commit) action opens is visible from the next burst on.  Packet
+// i is "post-commit dependent" when its connection first appeared at an
+// earlier packet of the same burst: the scalar walk sees that commit, the
+// burst walk does not.  Every other packet must match the scalar walk
+// bit-for-bit, and the hit/miss counters differ by exactly the dependents.
+void expect_burst_parity(const uc::CtUseCase& c, uint64_t seed) {
+  const auto flows = c.traffic(256, seed);
+  ASSERT_FALSE(flows.empty());
+  constexpr size_t kPackets = 2048;
+  const CtOutcome ref = replay_ct(c, flows, kPackets, 0, true);
+  for (const bool fusion : {true, false}) {
+    for (const uint32_t burst : {1u, 7u, 32u}) {
+      SCOPED_TRACE(::testing::Message() << "burst=" << burst << " fusion=" << fusion);
+      const CtOutcome got = replay_ct(c, flows, kPackets, burst, fusion);
+      std::vector<bool> seen(flows.size(), false);
+      std::vector<FiveTuple> first_in_burst;
+      uint64_t dependents = 0;
+      size_t bad = 0;
+      for (size_t i = 0; i < kPackets; ++i) {
+        if (i % burst == 0) first_in_burst.clear();
+        const size_t f = i % flows.size();
+        const FiveTuple conn = conn_of(flows[f]);
+        bool dependent = false;
+        if (!seen[f]) {
+          seen[f] = true;
+          dependent = std::find(first_in_burst.begin(), first_in_burst.end(), conn) !=
+                      first_in_burst.end();
+          first_in_burst.push_back(conn);
+        }
+        if (dependent) {
+          ++dependents;
+          continue;
+        }
+        if (got.verdicts[i] != ref.verdicts[i] || got.frames[i] != ref.frames[i]) {
+          if (bad++ < 5) ADD_FAILURE() << "packet " << i << " diverges";
+        }
+      }
+      EXPECT_EQ(bad, 0u);
+      if (burst == 1) {
+        EXPECT_EQ(dependents, 0u);
+      }
+      EXPECT_EQ(got.stats.lookups, ref.stats.lookups);
+      EXPECT_EQ(got.stats.hits + dependents, ref.stats.hits);
+      EXPECT_EQ(got.stats.misses, ref.stats.misses + dependents);
+      EXPECT_EQ(got.stats.commits, ref.stats.commits);
+      EXPECT_EQ(got.stats.commit_drops, ref.stats.commit_drops);
+      EXPECT_EQ(got.stats.live, ref.stats.live);
+    }
+  }
+}
+
+TEST(CtParity, BurstVsScalar) {
+  const uint64_t seed = testing::test_seed(0xC7F4, "CtParity.BurstVsScalar");
+  expect_burst_parity(uc::make_ct_firewall(), seed);
+  expect_burst_parity(uc::make_ct_nat(uc::kCtNatDefaultIp), seed);
+  expect_burst_parity(uc::make_ct_lb(4), seed);
+}
+
+/// One output port per ct_state value of a TCP handshake, so a verdict shows
+/// exactly what the pre-stage stamped.
+flow::Pipeline ct_state_mirror_pipeline() {
+  constexpr uint32_t kAllBits =
+      kCtTracked | kCtNew | kCtEstablished | kCtReply | kCtInvalid;
+  const uint32_t states[] = {kCtTracked | kCtNew,
+                             kCtTracked | kCtEstablished | kCtNew,
+                             kCtTracked | kCtEstablished | kCtNew | kCtReply};
+  std::vector<flow::FlowEntry> entries;
+  for (uint32_t k = 0; k < 3; ++k) {
+    flow::FlowEntry e;
+    e.match.set(flow::FieldId::kCtState, states[k], kAllBits);
+    e.priority = 200;
+    e.actions = {flow::Action::output(k + 1)};
+    entries.push_back(std::move(e));
+  }
+  flow::FlowEntry drop;
+  drop.priority = 100;
+  drop.actions = {flow::Action::drop()};
+  entries.push_back(std::move(drop));
+  flow::Pipeline pl;
+  pl.table(0).replace_all(std::move(entries));
+  return pl;
+}
+
+// auto_commit commits in the pre-stage, so unlike a ct(commit) action it is
+// visible to the later packets of the same burst: a burst of SYN, the same
+// SYN again and the SYN-ACK must stamp what a packet-at-a-time replay
+// stamps.  The burst pre-stage's in-order pass must re-load each bucket head
+// rather than reuse one loaded before the commit.
+TEST(Conntrack, BurstPreSeesEarlierAutoCommit) {
+  CompilerConfig cfg;
+  cfg.ct = CtHarness::manual_cfg();
+  cfg.ct.auto_commit = true;
+  std::vector<net::Packet> scalar_pkts;
+  scalar_pkts.push_back(make_packet(tcp_with_flags(kClient, kServer, 41000, 443,
+                                                   proto::kTcpFlagSyn)));
+  scalar_pkts.push_back(scalar_pkts.front());
+  scalar_pkts.push_back(make_packet(tcp_with_flags(
+      kServer, kClient, 443, 41000, proto::kTcpFlagSyn | proto::kTcpFlagAck)));
+  std::vector<net::Packet> burst_pkts = scalar_pkts;
+  const uint32_t n = static_cast<uint32_t>(burst_pkts.size());
+
+  Eswitch scalar(cfg);
+  scalar.install(ct_state_mirror_pipeline());
+  std::vector<Verdict> want;
+  for (net::Packet& p : scalar_pkts) want.push_back(scalar.process(p));
+  EXPECT_EQ(want[0], Verdict::output(1));  // miss: new, committed in pre
+  EXPECT_EQ(want[1], Verdict::output(2));  // hit on that commit
+  EXPECT_EQ(want[2], Verdict::output(3));  // reply direction of it
+
+  Eswitch batched(cfg);
+  batched.install(ct_state_mirror_pipeline());
+  net::Packet* ptrs[3];
+  Verdict got[3];
+  for (uint32_t i = 0; i < n; ++i) ptrs[i] = &burst_pkts[i];
+  batched.process_burst(ptrs, n, got);
+  for (uint32_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << "packet " << i;
+
+  for (Eswitch* sw : {&scalar, &batched}) {
+    const Conntrack::Stats s = sw->conntrack()->stats();
+    EXPECT_EQ(s.commits, 1u);
+    EXPECT_EQ(s.lookups, 3u);
+    EXPECT_EQ(s.hits, 2u);
+    EXPECT_EQ(s.misses, 1u);
+  }
+}
+
 // --- concurrent churn --------------------------------------------------------
 
 // Workers hammer a small table with short-timeout flows while expiry,
@@ -499,6 +679,69 @@ TEST(CtConcurrency, ChurnConservation) {
   EXPECT_EQ(s.commits, s.live + s.expired + s.evictions_forced);
   EXPECT_EQ(s.retired_total, s.retire_pending + s.reclaimed_total);
   EXPECT_LE(s.live, 512u);
+}
+
+// A packet worker's poll() reads every epoch slot's registration flag (via
+// min_observed) while the control thread registers and unregisters other
+// workers.  TSan owns the verdict on the flag; the assertions are the
+// conservation laws over the churn the worker drives meanwhile.
+TEST(CtConcurrency, RegisterWorkerWhileConntrackPolls) {
+  const uint64_t seed = testing::test_seed(0xC7C1, "CtConcurrency.RegisterWhilePolls");
+  const int scale = [] {
+    const char* s = std::getenv("ESW_CONC_SCALE");
+    return s != nullptr ? std::max(1, std::atoi(s)) : 4;
+  }();
+
+  uc::CtUseCase c = uc::make_ct_firewall(/*capacity=*/512);
+  c.ct.auto_commit = true;
+  c.ct.udp_timeout_ms = 1;
+  c.ct.tcp_syn_timeout_ms = 1;
+  c.ct.tcp_est_timeout_ms = 1;
+  Eswitch sw(cfg_for(c));
+  sw.install(c.pipeline);
+
+  Eswitch::Worker* ctx = sw.register_worker();
+  ASSERT_NE(ctx, nullptr);
+  std::atomic<bool> stop{false};
+  std::atomic<int> bursts_done{0};
+  std::thread worker([&] {
+    Rng rng(seed);
+    const auto flows = c.traffic(2048, seed);
+    std::vector<net::Packet> storage(net::kBurstSize);
+    net::Packet* pkts[net::kBurstSize];
+    flow::Verdict verdicts[net::kBurstSize];
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint32_t i = 0; i < net::kBurstSize; ++i) {
+        const net::FlowSpec& fs = flows[rng.below(flows.size())];
+        storage[i] = make_packet(fs.pkt, fs.in_port);
+        pkts[i] = &storage[i];
+      }
+      sw.process_burst(*ctx, pkts, net::kBurstSize, verdicts);
+      bursts_done.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  // Register only once the worker is polling, and keep going until it has
+  // polled through a stretch of registrations.
+  while (bursts_done.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  const int rounds = 200 * scale;
+  for (int r = 0; r < rounds || bursts_done.load(std::memory_order_relaxed) < 50; ++r) {
+    Eswitch::Worker* extra = sw.register_worker();
+    EXPECT_NE(extra, nullptr);
+    if (extra == nullptr) break;
+    std::this_thread::yield();
+    sw.unregister_worker(extra);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  worker.join();
+
+  Conntrack& ct = *sw.conntrack();
+  ct.flush_reclaim();
+  const Conntrack::Stats s = ct.stats();
+  EXPECT_GT(s.commits, 0u);
+  EXPECT_EQ(s.commits, s.live + s.expired + s.evictions_forced);
+  EXPECT_EQ(s.retired_total, s.retire_pending + s.reclaimed_total);
+  EXPECT_EQ(s.lookups, s.hits + s.misses);
 }
 
 }  // namespace
