@@ -55,19 +55,43 @@ std::string verdict_str(const Verdict& v) {
   return "?";
 }
 
-const char* kPathNames[4] = {"es-fused", "es-jit", "es-interp", "ovs"};
+constexpr int kLegs = 4;
+constexpr int kStatLegs = 3;  // legs with DataplaneStats; the ref leg has none
+const char* kLegNames[kLegs] = {"es-jit", "es-interp", "ovs", "ref"};
 
-/// The three Eswitch leg configurations: fused (JIT + whole-pipeline
-/// fusion), staged (JIT only) and interpreted.  The planted-fault hook rides
-/// the fused leg — the newest path is the one under the most suspicion.
-void make_es_cfgs(const core::CompilerConfig& cfg, core::CompilerConfig out[3]) {
-  out[0] = out[1] = out[2] = cfg;
-  out[0].enable_jit = true;
-  out[0].enable_fusion = true;
-  out[1].enable_jit = true;
-  out[1].enable_fusion = false;
-  out[2].enable_jit = false;
-  out[2].enable_fusion = false;
+/// The spec leg: flow::Pipeline's reference interpreter, one packet at a time
+/// behind the burst shape the replay helpers drive.
+struct RefLeg {
+  const flow::Pipeline& pl;
+  void process_burst(net::Packet* const* pkts, uint32_t n, Verdict* out) {
+    for (uint32_t i = 0; i < n; ++i) out[i] = pl.run(*pkts[i]);
+  }
+};
+
+/// Runs `fn(leg, backend)` over every leg in kLegNames order on a freshly
+/// installed backend and records each stat-keeping leg's end-of-run stats.
+/// es-jit runs the fused plan with its machine program, es-interp the same
+/// plan with the JIT off (no program, every stage interpreted).
+template <typename Fn>
+void for_each_leg(const flow::Pipeline& pl, const core::CompilerConfig& cfg,
+                  const ovs::OvsSwitch::Config& ovs_cfg, DataplaneStats* st,
+                  Fn&& fn) {
+  for (const int leg : {0, 1}) {
+    core::CompilerConfig c = cfg;
+    c.enable_jit = leg == 0;
+    core::Eswitch sw(c);
+    sw.install(pl);
+    fn(leg, sw);
+    st[leg] = sw.stats();
+  }
+  {
+    ovs::OvsSwitch sw(ovs_cfg);
+    sw.install(pl);
+    fn(2, sw);
+    st[2] = sw.stats();
+  }
+  RefLeg ref{pl};
+  fn(3, ref);
 }
 
 /// Replays `trace[0..prefix)` through `sw` in kBurstSize bursts, folding
@@ -132,7 +156,6 @@ std::string cfg_line(const core::CompilerConfig& cfg) {
      << " specialize_parser=" << (cfg.specialize_parser ? 1 : 0)
      << " lpm_max_tbl8_groups=" << cfg.lpm_max_tbl8_groups
      << " enable_range_template=" << (cfg.enable_range_template ? 1 : 0)
-     << " enable_fusion=" << (cfg.enable_fusion ? 1 : 0)
      << " force_template=";
   if (cfg.force_template.has_value())
     os << static_cast<int>(*cfg.force_template);
@@ -158,29 +181,15 @@ DiffTrace DiffTrace::from_flows(const std::vector<net::FlowSpec>& flows) {
 bool DiffRunner::diverged(const flow::Pipeline& pl, const core::CompilerConfig& cfg,
                           const DiffTrace& trace, size_t prefix,
                           std::string* kind) {
-  core::CompilerConfig es_cfgs[3];
-  make_es_cfgs(cfg, es_cfgs);
-
-  PathSummary s[4];
-  for (int i = 0; i < 3; ++i) {
-    core::Eswitch sw(es_cfgs[i]);
-    sw.install(pl);
-    s[i].behavior_hash =
-        replay_hash(sw, trace, prefix, i == 0 ? &opts_.fault : nullptr);
-    s[i].stats = sw.stats();
-  }
-  {
-    ovs::OvsSwitch sw(opts_.ovs);
-    sw.install(pl);
-    s[3].behavior_hash = replay_hash(sw, trace, prefix, nullptr);
-    s[3].stats = sw.stats();
-  }
+  uint64_t hash[kLegs];
+  DataplaneStats st[kLegs];
+  for_each_leg(pl, cfg, opts_.ovs, st, [&](int leg, auto& sw) {
+    hash[leg] = replay_hash(sw, trace, prefix, leg == 0 ? &opts_.fault : nullptr);
+  });
 
   bool hash_diff = false, stats_diff = false;
-  for (int i = 1; i < 4; ++i) {
-    hash_diff |= s[i - 1].behavior_hash != s[i].behavior_hash;
-    stats_diff |= !stats_equal(s[i - 1].stats, s[i].stats);
-  }
+  for (int i = 1; i < kLegs; ++i) hash_diff |= hash[i - 1] != hash[i];
+  for (int i = 1; i < kStatLegs; ++i) stats_diff |= !stats_equal(st[i - 1], st[i]);
   if (kind != nullptr && (hash_diff || stats_diff))
     *kind = hash_diff ? "behavior" : "stats";
   return hash_diff || stats_diff;
@@ -190,59 +199,48 @@ std::string DiffRunner::classify(const flow::Pipeline& pl,
                                  const core::CompilerConfig& cfg,
                                  const DiffTrace& trace, size_t prefix,
                                  std::string* kind) {
-  core::CompilerConfig es_cfgs[3];
-  make_es_cfgs(cfg, es_cfgs);
-
-  Verdict v[4];
-  net::Packet pkt[4];
-  DataplaneStats st[4];
-  for (int i = 0; i < 3; ++i) {
-    core::Eswitch sw(es_cfgs[i]);
-    sw.install(pl);
-    v[i] = step_last(sw, trace, prefix, i == 0 ? &opts_.fault : nullptr, pkt[i]);
-    st[i] = sw.stats();
-  }
-  {
-    ovs::OvsSwitch sw(opts_.ovs);
-    sw.install(pl);
-    v[3] = step_last(sw, trace, prefix, nullptr, pkt[3]);
-    st[3] = sw.stats();
-  }
+  Verdict v[kLegs];
+  net::Packet pkt[kLegs];
+  DataplaneStats st[kLegs];
+  for_each_leg(pl, cfg, opts_.ovs, st, [&](int leg, auto& sw) {
+    v[leg] = step_last(sw, trace, prefix, leg == 0 ? &opts_.fault : nullptr, pkt[leg]);
+  });
 
   std::ostringstream os;
   bool verdict_diff = false, bytes_diff = false;
-  for (int i = 1; i < 4; ++i) {
+  for (int i = 1; i < kLegs; ++i) {
     verdict_diff |= !(v[i - 1] == v[i]);
     bytes_diff |= pkt[i - 1].len() != pkt[i].len();
   }
   if (!bytes_diff)
-    for (int i = 1; i < 4; ++i)
+    for (int i = 1; i < kLegs; ++i)
       bytes_diff |=
           std::memcmp(pkt[i - 1].data(), pkt[i].data(), pkt[0].len()) != 0;
   if (kind != nullptr)
     *kind = verdict_diff ? "verdict" : bytes_diff ? "bytes" : "stats";
 
   os << "packet " << prefix - 1 << ": ";
-  for (int i = 0; i < 4; ++i)
-    os << kPathNames[i] << "={" << verdict_str(v[i]) << " len=" << pkt[i].len()
+  for (int i = 0; i < kLegs; ++i)
+    os << kLegNames[i] << "={" << verdict_str(v[i]) << " len=" << pkt[i].len()
        << "} ";
   if (bytes_diff) {
     uint32_t n = pkt[0].len();
-    for (int i = 1; i < 4; ++i) n = std::min(n, pkt[i].len());
+    for (int i = 1; i < kLegs; ++i) n = std::min(n, pkt[i].len());
     for (uint32_t off = 0; off < n; ++off) {
       bool diff = false;
-      for (int i = 1; i < 4; ++i)
+      for (int i = 1; i < kLegs; ++i)
         diff |= pkt[i - 1].data()[off] != pkt[i].data()[off];
       if (diff) {
         os << "first byte diff at +" << off << " (";
-        for (int i = 0; i < 4; ++i) os << (i ? "/" : "") << +pkt[i].data()[off];
+        for (int i = 0; i < kLegs; ++i) os << (i ? "/" : "") << +pkt[i].data()[off];
         os << ") ";
         break;
       }
     }
   }
   os << "| stats ";
-  for (int i = 0; i < 4; ++i) os << kPathNames[i] << "={" << stats_str(st[i]) << "} ";
+  for (int i = 0; i < kStatLegs; ++i)
+    os << kLegNames[i] << "={" << stats_str(st[i]) << "} ";
   return os.str();
 }
 
@@ -365,7 +363,8 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
     if (line.empty()) continue;
     if (line.rfind("# cfg ", 0) == 0) {
       // Unknown keys are skipped, so artifacts written by older builds (which
-      // also recorded the retired cuckoo size threshold) still load.
+      // also recorded the retired cuckoo size threshold and fusion switch)
+      // still load.
       std::istringstream is(line.substr(6));
       std::string kv;
       while (is >> kv) {
@@ -385,8 +384,6 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
           art.cfg.lpm_max_tbl8_groups = static_cast<uint32_t>(num());
         else if (key == "enable_range_template")
           art.cfg.enable_range_template = num() != 0;
-        else if (key == "enable_fusion")
-          art.cfg.enable_fusion = num() != 0;
         else if (key == "force_template" && val != "-")
           art.cfg.force_template = static_cast<core::TableTemplate>(num());
       }

@@ -1,25 +1,30 @@
 // The differential oracle: prove that the specialized datapath is
 // behavior-identical to the general-purpose one it replaces.
 //
-// One trace is replayed through four execution paths —
+// One trace is replayed through four legs —
 //
-//   1. core::Eswitch with whole-pipeline fusion on (bursts run the fused
-//      goto-graph function where the plan allows),
-//   2. core::Eswitch with the JIT on but fusion off (the staged per-table
-//      machine-code walk),
-//   3. core::Eswitch with the JIT off (the same lowered IR, interpreted),
-//   4. ovs::OvsSwitch (microflow/megaflow caches over the slow path),
+//   1. es-jit:    core::Eswitch with the JIT on (bursts run the fused plan
+//                 with its machine program),
+//   2. es-interp: core::Eswitch with the JIT off (the same fused plan with no
+//                 machine program: every stage walks its pinned impl, direct
+//                 code through the IR interpreter),
+//   3. ovs:       ovs::OvsSwitch (microflow/megaflow caches over the slow
+//                 path),
+//   4. ref:       flow::Pipeline::run, the spec interpreter, one packet at a
+//                 time — it shares no compiler, analysis or cache code with
+//                 the legs above,
 //
-// comparing per-packet verdicts, mutated frame bytes and end-of-run
-// DataplaneStats.  Detection is cheap: each path folds its behavior into a
-// running hash over (verdict, frame bytes) while processing in bursts (the
-// production shape), so agreement costs no per-packet bookkeeping.  On
-// disagreement the runner binary-searches the shortest failing trace prefix
-// (replaying fresh backends per probe — processing is deterministic, so a
-// divergence at packet i reproduces under any prefix that includes it),
-// single-steps the last packet for a human-readable detail, and writes a
-// repro artifact: the minimized pcap plus a DSL dump of the pipeline and
-// compiler knobs that load_repro() reads back for replay.
+// comparing per-packet verdicts and mutated frame bytes on every leg, and
+// end-of-run DataplaneStats on the three that keep them (the ref leg has
+// none).  Detection is cheap: each leg folds its behavior into a running hash
+// over (verdict, frame bytes) while processing in bursts (the production
+// shape), so agreement costs no per-packet bookkeeping.  On disagreement the
+// runner binary-searches the shortest failing trace prefix (replaying fresh
+// backends per probe — processing is deterministic, so a divergence at packet
+// i reproduces under any prefix that includes it), single-steps the last
+// packet for a human-readable detail, and writes a repro artifact: the
+// minimized pcap plus a DSL dump of the pipeline and compiler knobs that
+// load_repro() reads back for replay.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +61,7 @@ struct DiffOptions {
   /// (Shelly-style) masks are deliberately unsound (Fig. 3) and would report
   /// false divergences.
   ovs::OvsSwitch::Config ovs{};
-  /// Test-only fault injection: applied to the ES-fused path's verdict stream
+  /// Test-only fault injection: applied to the es-jit leg's verdict stream
   /// (packet index, real verdict) -> observed verdict.  Lets tests prove the
   /// minimizer finds a planted divergence and produces a working artifact.
   std::function<flow::Verdict(size_t, flow::Verdict)> fault;
@@ -75,7 +80,7 @@ class DiffRunner {
  public:
   explicit DiffRunner(const DiffOptions& opts = {}) : opts_(opts) {}
 
-  /// Replays `trace` through all four paths; nullopt = behaviorally equal.
+  /// Replays `trace` through all four legs; nullopt = behaviorally equal.
   /// On divergence, minimizes and (artifact_dir set) writes `<tag>.pcap` +
   /// `<tag>.rules`.
   std::optional<Divergence> run(const flow::Pipeline& pl,

@@ -1,6 +1,6 @@
-// The differential oracle end to end: seeded campaigns prove the three
-// execution paths (ES with JIT, ES interpreted, the OVS-model baseline) agree
-// on arbitrary pipelines and traffic; a planted fault proves the minimizer
+// The differential oracle end to end: seeded campaigns prove the four legs
+// (ES with JIT, ES interpreted, the OVS-model baseline and the spec
+// interpreter flow::Pipeline::run) agree on arbitrary pipelines and traffic; a planted fault proves the minimizer
 // finds the shortest failing prefix and emits a replayable pcap+DSL artifact.
 //
 // Scale knobs (all env-overridable so CI legs can size the run):
@@ -37,8 +37,8 @@ uint32_t env_u32(const char* name, uint32_t def) {
   return v > 0 ? static_cast<uint32_t>(v) : def;
 }
 
-// The acceptance gate: N seeded campaigns, zero divergences across all three
-// paths.  Defaults satisfy "10 campaigns, >= 50 pipelines, >= 10K packets
+// The acceptance gate: N seeded campaigns, zero divergences across all four
+// legs.  Defaults satisfy "10 campaigns, >= 50 pipelines, >= 10K packets
 // per pipeline".
 TEST(DiffOracle, SeededCampaignsFindNoDivergence) {
   const uint64_t base_seed =
@@ -64,7 +64,7 @@ TEST(DiffOracle, SeededCampaignsFindNoDivergence) {
         << "\n  detail: " << d->detail << "\n  repro: " << d->rules_path << " + "
         << d->pcap_path;
   }
-  std::printf("[diff-oracle] %llu pipelines, %llu packets x 3 paths, 0 divergences\n",
+  std::printf("[diff-oracle] %llu pipelines, %llu packets x 4 legs, 0 divergences\n",
               static_cast<unsigned long long>(total_pipelines),
               static_cast<unsigned long long>(total_packets));
   // Acceptance floor — only meaningful when nothing scaled the run down.
@@ -191,7 +191,6 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
   const DiffTrace trace = DiffTrace::from_flows(gen.traffic(wl, 8, 4));
   core::CompilerConfig cfg;
   cfg.direct_code_max_entries = 7;
-  cfg.enable_fusion = false;
   cfg.lpm_max_tbl8_groups = 99;
   cfg.force_template = core::TableTemplate::kCompoundHash;  // stored as 1
 
@@ -205,7 +204,6 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
     const auto art = esw::testing::load_repro(rules, pcap, &err);
     ASSERT_TRUE(art.has_value()) << what << ": " << err;
     EXPECT_EQ(art->cfg.direct_code_max_entries, 7u) << what;
-    EXPECT_FALSE(art->cfg.enable_fusion) << what;
     EXPECT_EQ(art->cfg.lpm_max_tbl8_groups, 99u) << what;
     EXPECT_EQ(art->cfg.force_template, cfg.force_template) << what;
     EXPECT_EQ(art->trace.size(), trace.size()) << what;
@@ -213,8 +211,9 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
   };
   check("fresh artifact");
 
-  // Artifacts from older builds carry a retired cfg key: it is skipped, and
-  // the rest of the line still applies.
+  // Artifacts from older builds carry retired cfg keys (the cuckoo size
+  // threshold, the fusion switch): they are skipped, and the rest of the
+  // line still applies.
   std::string text;
   {
     std::FILE* f = std::fopen(rules.c_str(), "r");
@@ -225,16 +224,17 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
     std::fclose(f);
   }
   EXPECT_EQ(text.find("cuckoo_min_entries"), std::string::npos);
+  EXPECT_EQ(text.find("enable_fusion"), std::string::npos);
   const size_t at = text.find(" force_template=");
   ASSERT_NE(at, std::string::npos);
-  text.insert(at, " cuckoo_min_entries=16");
+  text.insert(at, " cuckoo_min_entries=16 enable_fusion=0");
   {
     std::FILE* f = std::fopen(rules.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fputs(text.c_str(), f);
     std::fclose(f);
   }
-  check("artifact with a retired key");
+  check("artifact with retired keys");
   std::remove(rules.c_str());
   std::remove(pcap.c_str());
 }
