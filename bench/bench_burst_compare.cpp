@@ -1,13 +1,16 @@
-// Scalar-vs-burst datapath comparison.  Not a paper figure: this bench
-// guards the burst-mode fast path — batched parse with header prefetch,
-// per-burst trampoline/miss-policy hoisting, per-burst stat flush, and the
-// one-packet-ahead template prefetch.
+// Burst-vs-burst-of-one datapath comparison.  Not a paper figure: this
+// bench guards the burst-mode fast path — batched parse with header
+// prefetch, one plan load and one touched-stage stat flush per burst, the
+// round-based walk with cross-stage prefetch and bulk cuckoo probes.
 //
 // Three modes per point, emitted as separate points of BENCH_burst.json:
 //   mode:1  burst harness + process_burst   (the production shape)
-//   mode:2  burst harness + scalar process  (isolates the datapath batching:
-//           same loader/dispatch costs as mode 1, per-packet walk inside)
-//   mode:0  scalar harness + scalar process (the pre-burst reference)
+//   mode:2  burst harness + process()       (isolates the datapath batching:
+//           same loader/dispatch costs as mode 1, a burst of one per packet)
+//   mode:0  scalar harness + process()      (the per-packet reference)
+// process() is a burst of one through the same walk, so modes 0 and 2 are
+// the gates' denominators: what a burst buys over running the walk one
+// packet at a time.
 //
 // Two workloads:
 //   BM_Burst_L2 — Fig. 10 L2 (1K-entry MAC table, hash template, cache-warm):

@@ -1,13 +1,20 @@
-// Fused-vs-staged-vs-interpreter datapath comparison.  Not a paper figure:
-// this bench guards the whole-pipeline JIT fusion fast path (jit/fusion.hpp)
-// — one direct-code function for the steady-state goto graph, inter-table
-// dispatch inlined, goto targets resolved at compile time.
+// Fused-plan datapath comparison: with vs without the machine program, and
+// the interpreter.  Not a paper figure: this bench guards the whole-pipeline
+// JIT fusion (jit/fusion.hpp) — one direct-code function for the
+// steady-state goto graph, inter-table dispatch inlined, goto targets
+// resolved at compile time.
 //
 // Three modes per point, emitted as separate points of BENCH_fusion.json and
-// tagged with the `fused` counter (1 = a fused plan was actually published):
-//   mode:2  burst harness + fused whole-pipeline plan  (the production shape)
-//   mode:1  burst harness + staged per-table JIT walk  (fusion disabled:
-//           same burst batching, per-table trampoline dispatch inside)
+// tagged with the `fused` counter (1 = a plan was published) and the
+// `program` counter (1 = the plan carries machine code):
+//   mode:2  burst harness + plan with its machine program (the production
+//           shape)
+//   mode:1  burst harness + the same plan without a program, per-table JIT
+//           still on: every stage walks its pinned impl, direct code through
+//           its own per-table machine code.  Reached with no knob: a dry
+//           install counts the jit.exec_map evaluations (H), then the
+//           measured install arms the point at nth:H, so only the fused emit
+//           (the last evaluation) is refused.
 //   mode:0  burst harness + interpreter                (JIT off entirely)
 //
 // Three workloads:
@@ -15,29 +22,55 @@
 //     can only shave the dispatch epilogue/prologue pair; mode 2 vs 1 is a
 //     non-regression check (CI: ≥ 0.95×).
 //   BM_Fusion_L3 — Fig. 11 L3 at 100K prefixes: single LPM table whose
-//     lookups miss the private caches; fusion pins the impl but the table
-//     body dominates, so this too is a non-regression check (CI: ≥ 0.95×).
+//     lookups miss the private caches; the table body dominates, so this too
+//     is a non-regression check (CI: ≥ 0.95×).
 //   BM_Fusion_Gateway — Fig. 13 access gateway (10 CE × 20 users, 10K
-//     prefixes): the paper's deepest goto chain, where inlined inter-table
-//     dispatch and cross-table prefetch carry the win; CI asserts
-//     pps(2) ≥ 1.15 × pps(1).
+//     prefixes): the paper's deepest goto chain; CI asserts
+//     pps(2) ≥ 1.15 × pps(1).  Its tables are all cuckoo and LPM, so no
+//     mode has a machine program: modes 2 and 1 run the same plan.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
+#include "common/check.hpp"
+#include "common/failpoint.hpp"
 
 namespace {
 
 using namespace esw;
+
+/// Installs `pl` into `sw` with only the fused machine emit refused: a dry
+/// install counts the jit.exec_map evaluations, and the fused emit is the
+/// last of them.  A pipeline without direct-code tables evaluates none and
+/// has no program to refuse.
+void install_without_program(core::Eswitch& sw, const flow::Pipeline& pl,
+                             const core::CompilerConfig& cfg) {
+  auto& fpr = common::FailpointRegistry::instance();
+  fpr.arm("jit.exec_map", "nth:1000000000");  // counts, never fires
+  {
+    core::Eswitch dry(cfg);
+    dry.install(pl);
+  }
+  const uint64_t h = fpr.point("jit.exec_map").hits();
+  fpr.disarm("jit.exec_map");
+  if (h > 0) fpr.arm("jit.exec_map", "nth:" + std::to_string(h));
+  sw.install(pl);
+  fpr.disarm("jit.exec_map");
+}
 
 void fusion_point(benchmark::State& state, const uc::UseCase& uc,
                   size_t n_flows, int mode) {
   const auto ts = net::TrafficSet::from_flows(uc.traffic(n_flows, 42));
   core::CompilerConfig cfg;
   cfg.enable_jit = mode >= 1;
-  cfg.enable_fusion = mode == 2;
   for (auto _ : state) {
     core::Eswitch sw(cfg);
-    sw.install(uc.pipeline);
+    if (mode == 1) {
+      install_without_program(sw, uc.pipeline, cfg);
+      ESW_CHECK_MSG(sw.fused_active() && sw.datapath().fused()->program == nullptr,
+                    "mode 1 must run the plan without a machine program");
+    } else {
+      sw.install(uc.pipeline);
+    }
     auto opts = bench::measure_opts(n_flows);
     opts.min_seconds = 0.15;
     // Best-of-three passes: the CI ratio gates compare modes of the same
@@ -51,6 +84,8 @@ void fusion_point(benchmark::State& state, const uc::UseCase& uc,
     state.counters["pps"] = st.pps;
     state.counters["cycles_per_pkt"] = st.cycles_per_pkt;
     state.counters["fused"] = sw.fused_active() ? 1 : 0;
+    state.counters["program"] =
+        sw.fused_active() && sw.datapath().fused()->program != nullptr ? 1 : 0;
   }
 }
 

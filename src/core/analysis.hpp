@@ -49,15 +49,11 @@ struct CompilerConfig {
   /// allowed; install() is not subject to the cap (it is the operator's
   /// wholesale program load, not controller churn).
   uint32_t table_capacity = 0;
-  /// Whole-pipeline fusion (jit/fusion.hpp): compile the steady-state goto
-  /// graph's direct-code members into one function and run bursts through it.
-  /// Non-fusable features (decomposed sub-slots, missing impls) and fused
-  /// compile failures degrade to the staged per-table walk.
-  bool enable_fusion = true;
   /// Re-JIT retry pacing after a direct-code table degrades to the
   /// interpreter (exec mapping refused): first retry after this many
   /// flow-mod updates, doubling per failed attempt up to the max.  0
-  /// disables retries.
+  /// disables retries.  The fused plan's machine program (jit/fusion.hpp)
+  /// re-emits on the same schedule; until then the plan runs without one.
   uint32_t jit_retry_base_updates = 64;
   uint32_t jit_retry_max_updates = 4096;
   /// Connection tracking (src/state/): `ct.enabled` attaches a Conntrack to

@@ -1,5 +1,6 @@
 #include "core/compiler.hpp"
 
+#include "common/check.hpp"
 #include "proto/headers.hpp"
 
 namespace esw::core {
@@ -109,21 +110,51 @@ uint64_t fnv1a64(uint64_t h, uint64_t v) {
 }
 constexpr uint64_t kFnvBasis = 14695981039346656037ull;
 
+/// Links machine members into regions (FusedPipeline::Stage::region_next):
+/// members joined by a goto the program resolves into a jmp share one ring,
+/// so the walk can flush every counter a machine call may have bumped by
+/// visiting the entry stage's ring instead of the whole plan.
+void link_machine_regions(FusedPipeline& fp,
+                          const std::vector<jit::FusedProgram::Member>& members) {
+  std::vector<uint32_t> parent(fp.stages.size());
+  for (uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto find = [&](uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const jit::FusedProgram::Member& m : members) {
+    for (const jit::LoweredEntry& e : *m.entries) {
+      int32_t action = -1, next = -1;
+      jit::unpack_result(e.result, action, next);
+      if (next < 0) continue;
+      const int32_t ts = fp.stage_of_slot[static_cast<size_t>(next)];
+      if (fp.stages[static_cast<size_t>(ts)].entry != nullptr)
+        parent[find(m.stage)] = find(static_cast<uint32_t>(ts));
+    }
+  }
+  // Chain each region's members in stage order, then close the ring.
+  std::vector<int32_t> head(fp.stages.size(), -1), tail(fp.stages.size(), -1);
+  for (const jit::FusedProgram::Member& m : members) {
+    const uint32_t r = find(m.stage);
+    if (head[r] < 0)
+      head[r] = static_cast<int32_t>(m.stage);
+    else
+      fp.stages[static_cast<size_t>(tail[r])].region_next = m.stage;
+    tail[r] = static_cast<int32_t>(m.stage);
+  }
+  for (uint32_t r = 0; r < fp.stages.size(); ++r)
+    if (head[r] >= 0)
+      fp.stages[static_cast<size_t>(tail[r])].region_next = static_cast<uint32_t>(head[r]);
+}
+
 }  // namespace
 
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
-                           const GotoMap& goto_map,
-                           const std::array<bool, 256>& decomposed,
-                           const CompilerConfig& cfg, const FusedPipeline* prev) {
+                           const GotoMap& goto_map, const SubSlotMap& sub_slots,
+                           const CompilerConfig& cfg, const FusedPipeline* prev,
+                           bool emit) {
   FusionResult res;
-  if (!cfg.enable_fusion) {
-    res.why_not = "fusion disabled";
-    return res;
-  }
-  if (pl.tables().empty()) {
-    res.why_not = "empty pipeline";
-    return res;
-  }
+  if (pl.tables().empty()) return res;
 
   auto fused = std::make_unique<FusedPipeline>();
   fused->stage_of_slot.assign(static_cast<size_t>(dp.num_slots()), -1);
@@ -131,28 +162,15 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
   uint64_t fingerprint = kFnvBasis;
   uint64_t program_key = kFnvBasis;
 
-  // Stages in pipeline order (tables are sorted by id, and the control plane
-  // validates goto_table > table_id, so the walk order is a forward DAG).
-  for (const flow::FlowTable& t : pl.tables()) {
-    const uint8_t id = t.id();
-    if (decomposed[id]) {
-      res.why_not = "decomposed logical table";
-      return res;
-    }
-    const int32_t slot = goto_map[id];
-    if (slot < 0 || slot >= dp.num_slots()) {
-      res.why_not = "table without a trampoline slot";
-      return res;
-    }
+  const auto add_stage = [&](int32_t slot, flow::FlowTable::MissPolicy miss) {
+    ESW_CHECK_MSG(slot >= 0 && slot < dp.num_slots(), "table without a trampoline slot");
     const CompiledTable* impl = dp.impl(slot);
-    if (impl == nullptr) {
-      res.why_not = "table without a compiled impl";
-      return res;
-    }
+    ESW_CHECK_MSG(impl != nullptr, "table without a compiled impl");
+    const uint32_t idx = static_cast<uint32_t>(fused->stages.size());
     FusedPipeline::Stage st;
     st.slot = slot;
     st.impl = impl;
-    st.miss = t.miss_policy();
+    st.miss = miss;
     st.want_prefetch =
         impl->memory_bytes() >= CompiledDatapath::kPrefetchMinBytes;
     // Cuckoo stages past the private caches probe a round's packets in one
@@ -160,9 +178,9 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
     // resident ones (every small hash table) keep the scalar lookup, and LPM
     // and the linked list the per-transition prefetch.
     st.batched = impl->kind() == TableTemplate::kCuckooHash && st.want_prefetch;
-    if (st.batched) fused->batched.push_back(static_cast<uint32_t>(fused->stages.size()));
-    fused->stage_of_slot[static_cast<size_t>(slot)] =
-        static_cast<int32_t>(fused->stages.size());
+    if (st.batched) fused->batched.push_back(idx);
+    st.region_next = idx;
+    fused->stage_of_slot[static_cast<size_t>(slot)] = static_cast<int32_t>(idx);
     const bool is_dc = impl->kind() == TableTemplate::kDirectCode;
     fingerprint = fnv1a64(fingerprint, static_cast<uint64_t>(slot));
     fingerprint = fnv1a64(fingerprint, reinterpret_cast<uint64_t>(impl));
@@ -173,52 +191,59 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
     program_key = fnv1a64(program_key,
                           is_dc ? reinterpret_cast<uint64_t>(impl) : 0);
     fused->stages.push_back(st);
+  };
+
+  // Stages in pipeline order: tables ascend by id and the control plane
+  // validates goto_table > table_id, so logical gotos only go forward.  A
+  // decomposed table contributes its root, then its sub-tables in the
+  // topological order Eswitch keeps them in, so internal gotos go forward
+  // too and the walk's monotone-stage guard never fires on a valid pipeline.
+  for (const flow::FlowTable& t : pl.tables()) {
+    add_stage(goto_map[t.id()], t.miss_policy());
+    for (const int32_t sub : sub_slots[t.id()]) add_stage(sub, t.miss_policy());
   }
-  if (dp.start() < 0 ||
-      static_cast<size_t>(dp.start()) >= fused->stage_of_slot.size() ||
-      fused->stage_of_slot[static_cast<size_t>(dp.start())] != 0) {
-    res.why_not = "start slot is not the first table";
-    return res;
-  }
-  fused->start_stage = 0;
-  fingerprint = fnv1a64(fingerprint, static_cast<uint64_t>(fused->stages.size()));
-  program_key = fnv1a64(program_key, static_cast<uint64_t>(fused->stages.size()));
+  ESW_CHECK_MSG(dp.start() >= 0 &&
+                    static_cast<size_t>(dp.start()) < fused->stage_of_slot.size() &&
+                    fused->stage_of_slot[static_cast<size_t>(dp.start())] == 0,
+                "start slot is not the first table");
+  const uint32_t n_stages = static_cast<uint32_t>(fused->stages.size());
+  fingerprint = fnv1a64(fingerprint, n_stages);
+  program_key = fnv1a64(program_key, n_stages);
   fused->fingerprint = fingerprint;
   fused->program_key = program_key;
 
-  if (prev != nullptr && prev->fingerprint == fingerprint) {
+  // Machine members: every direct-code stage, degraded-to-interpreter ones
+  // included — the fused emit is a fresh exec-map attempt of its own.
+  std::vector<jit::FusedProgram::Member> members;
+  if (cfg.enable_jit && jit::ExecBuffer::supported()) {
+    for (uint32_t i = 0; i < n_stages; ++i) {
+      const CompiledTable* impl = fused->stages[i].impl;
+      if (impl->kind() != TableTemplate::kDirectCode) continue;
+      members.push_back({i, &static_cast<const DirectCodeTable*>(impl)->lowered()});
+    }
+  }
+  const bool want_program = emit && !members.empty();
+
+  if (prev != nullptr && prev->fingerprint == fingerprint &&
+      (prev->program != nullptr || !want_program)) {
     // The published plan still references exactly these impls (retired impls
     // cannot have been freed before the republish decision), so it is exact.
-    res.unchanged = true;
     return res;
   }
 
-  // Machine members: every direct-code stage, degraded-to-interpreter ones
-  // included — the fused emit is a fresh exec-map attempt of its own.
-  if (cfg.enable_jit && jit::ExecBuffer::supported()) {
-    std::vector<jit::FusedProgram::Member> members;
-    for (size_t i = 0; i < fused->stages.size(); ++i) {
-      const CompiledTable* impl = fused->stages[i].impl;
-      if (impl->kind() != TableTemplate::kDirectCode) continue;
-      members.push_back({static_cast<uint32_t>(i),
-                         &static_cast<const DirectCodeTable*>(impl)->lowered()});
+  if (want_program) {
+    if (prev != nullptr && prev->program != nullptr &&
+        prev->program_key == program_key) {
+      fused->program = prev->program;  // churn left the members intact
+    } else {
+      fused->program = jit::FusedProgram::compile(members, fused->stage_of_slot, n_stages);
     }
-    if (!members.empty()) {
-      if (prev != nullptr && prev->program != nullptr &&
-          prev->program_key == program_key) {
-        fused->program = prev->program;  // churn left the members intact
-      } else {
-        fused->program = jit::FusedProgram::compile(
-            members, fused->stage_of_slot,
-            static_cast<uint32_t>(fused->stages.size()));
-        if (fused->program == nullptr) {
-          res.machine_failed = true;  // exec map refused — staged walk + retry
-          res.why_not = "fused machine compile failed";
-          return res;
-        }
-      }
+    if (fused->program == nullptr) {
+      res.machine_failed = true;  // exec map refused: publish without a program
+    } else {
       for (const jit::FusedProgram::Member& m : members)
         fused->stages[m.stage].entry = fused->program->entry(m.stage);
+      link_machine_regions(*fused, members);
     }
   }
 

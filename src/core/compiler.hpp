@@ -5,7 +5,7 @@
 
 #include <array>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/compiled_table.hpp"
@@ -37,37 +37,41 @@ proto::ParserPlan plan_for_requirements(uint32_t required);
 /// dependencies, dec-TTL).
 uint32_t action_proto_requirements(const flow::ActionList& actions);
 
+/// Decomposition sub-slots behind each logical table, in topological order
+/// of the decomposition DAG (empty when the table is not decomposed).
+using SubSlotMap = std::array<std::vector<int32_t>, 256>;
+
 /// Outcome of one fusion-planning pass over the steady-state pipeline.
 struct FusionResult {
-  /// The plan to publish, or nullptr: either the pipeline is not fusable
-  /// (why_not says why) or the machine compile failed (machine_failed) —
-  /// both degrade to the staged walk.
+  /// The plan to publish; nullptr for an empty pipeline, or when the
+  /// published plan is already exact (same fingerprint) and the republish is
+  /// skipped.
   std::unique_ptr<FusedPipeline> fused;
-  /// The currently published plan is already exact (same fingerprint):
-  /// skip the republish entirely.
-  bool unchanged = false;
   /// Machine code was wanted but ExecBuffer refused the mapping (the
-  /// jit.exec_map edge) — eligible for the bounded re-fusion retry.
+  /// jit.exec_map edge): `fused` carries no program and every stage walks
+  /// its pinned impl.  Eligible for the bounded re-fusion retry.
   bool machine_failed = false;
-  std::string why_not;
 };
 
-/// Decides fusability and builds the fused plan for the pipeline's current
-/// compiled state.  Fusability rules: fusion enabled, non-empty pipeline, no
-/// decomposed logical tables (their goto graph lives in private sub-slots),
-/// every table's root slot published with a live impl, and the datapath
-/// start pointing at the first table.  Conntrack hooks and controller miss
-/// policies ARE fusable — they ride the chunk's pre/post stages.
+/// Builds the fused plan for the pipeline's current compiled state.  Every
+/// non-empty pipeline gets one: each logical table contributes its root slot
+/// and then its decomposition sub-slots (`sub_slots`, topological order), so
+/// every goto in the plan goes forward.  Conntrack hooks and controller miss
+/// policies ride the chunk's pre/post stages.  A table without a slot or an
+/// impl, or a start slot that is not the first table, is a programming error
+/// (ESW_CHECK).
 ///
-/// When `prev` (the currently published plan) is passed: an identical
-/// fingerprint short-circuits to `unchanged`, and an identical direct-code
-/// member set (program_key) reuses the previous machine program instead of
-/// re-emitting — churn that only touched non-direct-code tables (linked-list
-/// clone-swaps, template fallbacks) republishes the plan without running the
-/// JIT.
+/// With `emit` (and the JIT on), the direct-code members are compiled into
+/// one machine program; without it, or when the exec mapper refuses, the
+/// plan is published without a program.  When `prev` (the currently
+/// published plan) is passed: an identical fingerprint returns no plan
+/// (unless a wanted program is missing from it), and an identical
+/// direct-code member set (program_key) reuses the previous machine program
+/// instead of re-emitting — churn that only touched non-direct-code tables
+/// republishes the plan without running the JIT.
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
-                           const GotoMap& goto_map,
-                           const std::array<bool, 256>& decomposed,
-                           const CompilerConfig& cfg, const FusedPipeline* prev);
+                           const GotoMap& goto_map, const SubSlotMap& sub_slots,
+                           const CompilerConfig& cfg, const FusedPipeline* prev,
+                           bool emit);
 
 }  // namespace esw::core

@@ -1,8 +1,5 @@
 #include "core/datapath.hpp"
 
-#include <algorithm>
-#include <iterator>
-
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/counters.hpp"
@@ -44,7 +41,7 @@ CompiledDatapath::CompiledDatapath()
 
 // --- control plane -----------------------------------------------------------
 
-int32_t CompiledDatapath::add_slot(flow::FlowTable::MissPolicy miss) {
+int32_t CompiledDatapath::add_slot() {
   int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -54,7 +51,6 @@ int32_t CompiledDatapath::add_slot(flow::FlowTable::MissPolicy miss) {
     ESW_CHECK_MSG(slot < kMaxSlots, "out of trampoline slots");
     n_slots_.store(slot + 1, std::memory_order_release);
   }
-  slots_[slot].miss.store(miss, std::memory_order_relaxed);
   return slot;
 }
 
@@ -133,17 +129,12 @@ void CompiledDatapath::set_fused(std::unique_ptr<FusedPipeline> fused) {
   fused_live_ = std::move(fused);
 }
 
-void CompiledDatapath::set_miss_policy(int32_t slot, flow::FlowTable::MissPolicy miss) {
-  slots_[slot].miss.store(miss, std::memory_order_relaxed);
-}
-
 void CompiledDatapath::reset() {
   ESW_CHECK_MSG(!domain_.has_workers(),
                 "reset()/install() is stop-the-world: unregister workers first");
   const int32_t n = n_slots_.load(std::memory_order_relaxed);
   for (int32_t i = 0; i < n; ++i) {
     slots_[i].impl.store(nullptr, std::memory_order_relaxed);
-    slots_[i].miss.store(flow::FlowTable::MissPolicy::kDrop, std::memory_order_relaxed);
     slots_[i].lookups.store(0, std::memory_order_relaxed);
     slots_[i].hits.store(0, std::memory_order_relaxed);
     slots_[i].misses.store(0, std::memory_order_relaxed);
@@ -168,9 +159,6 @@ CompiledDatapath::Worker* CompiledDatapath::register_worker() {
     if (w.in_use_) continue;
     w.epoch_ = domain_.register_worker();
     ESW_CHECK(w.epoch_ != nullptr);
-    w.snap_gen_ = 0;
-    w.snap_.clear();
-    w.snap_touched_.clear();
     w.in_use_ = true;
     return &w;
   }
@@ -187,170 +175,55 @@ void CompiledDatapath::unregister_worker(Worker* w) {
 // --- datapath ----------------------------------------------------------------
 
 flow::Verdict CompiledDatapath::process(Worker& w, net::Packet& pkt, MemTrace* trace) {
-  // Entry is a quiescent point: nothing from a previous packet survives here.
-  if (w.epoch_ != nullptr) domain_.quiescent(*w.epoch_);
-
-  Stats local;
-  local.packets = 1;
-  const int32_t start = start_.load(std::memory_order_acquire);
-  if (ESW_UNLIKELY(start < 0)) {
-    counter_bump(w.stats_.packets, 1);
-    counter_bump(w.stats_.drops, 1);
-    return flow::Verdict::drop();
-  }
-
-  proto::ParseInfo pi;
-  proto::parse(pkt.data(), pkt.len(), plan_.load(std::memory_order_acquire), pi);
-  pi.in_port = pkt.in_port();
-  if (trace != nullptr) trace->touch(pkt.data(), 64);  // header cache line(s)
-
-  // Conntrack pre-stage: stamp pi.ct_state before any table can match it.
-  state::Conntrack* const ct = ct_.load(std::memory_order_acquire);
-  state::Conntrack::Hit ct_hit;
-  uint64_t ct_now = 0;
-  if (ESW_UNLIKELY(ct != nullptr)) {
-    ct_now = ct->now_ms();
-    ct_hit = ct->pre(pkt.data(), pi, ct_now);
-  }
-
-  // Hot-loop discipline: per-table counters accumulate in a local window and
-  // flush on return instead of read-modify-writing the shared slot counters
-  // two or three times per hop.  The window-full check lives at the outer
-  // loop seam, not inside the per-hop walk — real pipelines finish within
-  // one window and never pay the guard branch; only pathological goto
-  // chains (bounded by kMaxHops, the policy every walk flavor shares) take
-  // another lap.
-  struct Visit {
-    int32_t slot;
-    bool hit;
-  };
-  Visit visited[16];
-  uint32_t nv = 0;
-  const auto flush_visits = [&] {
-    for (uint32_t i = 0; i < nv; ++i) {
-      Slot& s = slots_[visited[i].slot];
-      counter_add(s.lookups, 1);
-      counter_add(visited[i].hit ? s.hits : s.misses, 1);
-    }
-    nv = 0;
-  };
-  const auto finish = [&](flow::Verdict v) {
-    flush_visits();
-    count_verdict(v, local);
-    counter_bump(w.stats_.packets, local.packets);
-    counter_bump(w.stats_.outputs, local.outputs);
-    counter_bump(w.stats_.drops, local.drops);
-    counter_bump(w.stats_.to_controller, local.to_controller);
-    return v;
-  };
-
-  flow::ActionSetBuilder action_set;
-  int32_t slot = start;
-  for (int hops = 0; hops < kMaxHops;) {
-    // One stats window per lap; the flush sits between laps.
-    const int lap_end =
-        std::min(hops + static_cast<int>(std::size(visited)), kMaxHops);
-    for (; hops < lap_end; ++hops) {
-      Slot& s = slots_[slot];
-      const CompiledTable* impl = s.impl.load(std::memory_order_acquire);
-      const uint64_t r =
-          impl != nullptr ? impl->lookup(pkt.data(), pi, trace) : jit::kMissResult;
-      if (ESW_UNLIKELY(r == jit::kMissResult)) {
-        visited[nv++] = {slot, false};
-        return finish(s.miss.load(std::memory_order_relaxed) ==
-                              flow::FlowTable::MissPolicy::kController
-                          ? flow::Verdict::controller()
-                          : flow::Verdict::drop());
-      }
-      visited[nv++] = {slot, true};
-      int32_t action = -1, next = -1;
-      jit::unpack_result(r, action, next);
-      if (action >= 0) action_set.merge(actions_.get(static_cast<uint32_t>(action)));
-      if (next < 0) {
-        // Conntrack post-stage: commit + NAT rewrite before the action set
-        // runs, so set-fields and output see the translated packet.
-        if (ESW_UNLIKELY(ct != nullptr))
-          ct->post(ct_hit, action_set.ct_commit(), action_set.ct_profile(),
-                   pkt.data(), pi, ct_now);
-        return finish(action_set.execute(pkt, pi));
-      }
-      ESW_DCHECK(next < num_slots());
-      slot = next;
-    }
-    flush_visits();
-  }
-  return finish(flow::Verdict::drop());  // pathological loop guard
+  net::Packet* p = &pkt;
+  flow::Verdict v;
+  process_chunk<1>(w, &p, 1, &v, trace);
+  return v;
 }
-
-CompiledDatapath::SlotSnapshot& CompiledDatapath::snapshot(Worker& w, int32_t slot) {
-  // The scratch is sized at chunk start, but a swap landing *mid-chunk* can
-  // publish an impl whose goto targets are slots allocated after that — grow
-  // on demand (worker-private, so the resize races nothing).
-  if (ESW_UNLIKELY(static_cast<size_t>(slot) >= w.snap_.size()))
-    w.snap_.resize(static_cast<size_t>(slot) + 1);
-  SlotSnapshot& s = w.snap_[slot];
-  if (s.gen != w.snap_gen_) {
-    s.gen = w.snap_gen_;
-    s.impl = slots_[slot].impl.load(std::memory_order_acquire);
-    s.miss = slots_[slot].miss.load(std::memory_order_relaxed);
-    s.want_prefetch =
-        s.impl != nullptr && s.impl->memory_bytes() >= kPrefetchMinBytes;
-    s.delta = TableStats{};
-    w.snap_touched_.push_back(slot);
-  }
-  return s;
-}
-
-/// Burst-shared state threaded from process_chunk into the fused walk: the
-/// parse results and the conntrack pre-stage outputs (both stamped in stage 1
-/// for every packet, identically in the fused and staged flavors).
-struct CompiledDatapath::BurstCtx {
-  proto::ParseInfo* pis;
-  state::Conntrack* ct;
-  state::Conntrack::Hit* ct_hits;
-  uint64_t ct_now;
-};
 
 void CompiledDatapath::process_burst(Worker& w, net::Packet* const* pkts, uint32_t n,
                                      flow::Verdict* out) {
   while (n > net::kBurstSize) {
-    process_chunk(w, pkts, net::kBurstSize, out);
+    process_chunk<net::kBurstSize>(w, pkts, net::kBurstSize, out, nullptr);
     pkts += net::kBurstSize;
     out += net::kBurstSize;
     n -= net::kBurstSize;
   }
-  if (n > 0) process_chunk(w, pkts, n, out);
+  if (n > 0) process_chunk<net::kBurstSize>(w, pkts, n, out, nullptr);
 }
 
+/// The one packet walk.  `kCap` bounds `n` and sizes the per-packet scratch,
+/// so a burst of one (process()) builds one packet's parse, action-set and
+/// verdict state instead of a full burst's.
+template <uint32_t kCap>
 void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,
-                                     flow::Verdict* out) {
-  // Chunk entry is the worker's quiescent point: every pointer from the
-  // previous chunk's snapshots is dead, and the fresh snapshots below
-  // re-read the trampolines (acquire) — so anything retired before the
-  // writer observed this tick can never be loaded again.
+                                     flow::Verdict* out, MemTrace* trace) {
+  ESW_DCHECK(n <= kCap);
+  // Chunk entry is the worker's quiescent point: nothing from the previous
+  // chunk survives, and the plan loaded below pins impls that stay alive
+  // until this worker's next tick.
   if (w.epoch_ != nullptr) domain_.quiescent(*w.epoch_);
 
   Stats local;
   local.packets = n;
-  // The fused plan is loaded once per chunk: the whole chunk runs against
-  // that consistent graph (its impl pointers, not the trampolines), so a
-  // concurrent republish only lands at the next chunk — the same staleness
-  // bound as the staged snapshots.
+  // The plan is loaded once per chunk: the whole chunk runs against that
+  // consistent graph (its impl pointers, not the trampolines), so a
+  // concurrent republish only lands at the next chunk.
   const FusedPipeline* const fp = fused_.load(std::memory_order_acquire);
-  const int32_t start = start_.load(std::memory_order_acquire);
-  if (ESW_UNLIKELY(start < 0 && fp == nullptr)) {
+  if (ESW_UNLIKELY(fp == nullptr)) {  // empty datapath: drop everything
     local.drops = n;
     for (uint32_t i = 0; i < n; ++i) out[i] = flow::Verdict::drop();
     counter_bump(w.stats_.packets, local.packets);
     counter_bump(w.stats_.drops, local.drops);
     return;
   }
+  const uint32_t n_stages = static_cast<uint32_t>(fp->stages.size());
 
   // Conntrack maintenance rides the chunk boundary: this is a quiescent
   // point, so no Hit pointer from a previous chunk can survive into the
   // expiry/reclaim work poll() does.
   state::Conntrack* const ct = ct_.load(std::memory_order_acquire);
-  state::Conntrack::Hit ct_hits[net::kBurstSize];
+  state::Conntrack::Hit ct_hits[kCap];
   uint64_t ct_now = 0;
   if (ESW_UNLIKELY(ct != nullptr)) {
     ct_now = ct->now_ms();
@@ -362,185 +235,110 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   // the parsed burst — ct_state must be stamped before any lookup can match
   // it.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
-  proto::ParseInfo pis[net::kBurstSize];
+  proto::ParseInfo pis[kCap];
   for (uint32_t i = 0; i < n; ++i) {
     if (i + 1 < n) esw_prefetch(pkts[i + 1]->data());
     proto::parse(pkts[i]->data(), pkts[i]->len(), plan, pis[i]);
     pis[i].in_port = pkts[i]->in_port();
+    if (ESW_UNLIKELY(trace != nullptr)) trace->touch(pkts[i]->data(), 64);
   }
   if (ESW_UNLIKELY(ct != nullptr)) {
-    const uint8_t* frames[net::kBurstSize] = {};
+    const uint8_t* frames[kCap] = {};
     for (uint32_t i = 0; i < n; ++i) frames[i] = pkts[i]->data();
     ct->pre_burst(frames, pis, n, ct_hits, ct_now);
   }
 
-  // Fused fast path: the whole goto graph as one plan (machine code where
-  // members are direct-code, pinned impls elsewhere).  Falls back to the
-  // staged walk below whenever no plan is published.
-  if (fp != nullptr) {
-    const BurstCtx ctx{pis, ct, ct_hits, ct_now};
-    process_chunk_fused(w, *fp, pkts, n, out, ctx);
-    return;
-  }
-
-  // Stage 2: hoist the per-slot acquire loads and miss policies to once per
-  // burst.  Safe under epoch reclamation: a snapshot taken here stays valid
-  // for the whole chunk because the writer frees a displaced impl only after
-  // this worker's *next* tick.
-  ++w.snap_gen_;
-  const size_t n_slots = static_cast<size_t>(n_slots_.load(std::memory_order_acquire));
-  if (w.snap_.size() < n_slots) w.snap_.resize(n_slots);
-  // By value: a mid-chunk goto into a just-allocated slot can grow w.snap_
-  // (see snapshot()), which would invalidate a reference held across the loop.
-  const SlotSnapshot start_snap = snapshot(w, start);
-
-  // Stage 3: walk each packet with packet i+1's first table lookup lines in
-  // flight (software pipelining within the burst), stats in locals.
-  if (start_snap.want_prefetch)
-    start_snap.impl->prefetch(pkts[0]->data(), pis[0]);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i + 1 < n && start_snap.want_prefetch)
-      start_snap.impl->prefetch(pkts[i + 1]->data(), pis[i + 1]);
-
-    net::Packet& pkt = *pkts[i];
-    proto::ParseInfo& pi = pis[i];
-    flow::ActionSetBuilder action_set;
-    flow::Verdict v = flow::Verdict::drop();
-    int32_t slot = start;
-    for (int hops = 0; hops < kMaxHops; ++hops) {
-      SlotSnapshot& s = snapshot(w, slot);
-      ++s.delta.lookups;
-      const uint64_t r =
-          s.impl != nullptr ? s.impl->lookup(pkt.data(), pi) : jit::kMissResult;
-      if (ESW_UNLIKELY(r == jit::kMissResult)) {
-        ++s.delta.misses;
-        v = s.miss == flow::FlowTable::MissPolicy::kController
-                ? flow::Verdict::controller()
-                : flow::Verdict::drop();
-        break;
-      }
-      ++s.delta.hits;
-      int32_t action = -1, next = -1;
-      jit::unpack_result(r, action, next);
-      if (action >= 0) action_set.merge(actions_.get(static_cast<uint32_t>(action)));
-      if (next < 0) {
-        if (ESW_UNLIKELY(ct != nullptr))
-          ct->post(ct_hits[i], action_set.ct_commit(), action_set.ct_profile(),
-                   pkt.data(), pi, ct_now);
-        v = action_set.execute(pkt, pi);
-        break;
-      }
-      ESW_DCHECK(next < num_slots());
-      slot = next;
-    }
-    count_verdict(v, local);  // the loop-guard fallthrough drop counts too
-    out[i] = v;
-  }
-
-  // Stage 4: flush the burst's stat deltas in one pass.
-  for (const int32_t slot : w.snap_touched_) {
-    Slot& s = slots_[slot];
-    const TableStats& d = w.snap_[slot].delta;
-    counter_add(s.lookups, d.lookups);
-    counter_add(s.hits, d.hits);
-    counter_add(s.misses, d.misses);
-  }
-  w.snap_touched_.clear();
-  counter_bump(w.stats_.packets, local.packets);
-  counter_bump(w.stats_.outputs, local.outputs);
-  counter_bump(w.stats_.drops, local.drops);
-  counter_bump(w.stats_.to_controller, local.to_controller);
-}
-
-void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
-                                           net::Packet* const* pkts, uint32_t n,
-                                           flow::Verdict* out, const BurstCtx& ctx) {
-  Stats local;
-  local.packets = n;
-  const uint32_t n_stages = static_cast<uint32_t>(fp.stages.size());
-  if (ESW_UNLIKELY(n_stages == 0)) {  // defensive: never published empty
-    local.drops = n;
-    for (uint32_t i = 0; i < n; ++i) out[i] = flow::Verdict::drop();
-    counter_bump(w.stats_.packets, local.packets);
-    counter_bump(w.stats_.drops, local.drops);
-    return;
-  }
-  ESW_DCHECK(fp.start_stage < n_stages);
-
-  // The per-stage stat delta block the machine code increments directly
-  // (jit/fusion.hpp layout) and the staged stages share.
+  // Stage 2: walk the plan.  The delta block the machine code increments
+  // (jit/fusion.hpp layout) is all zero between chunks; only the stages this
+  // chunk touches are recorded, flushed and re-zeroed below, so the cost of
+  // a chunk scales with the stages it visits, not with the plan's size.
   const size_t n_counters = static_cast<size_t>(n_stages) * jit::kFusedStatStride;
-  if (w.fused_delta_.size() < n_counters) w.fused_delta_.resize(n_counters);
-  std::fill_n(w.fused_delta_.begin(), n_counters, uint64_t{0});
-  if (w.fused_actions_.size() < n_stages) w.fused_actions_.resize(n_stages);
-  uint64_t* const delta = w.fused_delta_.data();
+  if (w.delta_.size() < n_counters) w.delta_.resize(n_counters);
+  if (w.actions_.size() < n_stages) w.actions_.resize(n_stages);
+  uint64_t* const delta = w.delta_.data();
+  // A stage enters the touched list, with the rest of its region, at its
+  // first lookup of the chunk: a machine call may bump any stage of its
+  // entry stage's region (a pinned-impl stage is a region of one).
+  // Duplicates are harmless — the flush skips a stage whose lookups it
+  // already zeroed.
+  const auto touch = [&](uint32_t cs) {
+    if (delta[cs * jit::kFusedStatStride + jit::kFusedStatLookups] != 0) return;
+    uint32_t k = cs;
+    do {
+      w.touched_.push_back(k);
+      k = fp->stages[k].region_next;
+    } while (k != cs);
+  };
 
   // Walk state: cur >= 0 is the packet's stage; -1 = path end reached
   // (finalized in packet order below); -2 = verdict already in vd.
-  flow::ActionSetBuilder asb[net::kBurstSize];
-  int32_t cur[net::kBurstSize];
-  flow::Verdict vd[net::kBurstSize];
+  flow::ActionSetBuilder asb[kCap];
+  int32_t cur[kCap];
+  flow::Verdict vd[kCap];
   uint32_t live = n;
-  for (uint32_t i = 0; i < n; ++i) cur[i] = static_cast<int32_t>(fp.start_stage);
+  for (uint32_t i = 0; i < n; ++i) cur[i] = 0;  // every walk starts at stage 0
 
-  // Round 0 keeps the staged walk's one-ahead start-stage prefetch.
-  const FusedPipeline::Stage& ss = fp.stages[fp.start_stage];
+  // Round 0 runs a one-ahead start-stage prefetch across the burst.
+  const FusedPipeline::Stage& ss = fp->stages[0];
   const bool ahead = ss.want_prefetch && !ss.batched;
-  if (ahead) ss.impl->prefetch(pkts[0]->data(), ctx.pis[0]);
+  if (ahead) ss.impl->prefetch(pkts[0]->data(), pis[0]);
 
   // Batched-stage results of the current round, by packet.  Lookups have no
   // side effects, so probing a round's group up front is observably the
-  // same as probing each packet at its turn.
-  uint64_t probed[net::kBurstSize];
+  // same as probing each packet at its turn.  A traced walk probes every
+  // stage through lookup(…, trace) instead.
+  uint64_t probed[kCap] = {};
+  const bool bulk = trace == nullptr;
 
   // Round-based walk: every live packet advances at least one stage per
-  // round (gotos are forward-only in a fused plan), so n_stages rounds
-  // finish every packet; anything still live after the clamp takes the
-  // same drop the kMaxHops guard applies on the staged paths.
+  // round (gotos only go forward in a plan), so n_stages rounds finish every
+  // packet; anything still live after the clamp is dropped.
   for (uint32_t round = 0; round <= n_stages && live > 0; ++round) {
-    for (const uint32_t bs : fp.batched) {
-      uint32_t who[net::kBurstSize];
-      const uint8_t* data[net::kBurstSize];
-      const proto::ParseInfo* pip[net::kBurstSize];
-      uint32_t m = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (cur[i] != static_cast<int32_t>(bs)) continue;
-        who[m] = i;
-        data[m] = pkts[i]->data();
-        pip[m++] = &ctx.pis[i];
-      }
-      const FusedPipeline::Stage& st = fp.stages[bs];
-      const CompiledTable* impl = st.impl;
-      if (m == 1) {
-        // A lone packet (the low-rate case) gains nothing from the
-        // pipeline: take the scalar probe, primed as the unbatched walk
-        // would (both candidate buckets in flight at once).
-        if (st.want_prefetch) impl->prefetch(data[0], *pip[0]);
-        probed[who[0]] = impl->lookup(data[0], *pip[0]);
-      } else if (m > 1) {
-        uint64_t res[net::kBurstSize];
-        impl->lookup_burst(data, pip, m, res);
-        for (uint32_t j = 0; j < m; ++j) probed[who[j]] = res[j];
+    if (bulk) {
+      for (const uint32_t bs : fp->batched) {
+        uint32_t who[kCap];
+        const uint8_t* data[kCap];
+        const proto::ParseInfo* pip[kCap];
+        uint32_t m = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+          if (cur[i] != static_cast<int32_t>(bs)) continue;
+          who[m] = i;
+          data[m] = pkts[i]->data();
+          pip[m++] = &pis[i];
+        }
+        const FusedPipeline::Stage& st = fp->stages[bs];
+        const CompiledTable* impl = st.impl;
+        if (m == 1) {
+          // A lone packet (the low-rate case) gains nothing from the
+          // pipeline: take the scalar probe, primed (both candidate buckets
+          // in flight at once).
+          if (st.want_prefetch) impl->prefetch(data[0], *pip[0]);
+          probed[who[0]] = impl->lookup(data[0], *pip[0]);
+        } else if (m > 1) {
+          uint64_t res[kCap];
+          impl->lookup_burst(data, pip, m, res);
+          for (uint32_t j = 0; j < m; ++j) probed[who[j]] = res[j];
+        }
       }
     }
     for (uint32_t i = 0; i < n; ++i) {
       const int32_t cs = cur[i];
       if (cs < 0) continue;
       if (round == 0 && i + 1 < n && ahead)
-        ss.impl->prefetch(pkts[i + 1]->data(), ctx.pis[i + 1]);
+        ss.impl->prefetch(pkts[i + 1]->data(), pis[i + 1]);
       net::Packet& pkt = *pkts[i];
-      proto::ParseInfo& pi = ctx.pis[i];
-      const FusedPipeline::Stage& s = fp.stages[cs];
+      proto::ParseInfo& pi = pis[i];
+      const FusedPipeline::Stage& s = fp->stages[cs];
       int32_t ts;  // next stage
-      if (s.entry != nullptr) {
+      if (s.entry != nullptr && bulk) {
         // Machine subgraph: runs fused members until the walk completes,
-        // misses, or exits toward a staged stage.  Per-stage counters are
-        // bumped by the generated code itself.
-        const uint64_t word =
-            s.entry(pkt.data(), &pi, w.fused_actions_.data(), delta);
+        // misses, or exits toward a pinned-impl stage.  Per-stage counters
+        // are bumped by the generated code itself.
+        touch(static_cast<uint32_t>(cs));
+        const uint64_t word = s.entry(pkt.data(), &pi, w.actions_.data(), delta);
         const uint32_t nact = jit::fused_exit_actions(word);
         for (uint32_t k = 0; k < nact; ++k)
-          asb[i].merge(actions_.get(static_cast<uint32_t>(w.fused_actions_[k])));
+          asb[i].merge(actions_.get(static_cast<uint32_t>(w.actions_[k])));
         if (word & jit::kFusedCompleted) {
           cur[i] = -1;
           --live;
@@ -548,7 +346,7 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
         }
         if (word & jit::kFusedMiss) {
           const uint32_t ms = jit::fused_exit_stage(word);
-          vd[i] = fp.stages[ms].miss == flow::FlowTable::MissPolicy::kController
+          vd[i] = fp->stages[ms].miss == flow::FlowTable::MissPolicy::kController
                       ? flow::Verdict::controller()
                       : flow::Verdict::drop();
           cur[i] = -2;
@@ -557,11 +355,12 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
         }
         ts = static_cast<int32_t>(jit::fused_exit_stage(word));
       } else {
-        // Staged stage inside the plan: pinned impl (or this round's bulk
-        // probe), same decode as the slot walk, stats into the shared delta
-        // block.
+        // Pinned-impl stage: this round's bulk probe or one lookup, stats
+        // into the same delta block.
+        touch(static_cast<uint32_t>(cs));
         ++delta[cs * jit::kFusedStatStride + jit::kFusedStatLookups];
-        const uint64_t r = s.batched ? probed[i] : s.impl->lookup(pkt.data(), pi);
+        const uint64_t r = s.batched && bulk ? probed[i]
+                                             : s.impl->lookup(pkt.data(), pi, trace);
         if (ESW_UNLIKELY(r == jit::kMissResult)) {
           ++delta[cs * jit::kFusedStatStride + jit::kFusedStatMisses];
           vd[i] = s.miss == flow::FlowTable::MissPolicy::kController
@@ -580,8 +379,8 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
           --live;
           continue;
         }
-        ts = static_cast<size_t>(next) < fp.stage_of_slot.size()
-                 ? fp.stage_of_slot[next]
+        ts = static_cast<size_t>(next) < fp->stage_of_slot.size()
+                 ? fp->stage_of_slot[next]
                  : -1;
       }
       if (ESW_UNLIKELY(ts <= cs || static_cast<uint32_t>(ts) >= n_stages)) {
@@ -593,22 +392,21 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
       // Transition: issue the next stage's lookup prefetch now, consume it
       // next round — the cross-table extension of the one-ahead pipelining
       // (off for batched stages, whose bulk probe pipelines itself).
-      const FusedPipeline::Stage& nx = fp.stages[ts];
+      const FusedPipeline::Stage& nx = fp->stages[ts];
       if (nx.want_prefetch && !nx.batched) nx.impl->prefetch(pkt.data(), pi);
       cur[i] = ts;
     }
   }
 
-  // Finalize in packet order: conntrack post-stage + action execution for
-  // completed packets — identical ordering and side effects to the staged
-  // walk, which finishes packet i before touching packet i+1.
+  // Stage 3: finalize in packet order — conntrack post-stage + action
+  // execution for completed packets, packet i before packet i+1.
   for (uint32_t i = 0; i < n; ++i) {
     flow::Verdict v = flow::Verdict::drop();
     if (cur[i] == -1) {
-      if (ESW_UNLIKELY(ctx.ct != nullptr))
-        ctx.ct->post(ctx.ct_hits[i], asb[i].ct_commit(), asb[i].ct_profile(),
-                     pkts[i]->data(), ctx.pis[i], ctx.ct_now);
-      v = asb[i].execute(*pkts[i], ctx.pis[i]);
+      if (ESW_UNLIKELY(ct != nullptr))
+        ct->post(ct_hits[i], asb[i].ct_commit(), asb[i].ct_profile(),
+                 pkts[i]->data(), pis[i], ct_now);
+      v = asb[i].execute(*pkts[i], pis[i]);
     } else if (cur[i] == -2) {
       v = vd[i];
     }
@@ -616,16 +414,19 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
     out[i] = v;
   }
 
-  // Flush the chunk's stat deltas into the owning slots' shared counters.
-  for (uint32_t cs = 0; cs < n_stages; ++cs) {
-    Slot& s = slots_[fp.stages[cs].slot];
-    const uint64_t* d = delta + cs * jit::kFusedStatStride;
-    if (d[jit::kFusedStatLookups] != 0)
-      counter_add(s.lookups, d[jit::kFusedStatLookups]);
+  // Stage 4: flush the touched stages' deltas into their slots' shared
+  // counters and re-zero them.
+  for (const uint32_t cs : w.touched_) {
+    uint64_t* d = delta + cs * jit::kFusedStatStride;
+    if (d[jit::kFusedStatLookups] == 0) continue;
+    Slot& s = slots_[fp->stages[cs].slot];
+    counter_add(s.lookups, d[jit::kFusedStatLookups]);
     if (d[jit::kFusedStatHits] != 0) counter_add(s.hits, d[jit::kFusedStatHits]);
     if (d[jit::kFusedStatMisses] != 0)
       counter_add(s.misses, d[jit::kFusedStatMisses]);
+    d[jit::kFusedStatLookups] = d[jit::kFusedStatHits] = d[jit::kFusedStatMisses] = 0;
   }
+  w.touched_.clear();
   counter_bump(w.stats_.packets, local.packets);
   counter_bump(w.stats_.outputs, local.outputs);
   counter_bump(w.stats_.drops, local.drops);

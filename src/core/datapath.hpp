@@ -1,6 +1,6 @@
 // The compiled datapath: an array of trampoline slots (one per compiled
-// table), the shared action-set registry, a parser plan and the per-packet
-// processing loop.
+// table), the shared action-set registry, a parser plan, the published fused
+// plan and the one packet walk that serves it.
 //
 // Trampolines realize §3.3/§3.4: a goto_table jump resolves through an atomic
 // slot, so a table can be rebuilt side by side and inserted "by atomically
@@ -11,14 +11,14 @@
 //     (release) and retires the displaced objects into an epoch domain
 //     (`common/epoch.hpp`);
 //   * each packet worker runs inside a registered `Worker` context: its own
-//     burst scratch (trampoline snapshots), its own cacheline-padded verdict
+//     burst scratch (per-stage stat deltas), its own cacheline-padded verdict
 //     counters, and an epoch slot it ticks once per burst, at which point it
 //     provably holds no datapath pointers;
 //   * retired tables and recycled trampoline slots are freed by `reclaim()`
 //     once every registered worker has ticked past the retirement epoch —
 //     the old caller-coordinated `collect()` contract ("call when no
 //     process() is in flight") is gone;
-//   * the legacy `process()`/`process_burst()` entry points run in an
+//   * the owner-context `process()`/`process_burst()` overloads run in an
 //     implicit owner context: they are for single-threaded use (the control
 //     thread itself, or a thread that is the only one touching the object),
 //     which is trivially quiescent at every writer step.
@@ -41,14 +41,17 @@ class Conntrack;
 
 namespace esw::core {
 
-/// The whole-pipeline fusion plan (ROADMAP item 3): an immutable snapshot of
-/// the steady-state goto graph, with the direct-code members compiled into
-/// one machine function (jit::FusedProgram) and every other stage pinned to
-/// its impl pointer so the burst walk never touches the trampoline slots.
-/// Published/retired through the epoch domain exactly like a table impl —
-/// the writer builds a fresh plan on churn (core::fuse_pipeline) and swaps
-/// it in with set_fused(); a worker loads it once per chunk (acquire) and
-/// runs the whole chunk against that consistent graph.
+/// The fused plan: an immutable snapshot of the steady-state goto graph —
+/// every logical table's root slot, then its decomposition sub-slots in
+/// topological order — with every stage pinned to its impl pointer so the
+/// walk never touches the trampoline slots, and the direct-code members
+/// compiled into one machine function (jit::FusedProgram) when the JIT is on
+/// and the exec mapper allows it.  Every non-empty pipeline has a plan, and
+/// the plan is the only packet walk.  Published/retired through the epoch
+/// domain exactly like a table impl — the writer builds a fresh plan on
+/// churn (core::fuse_pipeline) and swaps it in with set_fused(); a worker
+/// loads it once per chunk (acquire) and runs the whole chunk against that
+/// consistent graph.
 struct FusedPipeline {
   struct Stage {
     int32_t slot = -1;                 // owning trampoline slot (stat flush)
@@ -62,14 +65,19 @@ struct FusedPipeline {
     /// pipelines its own misses; want_prefetch then only primes a lone
     /// packet's scalar probe.
     bool batched = false;
-    jit::FusedProgram::Fn entry = nullptr;  // machine entry; null = staged stage
+    jit::FusedProgram::Fn entry = nullptr;  // machine entry; null = pinned impl
+    /// Next stage of this stage's machine region: members joined by a jmp in
+    /// the program form one ring, every other stage points at itself.  A
+    /// machine call bumps counters only inside its entry stage's ring.
+    uint32_t region_next = 0;
   };
-  std::vector<Stage> stages;           // pipeline walk order (ascending table id)
+  std::vector<Stage> stages;           // walk order from stage 0: gotos go forward
   std::vector<uint32_t> batched;       // indexes of the batched stages
   std::vector<int32_t> stage_of_slot;  // slot id -> stage index, -1 = not in plan
-  uint32_t start_stage = 0;
-  std::shared_ptr<const jit::FusedProgram> program;  // null = no machine members
-  /// Identity of (start, slot, impl, miss) — an unchanged fingerprint means
+  /// Null when there are no direct-code members, the JIT is off, or the
+  /// exec mapper refused the emit: every stage then walks its pinned impl.
+  std::shared_ptr<const jit::FusedProgram> program;
+  /// Identity of (slot, impl, miss) per stage — an unchanged fingerprint means
   /// the published plan is still exact and republish can be skipped.
   uint64_t fingerprint = 0;
   /// Identity of the direct-code member set only: when churn touched other
@@ -107,30 +115,18 @@ class CompiledDatapath {
     uint64_t internal_pending = 0;
   };
 
-  /// One loop-bound policy for every walk flavor: a packet that has not
-  /// reached a verdict after this many table hops is dropped.  The staged
-  /// paths count hops directly; the fused walk's round bound (DAG depth,
-  /// forward-only gotos) is strictly tighter and ends in the same drop.
+  /// Upper bound on table hops per packet, for slot-walking callers outside
+  /// the datapath.  The fused walk needs no hop counter: gotos only go
+  /// forward, so it finishes within one round per stage, and a goto that
+  /// does not (a hand-wired cycle) is dropped at the first backward edge.
   static constexpr int kMaxHops = 8192;
   /// Tables whose resident bytes fit in the private caches are skipped by
   /// the prefetch hints: the hint recomputes the lookup key (hash templates
   /// pay the key hash twice), which only amortizes when the lookup would
   /// otherwise stall on LLC/DRAM.  Structures below this bound (L2-sized)
-  /// serve lookups from warm lines anyway.  Shared by the staged snapshots
-  /// and the fusion planner (core::fuse_pipeline).
+  /// serve lookups from warm lines anyway.  Read by the fusion planner
+  /// (core::fuse_pipeline).
   static constexpr size_t kPrefetchMinBytes = 1024 * 1024;
-
- private:
-  /// Per-burst view of a slot: impl/miss hoisted out of the hot loop, local
-  /// stat deltas flushed when the burst ends.  `gen` stamps which burst the
-  /// snapshot belongs to so untouched slots cost nothing per burst.
-  struct SlotSnapshot {
-    const CompiledTable* impl = nullptr;
-    flow::FlowTable::MissPolicy miss = flow::FlowTable::MissPolicy::kDrop;
-    bool want_prefetch = false;
-    uint64_t gen = 0;
-    TableStats delta;
-  };
 
  public:
   /// A packet worker's execution context: burst scratch, padded verdict
@@ -152,14 +148,13 @@ class CompiledDatapath {
     };
 
     StatBlock stats_;
-    std::vector<SlotSnapshot> snap_;
-    std::vector<int32_t> snap_touched_;
-    // Fused-walk scratch: the per-stage lookup/hit/miss delta block the
-    // machine code increments (stage * 3 + field, jit/fusion.hpp layout) and
-    // the per-call action-id spill array.
-    std::vector<uint64_t> fused_delta_;
-    std::vector<int32_t> fused_actions_;
-    uint64_t snap_gen_ = 0;
+    // Walk scratch: the per-stage lookup/hit/miss delta block the machine
+    // code increments (stage * 3 + field, jit/fusion.hpp layout), all zero
+    // between chunks; the stages the chunk touched, the only ones it flushes;
+    // and the per-call action-id spill array.
+    std::vector<uint64_t> delta_;
+    std::vector<uint32_t> touched_;
+    std::vector<int32_t> actions_;
     common::EpochDomain::WorkerSlot* epoch_ = nullptr;  // null for the owner ctx
     uint32_t id_ = 0;
     bool in_use_ = false;  // control-thread bookkeeping
@@ -170,7 +165,7 @@ class CompiledDatapath {
   // --- control plane (single writer) ---------------------------------------
 
   /// Allocates (or recycles) a trampoline slot; returns its internal id.
-  int32_t add_slot(flow::FlowTable::MissPolicy miss);
+  int32_t add_slot();
 
   /// Swaps the slot's implementation (release order); the displaced one is
   /// retired into the epoch domain and freed by a later reclaim().
@@ -187,15 +182,13 @@ class CompiledDatapath {
   /// immediately.  Returns the number of objects freed.
   uint64_t reclaim();
 
-  void set_miss_policy(int32_t slot, flow::FlowTable::MissPolicy miss);
   void set_start(int32_t slot) { start_.store(slot, std::memory_order_release); }
 
-  /// Publishes a fused whole-pipeline plan (release), or clears the fast
-  /// path (nullptr) so bursts fall back to the staged walk.  The displaced
-  /// plan is retired into the epoch domain — a worker mid-chunk keeps
-  /// running the old graph until its next tick, like any impl swap.  The
-  /// writer must republish (or clear) *before* reclaim() whenever an impl
-  /// referenced by the published plan was retired.
+  /// Publishes the fused plan (release); nullptr leaves the datapath empty
+  /// (every packet drops).  The displaced plan is retired into the epoch
+  /// domain — a worker mid-chunk keeps running the old graph until its next
+  /// tick, like any impl swap.  The writer must republish *before* reclaim()
+  /// whenever an impl referenced by the published plan was retired.
   void set_fused(std::unique_ptr<FusedPipeline> fused);
   const FusedPipeline* fused() const {
     return fused_.load(std::memory_order_acquire);
@@ -222,7 +215,7 @@ class CompiledDatapath {
 
   /// Forces a quiescent tick on a worker's epoch slot from outside its
   /// thread.  Only legal while the worker provably holds no datapath
-  /// pointers — parked in backpressure, or stalled before its burst snapshot
+  /// pointers — parked in backpressure, or stalled before its plan load
   /// — where the worst a racing overwrite can do is re-publish a slightly
   /// stale epoch, which merely delays reclamation.  This is the watchdog's
   /// recovery lever for a stuck worker pinning the epoch horizon.
@@ -232,17 +225,15 @@ class CompiledDatapath {
 
   // --- datapath (readers) ---------------------------------------------------
 
-  /// One packet through the compiled pipeline in the owner context.  This is
-  /// the reference implementation: process_burst() must be observably
-  /// identical to n calls of process() (verdicts, packet mutations,
-  /// per-table and global stats).
+  /// One packet in the owner context: a burst of one.  process_burst() must
+  /// be observably identical to n calls of process() (verdicts, packet
+  /// mutations, per-table and global stats).
   flow::Verdict process(net::Packet& pkt, MemTrace* trace = nullptr) {
     return process(workers_[0], pkt, trace);
   }
-  /// Worker-context scalar path: per-hop acquire trampoline loads, one epoch
-  /// tick per packet.  Each Worker is single-threaded; concurrency comes
-  /// from running *different* workers on different threads (run-to-completion
-  /// sharding), never from sharing one context.
+  /// Worker-context burst of one.  With a `trace`, the header line and every
+  /// stage's lookup are reported to it; machine entries and bulk probes are
+  /// bypassed so each stage decodes through CompiledTable::lookup(…, trace).
   flow::Verdict process(Worker& w, net::Packet& pkt, MemTrace* trace = nullptr);
 
   /// Burst fast path in the owner context; see the Worker overload.
@@ -251,14 +242,15 @@ class CompiledDatapath {
   }
   /// Burst fast path: `n` packets run to completion, one verdict per packet
   /// written to `out[0..n)`.  Amortizes per-packet overhead the way a
-  /// DPDK-style loop does: the worker ticks its epoch slot, snapshots each
-  /// slot's impl pointer (acquire) and miss policy once per burst, runs the
-  /// parse stage across the burst with next-frame prefetch, walks packets
-  /// with one-ahead lookup prefetch, and flushes per-table and global stats
-  /// once per burst.  A snapshot taken at burst start stays valid for the
-  /// whole burst because a displaced impl survives at least until every
-  /// worker's next tick (epoch grace period).  `n` may exceed kBurstSize;
-  /// the loop chunks internally.
+  /// DPDK-style loop does: the worker ticks its epoch slot, loads the fused
+  /// plan once (acquire), runs the parse stage across the burst with
+  /// next-frame prefetch, walks the plan a round at a time with cross-stage
+  /// prefetch, and flushes the stats of the stages it touched once per
+  /// burst.  The plan stays valid for the whole burst because a displaced
+  /// plan and its impls survive at least until every worker's next tick
+  /// (epoch grace period).  Each Worker is single-threaded; concurrency comes
+  /// from running *different* workers on different threads.  `n` may exceed
+  /// kBurstSize; the loop chunks internally.
   void process_burst(Worker& w, net::Packet* const* pkts, uint32_t n,
                      flow::Verdict* out);
 
@@ -309,7 +301,6 @@ class CompiledDatapath {
  private:
   struct Slot {
     std::atomic<CompiledTable*> impl{nullptr};
-    std::atomic<flow::FlowTable::MissPolicy> miss{flow::FlowTable::MissPolicy::kDrop};
     // Shared per-slot counters: workers flush burst-local deltas with relaxed
     // fetch_add (a handful per burst), readers aggregate with relaxed loads.
     std::atomic<uint64_t> lookups{0};
@@ -317,13 +308,9 @@ class CompiledDatapath {
     std::atomic<uint64_t> misses{0};
   };
 
-  SlotSnapshot& snapshot(Worker& w, int32_t slot);
+  template <uint32_t kCap>
   void process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,
-                     flow::Verdict* out);
-  struct BurstCtx;  // cpp-internal: parse results + conntrack pre-stage state
-  void process_chunk_fused(Worker& w, const FusedPipeline& fp,
-                           net::Packet* const* pkts, uint32_t n, flow::Verdict* out,
-                           const BurstCtx& ctx);
+                     flow::Verdict* out, MemTrace* trace);
   std::unique_ptr<CompiledTable> take_live(CompiledTable* old);
   void retire_impl(CompiledTable* old);
   void recycle_slot(int32_t slot);

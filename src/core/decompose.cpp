@@ -176,6 +176,24 @@ DecomposedPipeline passthrough(const flow::FlowTable& input) {
 
 }  // namespace
 
+std::vector<int32_t> DecomposedPipeline::topological_order() const {
+  // Reverse DFS post-order from the root.  The depth is bounded by the
+  // number of pivot fields (each level strips one), so recursion is fine.
+  std::vector<int32_t> post;
+  post.reserve(tables.size());
+  std::vector<bool> seen(tables.size(), false);
+  const auto visit = [&](const auto& self, int32_t t) -> void {
+    seen[static_cast<size_t>(t)] = true;
+    for (const Entry& e : tables[static_cast<size_t>(t)].entries)
+      if (e.internal_next >= 0 && !seen[static_cast<size_t>(e.internal_next)])
+        self(self, e.internal_next);
+    post.push_back(t);
+  };
+  if (!tables.empty()) visit(visit, 0);
+  ESW_CHECK_MSG(post.size() == tables.size(), "unreachable decomposition table");
+  return {post.rbegin(), post.rend()};
+}
+
 DecomposedPipeline decompose(const flow::FlowTable& input, uint32_t max_tables) {
   std::vector<Entry> work;
   work.reserve(input.size());

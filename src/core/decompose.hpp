@@ -40,6 +40,11 @@ struct DecomposedPipeline {
   /// True when the input was already in (or could not leave) its given shape:
   /// a single table identical to the input.
   bool unchanged() const { return tables.size() == 1; }
+
+  /// Table indexes, root first, ordered so that every internal_next edge
+  /// points forward.  Index order is not enough: a memoized sub-table can be
+  /// shared by a router allocated after it.
+  std::vector<int32_t> topological_order() const;
 };
 
 /// Runs DECOMPOSE(T).  `max_tables` bounds the output; on overflow the input

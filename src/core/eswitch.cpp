@@ -52,13 +52,12 @@ void Eswitch::compile_all() {
   installing_ = true;
   dp_.reset();
   goto_map_.assign(256, -1);
-  decomposed_.fill(false);
   for (auto& v : sub_slots_) v.clear();
   degraded_jit_.clear();  // a wholesale reprogram owes the old program nothing
 
   // Root slots first so any goto resolves, then table bodies.
   for (const FlowTable& t : pipeline_.tables())
-    goto_map_[t.id()] = dp_.add_slot(t.miss_policy());
+    goto_map_[t.id()] = dp_.add_slot();
   for (const FlowTable& t : pipeline_.tables()) rebuild_logical(t.id());
   refresh_start_and_plan();
   fusion_retry_.reset();  // the old program's degradation owes us nothing
@@ -66,48 +65,40 @@ void Eswitch::compile_all() {
   installing_ = false;
 }
 
-/// Re-plans the fused whole-pipeline fast path against the freshly published
-/// compiled state.  Must run after every control-plane mutation and *before*
-/// dp_.reclaim(): a published plan pins impl pointers, so any update that
-/// retired one has to republish (or clear) the plan while the retiree is
-/// still in its grace period.
+/// Re-plans the fused walk against the freshly published compiled state.
+/// Must run after every control-plane mutation and *before* dp_.reclaim(): a
+/// published plan pins impl pointers, so any update that retired one has to
+/// republish the plan while the retiree is still in its grace period.
 void Eswitch::refresh_fusion() {
-  if (!cfg_.enable_fusion) return;  // never published
-  // Retry pacing after a fused machine-compile failure: stay staged until
-  // the window elapses (no plan is published then — see fusion_retry_'s
-  // invariant — so skipping the re-plan cannot strand stale pointers).
-  if (fusion_retry_.has_value() && update_seq_ < fusion_retry_->next_at) return;
-  const bool retrying = fusion_retry_.has_value();
+  // After a refused machine emit, plans keep being republished (they pin
+  // impls churn may retire) but without a program until the retry window
+  // elapses; then one emit attempt runs.
+  const bool retrying =
+      fusion_retry_.has_value() && update_seq_ >= fusion_retry_->next_at;
   if (retrying) ++degradation_.fusion_retries;
 
-  FusionResult r =
-      fuse_pipeline(pipeline_, dp_, goto_map_, decomposed_, cfg_, dp_.fused());
-  if (r.unchanged) return;
-  if (r.fused == nullptr) {
-    if (r.machine_failed) {
-      // The exec-map edge: degrade bursts to the staged walk and schedule a
-      // bounded-backoff re-fusion attempt (the PR 7 retry policy, one knob).
-      ++degradation_.fusion_fallbacks;
-      if (!retrying && cfg_.jit_retry_base_updates > 0) {
+  FusionResult r = fuse_pipeline(pipeline_, dp_, goto_map_, sub_slots_, cfg_,
+                                 dp_.fused(), !fusion_retry_.has_value() || retrying);
+  if (r.machine_failed) {
+    // The exec-map edge: publish the plan without machine code and schedule
+    // a bounded-backoff re-emit (the PR 7 retry policy, one knob).
+    ++degradation_.fusion_fallbacks;
+    if (!fusion_retry_.has_value()) {
+      if (cfg_.jit_retry_base_updates > 0)
         fusion_retry_ = JitRetry{update_seq_ + cfg_.jit_retry_base_updates,
                                  cfg_.jit_retry_base_updates};
-      } else if (retrying) {
-        fusion_retry_->backoff =
-            std::min<uint64_t>(fusion_retry_->backoff * 2,
-                               std::max(cfg_.jit_retry_max_updates,
-                                        cfg_.jit_retry_base_updates));
-        fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
-      }
-    } else {
-      fusion_retry_.reset();  // genuinely non-fusable: nothing to retry
+    } else if (retrying) {
+      fusion_retry_->backoff =
+          std::min<uint64_t>(fusion_retry_->backoff * 2,
+                             std::max(cfg_.jit_retry_max_updates,
+                                      cfg_.jit_retry_base_updates));
+      fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
     }
-    if (dp_.fused() != nullptr) dp_.set_fused(nullptr);
-    return;
-  }
-  if (retrying) {
+  } else if (retrying) {
     ++degradation_.fusion_recoveries;
     fusion_retry_.reset();
   }
+  if (r.fused == nullptr) return;  // the published plan is exact, or none is due
   ++update_stats_.fusion_republishes;
   dp_.set_fused(std::move(r.fused));
 }
@@ -118,7 +109,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
   const int32_t root = goto_map_[id];
   ESW_CHECK(root >= 0);
   BuildCtx ctx{dp_.actions(), goto_map_};
-  dp_.set_miss_policy(root, t->miss_policy());
 
   ++update_stats_.table_rebuilds;
   // Template re-selection accounting: a churn-path rebuild whose re-analysis
@@ -135,7 +125,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
   // grace period instead of leaking until the next install().
   std::vector<int32_t> stale_subs = std::move(sub_slots_[id]);
   sub_slots_[id].clear();
-  decomposed_[id] = false;
   bool fell_back = false;
   bool jit_degraded = false;
   const auto note_impl = [&](const CompiledTable* impl, TableTemplate kind) {
@@ -153,7 +142,7 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
       std::vector<int32_t> slot_of(d.tables.size(), -1);
       slot_of[0] = root;
       for (size_t i = 1; i < d.tables.size(); ++i)
-        slot_of[i] = dp_.add_slot(t->miss_policy());
+        slot_of[i] = dp_.add_slot();
 
       // Children first, root last: readers that enter through the old root
       // never see a half-published chain.
@@ -170,8 +159,11 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
           root_template_[id] = kind;
         }
       }
-      decomposed_[id] = true;
-      sub_slots_[id].assign(slot_of.begin() + 1, slot_of.end());
+      // Topological order of the decomposition DAG: the fusion planner lays
+      // the sub-tables out as stages in this order.
+      const std::vector<int32_t> order = d.topological_order();
+      for (size_t k = 1; k < order.size(); ++k)
+        sub_slots_[id].push_back(slot_of[static_cast<size_t>(order[k])]);
       for (const int32_t s : stale_subs) dp_.retire_slot(s);
       if (fell_back) ++degradation_.template_fallbacks;
       note_jit_state(id, jit_degraded);
@@ -297,7 +289,7 @@ void Eswitch::apply_to_pipeline(flow::Pipeline& pl, const FlowMod& fm) const {
 bool Eswitch::try_incremental(uint8_t table, const FlowMod& fm) {
   const int32_t root = goto_map_[table];
   CompiledTable* impl = root >= 0 ? dp_.impl_mut(root) : nullptr;
-  if (impl == nullptr || decomposed_[table]) return false;
+  if (impl == nullptr || is_decomposed(table)) return false;
   BuildCtx ctx{dp_.actions(), goto_map_};
   if (fm.command == FlowMod::Cmd::kAdd) {
     const FlowEntry e = flow::entry_from(fm);
@@ -325,7 +317,7 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
     return;  // delete on a never-created table: no-op
 
   if (new_table) {
-    goto_map_[fm.table_id] = dp_.add_slot(pipeline_.table(fm.table_id).miss_policy());
+    goto_map_[fm.table_id] = dp_.add_slot();
     if (dirty != nullptr) {
       // Batch path: the slot exists (gotos resolve; readers miss on its null
       // impl until commit), the one build runs at commit from the batch's

@@ -73,18 +73,18 @@ class Eswitch {
   /// schedule as apply_batch; never throws for per-mod failures.
   std::vector<ModStatus> apply_batch_partial(const std::vector<flow::FlowMod>& fms);
 
-  /// Datapath fast path (scalar reference implementation, owner context).
+  /// One packet: a burst of one through the fused walk (owner context).
   flow::Verdict process(net::Packet& pkt, MemTrace* trace = nullptr) {
     return dp_.process(pkt, trace);
   }
-  /// Worker-context scalar path (per-hop trampoline reload, per-packet tick).
+  /// Worker-context burst of one.
   flow::Verdict process(Worker& w, net::Packet& pkt, MemTrace* trace = nullptr) {
     return dp_.process(w, pkt, trace);
   }
 
   /// Datapath burst fast path: `n` packets run to completion, one verdict per
   /// packet.  Observably identical to n process() calls but amortizes parse,
-  /// trampoline-load and stats overhead over the burst (see
+  /// plan-load and stats overhead over the burst (see
   /// CompiledDatapath::process_burst).  Owner context — single-threaded use.
   void process_burst(net::Packet* const* pkts, uint32_t n, flow::Verdict* out) {
     dp_.process_burst(pkts, n, out);
@@ -122,12 +122,12 @@ class Eswitch {
 
   /// Template of a logical table's root (kLinkedList default if absent).
   TableTemplate table_template(uint8_t logical) const { return root_template_[logical]; }
-  bool is_decomposed(uint8_t logical) const { return decomposed_[logical]; }
+  bool is_decomposed(uint8_t logical) const { return !sub_slots_[logical].empty(); }
   int32_t root_slot(uint8_t logical) const { return goto_map_[logical]; }
   /// Number of decomposition-internal tables behind a logical table (0 when
   /// not decomposed).
   uint32_t decomposed_table_count(uint8_t logical) const {
-    return static_cast<uint32_t>(sub_slots_[logical].size()) + decomposed_[logical];
+    return static_cast<uint32_t>(sub_slots_[logical].size()) + is_decomposed(logical);
   }
 
   struct UpdateStats {
@@ -157,19 +157,21 @@ class Eswitch {
     uint64_t jit_recoveries = 0;   // degraded tables that regained machine code
     uint64_t template_fallbacks = 0;  // exhausted builds demoted to linked list
     uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
-    // Whole-pipeline fusion (jit/fusion.hpp): a fused machine compile the
-    // exec mapper refused degrades bursts to the staged walk, with the same
-    // bounded-backoff retry/recovery ledger as the per-table JIT.
-    uint64_t fusion_fallbacks = 0;   // fused compiles degraded to the staged walk
-    uint64_t fusion_retries = 0;     // elapsed re-fusion retry windows
-    uint64_t fusion_recoveries = 0;  // degraded pipelines that re-fused
+    // Whole-pipeline fusion (jit/fusion.hpp): when the exec mapper refuses
+    // the fused machine compile, the plan is published without machine code
+    // (every stage walks its pinned impl), with the same bounded-backoff
+    // retry/recovery ledger as the per-table JIT.
+    uint64_t fusion_fallbacks = 0;   // plans published without machine code
+    uint64_t fusion_retries = 0;     // elapsed re-emit retry windows
+    uint64_t fusion_recoveries = 0;  // plans that regained their program
   };
   const DegradationStats& degradation_stats() const { return degradation_; }
   /// Logical tables currently degraded to the interpreter and awaiting a
   /// re-JIT retry window.
   size_t degraded_jit_tables() const { return degraded_jit_.size(); }
-  /// True while a fused whole-pipeline plan is published (bursts take the
-  /// fused fast path; the scalar process() stays the staged reference).
+  /// True while a fused plan is published: for every non-empty installed
+  /// pipeline.  Whether the plan carries machine code is
+  /// datapath().fused()->program.
   bool fused_active() const { return dp_.fused() != nullptr; }
 
   /// Retire/reclaim counters of the epoch-based reclamation path (the only
@@ -203,10 +205,10 @@ class Eswitch {
   std::unique_ptr<state::Conntrack> ct_;  // attached to dp_ when cfg_.ct.enabled
   GotoMap goto_map_ = GotoMap(256, -1);
   std::array<TableTemplate, 256> root_template_{};
-  std::array<bool, 256> decomposed_{};
-  // Decomposition-internal (non-root) slots behind each logical table,
-  // retired wholesale when the logical table rebuilds.
-  std::array<std::vector<int32_t>, 256> sub_slots_{};
+  // Decomposition-internal (non-root) slots behind each logical table, in
+  // topological order of the decomposition DAG (the fused plan's stage
+  // order), retired wholesale when the logical table rebuilds.
+  SubSlotMap sub_slots_{};
   UpdateStats update_stats_;
   DegradationStats degradation_;
   /// Re-JIT retry schedule per degraded logical table, in update counts
@@ -216,10 +218,9 @@ class Eswitch {
     uint64_t backoff = 0;
   };
   std::map<uint8_t, JitRetry> degraded_jit_;
-  /// Re-fusion retry schedule after a fused machine-compile failure (same
-  /// pacing knobs as the per-table schedule).  Invariant: while this is set,
-  /// no fused plan is published — the early-out in refresh_fusion() is only
-  /// safe because there is no stale plan whose impls churn could free.
+  /// Re-emit retry schedule after a fused machine-compile failure (same
+  /// pacing knobs as the per-table schedule).  While it is set, plans are
+  /// republished without a program until the window elapses.
   std::optional<JitRetry> fusion_retry_;
   uint64_t update_seq_ = 0;  // apply()/apply_batch() calls, for retry pacing
   bool installing_ = false;  // inside compile_all(): rebuilds are not re-selections

@@ -22,7 +22,7 @@ std::shared_ptr<const FusedProgram> FusedProgram::compile(
     is_member[m.stage] = true;
   }
 
-  // Entry stubs first: one per member, so the staged walk can re-enter the
+  // Entry stubs first: one per member, so the datapath walk can re-enter the
   // fused subgraph at any member after an external (non-fused) hop.  The
   // stub loads the register convention, then falls into the member's chain.
   std::vector<Assembler::Label> stub(members.size());

@@ -98,9 +98,9 @@ struct DegradationSummary {
   uint64_t jit_fallbacks = 0;
   uint64_t jit_retries = 0;
   uint64_t jit_recoveries = 0;
-  uint64_t fusion_fallbacks = 0;   // fused whole-pipeline compiles degraded
-  uint64_t fusion_retries = 0;     // elapsed re-fusion retry windows
-  uint64_t fusion_recoveries = 0;  // pipelines that re-fused after degrading
+  uint64_t fusion_fallbacks = 0;   // plans published without machine code
+  uint64_t fusion_retries = 0;     // elapsed re-emit retry windows
+  uint64_t fusion_recoveries = 0;  // plans that regained their program
   uint64_t template_fallbacks = 0;
   uint64_t mods_refused_table_full = 0;
   uint64_t watchdog_stalled = 0;

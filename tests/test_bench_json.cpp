@@ -350,8 +350,8 @@ TEST(ValidateReport, RejectsFig19ChurnPointWithoutLatency) {
 }
 
 TEST(ValidateReport, RejectsMalformedFusionPoint) {
-  // The fusion figure's CI gate divides a fused point's pps by a staged
-  // point's; a point without the boolean `fused` tag (or without throughput)
+  // The fusion figure's CI gate divides one mode's pps by another's; a
+  // point without the boolean `fused` tag (or without throughput)
   // makes the ratio meaningless, so --check must refuse the report.
   BenchReport r = sample_report();
   r.figure = "fusion";

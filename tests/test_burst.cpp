@@ -1,9 +1,11 @@
-// Burst/scalar parity: process_burst() must be observably identical to n
-// process() calls — same verdicts, same packet mutations, same per-table and
-// global stats — for every template the compiler can pick (direct code, hash,
-// LPM, range, linked list), for decomposed pipelines, and for the OVS-model
-// baseline (whose cache hierarchy evolves packet by packet, so parity also
-// pins the in-order processing of a burst).
+// Burst parity: process_burst() must be observably identical to n process()
+// calls — a burst of one each — and to the spec interpreter Pipeline::run:
+// same verdicts, same packet mutations, same per-table and global stats — at
+// bursts of 1, 7 and 32 and in irregular bursts, for every template the
+// compiler can pick (direct code, hash, LPM, range, linked list), for
+// decomposed pipelines, and for the OVS-model baseline (whose cache hierarchy
+// evolves packet by packet, so parity also pins the in-order processing of a
+// burst).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -38,20 +40,27 @@ struct RunResult {
   std::vector<uint64_t> digests;
 };
 
-RunResult run_scalar(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+/// The reference: process() (a burst of one) packet by packet, each verdict
+/// and frame also checked against the spec interpreter.
+RunResult run_scalar(Eswitch& sw, const Pipeline& pl, const net::TrafficSet& ts,
+                     size_t n) {
   RunResult r;
-  net::Packet pkt;
+  net::Packet pkt, spec;
   for (size_t i = 0; i < n; ++i) {
     ts.load(i, pkt);
+    ts.load(i, spec);
     r.verdicts.push_back(sw.process(pkt));
     r.digests.push_back(packet_digest(pkt));
+    EXPECT_EQ(r.verdicts.back(), pl.run(spec)) << "spec verdict, packet " << i;
+    EXPECT_EQ(r.digests.back(), packet_digest(spec)) << "spec bytes, packet " << i;
   }
   return r;
 }
 
-/// Replays the same packet sequence in deterministic irregular bursts
-/// (including singletons, partial bursts and > kBurstSize chunked calls).
-RunResult run_burst(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+/// Replays the same packet sequence in bursts of `burst` packets, or, with
+/// burst == 0, in deterministic irregular bursts (including singletons,
+/// partial bursts and > kBurstSize chunked calls).
+RunResult run_burst(Eswitch& sw, const net::TrafficSet& ts, size_t n, uint32_t burst) {
   RunResult r;
   Rng rng(0xB57);
   std::vector<net::Packet> bufs(2 * net::kBurstSize);
@@ -61,15 +70,16 @@ RunResult run_burst(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
 
   size_t i = 0;
   while (i < n) {
-    const uint32_t want = static_cast<uint32_t>(rng.range(1, bufs.size()));
-    const uint32_t burst = static_cast<uint32_t>(std::min<size_t>(want, n - i));
-    for (uint32_t b = 0; b < burst; ++b) ts.load(i + b, bufs[b]);
-    sw.process_burst(ptrs.data(), burst, verdicts.data());
-    for (uint32_t b = 0; b < burst; ++b) {
+    const uint32_t want =
+        burst != 0 ? burst : static_cast<uint32_t>(rng.range(1, bufs.size()));
+    const uint32_t m = static_cast<uint32_t>(std::min<size_t>(want, n - i));
+    for (uint32_t b = 0; b < m; ++b) ts.load(i + b, bufs[b]);
+    sw.process_burst(ptrs.data(), m, verdicts.data());
+    for (uint32_t b = 0; b < m; ++b) {
       r.verdicts.push_back(verdicts[b]);
       r.digests.push_back(packet_digest(bufs[b]));
     }
-    i += burst;
+    i += m;
   }
   return r;
 }
@@ -91,23 +101,28 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   }
 }
 
-/// Full parity check: same pipeline into two switches, scalar vs burst over
-/// the same packet sequence.
+/// Full parity check: the same pipeline into one switch per burst shape,
+/// each against a reference switch running process() over the same packet
+/// sequence (itself checked against Pipeline::run).
 void expect_parity(const Pipeline& pl, const std::vector<net::FlowSpec>& flows,
                    const core::CompilerConfig& cfg = {}, size_t n_packets = 3000) {
-  Eswitch scalar_sw(cfg), burst_sw(cfg);
+  Eswitch scalar_sw(cfg);
   scalar_sw.install(pl);
-  burst_sw.install(pl);
   const auto ts = net::TrafficSet::from_flows(flows);
+  const RunResult s = run_scalar(scalar_sw, pl, ts, n_packets);
 
-  const RunResult s = run_scalar(scalar_sw, ts, n_packets);
-  const RunResult b = run_burst(burst_sw, ts, n_packets);
-  ASSERT_EQ(s.verdicts.size(), b.verdicts.size());
-  for (size_t i = 0; i < s.verdicts.size(); ++i) {
-    ASSERT_EQ(s.verdicts[i], b.verdicts[i]) << "packet " << i;
-    ASSERT_EQ(s.digests[i], b.digests[i]) << "packet " << i;
+  for (const uint32_t burst : {1u, 7u, 32u, 0u}) {
+    SCOPED_TRACE(::testing::Message() << "burst " << burst);
+    Eswitch burst_sw(cfg);
+    burst_sw.install(pl);
+    const RunResult b = run_burst(burst_sw, ts, n_packets, burst);
+    ASSERT_EQ(s.verdicts.size(), b.verdicts.size());
+    for (size_t i = 0; i < s.verdicts.size(); ++i) {
+      ASSERT_EQ(s.verdicts[i], b.verdicts[i]) << "packet " << i;
+      ASSERT_EQ(s.digests[i], b.digests[i]) << "packet " << i;
+    }
+    expect_stats_equal(scalar_sw, burst_sw);
   }
-  expect_stats_equal(scalar_sw, burst_sw);
 }
 
 /// Random mix of traffic for hand-built tables: UDP/TCP with clustered and
@@ -287,7 +302,7 @@ TEST(BurstParity, GatewayMultiTablePipeline) {
 }
 
 TEST(BurstParity, EmptyDatapathAndZeroBurst) {
-  Eswitch sw;  // nothing installed: start slot < 0, every packet drops
+  Eswitch sw;  // nothing installed: no plan, every packet drops
   auto flows = random_traffic(64, 0xE0);
   const auto ts = net::TrafficSet::from_flows(flows);
   net::Packet pkt;

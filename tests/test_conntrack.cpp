@@ -448,7 +448,7 @@ TEST(CtParity, LbJitVsInterpreter) {
   expect_parity(uc::make_ct_lb(4), 256, 2048, seed);
 }
 
-// --- burst pre-stage vs the scalar path ---------------------------------------
+// --- burst pre-stage vs a burst of one --------------------------------------
 
 struct CtOutcome {
   std::vector<Verdict> verdicts;
@@ -457,11 +457,11 @@ struct CtOutcome {
 };
 
 // Replays `n_packets` round-robin over `flows`: packet-at-a-time through
-// process() when `burst` is 0, else through process_burst in chunks of `burst`.
+// process() (a burst of one) when `burst` is 0, else through process_burst in
+// chunks of `burst`.  `jit` picks the plan with or without a machine program.
 CtOutcome replay_ct(const uc::CtUseCase& c, const std::vector<net::FlowSpec>& flows,
-                    size_t n_packets, uint32_t burst, bool fusion) {
-  CompilerConfig cfg = cfg_for(c);
-  cfg.enable_fusion = fusion;
+                    size_t n_packets, uint32_t burst, bool jit) {
+  CompilerConfig cfg = cfg_for(c, jit);
   cfg.ct.manual_clock = true;
   Eswitch sw(cfg);
   sw.install(c.pipeline);
@@ -501,18 +501,18 @@ FiveTuple conn_of(const net::FlowSpec& fs) {
 // pre-stage of a burst runs before any of its post-stages, so a connection
 // that a ct(commit) action opens is visible from the next burst on.  Packet
 // i is "post-commit dependent" when its connection first appeared at an
-// earlier packet of the same burst: the scalar walk sees that commit, the
-// burst walk does not.  Every other packet must match the scalar walk
+// earlier packet of the same burst: a burst of one sees that commit, a
+// larger burst does not.  Every other packet must match the burst of one
 // bit-for-bit, and the hit/miss counters differ by exactly the dependents.
 void expect_burst_parity(const uc::CtUseCase& c, uint64_t seed) {
   const auto flows = c.traffic(256, seed);
   ASSERT_FALSE(flows.empty());
   constexpr size_t kPackets = 2048;
   const CtOutcome ref = replay_ct(c, flows, kPackets, 0, true);
-  for (const bool fusion : {true, false}) {
+  for (const bool jit : {true, false}) {
     for (const uint32_t burst : {1u, 7u, 32u}) {
-      SCOPED_TRACE(::testing::Message() << "burst=" << burst << " fusion=" << fusion);
-      const CtOutcome got = replay_ct(c, flows, kPackets, burst, fusion);
+      SCOPED_TRACE(::testing::Message() << "burst=" << burst << " jit=" << jit);
+      const CtOutcome got = replay_ct(c, flows, kPackets, burst, jit);
       std::vector<bool> seen(flows.size(), false);
       std::vector<FiveTuple> first_in_burst;
       uint64_t dependents = 0;

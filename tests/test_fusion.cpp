@@ -1,14 +1,17 @@
-// Whole-pipeline JIT fusion (jit/fusion.hpp, core::fuse_pipeline): the fused
-// burst fast path must be observably identical to the staged per-table walk —
-// same verdicts, same packet mutations, same per-table and global stats — for
-// every template shape, goto chains, both miss policies, and under churn.
-// The degradation story is covered too: an exec-map refusal during the fused
-// compile degrades bursts to the staged walk, is accounted in the fusion
-// ledger, and heals through the bounded-backoff retry; pathological goto
-// graphs (cycles hand-wired below the control-plane validator) terminate in
-// the shared loop-bound drop instead of hanging the walk.
+// The fused plan (jit/fusion.hpp, core::fuse_pipeline) is the datapath's one
+// packet walk.  Bursts of 1, 7 and 32 must be observably identical to
+// process() — a burst of one — and to the spec interpreter Pipeline::run:
+// same verdicts, same packet mutations, same per-table and global stats —
+// for every template shape, decomposed tables, goto chains, both miss
+// policies, with and without a machine program, and under churn.  The
+// degradation story is covered too: an exec-map refusal during the fused
+// compile publishes the plan without machine code, is accounted in the
+// fusion ledger, and heals through the bounded-backoff retry; a hand-wired
+// goto cycle terminates in a drop instead of hanging the walk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "core/decompose.hpp"
 #include "core/eswitch.hpp"
 #include "flow/dsl.hpp"
 #include "jit/exec_mem.hpp"
@@ -113,6 +117,42 @@ RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n, uint32_t 
   return r;
 }
 
+/// The reference run: process() (a burst of one) packet by packet, each
+/// verdict and frame also checked against the spec interpreter.  Unless a
+/// table is decomposed (its slots then split the logical table's visits),
+/// every root slot's counters must match the spec walk's table visits.
+RunResult run_reference(Eswitch& sw, const Pipeline& pl, const net::TrafficSet& ts,
+                        size_t n) {
+  RunResult r;
+  net::Packet pkt, spec;
+  std::array<CompiledDatapath::TableStats, 256> want{};
+  for (size_t i = 0; i < n; ++i) {
+    ts.load(i, pkt);
+    ts.load(i, spec);
+    r.verdicts.push_back(sw.process(pkt));
+    r.digests.push_back(packet_digest(pkt));
+    proto::ParseInfo pi;
+    proto::parse(spec.data(), spec.len(), proto::ParserPlan::full(), pi);
+    pi.in_port = spec.in_port();
+    std::vector<flow::TraceStep> steps;
+    EXPECT_EQ(r.verdicts.back(), pl.process(spec, pi, &steps))
+        << "spec verdict, packet " << i;
+    EXPECT_EQ(r.digests.back(), packet_digest(spec)) << "spec bytes, packet " << i;
+    for (const flow::TraceStep& st : steps) {
+      ++want[st.table_id].lookups;
+      ++(st.entry != nullptr ? want[st.table_id].hits : want[st.table_id].misses);
+    }
+  }
+  for (const flow::FlowTable& t : pl.tables()) {
+    if (sw.is_decomposed(t.id())) continue;
+    const auto got = sw.datapath().table_stats(sw.root_slot(t.id()));
+    EXPECT_EQ(got.lookups, want[t.id()].lookups) << "table " << int{t.id()};
+    EXPECT_EQ(got.hits, want[t.id()].hits) << "table " << int{t.id()};
+    EXPECT_EQ(got.misses, want[t.id()].misses) << "table " << int{t.id()};
+  }
+  return r;
+}
+
 void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   const auto sa = a.datapath().stats();
   const auto sb = b.datapath().stats();
@@ -130,31 +170,41 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   }
 }
 
-/// Same pipeline into a fused and a fusion-disabled switch, same burst
-/// sequence (run_bursts' `burst`): verdicts, frame mutations, verdict-level
-/// and per-slot stats must agree packet for packet.
+/// Same pipeline into one switch per burst shape (`bursts`, 0 = irregular),
+/// each against a reference switch running process() (a burst of one) and
+/// against Pipeline::run: verdicts, frame mutations, verdict-level and
+/// per-slot stats must agree packet for packet.  The plan without a machine
+/// program (JIT off) runs the same comparison at full bursts.
 void expect_fused_parity(const Pipeline& pl,
                          const std::vector<net::FlowSpec>& flows,
                          CompilerConfig cfg = {}, size_t n_packets = 3000,
-                         uint32_t burst = 0) {
-  CompilerConfig fused_cfg = cfg, staged_cfg = cfg;
-  fused_cfg.enable_fusion = true;
-  staged_cfg.enable_fusion = false;
-  Eswitch fused_sw(fused_cfg), staged_sw(staged_cfg);
-  fused_sw.install(pl);
-  staged_sw.install(pl);
-  ASSERT_TRUE(fused_sw.fused_active()) << "plan was not published";
-  ASSERT_FALSE(staged_sw.fused_active());
+                         const std::vector<uint32_t>& bursts = {1, 7, 32, 0}) {
   const auto ts = net::TrafficSet::from_flows(flows);
+  Eswitch ref_sw(cfg);
+  ref_sw.install(pl);
+  ASSERT_TRUE(ref_sw.fused_active()) << "plan was not published";
+  const RunResult ref = run_reference(ref_sw, pl, ts, n_packets);
 
-  const RunResult f = run_bursts(fused_sw, ts, n_packets, burst);
-  const RunResult s = run_bursts(staged_sw, ts, n_packets, burst);
-  ASSERT_EQ(f.verdicts.size(), s.verdicts.size());
-  for (size_t i = 0; i < f.verdicts.size(); ++i) {
-    ASSERT_EQ(f.verdicts[i], s.verdicts[i]) << "packet " << i;
-    ASSERT_EQ(f.digests[i], s.digests[i]) << "packet " << i;
-  }
-  expect_stats_equal(fused_sw, staged_sw);
+  CompilerConfig interp_cfg = cfg;
+  interp_cfg.enable_jit = false;
+  const auto check = [&](const CompilerConfig& c, uint32_t burst) {
+    SCOPED_TRACE(::testing::Message() << "burst " << burst << " jit " << c.enable_jit);
+    Eswitch sw(c);
+    sw.install(pl);
+    ASSERT_TRUE(sw.fused_active()) << "plan was not published";
+    if (!c.enable_jit) {
+      EXPECT_EQ(sw.datapath().fused()->program, nullptr);
+    }
+    const RunResult got = run_bursts(sw, ts, n_packets, burst);
+    ASSERT_EQ(got.verdicts.size(), ref.verdicts.size());
+    for (size_t i = 0; i < got.verdicts.size(); ++i) {
+      ASSERT_EQ(got.verdicts[i], ref.verdicts[i]) << "packet " << i;
+      ASSERT_EQ(got.digests[i], ref.digests[i]) << "packet " << i;
+    }
+    expect_stats_equal(sw, ref_sw);
+  };
+  for (const uint32_t burst : bursts) check(cfg, burst);
+  check(interp_cfg, net::kBurstSize);
 }
 
 // --- fusability ------------------------------------------------------------
@@ -221,32 +271,116 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
   }
 }
 
-TEST(Fusion, NotFusedWhenDisabledOrDecomposed) {
-  {
-    CompilerConfig cfg;
-    cfg.enable_fusion = false;
-    Eswitch sw(cfg);
-    sw.install(uc::make_l2(64).pipeline);
-    EXPECT_FALSE(sw.fused_active());
-  }
-  {
-    CompilerConfig cfg;
-    cfg.enable_decomposition = true;
+TEST(Fusion, DecomposedTableIsFusedAndCoversEverySubSlot) {
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  for (const bool jit : {true, false}) {
+    SCOPED_TRACE(jit ? "jit" : "interpreter");
+    cfg.enable_jit = jit;
     Eswitch sw(cfg);
     const auto uc = uc::make_load_balancer(20);
     sw.install(uc.pipeline);
     ASSERT_TRUE(sw.is_decomposed(0));
-    EXPECT_FALSE(sw.fused_active());
-    // The staged walk still serves the decomposed pipeline correctly.
-    net::Packet p = test::make_packet(uc.traffic(4, 5)[0].pkt);
-    net::Packet* pp = &p;
-    Verdict v;
-    sw.process_burst(&pp, 1, &v);
-    EXPECT_EQ(sw.datapath().stats().packets, 1u);
+    ASSERT_TRUE(sw.fused_active());
+    const FusedPipeline* fp = sw.datapath().fused();
+    // One stage per decomposition table: the root first, then every
+    // sub-slot, each mapped back to its stage.
+    ASSERT_EQ(fp->stages.size(), sw.decomposed_table_count(0));
+    EXPECT_EQ(fp->stages[0].slot, sw.root_slot(0));
+    std::vector<bool> covered(static_cast<size_t>(sw.datapath().num_slots()), false);
+    for (size_t k = 0; k < fp->stages.size(); ++k) {
+      const int32_t slot = fp->stages[k].slot;
+      EXPECT_EQ(fp->stage_of_slot[static_cast<size_t>(slot)], static_cast<int32_t>(k));
+      EXPECT_EQ(fp->stages[k].impl, sw.datapath().impl(slot));
+      covered[static_cast<size_t>(slot)] = true;
+    }
+    EXPECT_EQ(std::count(covered.begin(), covered.end(), true),
+              static_cast<long>(sw.decomposed_table_count(0)));
+    if (jit && jit::ExecBuffer::supported()) {
+      EXPECT_NE(fp->program, nullptr) << "direct-code sub-tables not fused";
+    }
+    if (!jit) {
+      EXPECT_EQ(fp->program, nullptr);
+    }
+    // The plan serves the decomposed pipeline: every internal goto is
+    // forward, so no packet meets the walk's backward-edge drop.
+    const auto ts = net::TrafficSet::from_flows(uc.traffic(400, 5));
+    const RunResult r = run_bursts(sw, ts, 400, net::kBurstSize);
+    for (size_t i = 0; i < r.verdicts.size(); ++i) {
+      net::Packet spec;
+      ts.load(i, spec);
+      ASSERT_EQ(r.verdicts[i], uc.pipeline.run(spec)) << "packet " << i;
+    }
+    EXPECT_EQ(sw.datapath().stats().packets, 400u);
   }
 }
 
-// --- fused/staged parity ----------------------------------------------------
+/// A table whose decomposition shares a memoized leaf between two routers,
+/// the second allocated after the leaf: pivot ip_dst (3 keys), then tcp_dst
+/// under 10.0.0.1 and 10.0.0.2, whose tcp_dst=10 branches are one residual.
+Pipeline memo_hit_pipeline() {
+  Pipeline pl;
+  flow::FlowTable& t = pl.table(0);
+  for (const char* dst : {"10.0.0.1", "10.0.0.2"}) {
+    const std::string d = dst;
+    t.add(parse_rule("priority=20,ip_dst=" + d + ",tcp_dst=10,ip_src=1.0.0.1,actions=output:1"));
+    t.add(parse_rule("priority=20,ip_dst=" + d + ",tcp_dst=10,ip_src=1.0.0.2,actions=output:4"));
+  }
+  t.add(parse_rule("priority=20,ip_dst=10.0.0.1,tcp_dst=11,ip_src=2.0.0.1,actions=output:2"));
+  t.add(parse_rule("priority=20,ip_dst=10.0.0.2,tcp_dst=12,ip_src=3.0.0.1,actions=output:3"));
+  t.add(parse_rule("priority=20,ip_dst=10.0.0.3,tcp_dst=13,actions=output:5"));
+  return pl;
+}
+
+TEST(Fusion, ParityMemoHitDecompositionWithBackwardIndexEdge) {
+  const Pipeline pl = memo_hit_pipeline();
+  // The decomposition DAG has an edge from a router to a lower-indexed
+  // table: index order is not a topological order.
+  const core::DecomposedPipeline d = core::decompose(pl.tables().front());
+  ASSERT_FALSE(d.unchanged());
+  bool backward = false;
+  for (size_t t = 0; t < d.tables.size(); ++t)
+    for (const auto& e : d.tables[t].entries)
+      backward |= e.internal_next >= 0 && static_cast<size_t>(e.internal_next) < t;
+  ASSERT_TRUE(backward) << "decomposition has no backward index edge";
+  const std::vector<int32_t> order = d.topological_order();
+  ASSERT_EQ(order.size(), d.tables.size());
+  EXPECT_EQ(order.front(), 0);
+  std::vector<size_t> pos(d.tables.size());
+  for (size_t k = 0; k < order.size(); ++k) pos[static_cast<size_t>(order[k])] = k;
+  for (size_t t = 0; t < d.tables.size(); ++t)
+    for (const auto& e : d.tables[t].entries)
+      if (e.internal_next >= 0) {
+        EXPECT_LT(pos[t], pos[static_cast<size_t>(e.internal_next)]);
+      }
+
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  Eswitch probe(cfg);
+  probe.install(pl);
+  ASSERT_TRUE(probe.is_decomposed(0));
+  ASSERT_EQ(probe.decomposed_table_count(0), d.tables.size());
+  ASSERT_TRUE(probe.fused_active());
+
+  // Traffic that reaches every leaf, the shared one from both routers.
+  Rng rng(0xBAC);
+  std::vector<net::FlowSpec> flows;
+  const uint32_t dsts[] = {test::ip("10.0.0.1"), test::ip("10.0.0.2"),
+                           test::ip("10.0.0.3"), test::ip("10.0.0.4")};
+  const uint32_t srcs[] = {test::ip("1.0.0.1"), test::ip("1.0.0.2"),
+                           test::ip("2.0.0.1"), test::ip("3.0.0.1"),
+                           test::ip("9.9.9.9")};
+  for (int i = 0; i < 600; ++i) {
+    net::FlowSpec f;
+    f.pkt = test::tcp_spec(srcs[rng.below(5)], dsts[rng.below(4)],
+                           static_cast<uint16_t>(rng.below(0x10000)),
+                           static_cast<uint16_t>(10 + rng.below(4)));
+    flows.push_back(f);
+  }
+  expect_fused_parity(pl, flows, cfg, flows.size());
+}
+
+// --- parity: bursts vs a burst of one vs the spec interpreter ---------------
 
 TEST(Fusion, ParityDirectCodeGotoChainWithMutationsAndControllerMiss) {
   // Three direct-code tables chained by gotos; the middle one's miss goes to
@@ -284,7 +418,7 @@ TEST(Fusion, ParityBatchedCuckooBetweenDirectCodeStages) {
   // members.  Paths end at every stage (controller at 0, output at 1, output
   // at 2), misses and frames without UDP reach the cuckoo's controller miss
   // policy, and the frame is rewritten (dec_ttl) on the way.  Bursts of 1 (the scalar
-  // fallback), 2 (the smallest bulk group) and 32 (a full burst).
+  // fallback), 2 (the smallest bulk group), 7 and 32 (a full burst).
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=30,eth_type=0x0800,actions=dec_ttl,goto:1"));
   pl.table(0).add(parse_rule("priority=10,eth_type=0x0806,actions=controller"));
@@ -315,10 +449,7 @@ TEST(Fusion, ParityBatchedCuckooBetweenDirectCodeStages) {
   EXPECT_TRUE(fp->stages[1].batched);
 
   const auto flows = random_traffic(1200, 0xB47);
-  for (const uint32_t burst : {1u, 2u, 32u}) {
-    SCOPED_TRACE("burst " + std::to_string(burst));
-    expect_fused_parity(pl, flows, cfg, flows.size(), burst);
-  }
+  expect_fused_parity(pl, flows, cfg, flows.size(), {1, 2, 7, 32});
 }
 
 TEST(Fusion, ParityLpmL3) {
@@ -506,30 +637,43 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   {
     ExecFailGuard guard;
     // The rebuild degrades the table to the interpreter AND refuses the
-    // fused re-compile: the plan must be cleared, not left stale.
+    // fused re-compile: the plan stays published, without machine code.
     sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
   }
-  EXPECT_FALSE(sw.fused_active()) << "refused compile left a plan published";
+  ASSERT_TRUE(sw.fused_active()) << "refused compile left no plan published";
+  EXPECT_EQ(sw.datapath().fused()->program, nullptr);
   EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
   EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 0u);
 
-  // Degraded bursts still process correctly through the staged walk.
+  // The program-less plan serves the same verdicts the spec gives.
+  const auto expect_verdicts = [&] {
+    for (const uint16_t dport : {53, 99, 100, 101, 7}) {
+      net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, dport));
+      net::Packet spec = p;
+      net::Packet* pp = &p;
+      Verdict v;
+      sw.process_burst(&pp, 1, &v);
+      EXPECT_EQ(v, sw.pipeline().run(spec)) << "udp_dst=" << dport;
+    }
+  };
+  expect_verdicts();
   net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, 99));
-  net::Packet* pp = &p;
-  Verdict v;
-  sw.process_burst(&pp, 1, &v);
-  EXPECT_EQ(v, Verdict::output(5));
+  EXPECT_EQ(sw.process(p), Verdict::output(5));
 
-  // Two healthy updates elapse the retry window; the re-fusion must land and
+  // Two healthy updates elapse the retry window; the re-emit must land and
   // be accounted as a recovery.
   sw.apply(add_mod(1, "priority=8,udp_dst=100,actions=output:6"));
   sw.apply(add_mod(1, "priority=7,udp_dst=101,actions=output:7"));
-  EXPECT_TRUE(sw.fused_active()) << "retry window elapsed without re-fusing";
+  ASSERT_TRUE(sw.fused_active());
+  EXPECT_NE(sw.datapath().fused()->program, nullptr)
+      << "retry window elapsed without re-emitting the program";
   EXPECT_GE(sw.degradation_stats().fusion_retries, 1u);
   EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 1u);
+  expect_verdicts();
 
   net::Packet p2 = test::make_packet(test::udp_spec(1, 2, 9, 53));
   net::Packet* pp2 = &p2;
+  Verdict v;
   sw.process_burst(&pp2, 1, &v);
   EXPECT_EQ(v, Verdict::output(4));
 }
@@ -538,14 +682,15 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
 
 TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   // Two interpreter tables hand-wired into a cycle via raw internal_next slot
-  // ids — below the control-plane validator (which enforces forward gotos).
-  // Both walk flavors must terminate in kMaxHops drops, with the stats
-  // windows flushed mid-walk (the hoisted lap guard), not hang.
+  // ids — below the control-plane validator (which enforces forward gotos) —
+  // under a hand-built plan with the same backward edge: the walk's
+  // monotone-stage guard must drop at the first backward transition, not
+  // hang.
   CompiledDatapath dp;
   const core::GotoMap gmap(256, -1);
   core::BuildCtx ctx{dp.actions(), gmap};
-  const int32_t s0 = dp.add_slot(flow::FlowTable::MissPolicy::kDrop);
-  const int32_t s1 = dp.add_slot(flow::FlowTable::MissPolicy::kDrop);
+  const int32_t s0 = dp.add_slot();
+  const int32_t s1 = dp.add_slot();
   core::BuildEntry e;  // match-all, no actions
   e.priority = 1;
   e.internal_next = s1;
@@ -554,35 +699,27 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   dp.set_impl(s1, core::DirectCodeTable::build({e}, ctx, false));
   dp.set_start(s0);
 
-  net::Packet p = test::make_packet(test::udp_spec(1, 2, 3, 4));
-  EXPECT_EQ(dp.process(p), Verdict::drop());  // scalar walk
-
-  net::Packet* pp = &p;
-  Verdict v = Verdict::output(9);
-  dp.process_burst(&pp, 1, &v);  // staged burst walk
-  EXPECT_EQ(v, Verdict::drop());
-  EXPECT_EQ(dp.stats().packets, 2u);
-  EXPECT_EQ(dp.stats().drops, 2u);
-  // Every hop was counted before the guard dropped the packet.
-  const auto ts0 = dp.table_stats(s0);
-  const auto ts1 = dp.table_stats(s1);
-  EXPECT_EQ(ts0.lookups + ts1.lookups,
-            2u * static_cast<uint64_t>(CompiledDatapath::kMaxHops));
-
-  // A hand-built fused plan with the same backward edge: the fused walk's
-  // monotone-stage guard must drop at the first backward transition.
   auto fp = std::make_unique<FusedPipeline>();
   fp->stage_of_slot.assign(static_cast<size_t>(dp.num_slots()), -1);
   fp->stages.push_back({s0, dp.impl(s0), flow::FlowTable::MissPolicy::kDrop,
-                        false, false, nullptr});
+                        false, false, nullptr, 0});
   fp->stages.push_back({s1, dp.impl(s1), flow::FlowTable::MissPolicy::kDrop,
-                        false, false, nullptr});
+                        false, false, nullptr, 1});
   fp->stage_of_slot[static_cast<size_t>(s0)] = 0;
   fp->stage_of_slot[static_cast<size_t>(s1)] = 1;
   dp.set_fused(std::move(fp));
+
+  net::Packet p = test::make_packet(test::udp_spec(1, 2, 3, 4));
+  net::Packet* pp = &p;
+  Verdict v = Verdict::output(9);
   dp.process_burst(&pp, 1, &v);
   EXPECT_EQ(v, Verdict::drop());
-  EXPECT_EQ(dp.stats().drops, 3u);
+  EXPECT_EQ(dp.process(p), Verdict::drop());  // a burst of one, same walk
+  EXPECT_EQ(dp.stats().packets, 2u);
+  EXPECT_EQ(dp.stats().drops, 2u);
+  // Each packet hit both stages once before the backward edge dropped it.
+  EXPECT_EQ(dp.table_stats(s0).lookups, 2u);
+  EXPECT_EQ(dp.table_stats(s1).lookups, 2u);
 }
 
 // --- concurrent churn: epoch-safe republish ---------------------------------
@@ -638,6 +775,102 @@ TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
   sw.datapath().reclaim();
   EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u)
       << "retired plans/impls stuck after the last worker left";
+}
+
+TEST(Fusion, DecomposedChurnUnderWorker) {
+  // One worker runs decomposed-lb bursts while the control thread streams
+  // VIP add/delete pairs.  Every mod re-decomposes table 0 onto fresh
+  // sub-slots and republishes the plan, so the pipeline alternates between
+  // two states; every packet's verdict must be the spec's verdict on one of
+  // them, verdict accounting must be exact, and every retired sub-slot, impl
+  // and plan must drain once the worker is gone.
+  constexpr size_t kServices = 16;
+  const auto uc = uc::make_load_balancer(kServices);
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  Eswitch sw(cfg);
+  sw.install(uc.pipeline);
+  ASSERT_TRUE(sw.is_decomposed(0));
+  ASSERT_TRUE(sw.fused_active());
+
+  // The churned VIP: one more web service, its first-bit-0 backend.
+  const uint32_t vip = 0x0A010000u | static_cast<uint32_t>(kServices);
+  FlowMod add = add_mod(0, "priority=20,in_port=1,ip_dst=" +
+                               flow::format_ipv4(vip) +
+                               ",tcp_dst=80,ip_src=0.0.0.0/1,actions=output:99");
+  FlowMod del = add;
+  del.command = FlowMod::Cmd::kDelete;
+  Pipeline with_vip = uc.pipeline;
+  with_vip.table(0).add(flow::entry_from(add));
+
+  // Base traffic plus packets for the churned VIP; the two pipeline states
+  // disagree on the latter.
+  std::vector<net::FlowSpec> flows = uc.traffic(384, 17);
+  for (uint32_t i = 0; i < 128; ++i) {
+    net::FlowSpec f;
+    f.pkt = test::tcp_spec(i * 0x01010101u, vip, static_cast<uint16_t>(1024 + i), 80);
+    f.in_port = 1;
+    flows.push_back(f);
+  }
+  const auto ts = net::TrafficSet::from_flows(flows);
+  std::vector<Verdict> want_base(ts.size()), want_vip(ts.size());
+  for (size_t i = 0; i < ts.size(); ++i) {
+    net::Packet a, b;
+    ts.load(i, a);
+    ts.load(i, b);
+    want_base[i] = uc.pipeline.run(a);
+    want_vip[i] = with_vip.run(b);
+  }
+  ASSERT_NE(std::count(want_vip.begin(), want_vip.end(), Verdict::output(99)), 0);
+
+  Eswitch::Worker* w = sw.register_worker();
+  ASSERT_NE(w, nullptr);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> processed{0}, wrong{0};
+  std::thread worker([&] {
+    std::vector<net::Packet> bufs(net::kBurstSize);
+    std::vector<net::Packet*> ptrs(bufs.size());
+    Verdict verdicts[net::kBurstSize];
+    for (size_t b = 0; b < bufs.size(); ++b) ptrs[b] = &bufs[b];
+    size_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint32_t b = 0; b < net::kBurstSize; ++b)
+        ts.load((i + b) % ts.size(), bufs[b]);
+      sw.process_burst(*w, ptrs.data(), net::kBurstSize, verdicts);
+      for (uint32_t b = 0; b < net::kBurstSize; ++b) {
+        const size_t k = (i + b) % ts.size();
+        if (verdicts[b] != want_base[k] && verdicts[b] != want_vip[k])
+          wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+      processed.fetch_add(net::kBurstSize, std::memory_order_relaxed);
+      i += net::kBurstSize;
+    }
+  });
+  while (processed.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+
+  const auto republishes = sw.update_stats().fusion_republishes;
+  constexpr int kPairs = 40;
+  for (int k = 0; k < kPairs; ++k) {
+    sw.apply(add);
+    sw.apply(del);
+  }
+  stop.store(true);
+  worker.join();
+  sw.unregister_worker(w);
+
+  EXPECT_GE(sw.update_stats().fusion_republishes, republishes + 2 * kPairs)
+      << "a re-decomposition did not republish the plan";
+  EXPECT_TRUE(sw.is_decomposed(0));
+  EXPECT_TRUE(sw.fused_active());
+  EXPECT_EQ(wrong.load(), 0u) << "verdict matched neither pipeline state";
+  const auto st = sw.datapath().stats();
+  EXPECT_EQ(st.packets, processed.load());
+  EXPECT_EQ(st.packets, st.outputs + st.drops + st.to_controller);
+  sw.datapath().reclaim();
+  const auto rs = sw.datapath().reclaim_stats();
+  EXPECT_EQ(rs.pending, 0u) << "retired sub-slots/impls/plans stuck after the worker left";
+  EXPECT_EQ(rs.internal_pending, 0u);
+  EXPECT_EQ(rs.retired, rs.reclaimed);
 }
 
 }  // namespace
