@@ -329,12 +329,12 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
       net::Packet& pkt = *pkts[i];
       proto::ParseInfo& pi = pis[i];
       const FusedPipeline::Stage& s = fp->stages[cs];
+      touch(static_cast<uint32_t>(cs));
       int32_t ts;  // next stage
       if (s.entry != nullptr && bulk) {
         // Machine subgraph: runs fused members until the walk completes,
         // misses, or exits toward a pinned-impl stage.  Per-stage counters
         // are bumped by the generated code itself.
-        touch(static_cast<uint32_t>(cs));
         const uint64_t word = s.entry(pkt.data(), &pi, w.actions_.data(), delta);
         const uint32_t nact = jit::fused_exit_actions(word);
         for (uint32_t k = 0; k < nact; ++k)
@@ -357,7 +357,6 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
       } else {
         // Pinned-impl stage: this round's bulk probe or one lookup, stats
         // into the same delta block.
-        touch(static_cast<uint32_t>(cs));
         ++delta[cs * jit::kFusedStatStride + jit::kFusedStatLookups];
         const uint64_t r = s.batched && bulk ? probed[i]
                                              : s.impl->lookup(pkt.data(), pi, trace);
