@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Long-running differential hunt (the CI nightly): builds diffhunt in Release
-# with ASan+UBSan and runs seeded campaigns against all three execution paths
-# (ES JIT / ES interpreter / OVS baseline) until the time budget runs out.
+# with ASan+UBSan and runs seeded campaigns against all four DiffRunner legs
+# (ES JIT / ES interpreter / OVS baseline / spec interpreter) until the time
+# budget runs out.
 #
 #   scripts/diffhunt.sh                 # ~5 min hunt -> diff-artifacts/ on hit
 #   SECONDS_BUDGET=60 scripts/diffhunt.sh

@@ -3,15 +3,15 @@
 //
 //   diffhunt [--seconds N | --campaigns N] [--seed S] [--pipelines N]
 //            [--packets N] [--artifacts DIR]
-//       Runs seeded campaigns (time- or count-bounded) through the three
-//       execution paths.  Exit 0 = no divergence; exit 1 = divergence found
+//       Runs seeded campaigns (time- or count-bounded) through the four
+//       DiffRunner legs.  Exit 0 = no divergence; exit 1 = divergence found
 //       (artifacts written to --artifacts, default diff-artifacts/); the seed
 //       of every campaign is printed, so any hit replays exactly.
 //
 //   diffhunt --replay FILE.rules FILE.pcap
 //       Loads a repro artifact (written by a previous run or by
-//       tests/test_diff_oracle) and re-runs its trace through all three
-//       paths.  Exit 1 when the divergence still reproduces, 0 when fixed.
+//       tests/test_diff_oracle) and re-runs its trace through all four
+//       legs.  Exit 1 when the divergence still reproduces, 0 when fixed.
 //
 // Seeds default to ESW_TEST_SEED or the wall clock; every knob is also an
 // env var so the nightly workflow can tune without flag plumbing.
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     ++c;
   }
   std::printf("[diffhunt] clean: %u campaigns, %" PRIu64 " pipelines, %" PRIu64
-              " packets x 3 paths, 0 divergences\n",
+              " packets x 4 legs, 0 divergences\n",
               c, total_pipelines, total_packets);
   return 0;
 }
