@@ -6,16 +6,19 @@
 //   triggering frame isn't lost)
 //   subsequent packets forward on the compiled fast path, controller silent
 //
-// Everything runs through the real machinery: `core::SwitchHost` executes
-// verdicts against ports, `uc::OfAgent` speaks the wire protocol over an
-// AF_UNIX socketpair, and the flow-mods land in ESWITCH's compiled datapath.
+// Everything runs through the real machinery: `core::SwitchRuntime`, driven
+// inline from this thread, executes verdicts against ports, `uc::OfAgent`
+// speaks the wire protocol over an AF_UNIX socketpair, and the flow-mods land
+// in ESWITCH's compiled datapath.  The run checks its own story: the
+// fast-path phase sends no PACKET_IN and OFPMP_FLOW returns the learned
+// flows (a violation exits nonzero).
 //
 //   $ ./learning_switch
 #include <cstdio>
 #include <map>
 
 #include "core/eswitch.hpp"
-#include "core/switch_host.hpp"
+#include "core/switch_runtime.hpp"
 #include "flow/dsl.hpp"
 #include "proto/build.hpp"
 #include "usecases/of_agent.hpp"
@@ -24,7 +27,7 @@ using namespace esw;
 
 namespace {
 
-using Host = core::SwitchHost<core::Eswitch>;
+using Host = core::SwitchRuntime<core::Eswitch>;
 
 uint64_t mac_of(uint32_t host_no) { return 0x0200'0000'0000ULL | host_no; }
 
@@ -75,8 +78,13 @@ class LearningApp {
 
 int main() {
   // The switch starts with one empty table whose miss policy punts to the
-  // controller — the fully reactive configuration.
-  Host host({.n_ports = 4, .port = {}, .pool_capacity = 512});
+  // controller — the fully reactive configuration.  No worker threads: this
+  // thread polls the runtime and drains its TX rings.
+  Host::Config cfg;
+  cfg.n_ports = 4;
+  cfg.pool_capacity = 512;
+  cfg.sink_tx = false;
+  Host host(cfg);
   flow::Pipeline pl;
   pl.table(0).set_miss_policy(flow::FlowTable::MissPolicy::kController);
   host.backend().install(pl);
@@ -89,9 +97,6 @@ int main() {
                     po.in_port, po.actions);
   };
   uc::OfAgent agent(std::move(cbs));
-  host.set_packet_in_sink([&agent](const core::PacketInEvent& ev) {
-    agent.send_packet_in(ev.frame.data(), ev.frame.size(), ev.in_port);
-  });
 
   uc::OfController ctrl(agent.controller_fd());
   uc::run_handshake(agent, ctrl);
@@ -110,6 +115,8 @@ int main() {
     host.inject(from_port, frame, len);
     const auto pins_before = agent.stats().packet_ins_sent;
     host.poll();                       // datapath: forward or punt
+    for (const core::RuntimePacketIn& pin : host.drain_packet_ins())
+      agent.send_packet_in(pin.frame.data(), pin.frame.size(), pin.in_port);
     ctrl.poll();                       // controller: react to PACKET_IN
     for (const flow::PacketIn& pin : ctrl.take_packet_ins()) app.handle(pin);
     agent.poll();                      // switch: apply FLOW_MOD / PACKET_OUT
@@ -127,25 +134,34 @@ int main() {
   std::printf("\nreactive phase (controller in the loop):\n");
   send(1, 1, 2);  // unknown dst: flood, learn host1@1
   send(2, 2, 1);  // dst known: FLOW_MOD eth_dst=host1 -> 1, learn host2@2
-  send(3, 3, 1);  // dst known: learn host3@3
+  send(1, 1, 2);  // dst known: FLOW_MOD eth_dst=host2 -> 2
 
   std::printf("\nfast-path phase (controller silent):\n");
-  send(2, 2, 1);  // compiled flow serves it — no PACKET_IN
+  const uint64_t pins_reactive = agent.stats().packet_ins_sent;
+  send(2, 2, 1);  // compiled flows serve all of these — no PACKET_IN
   send(3, 3, 1);
-  send(1, 1, 2);  // host2 known by now: triggers the last FLOW_MOD
-  send(1, 1, 2);  // ...and this one flies through the datapath
+  send(1, 1, 2);
+  send(3, 3, 2);
+  ESW_CHECK_MSG(agent.stats().packet_ins_sent == pins_reactive,
+                "the fast-path phase sent a PACKET_IN");
 
   // Read the controller-installed flow table back over OFPMP_FLOW.
   ctrl.send_flow_stats_request();
   agent.poll();
   ctrl.poll();
   std::printf("\nflow table (via OFPMP_FLOW):\n");
+  uint64_t learned = 0;
   for (const auto& reply : ctrl.take_flow_stats())
-    for (const auto& e : reply.entries)
+    for (const auto& e : reply.entries) {
       std::printf("  table %u  %s\n", e.table_id,
                   flow::format_rule({e.match, e.priority, e.actions, e.goto_table,
                                      e.cookie})
                       .c_str());
+      if (e.table_id == 0 && e.priority == 10 && e.match.has(flow::FieldId::kEthDst))
+        ++learned;
+    }
+  ESW_CHECK_MSG(learned == 2 && learned == app.flows_installed(),
+                "OFPMP_FLOW does not return the learned flows");
 
   // Delete one learned flow; the OFPFF_SEND_FLOW_REM flag we set on install
   // brings back a FLOW_REMOVED carrying the flow's final counters.

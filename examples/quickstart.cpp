@@ -1,15 +1,15 @@
 // Quickstart: program an ESWITCH, mount it in the port-based switch runtime
-// (`core::SwitchHost`) and watch packets flow rx → process → tx the way the
-// switch runs in production — verdicts are *executed*: output goes to a TX
-// port, flood fans out to every port except ingress, controller punts buffer
-// up as PACKET_IN events.
+// (`core::SwitchRuntime`, driven inline from this thread) and watch packets
+// flow rx → process → tx the way the switch runs in production — verdicts
+// are *executed*: output goes to a TX port, flood fans out to every port
+// except ingress, controller punts buffer up as packet-ins.
 //
 //   $ ./quickstart
 #include <cstdio>
 #include <iterator>
 
 #include "core/eswitch.hpp"
-#include "core/switch_host.hpp"
+#include "core/switch_runtime.hpp"
 #include "flow/dsl.hpp"
 #include "proto/build.hpp"
 
@@ -17,7 +17,7 @@ using namespace esw;
 
 namespace {
 
-using Host = core::SwitchHost<core::Eswitch>;
+using Host = core::SwitchRuntime<core::Eswitch>;
 
 /// Injects one frame, runs a scheduling round and reports where it went by
 /// draining the TX rings.
@@ -26,7 +26,6 @@ void probe(Host& host, const char* what, const proto::PacketSpec& spec,
   uint8_t frame[256];
   const uint32_t len = proto::build_packet(spec, frame, sizeof frame);
   host.inject(in_port, frame, len);
-  const auto punted_before = host.counters().packet_ins;
   host.poll();
 
   std::printf("%-36s ->", what);
@@ -38,7 +37,7 @@ void probe(Host& host, const char* what, const proto::PacketSpec& spec,
       anywhere = true;
     }
   });
-  if (host.counters().packet_ins > punted_before) {
+  if (!host.drain_packet_ins().empty()) {
     std::printf(" packet-in (to controller)");
     anywhere = true;
   }
@@ -63,8 +62,13 @@ int main() {
 
   // 2. Mount the switch in the runtime: four ports, an mbuf pool, and the
   //    compiling backend.  ESWITCH picks a template per table and emits
-  //    machine code for the small ones.
-  Host host({.n_ports = 4, .port = {}, .pool_capacity = 512});
+  //    machine code for the small ones.  No worker threads: this thread
+  //    drives the runtime with poll() and drains the TX rings itself.
+  Host::Config cfg;
+  cfg.n_ports = 4;
+  cfg.pool_capacity = 512;
+  cfg.sink_tx = false;
+  Host host(cfg);
   host.backend().install(pl);
   for (const auto& t : host.backend().pipeline().tables())
     std::printf("table %u: %zu rules -> %s template%s\n", t.id(), t.size(),
@@ -105,14 +109,15 @@ int main() {
   // 5. Both the runtime and the backend keep counters; the backend's are the
   //    unified Dataplane shape every backend reports.
   const core::DataplaneStats st = host.backend().stats();
-  const auto& hc = host.counters();
+  const Host::Counters hc = host.counters();
+  const net::PortCounters pc = host.ports().totals();
   std::printf("\ndatapath: %llu packets, %llu forwarded, %llu dropped, %llu punted\n",
               static_cast<unsigned long long>(st.packets),
               static_cast<unsigned long long>(st.outputs),
               static_cast<unsigned long long>(st.drops),
               static_cast<unsigned long long>(st.to_controller));
   std::printf("runtime:  %llu rx, %llu tx (%llu flood copies), %llu packet-ins\n",
-              static_cast<unsigned long long>(hc.rx_packets),
+              static_cast<unsigned long long>(pc.rx_packets),
               static_cast<unsigned long long>(hc.tx_packets),
               static_cast<unsigned long long>(hc.flood_copies),
               static_cast<unsigned long long>(hc.packet_ins));

@@ -2,11 +2,12 @@
 //
 // Both datapath implementations — the compiling `core::Eswitch` and the
 // flow-caching baseline `ovs::OvsSwitch` — satisfy the `Dataplane` concept,
-// so the runtime (`core::SwitchHost`), the agent session (`uc::OfAgent`
-// bridges), the measurement harness and every figure bench drive either
-// backend through one non-virtual surface: no per-backend adapter code, no
-// virtual dispatch on the per-packet path (the NFV dataplane-benchmarking
-// prescription: compare switches through the same harness).
+// so the agent session (`uc::OfAgent` bridges), the measurement harness and
+// every figure bench drive either backend through one non-virtual surface:
+// no per-backend adapter code, no virtual dispatch on the per-packet path
+// (the NFV dataplane-benchmarking prescription: compare switches through the
+// same harness).  Both also satisfy `ConcurrentDataplane`, so the one switch
+// runtime (`core::SwitchRuntime`) runs either of them.
 #pragma once
 
 #include <concepts>
@@ -70,5 +71,20 @@ concept Dataplane = requires(T sw, const T csw, const flow::Pipeline& pl,
   { csw.stats() } -> std::convertible_to<DataplaneStats>;
   { csw.pipeline() } -> std::convertible_to<const flow::Pipeline&>;
 };
+
+/// A backend the switch runtime can drive: the Dataplane surface plus
+/// per-worker execution contexts wired to epoch reclamation.
+/// register_worker() returns nullptr once the backend's worker limit is
+/// reached; quiesce() lets the runtime tick a parked worker's epoch slot
+/// (the backpressure and watchdog paths).
+template <typename T>
+concept ConcurrentDataplane =
+    Dataplane<T> && requires(T sw, typename T::Worker* w, net::Packet* const* pkts,
+                             uint32_t n, flow::Verdict* out) {
+      { sw.register_worker() } -> std::same_as<typename T::Worker*>;
+      sw.unregister_worker(w);
+      sw.process_burst(*w, pkts, n, out);
+      sw.quiesce(*w);
+    };
 
 }  // namespace esw::core

@@ -226,6 +226,7 @@ class Eswitch {
   bool installing_ = false;  // inside compile_all(): rebuilds are not re-selections
 };
 
-static_assert(Dataplane<Eswitch>, "Eswitch must satisfy the unified interface");
+static_assert(ConcurrentDataplane<Eswitch>,
+              "Eswitch must satisfy the runtime's backend interface");
 
 }  // namespace esw::core

@@ -1,16 +1,31 @@
-// The multicore switch runtime: N run-to-completion packet workers over one
-// shared backend — the paper's Fig. 19 execution model, for real this time.
+// The switch runtime: a port panel plus a backend, run the way a production
+// switch runs — the paper's Fig. 19 execution model.  Packets flow
+// rx_burst -> process_burst -> tx_burst and verdicts are *executed*, not
+// returned to the caller:
 //
-// `SwitchHost` (switch_host.hpp) is the single-threaded runtime: one thread
-// polls every port.  `SwitchRuntime` shards the port panel's RX rings across
-// std::thread workers, each running the DPDK-style loop
+//   * kOutput     — enqueued on the egress port (tail-dropped if its ring is
+//     full);
+//   * kFlood      — the original frame to the first egress port, one
+//     pool-allocated copy to every further port except ingress;
+//   * kController — buffered as a RuntimePacketIn for drain_packet_ins();
+//   * kDrop       — counted, buffer recycled.
+//
+// One round body, two ways to drive it:
 //
 //   rx_burst -> Backend::process_burst(worker ctx) -> execute_burst
+//            -> (sink_tx) drain the TX rings back into the pool
 //
-// while the control thread keeps exclusive ownership of the update plane
-// (`apply`/`apply_batch`, or a `uc::OfAgent` session bridged to the backend)
-// and of table-memory reclamation, which rides the backend's epoch domain —
-// workers tick once per burst inside process_burst.
+//   * threaded — start() shards the port panel's RX rings across N
+//     std::thread workers, each looping over that round, while the control
+//     thread keeps exclusive ownership of the update plane
+//     (`apply`/`apply_batch`, or a `uc::OfAgent` session bridged to the
+//     backend) and of table-memory reclamation, which rides the backend's
+//     epoch domain — workers tick once per burst inside process_burst;
+//   * inline — while no worker runs, the caller's thread calls poll(),
+//     packet_out() and drain_and_release_tx().  They run on one
+//     runtime-owned worker that owns every port; its backend context is
+//     registered only for the duration of a poll(), so install() stays legal
+//     and reclamation stays immediate between polls.
 //
 // Shared-state discipline, piece by piece:
 //   * RX rings — single-producer/single-consumer: each port belongs to
@@ -23,7 +38,8 @@
 //     order (within a burst and across its bursts); frames from different
 //     workers interleave at burst granularity, with no order between them.
 //     The owning worker drains its ports' TX back into the pool when
-//     `sink_tx` is on (the wire carrying frames away);
+//     `sink_tx` is on (the wire carrying frames away); with it off, the
+//     caller drains (ports().port(n).drain_tx + pool().free);
 //   * buffers — one shared MbufPool, accessed only through per-worker
 //     MbufCaches (bulk refill/spill, lock-free per packet);
 //   * counters — per-worker cacheline-padded blocks of single-writer relaxed
@@ -32,43 +48,37 @@
 //     (the slow path by definition).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/counters.hpp"
 #include "common/failpoint.hpp"
 #include "common/tsc.hpp"
 #include "core/dataplane.hpp"
+#include "flow/actions.hpp"
 #include "netio/mbuf_pool.hpp"
 #include "netio/portset.hpp"
 #include "perf/latency.hpp"
+#include "proto/parse.hpp"
 
 namespace esw::core {
 
-/// A controller-bound frame captured by a worker (mirrors
-/// SwitchHost::PacketInEvent without requiring that header).
+/// A controller-bound frame (the runtime-level precursor of a PACKET_IN).
+/// The datapath does not distinguish an explicit controller action from a
+/// kController table-miss policy, so no reason travels here; the agent layer
+/// defaults to "no match", the reactive case.
 struct RuntimePacketIn {
   std::vector<uint8_t> frame;
   uint32_t in_port = 0;
 };
-
-/// A backend the multi-worker runtime can drive: the unified Dataplane
-/// surface plus per-worker execution contexts wired to epoch reclamation
-/// (quiesce() lets the runtime tick a parked worker's epoch slot — the
-/// backpressure and watchdog paths).
-template <typename T>
-concept ConcurrentDataplane =
-    Dataplane<T> && requires(T sw, typename T::Worker* w, net::Packet* const* pkts,
-                             uint32_t n, flow::Verdict* out) {
-      { sw.register_worker() } -> std::same_as<typename T::Worker*>;
-      sw.unregister_worker(w);
-      sw.process_burst(*w, pkts, n, out);
-      sw.quiesce(*w);
-    };
 
 template <ConcurrentDataplane Backend>
 class SwitchRuntime {
@@ -135,7 +145,8 @@ class SwitchRuntime {
       : cfg_(cfg),
         backend_(std::forward<Args>(args)...),
         ports_(cfg.n_ports, cfg.port),
-        pool_(cfg.pool_capacity) {
+        pool_(cfg.pool_capacity),
+        inline_(pool_, cfg.worker_cache) {
     ESW_CHECK(cfg_.n_workers >= 1);
   }
 
@@ -158,26 +169,23 @@ class SwitchRuntime {
 
   /// Registers the worker contexts and launches the worker threads.  The
   /// control plane (install) must be loaded first; apply/apply_batch remain
-  /// legal — that is the point — on this thread while workers run.
+  /// legal — that is the point — on this thread while workers run.  Throws
+  /// CheckError, with nothing left registered, when the backend refuses a
+  /// context.
   void start() {
     ESW_CHECK_MSG(!running(), "already started");
-    for (uint32_t no = net::PortSet::kFirstPort;
-         no < net::PortSet::kFirstPort + ports_.size(); ++no)
-      ESW_CHECK_MSG(!ports_.port(no).rate_capped(),
-                    "multi-worker TX requires uncapped ports");
     stop_.store(false, std::memory_order_release);
     workers_.reserve(cfg_.n_workers);
     for (uint32_t i = 0; i < cfg_.n_workers; ++i) {
       auto ws = std::make_unique<WorkerState>(pool_, cfg_.worker_cache);
       ws->id = i;
       ws->ctx = backend_.register_worker();
+      if (ws->ctx == nullptr) {
+        for (auto& w : workers_) backend_.unregister_worker(w->ctx);
+        workers_.clear();
+      }
       ESW_CHECK_MSG(ws->ctx != nullptr, "backend worker limit exceeded");
-      ws->tx.resize(net::PortSet::kFirstPort + ports_.size());
-      ws->tx_touched.reserve(ports_.size());
-      for (uint32_t no = net::PortSet::kFirstPort;
-           no < net::PortSet::kFirstPort + ports_.size(); ++no)
-        if ((no - net::PortSet::kFirstPort) % cfg_.n_workers == i)
-          ws->owned_ports.push_back(no);
+      assign_ports(*ws, cfg_.n_workers);
       workers_.push_back(std::move(ws));
     }
     for (auto& ws : workers_)
@@ -206,6 +214,7 @@ class SwitchRuntime {
   /// Aggregated over all workers (past and, while running, live blocks).
   Counters counters() const {
     Counters sum = retired_counters_;
+    add_block(sum, inline_.stats);
     for (const auto& ws : workers_) add_block(sum, ws->stats);
     return sum;
   }
@@ -230,6 +239,7 @@ class SwitchRuntime {
   /// unless Config::measure_latency was on.
   perf::LatencyHistogram latency_histogram() const {
     perf::LatencyHistogram h = retired_latency_;
+    h.merge(inline_.latency);
     for (const auto& ws : workers_) h.merge(ws->latency);
     return h;
   }
@@ -248,6 +258,7 @@ class SwitchRuntime {
   /// approximate by one burst per worker (clear_stats() semantics).
   void clear_latency() {
     retired_latency_.clear();
+    inline_.latency.clear();
     for (auto& ws : workers_) ws->latency.clear();
     for (auto& h : final_worker_latency_) h.clear();
   }
@@ -266,6 +277,71 @@ class SwitchRuntime {
       return false;
     }
     return true;
+  }
+
+  /// Inline driving: runs the worker round over every port until all RX
+  /// rings are empty and returns the number of packets processed.  The
+  /// backend context is registered for this call only, and the round's
+  /// buffer cache is flushed before it returns, so pool().available() is
+  /// exact between polls.
+  uint32_t poll() {
+    ESW_CHECK_MSG(!running(), "poll() drives the runtime inline: stop() first");
+    assign_ports(inline_, 1);
+    inline_.ctx = backend_.register_worker();
+    ESW_CHECK_MSG(inline_.ctx != nullptr, "backend worker limit exceeded");
+    net::Packet* burst[net::kBurstSize];
+    flow::Verdict verdicts[net::kBurstSize];
+    uint32_t processed = 0, n;
+    do {
+      bump(inline_.stats.polls, 1);
+      n = run_round(inline_, burst, verdicts);
+      processed += n;
+    } while (n > 0);
+    backend_.unregister_worker(inline_.ctx);
+    inline_.ctx = nullptr;
+    inline_.cache.flush();
+    return processed;
+  }
+
+  /// Inline driving: executes a controller-originated PACKET_OUT.  The frame
+  /// runs through the action list (set-fields and all) and the resulting
+  /// verdict is executed as a burst of one, so a flood follows the runtime's
+  /// rules and the Counters identity holds.  False when no buffer is
+  /// available.
+  bool packet_out(const uint8_t* frame, uint32_t len, uint32_t in_port,
+                  const flow::ActionList& actions) {
+    ESW_CHECK_MSG(!running(), "packet_out() drives the runtime inline: stop() first");
+    net::Packet* pkt = pool_.alloc();
+    if (pkt == nullptr) {
+      bump(inline_.stats.pool_exhausted, 1);
+      return false;
+    }
+    pkt->assign(frame, len);
+    pkt->set_in_port(in_port);
+    proto::ParseInfo pi;
+    proto::parse(pkt->data(), pkt->len(), proto::ParserPlan::full(), pi);
+    pi.in_port = in_port;
+    flow::ActionSetBuilder as;
+    as.merge(actions);
+    const flow::Verdict v = as.execute(*pkt, pi);
+    assign_ports(inline_, 1);
+    execute_burst(inline_, &pkt, &v, 1);
+    inline_.cache.flush();
+    return true;
+  }
+
+  /// Drains a port's whole TX ring back into the pool and returns the count
+  /// (the wire, for callers that run with sink_tx off and do not inspect
+  /// frames).  Inline only: no worker may be draining TX.
+  uint32_t drain_and_release_tx(uint32_t port_no) {
+    ESW_CHECK_MSG(!running(), "drain_and_release_tx() is inline-only: stop() first");
+    net::Packet* out[net::kBurstSize];
+    uint32_t total = 0, n;
+    while ((n = ports_.port(port_no).drain_tx(out, net::kBurstSize)) > 0) {
+      for (uint32_t i = 0; i < n; ++i) pool_.free(out[i]);
+      total += n;
+    }
+    return total;
   }
 
   /// Takes the buffered controller-bound frames (control thread).
@@ -359,6 +435,19 @@ class SwitchRuntime {
     sum.backpressure_events += b.backpressure_events.load(std::memory_order_relaxed);
   }
 
+  /// Port `no` belongs to worker (no - kFirstPort) % n_workers, so the
+  /// inline worker (id 0 of 1) owns every port.  Sizes the TX buckets to
+  /// the panel.
+  void assign_ports(WorkerState& ws, uint32_t n_workers) {
+    ws.owned_ports.clear();
+    ws.tx.resize(net::PortSet::kFirstPort + ports_.size());
+    ws.tx_touched.reserve(ports_.size());
+    for (uint32_t no = net::PortSet::kFirstPort;
+         no < net::PortSet::kFirstPort + ports_.size(); ++no)
+      if ((no - net::PortSet::kFirstPort) % n_workers == ws.id)
+        ws.owned_ports.push_back(no);
+  }
+
   void worker_main(WorkerState& ws) {
     net::Packet* burst[net::kBurstSize];
     flow::Verdict verdicts[net::kBurstSize];
@@ -375,36 +464,46 @@ class SwitchRuntime {
       bump(ws.stats.polls, 1);
       uint32_t did = 0;
       if (source_ && !ws.owned_ports.empty()) did += pull_source(ws);
-      for (const uint32_t no : ws.owned_ports) {
-        net::Port& p = ports_.port(no);
-        const uint32_t n = p.rx_burst(burst, net::kBurstSize);
-        if (n == 0) continue;
-        if (cfg_.measure_latency) {
-          // Time the full switch residency of the burst — classification
-          // plus verdict execution (TX enqueue / flood / handoff) — and
-          // record the amortized per-packet cycles, weighted by the burst.
-          const uint64_t t0 = rdtsc_serialized();
-          backend_.process_burst(*ws.ctx, burst, n, verdicts);
-          execute_burst(ws, burst, verdicts, n);
-          const uint64_t dt = rdtsc_serialized() - t0;
-          ws.latency.record_n(dt / n, n);
-        } else {
-          backend_.process_burst(*ws.ctx, burst, n, verdicts);
-          execute_burst(ws, burst, verdicts, n);
-        }
-        did += n;
-      }
-      if (cfg_.sink_tx) {
-        for (const uint32_t no : ws.owned_ports) {
-          net::Packet* out[net::kBurstSize];
-          uint32_t n;
-          while ((n = ports_.port(no).drain_tx(out, net::kBurstSize)) > 0)
-            for (uint32_t i = 0; i < n; ++i) ws.cache.free(out[i]);
-        }
-      }
+      did += run_round(ws, burst, verdicts);
       if (did == 0) std::this_thread::yield();
     }
     ws.cache.flush();
+  }
+
+  /// The worker round, shared by worker_main and poll(): one burst from each
+  /// owned RX ring through the backend and verdict execution, then (sink_tx)
+  /// the owned TX rings back into the cache.  `burst`/`verdicts` are the
+  /// caller's kBurstSize scratch.  Returns the packets processed.
+  uint32_t run_round(WorkerState& ws, net::Packet** burst, flow::Verdict* verdicts) {
+    uint32_t did = 0;
+    for (const uint32_t no : ws.owned_ports) {
+      net::Port& p = ports_.port(no);
+      const uint32_t n = p.rx_burst(burst, net::kBurstSize);
+      if (n == 0) continue;
+      if (cfg_.measure_latency) {
+        // Time the full switch residency of the burst — classification
+        // plus verdict execution (TX enqueue / flood / handoff) — and
+        // record the amortized per-packet cycles, weighted by the burst.
+        const uint64_t t0 = rdtsc_serialized();
+        backend_.process_burst(*ws.ctx, burst, n, verdicts);
+        execute_burst(ws, burst, verdicts, n);
+        const uint64_t dt = rdtsc_serialized() - t0;
+        ws.latency.record_n(dt / n, n);
+      } else {
+        backend_.process_burst(*ws.ctx, burst, n, verdicts);
+        execute_burst(ws, burst, verdicts, n);
+      }
+      did += n;
+    }
+    if (cfg_.sink_tx) {
+      for (const uint32_t no : ws.owned_ports) {
+        net::Packet* out[net::kBurstSize];
+        uint32_t n;
+        while ((n = ports_.port(no).drain_tx(out, net::kBurstSize)) > 0)
+          for (uint32_t i = 0; i < n; ++i) ws.cache.free(out[i]);
+      }
+    }
+    return did;
   }
 
   /// Generator mode: hand the source up to a burst of buffers, inject the
@@ -543,6 +642,7 @@ class SwitchRuntime {
   net::PortSet ports_;
   net::MbufPool pool_;
   SourceFn source_;
+  WorkerState inline_;  // poll()/packet_out()'s worker: owns every port
   std::vector<std::unique_ptr<WorkerState>> workers_;
   Counters retired_counters_;  // folded-in blocks of stopped workers
   std::vector<Counters> final_worker_counters_;  // last run's per-worker totals

@@ -1,6 +1,5 @@
 #include "netio/port.hpp"
 
-#include "common/check.hpp"
 #include "common/counters.hpp"
 
 namespace esw::net {
@@ -46,7 +45,7 @@ uint32_t enqueue_counted(Packet* const* pkts, uint32_t n, EnqueueFn&& enq,
 }  // namespace
 
 Port::Port(const Config& cfg)
-    : name_(cfg.name), rx_(cfg.ring_size), tx_(cfg.ring_size), max_tx_pps_(cfg.max_tx_pps) {}
+    : name_(cfg.name), rx_(cfg.ring_size), tx_(cfg.ring_size) {}
 
 uint32_t Port::inject_rx(Packet* const* pkts, uint32_t n) {
   return enqueue_counted(
@@ -56,23 +55,9 @@ uint32_t Port::inject_rx(Packet* const* pkts, uint32_t n) {
 
 uint32_t Port::rx_burst(Packet** out, uint32_t n) { return rx_.dequeue_burst(out, n); }
 
-uint32_t Port::tx_burst(Packet* const* pkts, uint32_t n, uint64_t now_ns) {
-  uint32_t admitted = n;
-  if (max_tx_pps_ > 0.0) {
-    // Token bucket in virtual time: credit accrues at max_tx_pps, capped at
-    // one burst worth so idle time cannot be banked indefinitely.
-    if (now_ns > last_tx_ns_) {
-      tx_credit_ += static_cast<double>(now_ns - last_tx_ns_) * 1e-9 * max_tx_pps_;
-      last_tx_ns_ = now_ns;
-      const double burst_cap = kBurstSize * 4.0;
-      if (tx_credit_ > burst_cap) tx_credit_ = burst_cap;
-    }
-    admitted = static_cast<uint32_t>(tx_credit_);
-    if (admitted > n) admitted = n;
-    tx_credit_ -= admitted;
-  }
+uint32_t Port::tx_burst(Packet* const* pkts, uint32_t n) {
   const uint32_t queued = enqueue_counted(
-      pkts, admitted,
+      pkts, n,
       [this](Packet* const* p, uint32_t c) { return tx_.enqueue_burst(p, c); },
       tx_counters_.packets, tx_counters_.bytes);
   counter_add(tx_counters_.drops, n - queued);
@@ -80,7 +65,6 @@ uint32_t Port::tx_burst(Packet* const* pkts, uint32_t n, uint64_t now_ns) {
 }
 
 uint32_t Port::tx_burst_mp(Packet* const* pkts, uint32_t n) {
-  ESW_DCHECK(!rate_capped());  // token-bucket state is single-caller
   const uint32_t queued = enqueue_counted(
       pkts, n,
       [this](Packet* const* p, uint32_t c) { return tx_.enqueue_burst_mp(p, c); },

@@ -1,10 +1,5 @@
-// Switch port backed by RX/TX rings with counters and an optional packet-rate
-// cap that models NIC line-rate limits (e.g. the Intel XL710's ~23 Mpps
-// 64-byte ceiling from the paper's Table 1 discussion).
-//
-// The cap is enforced in *virtual time*: the caller advances a nanosecond
-// clock and tx_burst drops packets exceeding rate × elapsed-time, exactly how
-// a saturated NIC would tail-drop.
+// Switch port backed by RX/TX rings with counters.  A full TX ring
+// tail-drops, the way a saturated NIC does.
 //
 // Threading (the multi-worker runtime's shape):
 //   * RX side — one producer (the injector) and one consumer (the worker the
@@ -14,9 +9,7 @@
 //   * counters — relaxed atomics updated once per burst and aggregated only
 //     by readers (counters()/PortSet::totals()); RX and TX each sit on their
 //     own cache line, so the injector and the TX producers never share one,
-//     nor do hot bursts share a counter line with another port;
-//   * the rate cap keeps plain state and therefore requires a single TX
-//     caller — tx_burst_mp insists the port is uncapped.
+//     nor do hot bursts share a counter line with another port.
 #pragma once
 
 #include <atomic>
@@ -32,14 +25,13 @@ struct PortCounters {
   uint64_t tx_packets = 0;
   uint64_t rx_bytes = 0;
   uint64_t tx_bytes = 0;
-  uint64_t tx_drops = 0;  // rate-cap or ring-full drops
+  uint64_t tx_drops = 0;  // ring-full drops
 };
 
 class Port {
  public:
   struct Config {
     uint32_t ring_size = 1024;
-    double max_tx_pps = 0.0;  // 0 = uncapped
     std::string name = "port";
   };
 
@@ -54,14 +46,12 @@ class Port {
   /// consumer — the worker owning this port.
   uint32_t rx_burst(Packet** out, uint32_t n);
 
-  /// Transmits a burst at virtual time `now_ns`; returns packets accepted.
-  /// Excess packets above the rate cap are counted as tx_drops and NOT
-  /// enqueued — the caller still owns them.  Single TX caller.
-  uint32_t tx_burst(Packet* const* pkts, uint32_t n, uint64_t now_ns = 0);
+  /// Transmits a burst; returns packets accepted.  Packets a full ring
+  /// refuses are counted as tx_drops and NOT enqueued — the caller still
+  /// owns them.  Single TX caller.
+  uint32_t tx_burst(Packet* const* pkts, uint32_t n);
 
   /// Multi-producer transmit: safe from any number of workers concurrently.
-  /// Requires an uncapped port (the virtual-time token bucket is inherently
-  /// single-caller state).
   uint32_t tx_burst_mp(Packet* const* pkts, uint32_t n);
 
   /// Drains up to `n` transmitted packets (what the wire would carry).
@@ -77,7 +67,6 @@ class Port {
             tx_counters_.drops.load(std::memory_order_relaxed)};
   }
   const std::string& name() const { return name_; }
-  bool rate_capped() const { return max_tx_pps_ > 0.0; }
 
  private:
   /// One direction's counters on its own line, so a burst's counter flush
@@ -97,9 +86,6 @@ class Port {
   std::string name_;
   Ring rx_;
   Ring tx_;
-  double max_tx_pps_;
-  double tx_credit_ = 0.0;
-  uint64_t last_tx_ns_ = 0;
   RxCounters rx_counters_;
   TxCounters tx_counters_;
 };

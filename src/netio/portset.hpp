@@ -1,5 +1,5 @@
 // A switch's port panel: densely numbered virtual ports (vector-backed), the
-// substrate the runtime layer (`core::SwitchHost`) executes verdicts against.
+// substrate the switch runtime (`core::SwitchRuntime`) executes verdicts against.
 // Port numbers are OpenFlow port numbers starting at 1 (0 and the reserved
 // 0xffffff00+ range are never valid physical ports).
 #pragma once

@@ -9,9 +9,9 @@
 //     from an input trace, tx_burst writes frames to an output capture and
 //     recycles the buffers.  It mirrors net::Port's burst surface so any
 //     duck-typed runtime loop can run entirely from/to files;
-//   * run_pcap_through_host — drives a core::SwitchHost-shaped runtime (any
-//     type with inject/poll/drain_tx/release) from an input trace, capturing
-//     every transmitted frame.
+//   * run_pcap_through_host — drives a core::SwitchRuntime inline (any type
+//     with inject/poll/ports/pool) from an input trace, capturing every
+//     transmitted frame.
 //
 // Frames longer than Packet::kMaxFrame and snaplen-truncated records (the
 // captured bytes are not the wire frame) are skipped and counted, never
@@ -112,10 +112,11 @@ struct PcapRunStats {
   uint64_t captured = 0;   // frames drained from TX rings into the capture
 };
 
-/// Replays `src` through a SwitchHost-shaped runtime: every frame is injected
-/// on the source's ingress port, the host is polled, and every transmitted
-/// frame (all egress ports) lands in `out` (nullable: run without capturing).
-/// The switch runs entirely from/to capture files.  `src` must not be in
+/// Replays `src` through a runtime driven inline: every frame is injected on
+/// the source's ingress port, the host is polled, and every transmitted frame
+/// (all egress ports) lands in `out` (nullable: run without capturing).  The
+/// switch runs entirely from/to capture files, so the host must leave its TX
+/// rings to the caller (SwitchRuntime's `sink_tx` off).  `src` must not be in
 /// looping mode (the run ends when the trace drains).
 template <typename Host>
 PcapRunStats run_pcap_through_host(Host& host, TraceSource& src,
@@ -127,10 +128,10 @@ PcapRunStats run_pcap_through_host(Host& host, TraceSource& src,
     for (uint32_t no = 1; host.ports().valid(no); ++no) {
       Packet* txed[kBurstSize];
       uint32_t n;
-      while ((n = host.drain_tx(no, txed, kBurstSize)) > 0) {
+      while ((n = host.ports().port(no).drain_tx(txed, kBurstSize)) > 0) {
         for (uint32_t i = 0; i < n; ++i) {
           if (out != nullptr) out->add(txed[i]->data(), txed[i]->len(), ts++);
-          host.release(txed[i]);
+          host.pool().free(txed[i]);
           ++st.captured;
         }
       }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cls/tuple_space.hpp"
+#include "common/check.hpp"
 #include "core/dataplane.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/wire.hpp"
@@ -67,6 +68,27 @@ class OvsSwitch {
   /// cache hierarchy itself is looked up key-first and offers no cheap
   /// ahead-of-time hint.
   void process_burst(net::Packet* const* pkts, uint32_t n, flow::Verdict* out);
+
+  /// The runtime's worker context.  The cache hierarchy is single-threaded
+  /// state, so there is exactly one context: a second register_worker()
+  /// returns nullptr while the first is held, and a core::SwitchRuntime over
+  /// this backend runs one worker (or is driven inline).
+  struct Worker {};
+  Worker* register_worker() {
+    if (worker_in_use_) return nullptr;
+    worker_in_use_ = true;
+    return &worker_;
+  }
+  void unregister_worker(Worker* w) {
+    ESW_CHECK(w == &worker_ && worker_in_use_);
+    worker_in_use_ = false;
+  }
+  void process_burst(Worker&, net::Packet* const* pkts, uint32_t n,
+                     flow::Verdict* out) {
+    process_burst(pkts, n, out);
+  }
+  /// No epoch domain: nothing to tick.
+  void quiesce(Worker&) {}
 
   /// Which cache level served each packet (the Fig. 14 axis).
   struct CacheStats {
@@ -121,9 +143,11 @@ class OvsSwitch {
   uint64_t generation_ = 1;  // bumped on invalidation; stamps microflow slots
   CacheStats cache_stats_;
   core::DataplaneStats stats_;
+  Worker worker_;
+  bool worker_in_use_ = false;
 };
 
-static_assert(core::Dataplane<OvsSwitch>,
-              "OvsSwitch must satisfy the unified interface");
+static_assert(core::ConcurrentDataplane<OvsSwitch>,
+              "OvsSwitch must satisfy the runtime's backend interface");
 
 }  // namespace esw::ovs

@@ -65,42 +65,6 @@ TEST(Port, Counters) {
   EXPECT_EQ(port.counters().tx_packets, 1u);
 }
 
-TEST(Port, RateCapDropsExcess) {
-  Port::Config cfg;
-  cfg.max_tx_pps = 1e6;  // 1 Mpps
-  Port port(cfg);
-  auto p = test::make_packet(test::udp_spec(1, 2, 3, 4));
-  Packet* burst[kBurstSize];
-  for (auto& b : burst) b = &p;
-
-  // At t=1ms, exactly 1000 packets of credit accrued (minus burst cap).
-  uint64_t sent = 0;
-  uint64_t t = 0;
-  for (int i = 0; i < 100; ++i) {
-    t += 100'000;  // 100 us steps
-    sent += port.tx_burst(burst, kBurstSize, t);
-    Packet* drain[kBurstSize];
-    while (port.drain_tx(drain, kBurstSize) > 0) {
-    }
-  }
-  // 10 ms at 1 Mpps = ~10K packets; we offered 100*32=3200, under the cap.
-  EXPECT_EQ(sent, 3200u);
-
-  // Now offer far more than the cap allows within 1 ms.
-  sent = 0;
-  for (int i = 0; i < 1000; ++i) {
-    t += 1'000;  // 1 us steps -> 1 credit per step
-    sent += port.tx_burst(burst, kBurstSize, t);
-    Packet* drain[kBurstSize];
-    while (port.drain_tx(drain, kBurstSize) > 0) {
-    }
-  }
-  // ~1ms at 1 Mpps ≈ 1000 packets (+ small initial credit), well below offered 32000.
-  EXPECT_LT(sent, 1500u);
-  EXPECT_GT(sent, 800u);
-  EXPECT_GT(port.counters().tx_drops, 0u);
-}
-
 TEST(TrafficSet, RoundRobinLoad) {
   std::vector<FlowSpec> flows;
   for (int i = 0; i < 3; ++i) {

@@ -3,7 +3,7 @@
 #include <sys/socket.h>
 
 #include "core/eswitch.hpp"
-#include "core/switch_host.hpp"
+#include "core/switch_runtime.hpp"
 #include "ovs/ovs_switch.hpp"
 #include "test_util.hpp"
 #include "usecases/of_agent.hpp"
@@ -413,13 +413,14 @@ TEST(OfAgent, BatchedDeleteStillEmitsFlowRemoved) {
 }
 
 // The acceptance scenario: a reactive learning switch over the full stack —
-// SwitchHost executes verdicts, OfAgent speaks the session, the controller
-// reacts to PACKET_IN with FLOW_MOD + PACKET_OUT, and traffic migrates to the
-// compiled fast path.
+// SwitchRuntime (driven inline) executes verdicts, OfAgent speaks the
+// session, the controller reacts to PACKET_IN with FLOW_MOD + PACKET_OUT, and
+// traffic migrates to the compiled fast path.
 TEST(OfAgent, ReactiveLearningSwitchEndToEnd) {
-  using Host = core::SwitchHost<core::Eswitch>;
+  using Host = core::SwitchRuntime<core::Eswitch>;
   Host::Config cfg;
   cfg.n_ports = 4;
+  cfg.sink_tx = false;
   Host host(cfg);
   Pipeline pl;
   pl.table(0).set_miss_policy(FlowTable::MissPolicy::kController);
@@ -431,9 +432,12 @@ TEST(OfAgent, ReactiveLearningSwitchEndToEnd) {
                     po.in_port, po.actions);
   };
   uc::OfAgent agent(std::move(cbs));
-  host.set_packet_in_sink([&agent](const core::PacketInEvent& ev) {
-    agent.send_packet_in(ev.frame.data(), ev.frame.size(), ev.in_port);
-  });
+  // Runs the datapath, then hands its controller-bound frames to the session.
+  auto poll = [&host, &agent] {
+    host.poll();
+    for (const core::RuntimePacketIn& pin : host.drain_packet_ins())
+      agent.send_packet_in(pin.frame.data(), pin.frame.size(), pin.in_port);
+  };
   uc::OfController ctrl(agent.controller_fd());
   uc::run_handshake(agent, ctrl);
 
@@ -447,7 +451,7 @@ TEST(OfAgent, ReactiveLearningSwitchEndToEnd) {
   // Packet 1: miss -> PACKET_IN; the controller floods it via PACKET_OUT and
   // installs the eth_dst flow (it has "learned" B@2 out of band here).
   ASSERT_TRUE(host.inject(1, frame, len));
-  host.poll();
+  poll();
   ctrl.poll();
   auto pins = ctrl.take_packet_ins();
   ASSERT_EQ(pins.size(), 1u);
@@ -475,7 +479,7 @@ TEST(OfAgent, ReactiveLearningSwitchEndToEnd) {
   // Packet 2: forwarded by the compiled fast path, controller silent.
   const auto pins_before = agent.stats().packet_ins_sent;
   ASSERT_TRUE(host.inject(1, frame, len));
-  host.poll();
+  poll();
   EXPECT_EQ(agent.stats().packet_ins_sent, pins_before);
   EXPECT_EQ(host.drain_and_release_tx(2), 1u);
   const core::DataplaneStats st = host.backend().stats();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/switch_runtime.hpp"
 #include "ovs/ovs_switch.hpp"
 #include "test_util.hpp"
 #include "usecases/usecases.hpp"
@@ -331,6 +332,27 @@ TEST(Ovs, ChurnWithModifiesEquivalentToInterpreter) {
       ASSERT_EQ(sw.process(p1), ref.run(p2)) << "op " << op;
     }
   }
+}
+
+// The cache hierarchy is single-threaded state: the baseline hands out one
+// worker context, and a runtime asking for a second refuses to start.
+TEST(Ovs, SecondWorkerContextIsRefused) {
+  OvsSwitch sw;
+  OvsSwitch::Worker* w = sw.register_worker();
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(sw.register_worker(), nullptr);
+  sw.unregister_worker(w);
+  OvsSwitch::Worker* again = sw.register_worker();
+  EXPECT_EQ(again, w);  // released, the context is handed out again
+  sw.unregister_worker(again);
+
+  core::SwitchRuntime<OvsSwitch>::Config cfg;
+  cfg.n_workers = 2;
+  core::SwitchRuntime<OvsSwitch> rt(cfg);
+  rt.backend().install(simple_pipeline());
+  EXPECT_THROW(rt.start(), CheckError);
+  EXPECT_FALSE(rt.running());
+  EXPECT_EQ(rt.poll(), 0u);  // the refused start left no context registered
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // pcap I/O and trace plumbing: writer→reader byte-exact round trips in all
 // four header variants, every malformed-capture corner case the reader must
-// survive, and the TraceSource/PcapPort/SwitchHost path that runs a switch
+// survive, and the TraceSource/PcapPort/SwitchRuntime path that runs a switch
 // entirely from/to capture files.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/eswitch.hpp"
-#include "core/switch_host.hpp"
+#include "core/switch_runtime.hpp"
 #include "netio/pcap.hpp"
 #include "netio/trace_source.hpp"
 #include "test_util.hpp"
@@ -239,7 +239,7 @@ TEST(PcapPort, RxFromTraceTxToCapture) {
     EXPECT_EQ(echoed.packet(i).len, in.packet(i).len);
 }
 
-TEST(PcapPort, SwitchHostRunsEntirelyFromCaptureFiles) {
+TEST(PcapPort, SwitchRuntimeRunsEntirelyFromCaptureFiles) {
   // A one-rule forwarder: everything from port 1 goes out port 2.  The whole
   // run is capture-file to capture-file.
   PcapWriter in_writer;
@@ -254,7 +254,9 @@ TEST(PcapPort, SwitchHostRunsEntirelyFromCaptureFiles) {
   ASSERT_TRUE(in.ok());
   TraceSource src(in);
 
-  core::SwitchHost<core::Eswitch> host;
+  core::SwitchRuntime<core::Eswitch>::Config cfg;
+  cfg.sink_tx = false;  // the capture is the wire
+  core::SwitchRuntime<core::Eswitch> host(cfg);
   flow::Pipeline pl;
   pl.table(0).add(flow::parse_rule("priority=10, in_port=1, actions=output:2"));
   host.backend().install(pl);

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "core/eswitch.hpp"
-#include "core/switch_host.hpp"
+#include "core/switch_runtime.hpp"
 #include "flow/dsl.hpp"
 #include "ovs/ovs_switch.hpp"
 #include "test_util.hpp"
@@ -68,20 +68,32 @@ TEST(PortSet, TotalsAggregate) {
 }
 
 // ---------------------------------------------------------------------------
-// SwitchHost over both backends (the unified Dataplane interface)
+// SwitchRuntime driven inline, over both backends
 // ---------------------------------------------------------------------------
 
-template <typename Backend>
-class SwitchHostTest : public ::testing::Test {
- protected:
-  using Host = core::SwitchHost<Backend>;
+/// Every frame takes exactly one exit (the runtime's Counters identity).
+template <typename Counters>
+void expect_conservation(const Counters& c) {
+  EXPECT_EQ(c.processed + c.flood_copies,
+            c.tx_packets + c.tx_rejected + c.bad_port + c.drops + c.packet_ins);
+}
 
-  static typename Host::Config small_config() {
-    typename Host::Config cfg;
+template <typename Backend>
+class InlineRuntimeTest : public ::testing::Test {
+ protected:
+  using Runtime = core::SwitchRuntime<Backend>;
+
+  static typename Runtime::Config small_config() {
+    typename Runtime::Config cfg;
     cfg.n_ports = 4;
     cfg.pool_capacity = 64;
+    cfg.sink_tx = false;  // the tests are the wire: they drain TX themselves
     return cfg;
   }
+
+  InlineRuntimeTest() : host(small_config()) { host.backend().install(pipeline()); }
+
+  void TearDown() override { expect_conservation(host.counters()); }
 
   /// in_port=1 HTTP -> output:2; broadcast dst -> flood; udp_dst=99 ->
   /// output to a port that does not exist; everything else in table 0 drops;
@@ -99,8 +111,7 @@ class SwitchHostTest : public ::testing::Test {
     return pl;
   }
 
-  static uint32_t inject_spec(Host& host, const proto::PacketSpec& spec,
-                              uint32_t in_port) {
+  uint32_t inject_spec(const proto::PacketSpec& spec, uint32_t in_port) {
     uint8_t frame[256];
     const uint32_t len = proto::build_packet(spec, frame, sizeof frame);
     EXPECT_TRUE(host.inject(in_port, frame, len));
@@ -112,23 +123,23 @@ class SwitchHostTest : public ::testing::Test {
                                          4000, 80);
     return s;
   }
+
+  Runtime host;
 };
 
 using Backends = ::testing::Types<core::Eswitch, ovs::OvsSwitch>;
-TYPED_TEST_SUITE(SwitchHostTest, Backends);
+TYPED_TEST_SUITE(InlineRuntimeTest, Backends);
 
-TYPED_TEST(SwitchHostTest, OutputLandsOnEgressPort) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
-  const uint32_t len = TestFixture::inject_spec(host, TestFixture::http_spec(), 1);
+TYPED_TEST(InlineRuntimeTest, OutputLandsOnEgressPort) {
+  auto& host = this->host;
+  const uint32_t len = this->inject_spec(TestFixture::http_spec(), 1);
   EXPECT_EQ(host.poll(), 1u);
 
   net::Packet* out[net::kBurstSize];
-  ASSERT_EQ(host.drain_tx(2, out, net::kBurstSize), 1u);
+  ASSERT_EQ(host.ports().port(2).drain_tx(out, net::kBurstSize), 1u);
   EXPECT_EQ(out[0]->len(), len);
   EXPECT_EQ(out[0]->in_port(), 1u);
-  host.release(out[0]);
+  host.pool().free(out[0]);
   EXPECT_EQ(host.counters().tx_packets, 1u);
   EXPECT_EQ(host.ports().port(2).counters().tx_packets, 1u);
   // Verdict-level stats flow through the unified interface.
@@ -137,32 +148,31 @@ TYPED_TEST(SwitchHostTest, OutputLandsOnEgressPort) {
   EXPECT_EQ(st.outputs, 1u);
 }
 
-TYPED_TEST(SwitchHostTest, FloodFansOutToAllPortsExceptIngress) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
+TYPED_TEST(InlineRuntimeTest, FloodFansOutToAllPortsExceptIngress) {
+  auto& host = this->host;
   proto::PacketSpec bcast = test::udp_spec(1, 2, 3, 4);
   bcast.eth_dst = 0xFFFFFFFFFFFF;
-  TestFixture::inject_spec(host, bcast, 3);
+  this->inject_spec(bcast, 3);
   host.poll();
 
-  // Copies on every port except ingress port 3 — and nothing on 3.
+  // A frame on every port except ingress port 3 — and nothing on 3.
   net::Packet* out[net::kBurstSize];
   for (const uint32_t no : {1u, 2u, 4u}) {
-    ASSERT_EQ(host.drain_tx(no, out, net::kBurstSize), 1u) << "port " << no;
+    ASSERT_EQ(host.ports().port(no).drain_tx(out, net::kBurstSize), 1u) << "port " << no;
     EXPECT_EQ(out[0]->in_port(), 3u);
-    host.release(out[0]);
+    host.pool().free(out[0]);
   }
-  EXPECT_EQ(host.drain_tx(3, out, net::kBurstSize), 0u);
-  EXPECT_EQ(host.counters().flood_copies, 3u);
+  EXPECT_EQ(host.ports().port(3).drain_tx(out, net::kBurstSize), 0u);
+  // The original frame leaves on the first egress port; the other two are
+  // copies.
+  EXPECT_EQ(host.counters().tx_packets, 3u);
+  EXPECT_EQ(host.counters().flood_copies, 2u);
   // All buffers (original + copies) are back in the pool.
   EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
-TYPED_TEST(SwitchHostTest, ControllerVerdictBecomesPacketInEvent) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
+TYPED_TEST(InlineRuntimeTest, ControllerVerdictBecomesPacketIn) {
+  auto& host = this->host;
   const proto::PacketSpec spec = test::udp_spec(5, 6, 7, 8);
   uint8_t frame[256];
   const uint32_t len = proto::build_packet(spec, frame, sizeof frame);
@@ -180,25 +190,10 @@ TYPED_TEST(SwitchHostTest, ControllerVerdictBecomesPacketInEvent) {
   EXPECT_TRUE(host.drain_packet_ins().empty());
 }
 
-TYPED_TEST(SwitchHostTest, PacketInSinkBypassesBuffering) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-  std::vector<core::PacketInEvent> seen;
-  host.set_packet_in_sink([&](const core::PacketInEvent& ev) { seen.push_back(ev); });
-
-  TestFixture::inject_spec(host, test::udp_spec(5, 6, 7, 8), 4);
-  host.poll();
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].in_port, 4u);
-  EXPECT_TRUE(host.drain_packet_ins().empty());
-}
-
-TYPED_TEST(SwitchHostTest, DropAndBadPortRecycleBuffers) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
-  TestFixture::inject_spec(host, test::udp_spec(1, 2, 3, 9999), 2);  // drop rule
-  TestFixture::inject_spec(host, test::udp_spec(1, 2, 3, 99), 2);    // output:200
+TYPED_TEST(InlineRuntimeTest, DropAndBadPortRecycleBuffers) {
+  auto& host = this->host;
+  this->inject_spec(test::udp_spec(1, 2, 3, 9999), 2);  // drop rule
+  this->inject_spec(test::udp_spec(1, 2, 3, 99), 2);    // output:200
   host.poll();
 
   EXPECT_EQ(host.counters().drops, 1u);
@@ -207,10 +202,8 @@ TYPED_TEST(SwitchHostTest, DropAndBadPortRecycleBuffers) {
   EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
-TYPED_TEST(SwitchHostTest, PacketOutExecutesActionList) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
+TYPED_TEST(InlineRuntimeTest, PacketOutExecutesActionList) {
+  auto& host = this->host;
   uint8_t frame[256];
   const uint32_t len = proto::build_packet(test::udp_spec(1, 2, 3, 4), frame, sizeof frame);
 
@@ -227,15 +220,13 @@ TYPED_TEST(SwitchHostTest, PacketOutExecutesActionList) {
   EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
-TYPED_TEST(SwitchHostTest, BurstOfMixedVerdicts) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
+TYPED_TEST(InlineRuntimeTest, BurstOfMixedVerdicts) {
+  auto& host = this->host;
   // A full burst's worth of interleaved traffic on one port.
   const proto::PacketSpec fwd = TestFixture::http_spec();
   const proto::PacketSpec dropped = test::udp_spec(1, 2, 3, 9999);
   for (uint32_t i = 0; i < net::kBurstSize; ++i)
-    TestFixture::inject_spec(host, (i % 2 == 0) ? fwd : dropped, 1);
+    this->inject_spec((i % 2 == 0) ? fwd : dropped, 1);
 
   EXPECT_EQ(host.poll(), net::kBurstSize);
   EXPECT_EQ(host.counters().tx_packets, net::kBurstSize / 2);
@@ -244,10 +235,8 @@ TYPED_TEST(SwitchHostTest, BurstOfMixedVerdicts) {
   EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
-TYPED_TEST(SwitchHostTest, RuntimeFlowModsThroughUnifiedApply) {
-  typename TestFixture::Host host(TestFixture::small_config());
-  host.backend().install(TestFixture::pipeline());
-
+TYPED_TEST(InlineRuntimeTest, RuntimeFlowModsThroughUnifiedApply) {
+  auto& host = this->host;
   // Redirect the HTTP flow 2 -> 4 via the unified apply().
   FlowMod fm;
   fm.table_id = 0;
@@ -258,7 +247,7 @@ TYPED_TEST(SwitchHostTest, RuntimeFlowModsThroughUnifiedApply) {
   fm.actions = {Action::output(4)};
   host.backend().apply(fm);
 
-  TestFixture::inject_spec(host, TestFixture::http_spec(), 1);
+  this->inject_spec(TestFixture::http_spec(), 1);
   host.poll();
   EXPECT_EQ(host.drain_and_release_tx(2), 0u);
   EXPECT_EQ(host.drain_and_release_tx(4), 1u);
@@ -268,28 +257,34 @@ TYPED_TEST(SwitchHostTest, RuntimeFlowModsThroughUnifiedApply) {
   del.command = FlowMod::Cmd::kDelete;
   del.actions.clear();
   host.backend().apply_batch({del});
-  TestFixture::inject_spec(host, TestFixture::http_spec(), 1);
+  this->inject_spec(TestFixture::http_spec(), 1);
   host.poll();
   EXPECT_EQ(host.drain_and_release_tx(2), 1u);
 }
 
-TEST(SwitchHost, InjectToInvalidPortIsCountedAndLeaksNothing) {
-  core::SwitchHost<core::Eswitch> host({.n_ports = 2, .port = {}, .pool_capacity = 4});
+using EswRuntime = core::SwitchRuntime<core::Eswitch>;
+
+EswRuntime::Config inline_config(uint32_t n_ports, uint32_t pool_capacity) {
+  EswRuntime::Config cfg;
+  cfg.n_ports = n_ports;
+  cfg.pool_capacity = pool_capacity;
+  cfg.sink_tx = false;
+  return cfg;
+}
+
+TEST(InlineRuntime, InjectToInvalidPortLeaksNothing) {
+  EswRuntime host(inline_config(2, 4));
   host.backend().install(Pipeline{});
   uint8_t frame[128];
   const uint32_t len = proto::build_packet(test::udp_spec(1, 2, 3, 4), frame, sizeof frame);
   EXPECT_FALSE(host.inject(0, frame, len));
   EXPECT_FALSE(host.inject(3, frame, len));
-  EXPECT_EQ(host.counters().bad_port, 2u);
-  EXPECT_EQ(host.counters().rx_packets, 0u);
+  EXPECT_EQ(host.ports().totals().rx_packets, 0u);
   EXPECT_EQ(host.pool().available(), host.pool().capacity());  // no leaked buffer
 }
 
-TEST(SwitchHost, PoolExhaustionIsCountedNotFatal) {
-  core::SwitchHost<core::Eswitch>::Config cfg;
-  cfg.n_ports = 4;
-  cfg.pool_capacity = 2;  // flood needs 3 copies: one must fail
-  core::SwitchHost<core::Eswitch> host(cfg);
+TEST(InlineRuntime, PoolExhaustionIsCountedNotFatal) {
+  EswRuntime host(inline_config(4, 2));  // flood needs 2 copies: one must fail
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=1, actions=flood"));
   host.backend().install(pl);
@@ -300,8 +295,58 @@ TEST(SwitchHost, PoolExhaustionIsCountedNotFatal) {
   host.poll();
   EXPECT_GT(host.counters().pool_exhausted, 0u);
   EXPECT_GT(host.counters().flood_copies, 0u);
+  expect_conservation(host.counters());
   host.ports().for_each_except(
       0, [&](uint32_t no, net::Port&) { host.drain_and_release_tx(no); });
+  EXPECT_EQ(host.pool().available(), host.pool().capacity());
+}
+
+// The inline worker context is registered only inside poll(): a full
+// install() between polls must stay legal (it refuses to run while any
+// worker is registered).
+TEST(InlineRuntime, InstallBetweenPollsStaysLegal) {
+  EswRuntime host(inline_config(4, 64));
+  Pipeline to2;
+  to2.table(0).add(parse_rule("priority=1, actions=output:2"));
+  host.backend().install(to2);
+
+  uint8_t frame[128];
+  const uint32_t len = proto::build_packet(test::udp_spec(1, 2, 3, 4), frame, sizeof frame);
+  ASSERT_TRUE(host.inject(1, frame, len));
+  EXPECT_EQ(host.poll(), 1u);
+  EXPECT_EQ(host.drain_and_release_tx(2), 1u);
+
+  Pipeline to3;
+  to3.table(0).add(parse_rule("priority=1, actions=output:3"));
+  ASSERT_NO_THROW(host.backend().install(to3));
+  ASSERT_TRUE(host.inject(1, frame, len));
+  EXPECT_EQ(host.poll(), 1u);
+  EXPECT_EQ(host.drain_and_release_tx(2), 0u);
+  EXPECT_EQ(host.drain_and_release_tx(3), 1u);
+  expect_conservation(host.counters());
+  EXPECT_EQ(host.pool().available(), host.pool().capacity());
+}
+
+TEST(InlineRuntime, PollWhileRunningIsRefused) {
+  EswRuntime::Config cfg = inline_config(2, 64);
+  cfg.n_workers = 1;
+  EswRuntime host(cfg);
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=1, actions=drop"));
+  host.backend().install(pl);
+  uint8_t frame[128];
+  const uint32_t len = proto::build_packet(test::udp_spec(1, 2, 3, 4), frame, sizeof frame);
+
+  host.start();
+  EXPECT_THROW(host.poll(), CheckError);
+  EXPECT_THROW(host.packet_out(frame, len, 1, {Action::output(2)}), CheckError);
+  EXPECT_THROW(host.drain_and_release_tx(2), CheckError);
+  host.stop();
+
+  // Stopped, the caller's thread may drive it again.
+  ASSERT_TRUE(host.inject(1, frame, len));
+  EXPECT_EQ(host.poll(), 1u);
+  EXPECT_EQ(host.counters().drops, 1u);
   EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
