@@ -22,8 +22,8 @@ namespace esw::core {
 struct CompilerConfig {
   /// Fig. 9's calibrated constant: tables up to this size compile directly.
   uint32_t direct_code_max_entries = 4;
-  /// Emit x86-64 machine code for direct-code tables (else the portable
-  /// specialized interpreter over the same lowered IR).
+  /// Emit the fused x86-64 program for the plan's direct-code stages (else
+  /// the portable specialized interpreter over the same lowered IR).
   bool enable_jit = true;
   /// Run the Fig. 6 table decomposition pass on linked-list-bound tables.
   bool enable_decomposition = false;
@@ -49,11 +49,12 @@ struct CompilerConfig {
   /// allowed; install() is not subject to the cap (it is the operator's
   /// wholesale program load, not controller churn).
   uint32_t table_capacity = 0;
-  /// Re-JIT retry pacing after a direct-code table degrades to the
-  /// interpreter (exec mapping refused): first retry after this many
-  /// flow-mod updates, doubling per failed attempt up to the max.  0
-  /// disables retries.  The fused plan's machine program (jit/fusion.hpp)
-  /// re-emits on the same schedule; until then the plan runs without one.
+  /// Re-emit pacing for the fused plan's machine program (jit/fusion.hpp)
+  /// after the exec mapper refuses it: the plan runs without a program (its
+  /// direct-code stages interpreted) and the first re-emit is tried after
+  /// this many flow-mod updates, doubling per failed attempt up to the max.
+  /// 0 disables retries: the plan stays without a program until the next
+  /// install().
   uint32_t jit_retry_base_updates = 64;
   uint32_t jit_retry_max_updates = 4096;
   /// Connection tracking (src/state/): `ct.enabled` attaches a Conntrack to

@@ -39,7 +39,7 @@ uint64_t resolve_result(const BuildEntry& e, BuildCtx& ctx) {
 // --- direct code -----------------------------------------------------------
 
 std::unique_ptr<DirectCodeTable> DirectCodeTable::build(
-    const std::vector<BuildEntry>& entries, BuildCtx& ctx, bool use_jit) {
+    const std::vector<BuildEntry>& entries, BuildCtx& ctx) {
   auto t = std::make_unique<DirectCodeTable>();
   t->lowered_.reserve(entries.size());
   for (const BuildEntry& e : entries) {
@@ -48,7 +48,6 @@ std::unique_ptr<DirectCodeTable> DirectCodeTable::build(
     le.result = resolve_result(e, ctx);
     t->lowered_.push_back(std::move(le));
   }
-  if (use_jit) t->jit_ = jit::DirectCodeFn::compile(t->lowered_);
   return t;
 }
 
@@ -65,12 +64,11 @@ uint64_t DirectCodeTable::lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
     }
     return jit::kMissResult;
   }
-  if (jit_) return (*jit_)(pkt, pi);
   return jit::interpret(lowered_.data(), lowered_.size(), pkt, pi);
 }
 
 size_t DirectCodeTable::memory_bytes() const {
-  size_t n = jit_ ? jit_->code_size() : 0;
+  size_t n = 0;
   for (const auto& e : lowered_) n += sizeof(e) + e.tests.size() * sizeof(jit::FieldTest);
   return n;
 }

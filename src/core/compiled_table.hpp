@@ -11,7 +11,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cls/cuckoo.hpp"
@@ -21,7 +20,6 @@
 #include "core/decompose.hpp"
 #include "core/lowering.hpp"
 #include "core/template_kind.hpp"
-#include "jit/direct_code.hpp"
 
 namespace esw::core {
 
@@ -98,10 +96,14 @@ class CompiledTable {
 
 // --- direct code -------------------------------------------------------------
 
+/// The lowered entry chain of a small table.  Its machine rendering lives in
+/// the fused program (jit/fusion.hpp), which emits every direct-code stage of
+/// the plan; lookup() interprets the same chain (jit::interpret) for stages
+/// the program does not serve — the JIT off or the exec mapping refused.
 class DirectCodeTable final : public CompiledTable {
  public:
   static std::unique_ptr<DirectCodeTable> build(const std::vector<BuildEntry>& entries,
-                                                BuildCtx& ctx, bool use_jit);
+                                                BuildCtx& ctx);
 
   uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                   MemTrace* trace) const override;
@@ -109,16 +111,12 @@ class DirectCodeTable final : public CompiledTable {
   size_t size() const override { return lowered_.size(); }
   size_t memory_bytes() const override;
 
-  bool jitted() const { return jit_.has_value(); }
-  size_t code_size() const { return jit_ ? jit_->code_size() : 0; }
-
-  /// The lowered entry chain — the fusion stage (jit/fusion.hpp) re-emits it
+  /// The lowered entry chain — the fusion stage (jit/fusion.hpp) emits it
   /// into the whole-pipeline function.  Immutable (direct code rebuilds).
   const std::vector<jit::LoweredEntry>& lowered() const { return lowered_; }
 
  private:
   std::vector<jit::LoweredEntry> lowered_;
-  std::optional<jit::DirectCodeFn> jit_;
 };
 
 // --- cuckoo hash (the compound hash template) -------------------------------------

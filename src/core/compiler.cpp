@@ -39,7 +39,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
   try {
     switch (ar.chosen) {
       case TableTemplate::kDirectCode:
-        impl = DirectCodeTable::build(entries, ctx, cfg.enable_jit);
+        impl = DirectCodeTable::build(entries, ctx);
         break;
       case TableTemplate::kCuckooHash:
         impl = CuckooTemplateTable::build(entries, mask_template, ctx);
@@ -212,8 +212,8 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
   fused->fingerprint = fingerprint;
   fused->program_key = program_key;
 
-  // Machine members: every direct-code stage, degraded-to-interpreter ones
-  // included — the fused emit is a fresh exec-map attempt of its own.
+  // Machine members: every direct-code stage — the program is their only
+  // machine code.
   std::vector<jit::FusedProgram::Member> members;
   if (cfg.enable_jit && jit::ExecBuffer::supported()) {
     for (uint32_t i = 0; i < n_stages; ++i) {

@@ -80,9 +80,9 @@ struct FusedPipeline {
   /// Identity of (slot, impl, miss) per stage — an unchanged fingerprint means
   /// the published plan is still exact and republish can be skipped.
   uint64_t fingerprint = 0;
-  /// Identity of the direct-code member set only: when churn touched other
-  /// tables (e.g. a linked-list clone-swap) the previous plan's machine
-  /// program is reused instead of re-emitted.
+  /// Identity of the direct-code member set only: when churn rebuilt other
+  /// tables (e.g. a hash or LPM table rebuilt side by side) the previous
+  /// plan's machine program is reused instead of re-emitted.
   uint64_t program_key = 0;
 };
 

@@ -41,7 +41,7 @@ struct DataplaneStats {
   // Every gracefully absorbed fault lands in exactly one of these — the
   // chaos soak's accounting audits that (docs/ROBUSTNESS.md).
   uint64_t pool_exhausted = 0;           // buffer alloc failed at the backend
-  uint64_t jit_fallbacks = 0;            // direct-code slots on the interpreter
+  uint64_t jit_fallbacks = 0;            // plans published without their program
   uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
   uint64_t backpressure_events = 0;      // RX pauses under pool exhaustion
   // Connection-tracking counters (src/state/; zero when ct is disabled or on

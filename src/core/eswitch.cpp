@@ -1,6 +1,7 @@
 #include "core/eswitch.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/check.hpp"
@@ -29,7 +30,7 @@ Eswitch::~Eswitch() {
 DataplaneStats Eswitch::stats() const {
   const CompiledDatapath::Stats s = dp_.stats();
   DataplaneStats out{s.packets, s.outputs, s.drops, s.to_controller};
-  out.jit_fallbacks = degradation_.jit_fallbacks;
+  out.jit_fallbacks = degradation_.fusion_fallbacks;
   out.mods_refused_table_full = degradation_.mods_refused_table_full;
   if (ct_ != nullptr) {
     const state::Conntrack::Stats cs = ct_->stats();
@@ -53,7 +54,6 @@ void Eswitch::compile_all() {
   dp_.reset();
   goto_map_.assign(256, -1);
   for (auto& v : sub_slots_) v.clear();
-  degraded_jit_.clear();  // a wholesale reprogram owes the old program nothing
 
   // Root slots first so any goto resolves, then table bodies.
   for (const FlowTable& t : pipeline_.tables())
@@ -81,12 +81,13 @@ void Eswitch::refresh_fusion() {
                                  dp_.fused(), !fusion_retry_.has_value() || retrying);
   if (r.machine_failed) {
     // The exec-map edge: publish the plan without machine code and schedule
-    // a bounded-backoff re-emit (the PR 7 retry policy, one knob).
+    // a bounded-backoff re-emit.  With retries disabled (base 0) the window
+    // never elapses: the plan stays without a program until install().
     ++degradation_.fusion_fallbacks;
     if (!fusion_retry_.has_value()) {
-      if (cfg_.jit_retry_base_updates > 0)
-        fusion_retry_ = JitRetry{update_seq_ + cfg_.jit_retry_base_updates,
-                                 cfg_.jit_retry_base_updates};
+      const uint64_t base = cfg_.jit_retry_base_updates;
+      fusion_retry_ = JitRetry{
+          base > 0 ? update_seq_ + base : std::numeric_limits<uint64_t>::max(), base};
     } else if (retrying) {
       fusion_retry_->backoff =
           std::min<uint64_t>(fusion_retry_->backoff * 2,
@@ -126,12 +127,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
   std::vector<int32_t> stale_subs = std::move(sub_slots_[id]);
   sub_slots_[id].clear();
   bool fell_back = false;
-  bool jit_degraded = false;
-  const auto note_impl = [&](const CompiledTable* impl, TableTemplate kind) {
-    if (kind == TableTemplate::kDirectCode && cfg_.enable_jit &&
-        !static_cast<const DirectCodeTable*>(impl)->jitted())
-      jit_degraded = true;
-  };
 
   if (cfg_.enable_decomposition &&
       analyze_table(*t, cfg_).chosen == TableTemplate::kLinkedList) {
@@ -152,7 +147,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
           if (e.internal_next >= 0) e.internal_next = slot_of[e.internal_next];
         TableTemplate kind{};
         auto impl = build_table_impl(entries, cfg_, ctx, &kind, &fell_back);
-        note_impl(impl.get(), kind);
         dp_.set_impl(slot_of[i], std::move(impl));
         if (i == 0) {
           note_reselection(kind);
@@ -166,64 +160,17 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
         sub_slots_[id].push_back(slot_of[static_cast<size_t>(order[k])]);
       for (const int32_t s : stale_subs) dp_.retire_slot(s);
       if (fell_back) ++degradation_.template_fallbacks;
-      note_jit_state(id, jit_degraded);
       return;
     }
   }
 
   TableTemplate kind{};
   auto impl = build_table_impl(to_build_entries(*t), cfg_, ctx, &kind, &fell_back);
-  note_impl(impl.get(), kind);
   dp_.set_impl(root, std::move(impl));
   note_reselection(kind);
   root_template_[id] = kind;
   for (const int32_t s : stale_subs) dp_.retire_slot(s);
   if (fell_back) ++degradation_.template_fallbacks;
-  note_jit_state(id, jit_degraded);
-}
-
-/// Records whether a rebuild left the logical table on the interpreter when
-/// machine code was wanted, and keeps the re-JIT retry schedule in sync: a
-/// freshly degraded table gets its first retry window; a table that came back
-/// (via retry or ordinary churn) leaves the schedule as a recovery.
-void Eswitch::note_jit_state(uint8_t id, bool degraded) {
-  const auto it = degraded_jit_.find(id);
-  if (degraded) {
-    ++degradation_.jit_fallbacks;
-    if (it == degraded_jit_.end() && cfg_.jit_retry_base_updates > 0)
-      degraded_jit_[id] = {update_seq_ + cfg_.jit_retry_base_updates,
-                          cfg_.jit_retry_base_updates};
-  } else if (it != degraded_jit_.end()) {
-    degraded_jit_.erase(it);
-    ++degradation_.jit_recoveries;
-  }
-}
-
-/// Retries at most one degraded table whose backoff window has elapsed —
-/// bounded work per update, no rebuild storms.  The rebuild itself updates
-/// the schedule through note_jit_state (erases the entry on success).
-void Eswitch::maybe_retry_jit() {
-  if (degraded_jit_.empty()) return;
-  int pick = -1;
-  for (const auto& [id, r] : degraded_jit_) {
-    if (update_seq_ >= r.next_at) {
-      pick = id;
-      break;
-    }
-  }
-  if (pick < 0) return;
-  if (pipeline_.find_table(static_cast<uint8_t>(pick)) == nullptr) {
-    degraded_jit_.erase(static_cast<uint8_t>(pick));
-    return;
-  }
-  ++degradation_.jit_retries;
-  JitRetry& r = degraded_jit_[static_cast<uint8_t>(pick)];
-  r.backoff = std::min<uint64_t>(r.backoff * 2,
-                                 std::max(cfg_.jit_retry_max_updates,
-                                          cfg_.jit_retry_base_updates));
-  r.next_at = update_seq_ + r.backoff;
-  rebuild_logical(static_cast<uint8_t>(pick));
-  refresh_start_and_plan();
 }
 
 void Eswitch::refresh_start_and_plan() {
@@ -360,7 +307,6 @@ void Eswitch::apply(const FlowMod& fm) {
     ++degradation_.mods_refused_table_full;
     throw;
   }
-  maybe_retry_jit();
   refresh_fusion();
   dp_.reclaim();
 }
@@ -385,7 +331,6 @@ void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
   DirtySet dirty;
   for (const FlowMod& fm : fms) apply_one(fm, &dirty);
   commit_batch(dirty);
-  maybe_retry_jit();
   refresh_fusion();
   dp_.reclaim();
 }
@@ -409,7 +354,6 @@ std::vector<ModStatus> Eswitch::apply_batch_partial(const std::vector<FlowMod>& 
     }
   }
   commit_batch(dirty);
-  maybe_retry_jit();
   refresh_fusion();
   dp_.reclaim();
   return out;

@@ -152,23 +152,17 @@ class Eswitch {
   /// Graceful-degradation ledger: every absorbed fault is accounted here
   /// (the chaos soak audits these against the failpoint fire counts).
   struct DegradationStats {
-    uint64_t jit_fallbacks = 0;    // direct-code builds landing on the interpreter
-    uint64_t jit_retries = 0;      // scheduled re-JIT rebuild attempts
-    uint64_t jit_recoveries = 0;   // degraded tables that regained machine code
     uint64_t template_fallbacks = 0;  // exhausted builds demoted to linked list
     uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
-    // Whole-pipeline fusion (jit/fusion.hpp): when the exec mapper refuses
-    // the fused machine compile, the plan is published without machine code
-    // (every stage walks its pinned impl), with the same bounded-backoff
-    // retry/recovery ledger as the per-table JIT.
+    // The fused program (jit/fusion.hpp) is the switch's only machine code.
+    // When the exec mapper refuses its emit, the plan is published without
+    // it (every stage walks its pinned impl, direct code interpreted) and a
+    // bounded-backoff re-emit is scheduled.
     uint64_t fusion_fallbacks = 0;   // plans published without machine code
     uint64_t fusion_retries = 0;     // elapsed re-emit retry windows
     uint64_t fusion_recoveries = 0;  // plans that regained their program
   };
   const DegradationStats& degradation_stats() const { return degradation_; }
-  /// Logical tables currently degraded to the interpreter and awaiting a
-  /// re-JIT retry window.
-  size_t degraded_jit_tables() const { return degraded_jit_.size(); }
   /// True while a fused plan is published: for every non-empty installed
   /// pipeline.  Whether the plan carries machine code is
   /// datapath().fused()->program.
@@ -195,8 +189,6 @@ class Eswitch {
   void commit_batch(const DirtySet& dirty);
   void apply_to_pipeline(flow::Pipeline& pl, const flow::FlowMod& fm) const;
   void check_capacity(const flow::Pipeline& pl, const flow::FlowMod& fm) const;
-  void note_jit_state(uint8_t id, bool degraded);
-  void maybe_retry_jit();
   void refresh_fusion();
 
   CompilerConfig cfg_;
@@ -211,16 +203,15 @@ class Eswitch {
   SubSlotMap sub_slots_{};
   UpdateStats update_stats_;
   DegradationStats degradation_;
-  /// Re-JIT retry schedule per degraded logical table, in update counts
-  /// (exponential backoff capped at cfg_.jit_retry_max_updates).
+  /// Re-emit retry schedule after a refused fused machine compile, in update
+  /// counts (exponential backoff from cfg_.jit_retry_base_updates, capped at
+  /// cfg_.jit_retry_max_updates).  While it is set, plans are republished
+  /// without a program until the window elapses; with retries disabled the
+  /// window never elapses and only install() clears it.
   struct JitRetry {
     uint64_t next_at = 0;
     uint64_t backoff = 0;
   };
-  std::map<uint8_t, JitRetry> degraded_jit_;
-  /// Re-emit retry schedule after a fused machine-compile failure (same
-  /// pacing knobs as the per-table schedule).  While it is set, plans are
-  /// republished without a program until the window elapses.
   std::optional<JitRetry> fusion_retry_;
   uint64_t update_seq_ = 0;  // apply()/apply_batch() calls, for retry pacing
   bool installing_ = false;  // inside compile_all(): rebuilds are not re-selections

@@ -144,15 +144,6 @@ void Assembler::emit_field_test(const FieldTest& t, Label fail) {
   jcc32(0x85, fail);  // jnz -> no match
 }
 
-void Assembler::emit_return(uint64_t packed, Label epilogue) {
-  if (packed <= 0xFFFFFFFFu) {
-    u8(0xB8); u32le(static_cast<uint32_t>(packed));  // mov eax, imm32
-  } else {
-    u8(0x48); u8(0xB8); u64le(packed);  // mov rax, imm64
-  }
-  jmp32(epilogue);
-}
-
 void Assembler::emit_jmp(Label target) { jmp32(target); }
 
 void Assembler::emit_fused_prologue() {

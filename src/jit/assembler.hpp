@@ -5,11 +5,9 @@
 // pointer/offset, r13 = L3, r14 = L4, r15 = protocol bitmask — protocol
 // presence is tested with `bt`/`jae` for single bits, and match keys/masks are
 // immediates folded into the instruction stream.  Jump targets are Labels
-// resolved in a final linking pass (§3.3), rel32 throughout.
-//
-// Generated function signature (SysV AMD64):
-//   uint64_t fn(const uint8_t* pkt /*rdi*/, const proto::ParseInfo* pi /*rsi*/);
-// returning jit::pack_result / kMissResult.
+// resolved in a final linking pass (§3.3), rel32 throughout.  The one code
+// generator is the whole-pipeline fusion compiler (jit/fusion.hpp); its
+// function signature is documented with the fusion building blocks below.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +43,7 @@ class Assembler {
   /// One matcher template instance: load, xor key, test mask, jnz fail.
   void emit_field_test(const FieldTest& test, Label fail);
 
-  /// mov rax, packed; jmp epilogue.
-  void emit_return(uint64_t packed, Label epilogue);
-
-  /// Unconditional jump (used for the final fall-through miss).
+  /// Unconditional jump (entry stubs and fused inter-table dispatch).
   void emit_jmp(Label target);
 
   // --- whole-pipeline fusion building blocks (jit/fusion.hpp) --------------

@@ -1,20 +1,18 @@
 // Whole-pipeline fusion (ROADMAP item 3): the goto graph's direct-code
 // members compiled into ONE function, with inter-table dispatch resolved at
-// compile time.
+// compile time.  This is the switch's only machine code.
 //
-// The per-table JIT (direct_code.hpp) renders a single table; between tables
-// the datapath still walks interpreted glue — unpack the packed result, map
-// the goto target to a slot, reload the next impl, dispatch again.  A
-// FusedProgram inlines that glue: each direct-code stage's entry chain is
-// emitted into one code buffer, and a hit whose goto targets another fused
-// stage becomes a plain `jmp` to that stage's first entry — no packed-result
-// round trip, no slot lookup, no indirect call.  Action-set ids are *sunk
-// into the match code* (the hit site appends the constant id to a caller
-// array), and per-stage lookup/hit/miss counters are bumped directly in
-// machine code so machine stages keep table-stats parity with pinned-impl
-// stages.
+// Each member renders the paper's direct-code shape (§3.1): its entry chain
+// of per-flow compare-and-branch blocks, keys patched into the instruction
+// stream (§3.3).  The members share one code buffer, and a hit whose goto
+// targets another fused stage becomes a plain `jmp` to that stage's first
+// entry — no packed-result round trip, no slot lookup, no indirect call.
+// Action-set ids are *sunk into the match code* (the hit site appends the
+// constant id to a caller array), and per-stage lookup/hit/miss counters
+// are bumped directly in machine code so machine stages keep table-stats
+// parity with pinned-impl stages.
 //
-// Fused functions use a wider SysV signature than the per-table templates:
+// Fused functions use this SysV signature:
 //
 //   uint64_t fn(const uint8_t* pkt,            // rdi
 //               const proto::ParseInfo* pi,    // rsi

@@ -7,9 +7,11 @@
 // specialization step").  A LoweredEntry is one flow entry: a protocol-bitmask
 // guard plus a chain of matchers plus a packed result.
 //
-// Two executors share this IR byte-for-byte: the x86-64 JIT backend
-// (direct_code.hpp) and the portable interpreter below — which is both the
-// non-x86 fallback and the differential-testing oracle for the JIT.
+// Two executors share this IR byte-for-byte: the x86-64 fused program
+// (fusion.hpp), which renders every direct-code stage of the plan, and the
+// portable interpreter below — which is the fallback when the JIT is off or
+// the exec mapping is refused, and the differential-testing oracle for the
+// JIT.
 #pragma once
 
 #include <cstdint>

@@ -89,7 +89,7 @@ struct ChaosSlot {
 constexpr ChaosSlot kChaosSchedule[] = {
     {"mbuf.alloc", "prob:0.2:101"},     // pool exhaustion -> backpressure
     {"ring.enqueue_mp", "prob:0.01:102"},  // TX ring refusals -> tx_rejected
-    {"jit.exec_map", "always"},         // JIT mapping dead -> interpreter
+    {"jit.exec_map", "always"},         // JIT mapping dead -> no program
     {"lpm.tbl8", "prob:0.5:103"},       // tbl8 exhaustion -> rebuild/fallback
     {"hash.insert", "prob:0.5:104"},    // incremental refusal -> rebuild
     {"epoch.reclaim", "prob:0.5:105"},  // deferred reclamation -> pending
@@ -103,7 +103,6 @@ struct ChaosWindowBase {
   uint64_t backpressure_events = 0;
   uint64_t alloc_failures = 0;
   uint64_t tx_rejected = 0;
-  uint64_t jit_fallbacks = 0;
   uint64_t fusion_fallbacks = 0;
   uint64_t template_fallbacks = 0;
   uint64_t table_rebuilds = 0;
@@ -121,7 +120,6 @@ ChaosWindowBase chaos_snapshot(core::SwitchRuntime<core::Eswitch>& rt,
   b.backpressure_events = c.backpressure_events;
   b.alloc_failures = rt.pool().alloc_failures();
   b.tx_rejected = c.tx_rejected;
-  b.jit_fallbacks = deg.jit_fallbacks;
   b.fusion_fallbacks = deg.fusion_fallbacks;
   b.template_fallbacks = deg.template_fallbacks;
   b.table_rebuilds = rt.backend().update_stats().table_rebuilds;
@@ -150,10 +148,9 @@ SoakCheck close_chaos_window(core::SwitchRuntime<core::Eswitch>& rt,
   else if (name == "ring.enqueue_mp")
     delta = now.tx_rejected - base.tx_rejected;
   else if (name == "jit.exec_map")
-    // The exec mapper serves both the per-table JIT and the whole-pipeline
-    // fusion compiler; a fire lands in whichever ledger owned the mapping.
-    delta = (now.jit_fallbacks - base.jit_fallbacks) +
-            (now.fusion_fallbacks - base.fusion_fallbacks);
+    // The fused program is the only machine code: a refused mapping is a
+    // plan published without its program.
+    delta = now.fusion_fallbacks - base.fusion_fallbacks;
   else if (name == "lpm.tbl8")
     delta = (now.table_rebuilds - base.table_rebuilds) +
             (now.template_fallbacks - base.template_fallbacks);
@@ -177,8 +174,9 @@ SoakCheck close_chaos_window(core::SwitchRuntime<core::Eswitch>& rt,
 ///   * /30 routes in 232.0.0.0/8 — each add extends a tbl8 group (lpm.tbl8),
 ///     each refusal forces a side-by-side rebuild;
 ///   * a tiny exact-match table 210 (<= direct_code_max_entries) — every mod
-///     rebuilds through the JIT (jit.exec_map), and the first clean rebuild
-///     after a degraded window is the re-JIT recovery.
+///     rebuilds a direct-code member and re-emits the fused program
+///     (jit.exec_map); the first clean re-emit after a refusal is the
+///     plan's recovery.
 /// Table 200's hash churn comes from churn_chunk itself once
 /// seed_hash_table() has pushed it past the direct-code threshold.
 void chaos_churn_chunk(core::Eswitch& sw, uint64_t* mods, int pairs) {
@@ -493,9 +491,7 @@ SoakReport run_soak(const SoakOptions& opts) {
   rep.degradation.backpressure_events = c.backpressure_events;
   rep.degradation.alloc_failures = rt.pool().alloc_failures();
   rep.degradation.tx_rejected = c.tx_rejected;
-  rep.degradation.jit_fallbacks = deg.jit_fallbacks;
-  rep.degradation.jit_retries = deg.jit_retries;
-  rep.degradation.jit_recoveries = deg.jit_recoveries;
+  rep.degradation.jit_fallbacks = bs.jit_fallbacks;
   rep.degradation.fusion_fallbacks = deg.fusion_fallbacks;
   rep.degradation.fusion_retries = deg.fusion_retries;
   rep.degradation.fusion_recoveries = deg.fusion_recoveries;
@@ -629,8 +625,6 @@ std::string SoakReport::to_json() const {
   deg.set("alloc_failures", Json::number(static_cast<double>(degradation.alloc_failures)));
   deg.set("tx_rejected", Json::number(static_cast<double>(degradation.tx_rejected)));
   deg.set("jit_fallbacks", Json::number(static_cast<double>(degradation.jit_fallbacks)));
-  deg.set("jit_retries", Json::number(static_cast<double>(degradation.jit_retries)));
-  deg.set("jit_recoveries", Json::number(static_cast<double>(degradation.jit_recoveries)));
   deg.set("fusion_fallbacks",
           Json::number(static_cast<double>(degradation.fusion_fallbacks)));
   deg.set("fusion_retries", Json::number(static_cast<double>(degradation.fusion_retries)));

@@ -65,7 +65,8 @@ struct SoakOptions {
   /// injected fault landed in the degradation counter its policy names —
   /// while all the standard conservation/leak/drift checks stay on.  The
   /// chaos churn additionally exercises tbl8-extending /30 routes, a hash
-  /// side table and a tiny direct-code table (re-JIT per mod).
+  /// side table and a tiny direct-code table (a fused-program re-emit per
+  /// mod).
   bool chaos = false;
   double chaos_period_ms = 200;
 
@@ -95,9 +96,7 @@ struct DegradationSummary {
   uint64_t backpressure_events = 0;
   uint64_t alloc_failures = 0;
   uint64_t tx_rejected = 0;
-  uint64_t jit_fallbacks = 0;
-  uint64_t jit_retries = 0;
-  uint64_t jit_recoveries = 0;
+  uint64_t jit_fallbacks = 0;  // DataplaneStats::jit_fallbacks
   uint64_t fusion_fallbacks = 0;   // plans published without machine code
   uint64_t fusion_retries = 0;     // elapsed re-emit retry windows
   uint64_t fusion_recoveries = 0;  // plans that regained their program

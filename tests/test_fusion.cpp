@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
 #include "core/decompose.hpp"
@@ -636,8 +637,8 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
 
   {
     ExecFailGuard guard;
-    // The rebuild degrades the table to the interpreter AND refuses the
-    // fused re-compile: the plan stays published, without machine code.
+    // The rebuild's fused re-compile is refused: the plan stays published,
+    // without machine code, its direct-code stages interpreted.
     sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
   }
   ASSERT_TRUE(sw.fused_active()) << "refused compile left no plan published";
@@ -678,6 +679,89 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   EXPECT_EQ(v, Verdict::output(4));
 }
 
+TEST(Fusion, ZeroRetryBaseKeepsPlanWithoutProgram) {
+  if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
+  CompilerConfig cfg;
+  cfg.jit_retry_base_updates = 0;  // retries disabled
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=10,udp_dst=53,actions=goto:1"));
+  pl.table(0).add(parse_rule("priority=0,actions=goto:1"));
+  pl.table(1).add(parse_rule("priority=10,udp_dst=53,actions=output:4"));
+  Eswitch sw(cfg);
+  sw.install(pl);
+  ASSERT_NE(sw.datapath().fused()->program, nullptr);
+
+  {
+    ExecFailGuard guard;
+    sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
+  }
+  ASSERT_TRUE(sw.fused_active());
+  EXPECT_EQ(sw.datapath().fused()->program, nullptr);
+
+  // Three healthy updates that each rebuild a direct-code table: with
+  // retries disabled none of them re-emits the program.
+  FlowMod extra = add_mod(1, "priority=8,udp_dst=100,actions=output:6");
+  FlowMod del = extra;
+  del.command = FlowMod::Cmd::kDelete;
+  for (const FlowMod& fm : {extra, del, extra}) {
+    sw.apply(fm);
+    ASSERT_EQ(sw.table_template(1), TableTemplate::kDirectCode);
+    EXPECT_EQ(sw.datapath().fused()->program, nullptr) << "re-emitted with retries disabled";
+  }
+  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
+  EXPECT_EQ(sw.degradation_stats().fusion_retries, 0u);
+  EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 0u);
+  for (const uint16_t dport : {53, 99, 100, 7}) {
+    net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, dport));
+    net::Packet spec = p;
+    EXPECT_EQ(sw.process(p), sw.pipeline().run(spec)) << "udp_dst=" << dport;
+  }
+
+  // A wholesale install owes the refused emit nothing: the program is back.
+  const Pipeline now = sw.pipeline();
+  sw.install(now);
+  EXPECT_NE(sw.datapath().fused()->program, nullptr);
+  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
+}
+
+// The fused program is the switch's only machine code: a plan emit maps one
+// executable buffer however many direct-code stages it covers, and a
+// rebuilt direct-code table costs one more mapping — the plan's re-emit.
+TEST(Fusion, OneExecMappingPerPlanEmit) {
+  if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
+  auto& fpr = common::FailpointRegistry::instance();
+  const common::Failpoint& exec_map = fpr.point("jit.exec_map");
+  const uint64_t fires0 = exec_map.fires();
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  Eswitch sw(cfg);
+  const auto uc = uc::make_load_balancer(16);
+
+  ASSERT_TRUE(fpr.arm("jit.exec_map", "nth:1000000000"));  // counts, never fires
+  sw.install(uc.pipeline);
+  ASSERT_TRUE(sw.is_decomposed(0));
+  const FusedPipeline* fp = sw.datapath().fused();
+  ASSERT_NE(fp, nullptr);
+  ASSERT_NE(fp->program, nullptr);
+  const auto direct_code = std::count_if(
+      fp->stages.begin(), fp->stages.end(), [](const FusedPipeline::Stage& st) {
+        return st.impl->kind() == TableTemplate::kDirectCode;
+      });
+  EXPECT_GT(direct_code, 1);
+  EXPECT_EQ(fp->program->n_members(), static_cast<uint32_t>(direct_code));
+  EXPECT_EQ(exec_map.hits(), 1u) << "install mapped more than the fused program";
+  const jit::FusedProgram* prog0 = fp->program.get();
+
+  // One add to the decomposed table rebuilds its direct-code sub-tables.
+  sw.apply(add_mod(0, "priority=20,in_port=1,ip_dst=10.1.0.99,tcp_dst=80,"
+                      "ip_src=0.0.0.0/1,actions=output:99"));
+  ASSERT_NE(sw.datapath().fused()->program, nullptr);
+  EXPECT_NE(sw.datapath().fused()->program.get(), prog0);
+  EXPECT_EQ(exec_map.hits(), 2u) << "a direct-code rebuild mapped more than the re-emit";
+  fpr.disarm("jit.exec_map");
+  EXPECT_EQ(exec_map.fires(), fires0);
+}
+
 // --- pathological goto graphs (shared loop-bound policy) --------------------
 
 TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
@@ -694,9 +778,9 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   core::BuildEntry e;  // match-all, no actions
   e.priority = 1;
   e.internal_next = s1;
-  dp.set_impl(s0, core::DirectCodeTable::build({e}, ctx, false));
+  dp.set_impl(s0, core::DirectCodeTable::build({e}, ctx));
   e.internal_next = s0;
-  dp.set_impl(s1, core::DirectCodeTable::build({e}, ctx, false));
+  dp.set_impl(s1, core::DirectCodeTable::build({e}, ctx));
   dp.set_start(s0);
 
   auto fp = std::make_unique<FusedPipeline>();

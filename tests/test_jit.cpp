@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
 #include "core/lowering.hpp"
-#include "jit/direct_code.hpp"
+#include "jit/fusion.hpp"
 #include "test_util.hpp"
 #include "testing/seed.hpp"
 
@@ -16,10 +19,43 @@ using test::ip;
 using test::make_packet;
 using test::parse_packet;
 
+/// One table rendered by the fused emitter: a one-member program at stage 0
+/// whose goto slot k maps to stage k + 1, so every goto leaves the program.
+/// Calls decode the exit word and the action id back into the packed result
+/// (jit::pack_result / kMissResult) the interpreter returns.
+class OneTable {
+ public:
+  static std::optional<OneTable> compile(const std::vector<LoweredEntry>& entries) {
+    std::vector<int32_t> stage_of_slot(kSlots);
+    for (uint32_t k = 0; k < kSlots; ++k) stage_of_slot[k] = static_cast<int32_t>(k + 1);
+    auto prog = FusedProgram::compile({{0, &entries}}, stage_of_slot, kSlots + 1);
+    if (prog == nullptr) return std::nullopt;
+    return OneTable(std::move(prog));
+  }
+
+  uint64_t operator()(const uint8_t* pkt, const proto::ParseInfo& pi) const {
+    int32_t actions[1];                     // one hit appends at most one id
+    uint64_t stats[kFusedStatStride] = {};  // stage 0's counters only
+    const uint64_t w = prog_->entry(0)(pkt, &pi, actions, stats);
+    if ((w & kFusedMiss) != 0) return kMissResult;
+    const int32_t action = fused_exit_actions(w) != 0 ? actions[0] : -1;
+    const int32_t next =
+        (w & kFusedCompleted) != 0 ? -1 : static_cast<int32_t>(fused_exit_stage(w)) - 1;
+    return pack_result(action, next);
+  }
+
+  size_t code_size() const { return prog_->code_size(); }
+
+ private:
+  static constexpr uint32_t kSlots = 16;
+  explicit OneTable(std::shared_ptr<const FusedProgram> prog) : prog_(std::move(prog)) {}
+  std::shared_ptr<const FusedProgram> prog_;
+};
+
 TEST(ExecMem, Supported) { EXPECT_TRUE(ExecBuffer::supported()); }
 
 TEST(Jit, EmptyTableAlwaysMisses) {
-  auto fn = DirectCodeFn::compile({});
+  auto fn = OneTable::compile({});
   ASSERT_TRUE(fn.has_value());
   auto p = make_packet(test::udp_spec(1, 2, 3, 4));
   auto pi = parse_packet(p);
@@ -59,14 +95,14 @@ TEST(Jit, SingleFieldMatchers) {
     e.proto_required = flow::field_info(f).proto_required;
     e.tests.push_back(core::lower_field_test(f, v, flow::field_full_mask(f)));
     e.result = pack_result(5, -1);
-    auto fn = DirectCodeFn::compile({e});
+    auto fn = OneTable::compile({e});
     ASSERT_TRUE(fn.has_value());
     EXPECT_EQ((*fn)(p.data(), pi), e.result) << flow::field_info(f).name;
 
     // Flip the value: must miss.
     LoweredEntry miss = e;
     miss.tests[0] = core::lower_field_test(f, v ^ 1, flow::field_full_mask(f));
-    auto fn2 = DirectCodeFn::compile({miss});
+    auto fn2 = OneTable::compile({miss});
     EXPECT_EQ((*fn2)(p.data(), pi), kMissResult) << flow::field_info(f).name;
   }
 }
@@ -78,7 +114,7 @@ TEST(Jit, ProtocolGuardRejectsWrongProtocol) {
   e.proto_required = proto::kProtoIpv4 | proto::kProtoTcp;
   e.tests.push_back(core::lower_field_test(FieldId::kTcpDst, 80, 0xFFFF));
   e.result = pack_result(1, -1);
-  auto fn = DirectCodeFn::compile({e});
+  auto fn = OneTable::compile({e});
   ASSERT_TRUE(fn.has_value());
 
   auto tcp = make_packet(test::tcp_spec(1, 2, 9, 80));
@@ -93,7 +129,7 @@ TEST(Jit, MultiBitProtocolGuard) {
   LoweredEntry e;
   e.proto_required = proto::kProtoIpv4 | proto::kProtoVlan | proto::kProtoUdp;
   e.result = pack_result(0, -1);
-  auto fn = DirectCodeFn::compile({e});
+  auto fn = OneTable::compile({e});
   ASSERT_TRUE(fn.has_value());
 
   auto spec = test::udp_spec(1, 2, 3, 4);
@@ -114,7 +150,7 @@ TEST(Jit, PriorityOrderFirstEntryWins) {
   lo.proto_required = proto::kProtoIpv4;
   lo.tests.push_back(core::lower_field_test(FieldId::kIpDst, 0x0A000002, 0xFFFFFF00));
   lo.result = pack_result(2, -1);
-  auto fn = DirectCodeFn::compile({hi, lo});
+  auto fn = OneTable::compile({hi, lo});
   ASSERT_TRUE(fn.has_value());
 
   auto exact = make_packet(test::udp_spec(1, 0x0A000002, 3, 4));
@@ -129,7 +165,7 @@ TEST(Jit, CalleeSavedRegistersPreserved) {
   LoweredEntry e;
   e.proto_required = proto::kProtoEth;
   e.result = pack_result(3, 9);
-  auto fn = DirectCodeFn::compile({e});
+  auto fn = OneTable::compile({e});
   ASSERT_TRUE(fn.has_value());
   auto p = make_packet(test::udp_spec(1, 2, 3, 4));
   auto pi = parse_packet(p);
@@ -172,7 +208,7 @@ TEST(Jit, DifferentialAgainstInterpreter) {
       e.result = pack_result(i, rng.chance(1, 4) ? static_cast<int32_t>(rng.below(4)) : -1);
       entries.push_back(std::move(e));
     }
-    auto fn = DirectCodeFn::compile(entries);
+    auto fn = OneTable::compile(entries);
     ASSERT_TRUE(fn.has_value());
 
     for (int q = 0; q < 200; ++q) {
@@ -206,9 +242,9 @@ struct ExecFailGuard {
 };
 
 // The compile-failure fallback: when executable memory is refused (hardened
-// kernels — forced here via the test hook), DirectCodeFn::compile reports
-// failure and the direct-code *table* silently runs the same lowered IR
-// through the portable interpreter with identical results.
+// kernels — forced here via the test hook), the fused emit reports failure
+// and the direct-code *table* runs the same lowered IR through the portable
+// interpreter with results identical to the machine code.
 TEST(Jit, CompileFailureFallsBackToInterpreter) {
   Rng rng(esw::testing::test_seed(0xFA11BACC, "Jit.CompileFailureFallsBackToInterpreter"));
 
@@ -229,22 +265,17 @@ TEST(Jit, CompileFailureFallsBackToInterpreter) {
       entries.push_back(std::move(e));
     }
 
-    flow::ActionSetRegistry reg_jit, reg_int;
+    flow::ActionSetRegistry reg;
     const core::GotoMap gmap(256, -1);
-    core::BuildCtx ctx_jit{reg_jit, gmap};
-    core::BuildCtx ctx_int{reg_int, gmap};
-
-    const auto jitted = core::DirectCodeTable::build(entries, ctx_jit, true);
-    ASSERT_TRUE(jitted->jitted());
-
-    std::unique_ptr<core::DirectCodeTable> fallback;
+    core::BuildCtx ctx{reg, gmap};
+    const auto table = core::DirectCodeTable::build(entries, ctx);
+    const auto jitted = OneTable::compile(table->lowered());
+    ASSERT_TRUE(jitted.has_value());
     {
       ExecFailGuard guard;
-      EXPECT_FALSE(DirectCodeFn::compile({}).has_value())
+      EXPECT_FALSE(OneTable::compile(table->lowered()).has_value())
           << "hook did not force compile failure";
-      fallback = core::DirectCodeTable::build(entries, ctx_int, true);
     }
-    ASSERT_FALSE(fallback->jitted()) << "fallback table still claims JIT code";
 
     for (int q = 0; q < 100; ++q) {
       proto::PacketSpec s;
@@ -256,14 +287,13 @@ TEST(Jit, CompileFailureFallsBackToInterpreter) {
       s.dport = static_cast<uint16_t>(rng.next());
       auto p = make_packet(s, static_cast<uint32_t>(rng.below(8)));
       auto pi = parse_packet(p);
-      ASSERT_EQ(jitted->lookup(p.data(), pi, nullptr),
-                fallback->lookup(p.data(), pi, nullptr))
+      ASSERT_EQ((*jitted)(p.data(), pi), table->lookup(p.data(), pi, nullptr))
           << "round " << round << " query " << q;
     }
   }
 }
 
-// Randomized LoweredEntry sets straight through DirectCodeFn::compile vs the
+// Randomized LoweredEntry sets straight through OneTable::compile vs the
 // interpreter, with the failure hook cycling mid-test: arming it must fail
 // compilation, disarming must restore it, and interpreter results are the
 // ground truth throughout.
@@ -273,12 +303,12 @@ TEST(Jit, FailureHookCyclesCleanly) {
   e.tests.push_back(core::lower_field_test(FieldId::kIpDst, 0x01020304, 0xFFFFFFFF));
   e.result = pack_result(2, -1);
 
-  ASSERT_TRUE(DirectCodeFn::compile({e}).has_value());
+  ASSERT_TRUE(OneTable::compile({e}).has_value());
   {
     ExecFailGuard guard;
-    EXPECT_FALSE(DirectCodeFn::compile({e}).has_value());
+    EXPECT_FALSE(OneTable::compile({e}).has_value());
   }
-  auto fn = DirectCodeFn::compile({e});
+  auto fn = OneTable::compile({e});
   ASSERT_TRUE(fn.has_value());
 
   auto hit = make_packet(test::udp_spec(9, 0x01020304, 1, 2));
@@ -294,9 +324,9 @@ TEST(Jit, CodeSizeScalesWithEntries) {
   e.tests.push_back(core::lower_field_test(FieldId::kIpDst, 1, 0xFFFFFFFF));
   e.result = pack_result(0, -1);
   entries.push_back(e);
-  auto one = DirectCodeFn::compile(entries);
+  auto one = OneTable::compile(entries);
   for (int i = 0; i < 9; ++i) entries.push_back(e);
-  auto ten = DirectCodeFn::compile(entries);
+  auto ten = OneTable::compile(entries);
   ASSERT_TRUE(one && ten);
   EXPECT_GT(ten->code_size(), one->code_size());
   EXPECT_LT(ten->code_size(), 4096u);  // stays compact

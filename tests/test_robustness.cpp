@@ -330,10 +330,13 @@ TEST_F(FailpointTest, JitMapFailureFallsBackToInterpreterAndRecovers) {
   pl.table(0).add(parse_rule("priority=5,udp_dst=2,actions=output:2"));
 
   ASSERT_TRUE(fpr_.arm("jit.exec_map", "always"));
-  sw.install(pl);  // direct-code build lands on the interpreter
+  sw.install(pl);  // the fused emit is refused: a plan without its program
   ASSERT_EQ(sw.table_template(0), core::TableTemplate::kDirectCode);
-  EXPECT_GE(sw.degradation_stats().jit_fallbacks, 1u);
-  EXPECT_EQ(sw.degraded_jit_tables(), 1u);
+  const uint64_t fallbacks = sw.degradation_stats().fusion_fallbacks;
+  EXPECT_GE(fallbacks, 1u);
+  EXPECT_EQ(sw.stats().jit_fallbacks, fallbacks);
+  ASSERT_TRUE(sw.fused_active());
+  EXPECT_EQ(sw.datapath().fused()->program, nullptr);
   // The platform probe answers the genuine capability, not the failpoint.
   EXPECT_TRUE(jit::ExecBuffer::supported());
 
@@ -341,11 +344,15 @@ TEST_F(FailpointTest, JitMapFailureFallsBackToInterpreterAndRecovers) {
   auto p1 = test::make_packet(test::udp_spec(1, 2, 9, 1));
   EXPECT_EQ(sw.process(p1), Verdict::output(1));
 
-  // Mapping works again: the next rebuild regains machine code.
+  // Mapping works again: the re-emit lands once the retry window (two
+  // applies at base 2) elapses.
   fpr_.disarm_all();
   sw.apply(add_mod(0, "priority=5,udp_dst=3,actions=output:3"));
-  EXPECT_GE(sw.degradation_stats().jit_recoveries, 1u);
-  EXPECT_EQ(sw.degraded_jit_tables(), 0u);
+  EXPECT_EQ(sw.datapath().fused()->program, nullptr) << "re-emitted inside the window";
+  sw.apply(add_mod(0, "priority=5,udp_dst=4,actions=output:4"));
+  ASSERT_EQ(sw.table_template(0), core::TableTemplate::kDirectCode);
+  EXPECT_NE(sw.datapath().fused()->program, nullptr);
+  EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 1u);
   auto p3 = test::make_packet(test::udp_spec(1, 2, 9, 3));
   EXPECT_EQ(sw.process(p3), Verdict::output(3));
 }
