@@ -16,9 +16,8 @@ uint32_t round_pow2(uint32_t v) {
 }
 }  // namespace
 
-CuckooTable::CuckooTable(const Config& cfg) : cfg_(cfg), salt_(cfg.salt) {
+CuckooTable::CuckooTable(const Config& cfg) : cfg_(cfg), salt_(kSaltSeed) {
   cfg_.initial_buckets = round_pow2(cfg_.initial_buckets == 0 ? 4 : cfg_.initial_buckets);
-  if (cfg_.max_kicks == 0) cfg_.max_kicks = 1;
   front_.store(new View(cfg_.initial_buckets, next_salt()), std::memory_order_release);
 }
 
@@ -137,7 +136,7 @@ bool CuckooTable::kick_place(View* v, Entry* e) {
   uint64_t cur_word = pack_word(e);
   uint64_t cur_hash = e->hash;
   uint32_t bucket = bucket1(v, cur_hash);
-  for (uint32_t i = 0; i < cfg_.max_kicks; ++i) {
+  for (uint32_t i = 0; i < kMaxKicks; ++i) {
     const uint32_t slot = (kick_rr_++) & (kSlotsPerBucket - 1);
     const uint32_t idx = bucket * kSlotsPerBucket + slot;
     const uint64_t vic = v->slots[idx].load(std::memory_order_relaxed);
@@ -300,7 +299,7 @@ void CuckooTable::insert(const uint8_t* key, uint32_t key_len, uint64_t value,
 
   // Fresh key.
   if (static_cast<double>(size_ + 1) >=
-      cfg_.grow_load * static_cast<double>(capacity())) {
+      kGrowLoad * static_cast<double>(capacity())) {
     force_drain();
     grow_incremental();
   }

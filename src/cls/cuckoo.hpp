@@ -43,13 +43,13 @@ namespace esw::cls {
 class CuckooTable {
  public:
   static constexpr uint32_t kSlotsPerBucket = 4;
+  static constexpr uint32_t kMaxKicks = 96;  // displacement bound before reseed/grow
+  static constexpr double kGrowLoad = 0.8;   // proactive incremental-grow threshold
+  static constexpr uint64_t kSaltSeed = 0x9E3779B97F4A7C15ULL;  // first salt derives from it
 
   struct Config {
     uint32_t initial_buckets = 1024;   // rounded up to a power of two (>= 4)
-    uint32_t max_kicks = 96;           // displacement bound before reseed/grow
-    double grow_load = 0.8;            // proactive incremental-grow threshold
     uint32_t migrate_per_mutation = 8; // back-view buckets drained per write
-    uint64_t salt = 0x9E3779B97F4A7C15ULL;  // bucket-derivation salt seed
   };
 
   struct Value {

@@ -138,7 +138,7 @@ AnalysisResult analyze_entries(const AnalysisEntries& entries,
     return {TableTemplate::kCuckooHash, "global mask, exact match under mask"};
   if (lpm_prerequisite(entries, nullptr))
     return {TableTemplate::kLpm, "single-field prefix rules, priority-consistent"};
-  if (cfg.enable_range_template && range_prerequisite(entries, nullptr))
+  if (range_prerequisite(entries, nullptr))
     return {TableTemplate::kRange, "single-field aligned ranges, any priorities"};
   return {TableTemplate::kLinkedList, "no faster template applies"};
 }

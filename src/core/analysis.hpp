@@ -19,6 +19,9 @@
 
 namespace esw::core {
 
+/// Upper bound on tables one decomposition may produce.
+inline constexpr uint32_t kDecomposeMaxTables = 4096;
+
 struct CompilerConfig {
   /// Fig. 9's calibrated constant: tables up to this size compile directly.
   uint32_t direct_code_max_entries = 4;
@@ -27,21 +30,11 @@ struct CompilerConfig {
   bool enable_jit = true;
   /// Run the Fig. 6 table decomposition pass on linked-list-bound tables.
   bool enable_decomposition = false;
-  /// Upper bound on tables one decomposition may produce.
-  uint32_t decompose_max_tables = 4096;
-  /// Derive a minimal parser plan from the matched fields (parser templates);
-  /// false = always parse L2–L4 (the paper prototype's combined parser).
-  bool specialize_parser = true;
   /// Force one template for every table (calibration benches / ablation).
   std::optional<TableTemplate> force_template;
-  /// tbl8 budget for LPM tables.
-  uint32_t lpm_max_tbl8_groups = 1024;
   /// Unused: kept only because bench/e2e still assigns it; delete it in the
   /// next benchmark change.
   uint32_t cuckoo_min_entries = 32768;
-  /// Enable the range extension template (binary search over flattened
-  /// intervals) for single-field tables LPM cannot take.
-  bool enable_range_template = true;
   /// Per-logical-table entry cap on the flow-mod path (0 = unbounded).  An
   /// add that would grow a table past this refuses with TableFullError —
   /// surfaced over OpenFlow as OFPFMFC_TABLE_FULL — instead of growing
@@ -49,14 +42,6 @@ struct CompilerConfig {
   /// allowed; install() is not subject to the cap (it is the operator's
   /// wholesale program load, not controller churn).
   uint32_t table_capacity = 0;
-  /// Re-emit pacing for the fused plan's machine program (jit/fusion.hpp)
-  /// after the exec mapper refuses it: the plan runs without a program (its
-  /// direct-code stages interpreted) and the first re-emit is tried after
-  /// this many flow-mod updates, doubling per failed attempt up to the max.
-  /// 0 disables retries: the plan stays without a program until the next
-  /// install().
-  uint32_t jit_retry_base_updates = 64;
-  uint32_t jit_retry_max_updates = 4096;
   /// Connection tracking (src/state/): `ct.enabled` attaches a Conntrack to
   /// the compiled datapath; `ct:commit` actions and `ct_state` matches are
   /// parse/compile-valid either way but inert while disabled.

@@ -81,7 +81,7 @@ std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
   cls::CuckooTable::Config icfg;
   icfg.initial_buckets = static_cast<uint32_t>(
       static_cast<double>(entries.size()) /
-          (icfg.grow_load * cls::CuckooTable::kSlotsPerBucket) +
+          (cls::CuckooTable::kGrowLoad * cls::CuckooTable::kSlotsPerBucket) +
       1);
   auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(icfg));
   for (FieldId f : flow::MatchFields(mask_template)) {
@@ -262,13 +262,11 @@ uint32_t pmask32(uint8_t len) {
 }  // namespace
 
 std::unique_ptr<LpmTemplateTable> LpmTemplateTable::build(
-    const std::vector<BuildEntry>& entries, FieldId field, BuildCtx& ctx,
-    uint32_t max_tbl8_groups) {
+    const std::vector<BuildEntry>& entries, FieldId field, BuildCtx& ctx) {
   // Distinct results ≤ entries; the extra headroom absorbs incremental adds
   // before an overflow forces a (rare) rebuild at double the size.
   const uint32_t results_cap = static_cast<uint32_t>(entries.size()) + 256;
-  auto t = std::unique_ptr<LpmTemplateTable>(
-      new LpmTemplateTable(max_tbl8_groups, results_cap));
+  auto t = std::unique_ptr<LpmTemplateTable>(new LpmTemplateTable(results_cap));
   t->field_ = field;
   for (const BuildEntry& e : entries) {
     uint32_t prefix = 0;
@@ -352,7 +350,7 @@ bool LpmTemplateTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
     packed = resolve_result(be, ctx);
     lpm_.add(prefix, len, intern_result(packed));
   } catch (const CheckError&) {
-    return false;  // e.g. out of tbl8 groups: rebuild with a bigger budget
+    return false;  // e.g. out of tbl8 groups: the caller rebuilds the table
   }
   prefix_prio_[{prefix, len}] = e.priority;
   if (e.match.is_catch_all())

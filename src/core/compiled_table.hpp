@@ -190,9 +190,11 @@ class CuckooTemplateTable final : public CompiledTable {
 
 class LpmTemplateTable final : public CompiledTable {
  public:
+  /// tbl8 budget per LPM table; exhausting it rebuilds under the linked list.
+  static constexpr uint32_t kMaxTbl8Groups = 1024;
+
   static std::unique_ptr<LpmTemplateTable> build(const std::vector<BuildEntry>& entries,
-                                                 flow::FieldId field, BuildCtx& ctx,
-                                                 uint32_t max_tbl8_groups);
+                                                 flow::FieldId field, BuildCtx& ctx);
 
   uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                   MemTrace* trace) const override;
@@ -229,8 +231,8 @@ class LpmTemplateTable final : public CompiledTable {
   // ordered by prefix so descendants form a contiguous range.
   std::map<std::pair<uint32_t, uint8_t>, uint16_t> prefix_prio_;
 
-  LpmTemplateTable(uint32_t max_tbl8, uint32_t results_cap)
-      : lpm_(max_tbl8),
+  explicit LpmTemplateTable(uint32_t results_cap)
+      : lpm_(kMaxTbl8Groups),
         results_(new uint64_t[results_cap]),
         results_cap_(results_cap) {}
 };

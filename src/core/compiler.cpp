@@ -45,7 +45,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
         impl = CuckooTemplateTable::build(entries, mask_template, ctx);
         break;
       case TableTemplate::kLpm:
-        impl = LpmTemplateTable::build(entries, lpm_field, ctx, cfg.lpm_max_tbl8_groups);
+        impl = LpmTemplateTable::build(entries, lpm_field, ctx);
         break;
       case TableTemplate::kRange:
         impl = RangeTemplateTable::build(entries, range_field, ctx);
@@ -151,8 +151,7 @@ void link_machine_regions(FusedPipeline& fp,
 
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map, const SubSlotMap& sub_slots,
-                           const CompilerConfig& cfg, const FusedPipeline* prev,
-                           bool emit) {
+                           const CompilerConfig& cfg, const FusedPipeline* prev) {
   FusionResult res;
   if (pl.tables().empty()) return res;
 
@@ -222,7 +221,7 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
       members.push_back({i, &static_cast<const DirectCodeTable*>(impl)->lowered()});
     }
   }
-  const bool want_program = emit && !members.empty();
+  const bool want_program = !members.empty();
 
   if (prev != nullptr && prev->fingerprint == fingerprint &&
       (prev->program != nullptr || !want_program)) {
@@ -255,7 +254,7 @@ proto::ParserPlan compute_parser_plan(const flow::Pipeline& pl,
                                       const CompilerConfig& cfg) {
   // A conntrack-enabled switch keys every packet on the five-tuple in the
   // pre-stage, so parser specialization below L4 is off the table.
-  if (!cfg.specialize_parser || cfg.ct.enabled) return proto::ParserPlan::full();
+  if (cfg.ct.enabled) return proto::ParserPlan::full();
 
   uint32_t required = 0;
   for (const flow::FlowTable& t : pl.tables()) {

@@ -27,7 +27,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
 
 /// The minimal parser plan covering every matched field and every packet-
 /// mutating action in the pipeline — the parser-template specialization of
-/// §3.1.  With cfg.specialize_parser == false, returns the full L2–L4 plan.
+/// §3.1.  With conntrack on (cfg.ct.enabled), returns the full L2–L4 plan.
 proto::ParserPlan compute_parser_plan(const flow::Pipeline& pl, const CompilerConfig& cfg);
 
 /// Plan needed for a given ProtoBit requirement set.
@@ -49,7 +49,7 @@ struct FusionResult {
   std::unique_ptr<FusedPipeline> fused;
   /// Machine code was wanted but ExecBuffer refused the mapping (the
   /// jit.exec_map edge): `fused` carries no program and every stage walks
-  /// its pinned impl.  Eligible for the bounded re-fusion retry.
+  /// its pinned impl.  The next refresh emits again.
   bool machine_failed = false;
 };
 
@@ -61,17 +61,16 @@ struct FusionResult {
 /// impl, or a start slot that is not the first table, is a programming error
 /// (ESW_CHECK).
 ///
-/// With `emit` (and the JIT on), the direct-code members are compiled into
-/// one machine program; without it, or when the exec mapper refuses, the
-/// plan is published without a program.  When `prev` (the currently
-/// published plan) is passed: an identical fingerprint returns no plan
-/// (unless a wanted program is missing from it), and an identical
+/// With the JIT on, the direct-code members are compiled into one machine
+/// program; when the exec mapper refuses, the plan is published without a
+/// program.  When `prev` (the currently published plan) is passed: an
+/// identical fingerprint returns no plan (unless a wanted program is missing
+/// from it, which re-emits it), and an identical
 /// direct-code member set (program_key) reuses the previous machine program
 /// instead of re-emitting — churn that only touched non-direct-code tables
 /// republishes the plan without running the JIT.
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map, const SubSlotMap& sub_slots,
-                           const CompilerConfig& cfg, const FusedPipeline* prev,
-                           bool emit);
+                           const CompilerConfig& cfg, const FusedPipeline* prev);
 
 }  // namespace esw::core

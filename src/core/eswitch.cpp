@@ -1,9 +1,5 @@
 #include "core/eswitch.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <set>
-
 #include "common/check.hpp"
 #include "state/conntrack.hpp"
 
@@ -50,7 +46,6 @@ void Eswitch::install(const flow::Pipeline& pl) {
 }
 
 void Eswitch::compile_all() {
-  installing_ = true;
   dp_.reset();
   goto_map_.assign(256, -1);
   for (auto& v : sub_slots_) v.clear();
@@ -60,9 +55,7 @@ void Eswitch::compile_all() {
     goto_map_[t.id()] = dp_.add_slot();
   for (const FlowTable& t : pipeline_.tables()) rebuild_logical(t.id());
   refresh_start_and_plan();
-  fusion_retry_.reset();  // the old program's degradation owes us nothing
   refresh_fusion();
-  installing_ = false;
 }
 
 /// Re-plans the fused walk against the freshly published compiled state.
@@ -70,41 +63,16 @@ void Eswitch::compile_all() {
 /// published plan pins impl pointers, so any update that retired one has to
 /// republish the plan while the retiree is still in its grace period.
 void Eswitch::refresh_fusion() {
-  // After a refused machine emit, plans keep being republished (they pin
-  // impls churn may retire) but without a program until the retry window
-  // elapses; then one emit attempt runs.
-  const bool retrying =
-      fusion_retry_.has_value() && update_seq_ >= fusion_retry_->next_at;
-  if (retrying) ++degradation_.fusion_retries;
-
-  FusionResult r = fuse_pipeline(pipeline_, dp_, goto_map_, sub_slots_, cfg_,
-                                 dp_.fused(), !fusion_retry_.has_value() || retrying);
-  if (r.machine_failed) {
-    // The exec-map edge: publish the plan without machine code and schedule
-    // a bounded-backoff re-emit.  With retries disabled (base 0) the window
-    // never elapses: the plan stays without a program until install().
-    ++degradation_.fusion_fallbacks;
-    if (!fusion_retry_.has_value()) {
-      const uint64_t base = cfg_.jit_retry_base_updates;
-      fusion_retry_ = JitRetry{
-          base > 0 ? update_seq_ + base : std::numeric_limits<uint64_t>::max(), base};
-    } else if (retrying) {
-      fusion_retry_->backoff =
-          std::min<uint64_t>(fusion_retry_->backoff * 2,
-                             std::max(cfg_.jit_retry_max_updates,
-                                      cfg_.jit_retry_base_updates));
-      fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
-    }
-  } else if (retrying) {
-    ++degradation_.fusion_recoveries;
-    fusion_retry_.reset();
-  }
+  FusionResult r = fuse_pipeline(pipeline_, dp_, goto_map_, sub_slots_, cfg_, dp_.fused());
+  // The exec-map edge: the plan is published without machine code, and the
+  // next refresh finds the wanted program missing and emits it again.
+  if (r.machine_failed) ++degradation_.fusion_fallbacks;
   if (r.fused == nullptr) return;  // the published plan is exact, or none is due
   ++update_stats_.fusion_republishes;
   dp_.set_fused(std::move(r.fused));
 }
 
-void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
+void Eswitch::rebuild_logical(uint8_t id) {
   const FlowTable* t = pipeline_.find_table(id);
   ESW_CHECK(t != nullptr);
   const int32_t root = goto_map_[id];
@@ -112,15 +80,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
   BuildCtx ctx{dp_.actions(), goto_map_};
 
   ++update_stats_.table_rebuilds;
-  // Template re-selection accounting: a churn-path rebuild whose re-analysis
-  // lands on a different template than the table ran on means the table
-  // crossed a shape's sweet spot (or broke a prerequisite).  Wholesale
-  // install() and first builds of fresh tables don't count.
-  const TableTemplate prev_kind = root_template_[id];
-  const auto note_reselection = [&](TableTemplate kind) {
-    if (!installing_ && !fresh_table && kind != prev_kind)
-      ++update_stats_.template_reselections;
-  };
   // The outgoing sub-table chain (if any) becomes unreachable once the root
   // swaps below; retire it behind the swap so its slots recycle after the
   // grace period instead of leaking until the next install().
@@ -130,7 +89,7 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
 
   if (cfg_.enable_decomposition &&
       analyze_table(*t, cfg_).chosen == TableTemplate::kLinkedList) {
-    DecomposedPipeline d = decompose(*t, cfg_.decompose_max_tables);
+    DecomposedPipeline d = decompose(*t, kDecomposeMaxTables);
     if (!d.unchanged()) {
       // Fresh slots for the sub-tables; the logical root keeps its slot so
       // cross-table gotos stay valid across the swap.
@@ -148,10 +107,7 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
         TableTemplate kind{};
         auto impl = build_table_impl(entries, cfg_, ctx, &kind, &fell_back);
         dp_.set_impl(slot_of[i], std::move(impl));
-        if (i == 0) {
-          note_reselection(kind);
-          root_template_[id] = kind;
-        }
+        if (i == 0) root_template_[id] = kind;
       }
       // Topological order of the decomposition DAG: the fusion planner lays
       // the sub-tables out as stages in this order.
@@ -167,7 +123,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
   TableTemplate kind{};
   auto impl = build_table_impl(to_build_entries(*t), cfg_, ctx, &kind, &fell_back);
   dp_.set_impl(root, std::move(impl));
-  note_reselection(kind);
   root_template_[id] = kind;
   for (const int32_t s : stale_subs) dp_.retire_slot(s);
   if (fell_back) ++degradation_.template_fallbacks;
@@ -253,7 +208,7 @@ bool Eswitch::try_incremental(uint8_t table, const FlowMod& fm) {
   return true;
 }
 
-void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
+void Eswitch::apply_one(const FlowMod& fm, DirtySet& dirty) {
   const bool new_table =
       fm.command != FlowMod::Cmd::kDelete && pipeline_.find_table(fm.table_id) == nullptr;
 
@@ -264,55 +219,42 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
     return;  // delete on a never-created table: no-op
 
   if (new_table) {
+    // The slot exists (gotos resolve; readers miss on its null impl until
+    // commit); the one build runs at commit from the batch's final state.
     goto_map_[fm.table_id] = dp_.add_slot();
-    if (dirty != nullptr) {
-      // Batch path: the slot exists (gotos resolve; readers miss on its null
-      // impl until commit), the one build runs at commit from the batch's
-      // final state.
-      (*dirty)[fm.table_id] = true;  // created by this batch
-      return;
-    }
-    rebuild_logical(fm.table_id, /*fresh_table=*/true);
-    refresh_start_and_plan();
+    dirty.insert(fm.table_id);
     return;
   }
 
   // A table already scheduled for a commit-time rebuild takes further batch
   // mods in the pipeline only — one rebuild per table per batch, not one per
   // failing mod.
-  if (dirty != nullptr && dirty->count(fm.table_id) != 0) return;
+  if (dirty.count(fm.table_id) != 0) return;
 
-  if (!try_incremental(fm.table_id, fm)) {
-    if (dirty != nullptr) {
-      dirty->emplace(fm.table_id, false);
-      return;
-    }
-    rebuild_logical(fm.table_id);
-    refresh_start_and_plan();
-  }
+  if (!try_incremental(fm.table_id, fm)) dirty.insert(fm.table_id);
 }
 
 /// Batch commit: one rebuild per dirty table (from the final pipeline state)
 /// and one start/plan refresh.
 void Eswitch::commit_batch(const DirtySet& dirty) {
-  for (const auto& [id, fresh] : dirty) rebuild_logical(id, fresh);
+  for (const uint8_t id : dirty) rebuild_logical(id);
   if (!dirty.empty()) refresh_start_and_plan();
 }
 
 void Eswitch::apply(const FlowMod& fm) {
-  ++update_seq_;
+  DirtySet dirty;
   try {
-    apply_one(fm);
+    apply_one(fm, dirty);
   } catch (const TableFullError&) {
     ++degradation_.mods_refused_table_full;
     throw;
   }
+  commit_batch(dirty);
   refresh_fusion();
   dp_.reclaim();
 }
 
 void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
-  ++update_seq_;
   // Validate every mod against a scratch copy: all-or-nothing semantics.
   flow::Pipeline scratch = pipeline_;
   try {
@@ -329,20 +271,19 @@ void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
   // route adds does not force wholesale LPM rebuilds.  Tables that do need a
   // rebuild collect in the dirty set and rebuild once at commit.
   DirtySet dirty;
-  for (const FlowMod& fm : fms) apply_one(fm, &dirty);
+  for (const FlowMod& fm : fms) apply_one(fm, dirty);
   commit_batch(dirty);
   refresh_fusion();
   dp_.reclaim();
 }
 
 std::vector<ModStatus> Eswitch::apply_batch_partial(const std::vector<FlowMod>& fms) {
-  ++update_seq_;
   std::vector<ModStatus> out;
   out.reserve(fms.size());
   DirtySet dirty;
   for (const FlowMod& fm : fms) {
     try {
-      apply_one(fm, &dirty);
+      apply_one(fm, dirty);
       out.push_back(ModStatus::kApplied);
     } catch (const TableFullError&) {
       // apply_one throws before mutating anything, so refusing this mod

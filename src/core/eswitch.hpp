@@ -29,9 +29,8 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -53,10 +52,10 @@ class Eswitch {
   /// Stop-the-world: requires no registered workers.
   void install(const flow::Pipeline& pl);
 
-  /// Applies one flow-mod (add / modify / delete), updating the datapath
-  /// incrementally where the template allows.  Throws CheckError on invalid
-  /// mods, leaving all state untouched.  Safe concurrently with registered
-  /// workers' process_burst.
+  /// Applies one flow-mod (add / modify / delete) as a batch of one,
+  /// updating the datapath incrementally where the template allows.  Throws
+  /// CheckError on invalid mods, leaving all state untouched.  Safe
+  /// concurrently with registered workers' process_burst.
   void apply(const flow::FlowMod& fm);
 
   /// Transactional batch: every mod validated against a scratch pipeline
@@ -136,12 +135,6 @@ class Eswitch {
     // frozen bench/e2e still reads it; delete in the next benchmark change.
     uint64_t cow_swaps = 0;
     uint64_t table_rebuilds = 0;  // side-by-side rebuild + trampoline swap
-    // Rebuilds whose re-analysis picked a *different* template than the one
-    // the table ran on — the table grew (or shrank) past its shape's sweet
-    // spot: small direct-code → cuckoo past direct_code_max_entries, and
-    // every fallback demotion.  Wholesale install() recompiles are not
-    // re-selections.
-    uint64_t template_reselections = 0;
     // Fused whole-pipeline plans actually republished (set_fused with a new
     // plan).  A batch republishes at most once however many mods it carried;
     // the PR 9 fingerprint skip keeps no-op refreshes out of this count.
@@ -156,11 +149,9 @@ class Eswitch {
     uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
     // The fused program (jit/fusion.hpp) is the switch's only machine code.
     // When the exec mapper refuses its emit, the plan is published without
-    // it (every stage walks its pinned impl, direct code interpreted) and a
-    // bounded-backoff re-emit is scheduled.
-    uint64_t fusion_fallbacks = 0;   // plans published without machine code
-    uint64_t fusion_retries = 0;     // elapsed re-emit retry windows
-    uint64_t fusion_recoveries = 0;  // plans that regained their program
+    // it (every stage walks its pinned impl, direct code interpreted) and the
+    // next update emits it again.  One count per refused emit.
+    uint64_t fusion_fallbacks = 0;  // plans published without machine code
   };
   const DegradationStats& degradation_stats() const { return degradation_; }
   /// True while a fused plan is published: for every non-empty installed
@@ -175,16 +166,14 @@ class Eswitch {
  private:
   /// Logical tables whose datapath rebuild is deferred to the batch commit:
   /// each is rebuilt exactly once per batch from the final pipeline state,
-  /// however many of the batch's mods touched it.  The mapped flag records
-  /// whether the table was *created* by this batch (a fresh table's first
-  /// build is not a template re-selection).
-  using DirtySet = std::map<uint8_t, bool>;
+  /// however many of the batch's mods touched it.
+  using DirtySet = std::set<uint8_t>;
 
   void compile_all();
-  void rebuild_logical(uint8_t id, bool fresh_table = false);
+  void rebuild_logical(uint8_t id);
   void refresh_start_and_plan();
   void maybe_widen_plan(const flow::FlowEntry& e);
-  void apply_one(const flow::FlowMod& fm, DirtySet* dirty = nullptr);
+  void apply_one(const flow::FlowMod& fm, DirtySet& dirty);
   bool try_incremental(uint8_t table, const flow::FlowMod& fm);
   void commit_batch(const DirtySet& dirty);
   void apply_to_pipeline(flow::Pipeline& pl, const flow::FlowMod& fm) const;
@@ -203,18 +192,6 @@ class Eswitch {
   SubSlotMap sub_slots_{};
   UpdateStats update_stats_;
   DegradationStats degradation_;
-  /// Re-emit retry schedule after a refused fused machine compile, in update
-  /// counts (exponential backoff from cfg_.jit_retry_base_updates, capped at
-  /// cfg_.jit_retry_max_updates).  While it is set, plans are republished
-  /// without a program until the window elapses; with retries disabled the
-  /// window never elapses and only install() clears it.
-  struct JitRetry {
-    uint64_t next_at = 0;
-    uint64_t backoff = 0;
-  };
-  std::optional<JitRetry> fusion_retry_;
-  uint64_t update_seq_ = 0;  // apply()/apply_batch() calls, for retry pacing
-  bool installing_ = false;  // inside compile_all(): rebuilds are not re-selections
 };
 
 static_assert(ConcurrentDataplane<Eswitch>,

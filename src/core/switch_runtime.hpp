@@ -88,21 +88,22 @@ class SwitchRuntime {
     uint32_t n_ports = 4;  // sharded round-robin: port p -> worker (p-1) % n
     net::Port::Config port{};
     uint32_t pool_capacity = 8192;
-    uint32_t worker_cache = 128;  // per-worker mbuf cache size
-    bool sink_tx = true;          // workers drain their ports' TX back to pool
-    uint32_t max_pending_packet_ins = 1024;
+    bool sink_tx = true;  // workers drain their ports' TX back to pool
     /// Per-worker latency histograms: each worker times its bursts
     /// (serialized TSC reads around process_burst + verdict execution) and
     /// records the amortized per-packet cycles.  Off by default — the
     /// serialized reads cost ~2-3x a plain rdtsc per burst, which the pure
     /// throughput benches must not pay.
     bool measure_latency = false;
-    /// Bounded RX backpressure pause when the buffer pool is exhausted: the
-    /// worker ticks its epoch slot, raises its parked flag and sleeps this
-    /// long instead of spinning the source loop into a drop storm.  0 keeps
-    /// the old spin behavior.
-    uint32_t backpressure_pause_us = 50;
   };
+
+  /// Controller-bound frames buffered for drain_packet_ins(); later ones are
+  /// counted in packet_ins but not kept.
+  static constexpr size_t kMaxPendingPacketIns = 1024;
+  /// Bounded RX backpressure pause when the buffer pool is exhausted: the
+  /// worker ticks its epoch slot, raises its parked flag and sleeps this long
+  /// instead of spinning the source loop into a drop storm.
+  static constexpr std::chrono::microseconds kBackpressurePause{50};
 
   /// Verdict-execution counters; one padded block per worker, aggregated on
   /// read.  `processed` is the throughput counter Fig. 19 reports.
@@ -146,7 +147,7 @@ class SwitchRuntime {
         backend_(std::forward<Args>(args)...),
         ports_(cfg.n_ports, cfg.port),
         pool_(cfg.pool_capacity),
-        inline_(pool_, cfg.worker_cache) {
+        inline_(pool_) {
     ESW_CHECK(cfg_.n_workers >= 1);
   }
 
@@ -177,7 +178,7 @@ class SwitchRuntime {
     stop_.store(false, std::memory_order_release);
     workers_.reserve(cfg_.n_workers);
     for (uint32_t i = 0; i < cfg_.n_workers; ++i) {
-      auto ws = std::make_unique<WorkerState>(pool_, cfg_.worker_cache);
+      auto ws = std::make_unique<WorkerState>(pool_);
       ws->id = i;
       ws->ctx = backend_.register_worker();
       if (ws->ctx == nullptr) {
@@ -200,13 +201,11 @@ class SwitchRuntime {
     stop_.store(true, std::memory_order_release);
     for (auto& ws : workers_) ws->thread.join();
     final_worker_counters_.assign(workers_.size(), Counters{});
-    final_worker_latency_.assign(workers_.size(), perf::LatencyHistogram{});
     for (auto& ws : workers_) {
       backend_.unregister_worker(ws->ctx);
       add_block(retired_counters_, ws->stats);
       add_block(final_worker_counters_[ws->id], ws->stats);
       retired_latency_.merge(ws->latency);
-      final_worker_latency_[ws->id] = ws->latency;
     }
     workers_.clear();
   }
@@ -243,16 +242,6 @@ class SwitchRuntime {
     for (const auto& ws : workers_) h.merge(ws->latency);
     return h;
   }
-  /// One worker's latency histogram (live while running; after stop() the
-  /// final per-worker distribution of the last run).
-  perf::LatencyHistogram worker_latency(uint32_t worker) const {
-    if (running()) {
-      ESW_CHECK(worker < workers_.size());
-      return workers_[worker]->latency;
-    }
-    ESW_CHECK(worker < final_worker_latency_.size());
-    return final_worker_latency_[worker];
-  }
   /// Zeroes every latency histogram — the warmup/measure boundary.  Workers
   /// keep recording; in-flight bursts may re-add a sample, so the cut is
   /// approximate by one burst per worker (clear_stats() semantics).
@@ -260,7 +249,6 @@ class SwitchRuntime {
     retired_latency_.clear();
     inline_.latency.clear();
     for (auto& ws : workers_) ws->latency.clear();
-    for (auto& h : final_worker_latency_) h.clear();
   }
 
   /// Copies a frame into a pool buffer and queues it on the port's RX ring.
@@ -401,7 +389,7 @@ class SwitchRuntime {
   };
 
   struct WorkerState {
-    WorkerState(net::MbufPool& pool, uint32_t cache_size) : cache(pool, cache_size) {}
+    explicit WorkerState(net::MbufPool& pool) : cache(pool) {}
     uint32_t id = 0;
     typename Backend::Worker* ctx = nullptr;
     std::vector<uint32_t> owned_ports;
@@ -535,11 +523,10 @@ class SwitchRuntime {
   /// parked and sleep briefly.  Parked means "holds no datapath pointers":
   /// the watchdog may quiesce on our behalf if we wedge here.
   void backpressure_pause(WorkerState& ws) {
-    if (cfg_.backpressure_pause_us == 0) return;
     bump(ws.stats.backpressure_events, 1);
     backend_.quiesce(*ws.ctx);
     ws.parked.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::microseconds(cfg_.backpressure_pause_us));
+    std::this_thread::sleep_for(kBackpressurePause);
     ws.parked.store(false, std::memory_order_release);
   }
 
@@ -605,7 +592,7 @@ class SwitchRuntime {
           ++d.packet_ins;
           {
             std::lock_guard<std::mutex> lock(pin_mu_);
-            if (pending_pins_.size() < cfg_.max_pending_packet_ins)
+            if (pending_pins_.size() < kMaxPendingPacketIns)
               pending_pins_.push_back(
                   {{pkt->data(), pkt->data() + pkt->len()}, pkt->in_port()});
           }
@@ -647,7 +634,6 @@ class SwitchRuntime {
   Counters retired_counters_;  // folded-in blocks of stopped workers
   std::vector<Counters> final_worker_counters_;  // last run's per-worker totals
   perf::LatencyHistogram retired_latency_;       // merged at stop()
-  std::vector<perf::LatencyHistogram> final_worker_latency_;
   std::atomic<bool> stop_{false};
   std::mutex pin_mu_;
   std::vector<RuntimePacketIn> pending_pins_;

@@ -1,5 +1,6 @@
-// The flow-table templates of the paper's Fig. 4 and their fallback chain:
-// direct code → cuckoo hash → LPM → range → linked list.
+// The flow-table templates of the paper's Fig. 4.  analyze_entries() owns
+// their fallback order: direct code → cuckoo hash → LPM → range → linked
+// list.
 #pragma once
 
 #include <cstdint>
@@ -35,21 +36,6 @@ inline const char* to_string(TableTemplate t) {
       return "linked-list";
   }
   return "?";
-}
-
-/// Fig. 4's fallback order, extended with the range template between LPM and
-/// the linked list.
-inline TableTemplate fallback_of(TableTemplate t) {
-  switch (t) {
-    case TableTemplate::kDirectCode:
-      return TableTemplate::kCuckooHash;
-    case TableTemplate::kCuckooHash:
-      return TableTemplate::kLpm;
-    case TableTemplate::kLpm:
-      return TableTemplate::kRange;
-    default:
-      return TableTemplate::kLinkedList;
-  }
 }
 
 }  // namespace esw::core

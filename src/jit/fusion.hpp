@@ -86,7 +86,7 @@ class FusedProgram {
   /// (-1 = unknown); `n_stages` bounds both maps.  Returns nullptr when
   /// executable memory is unavailable, linking fails, or a goto target
   /// cannot be resolved to a forward stage — the caller publishes the plan
-  /// without a program (and may retry per the jit fallback policy).
+  /// without a program and compiles again on the next update.
   static std::shared_ptr<const FusedProgram> compile(
       const std::vector<Member>& members, const std::vector<int32_t>& stage_of_slot,
       uint32_t n_stages);

@@ -58,26 +58,4 @@ TrafficSet TraceSource::to_traffic_set() const {
   return TrafficSet::from_frames(raw, opts_.in_port);
 }
 
-uint32_t PcapPort::rx_burst(Packet** out, uint32_t n) {
-  if (rx_ == nullptr || rx_->exhausted()) return 0;
-  const uint32_t got = pool_->alloc_bulk(out, n);
-  const uint32_t filled = rx_->next_burst(out, got);
-  for (uint32_t i = filled; i < got; ++i) pool_->free(out[i]);
-  counters_.rx_packets += filled;
-  for (uint32_t i = 0; i < filled; ++i) counters_.rx_bytes += out[i]->len();
-  return filled;
-}
-
-uint32_t PcapPort::tx_burst(Packet* const* pkts, uint32_t n, uint64_t now_ns) {
-  for (uint32_t i = 0; i < n; ++i) {
-    if (tx_ != nullptr)
-      tx_->add(pkts[i]->data(), pkts[i]->len(),
-               now_ns != 0 ? now_ns : next_ts_ns_++);
-    counters_.tx_bytes += pkts[i]->len();
-    pool_->free(pkts[i]);
-  }
-  counters_.tx_packets += n;
-  return n;
-}
-
 }  // namespace esw::net

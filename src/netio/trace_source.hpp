@@ -5,10 +5,6 @@
 //     in bursts (the RX-DMA model) or converts to a TrafficSet so the
 //     NFPA-style measurement loops (run_loop/run_loop_burst) replay real
 //     traces round-robin exactly like generated mixes;
-//   * PcapPort — a capture-backed port: rx_burst pulls pool buffers filled
-//     from an input trace, tx_burst writes frames to an output capture and
-//     recycles the buffers.  It mirrors net::Port's burst surface so any
-//     duck-typed runtime loop can run entirely from/to files;
 //   * run_pcap_through_host — drives a core::SwitchRuntime inline (any type
 //     with inject/poll/ports/pool) from an input trace, capturing every
 //     transmitted frame.
@@ -21,11 +17,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "netio/mbuf_pool.hpp"
 #include "netio/packet.hpp"
 #include "netio/pcap.hpp"
 #include "netio/pktgen.hpp"
-#include "netio/port.hpp"
 
 namespace esw::net {
 
@@ -72,37 +66,6 @@ class TraceSource {
   std::vector<Frame> frames_;
   size_t cursor_ = 0;
   uint64_t skipped_ = 0;
-};
-
-/// A capture-file port: the RX side replays an input trace through an
-/// MbufPool, the TX side appends to a PcapWriter.  Either side may be absent
-/// (nullptr): an RX-only port feeds a datapath, a TX-only port captures one.
-///
-/// Buffer ownership follows net::Port's contract: rx_burst hands pool buffers
-/// to the caller; tx_burst consumes the frames (writes them to the capture)
-/// but — exactly like a ring enqueue — takes ownership and recycles the
-/// buffers to the pool itself, so `drain_tx` has nothing left to do and
-/// always returns 0.
-class PcapPort {
- public:
-  PcapPort(MbufPool& pool, TraceSource* rx_trace, PcapWriter* tx_capture)
-      : pool_(&pool), rx_(rx_trace), tx_(tx_capture) {}
-
-  uint32_t rx_burst(Packet** out, uint32_t n);
-  uint32_t tx_burst(Packet* const* pkts, uint32_t n, uint64_t now_ns = 0);
-  uint32_t tx_burst_mp(Packet* const* pkts, uint32_t n) {
-    return tx_burst(pkts, n, 0);
-  }
-  uint32_t drain_tx(Packet**, uint32_t) { return 0; }
-
-  PortCounters counters() const { return counters_; }
-
- private:
-  MbufPool* pool_;
-  TraceSource* rx_;
-  PcapWriter* tx_;
-  PortCounters counters_;
-  uint64_t next_ts_ns_ = 0;
 };
 
 struct PcapRunStats {

@@ -97,9 +97,7 @@ struct DegradationSummary {
   uint64_t alloc_failures = 0;
   uint64_t tx_rejected = 0;
   uint64_t jit_fallbacks = 0;  // DataplaneStats::jit_fallbacks
-  uint64_t fusion_fallbacks = 0;   // plans published without machine code
-  uint64_t fusion_retries = 0;     // elapsed re-emit retry windows
-  uint64_t fusion_recoveries = 0;  // plans that regained their program
+  uint64_t fusion_fallbacks = 0;  // refused emits: plans without machine code
   uint64_t template_fallbacks = 0;
   uint64_t mods_refused_table_full = 0;
   uint64_t watchdog_stalled = 0;

@@ -64,19 +64,16 @@ Conntrack::Conntrack(const CtConfig& cfg, common::EpochDomain* domain)
   capacity_ = std::max<uint32_t>(cfg.capacity, 2);
   const uint32_t buckets = round_up_pow2(std::max<uint32_t>(capacity_, 64));
   bucket_mask_ = buckets - 1;
-  uint32_t shards = round_up_pow2(std::max<uint32_t>(cfg.shards, 1));
-  shards = std::min(shards, buckets);
-  n_shards_ = shards;
-  shard_shift_ = static_cast<uint32_t>(__builtin_ctz(buckets / shards));
+  shard_shift_ = static_cast<uint32_t>(__builtin_ctz(buckets / kShards));
 
   slab_ = std::make_unique<Entry[]>(capacity_);
   buckets_ = std::make_unique<std::atomic<HashLink*>[]>(buckets);
   for (uint32_t i = 0; i < buckets; ++i)
     buckets_[i].store(nullptr, std::memory_order_relaxed);
-  shards_ = std::make_unique<Shard[]>(n_shards_);
+  shards_ = std::make_unique<Shard[]>(kShards);
 
   const uint64_t now = now_ms();
-  for (uint32_t s = 0; s < n_shards_; ++s) shards_[s].wheel_cursor_ms = now;
+  for (uint32_t s = 0; s < kShards; ++s) shards_[s].wheel_cursor_ms = now;
 
   free_.reserve(capacity_);
   for (uint32_t i = capacity_; i-- > 0;) {
@@ -487,7 +484,7 @@ bool Conntrack::remove_entry(uint32_t slot, uint32_t gen, bool expire_check,
     const uint32_t pack = e.shard_pack.load(std::memory_order_acquire);
     const uint32_t s0 = pack >> 16;
     const uint32_t s1 = pack & 0xFFFF;
-    if (s0 >= n_shards_ || s1 >= n_shards_) return false;
+    if (s0 >= kShards || s1 >= kShards) return false;
     ShardLocks locks(shards_[std::min(s0, s1)].lock, shards_[std::max(s0, s1)].lock,
                      s0 == s1);
     if (e.gen.load(std::memory_order_relaxed) != gen ||
@@ -559,7 +556,7 @@ void Conntrack::reclaim_locked(Shard& s) {
 
 void Conntrack::poll(uint64_t now) {
   const uint32_t si =
-      poll_cursor_.fetch_add(1, std::memory_order_relaxed) % n_shards_;
+      poll_cursor_.fetch_add(1, std::memory_order_relaxed) % kShards;
   Shard& s = shards_[si];
   std::vector<WheelItem> due;
   {
@@ -606,7 +603,7 @@ Conntrack::Entry* Conntrack::find(const FiveTuple& t, uint8_t* dir_out) {
 }
 
 void Conntrack::flush_reclaim() {
-  for (uint32_t i = 0; i < n_shards_; ++i) {
+  for (uint32_t i = 0; i < kShards; ++i) {
     std::lock_guard<std::mutex> g(shards_[i].lock);
     reclaim_locked(shards_[i]);
   }
@@ -624,7 +621,7 @@ Conntrack::Stats Conntrack::stats() const {
   s.nat_port_exhausted = c_.nat_port_exhausted.load(std::memory_order_relaxed);
   const int64_t live = c_.live.load(std::memory_order_relaxed);
   s.live = live > 0 ? static_cast<uint64_t>(live) : 0;
-  for (uint32_t i = 0; i < n_shards_; ++i) {
+  for (uint32_t i = 0; i < kShards; ++i) {
     std::lock_guard<std::mutex> g(shards_[i].lock);
     s.retire_pending += shards_[i].retired.pending();
     s.retired_total += shards_[i].retired.retired_total();

@@ -188,6 +188,10 @@ class Conntrack {
   static constexpr uint32_t kWheelShift = 10;  // ~1s granularity
   static constexpr uint32_t kPollBudget = 128;
   static constexpr uint32_t kEvictProbes = 64;
+  /// Hash shards: mutation locks are per shard, lookups are lock-free.
+  /// Buckets number at least 64, so every shard owns a contiguous run of
+  /// four or more.
+  static constexpr uint32_t kShards = 16;
 
   struct alignas(64) Shard {
     std::mutex lock;
@@ -225,7 +229,6 @@ class Conntrack {
   uint32_t capacity_;
   uint32_t bucket_mask_;   // buckets - 1 (power of two)
   uint32_t shard_shift_;   // bucket index -> shard index
-  uint32_t n_shards_;
 
   std::unique_ptr<Entry[]> slab_;
   std::unique_ptr<std::atomic<HashLink*>[]> buckets_;

@@ -42,10 +42,6 @@ struct CtConfig {
   /// dropped (accounted) — never a crash (docs/STATEFUL.md).
   uint32_t capacity = 1u << 20;
 
-  /// Hash shards (rounded up to a power of two, capped at bucket count).
-  /// Locks are per shard; lookups are lock-free.
-  uint32_t shards = 16;
-
   /// Admit a non-SYN TCP commit straight to Established (conntrack pickup of
   /// pre-existing flows).  Off: such packets stamp new|inv and a commit on
   /// them is refused.

@@ -152,10 +152,6 @@ std::string cfg_line(const core::CompilerConfig& cfg) {
   std::ostringstream os;
   os << "# cfg direct_code_max_entries=" << cfg.direct_code_max_entries
      << " enable_decomposition=" << (cfg.enable_decomposition ? 1 : 0)
-     << " decompose_max_tables=" << cfg.decompose_max_tables
-     << " specialize_parser=" << (cfg.specialize_parser ? 1 : 0)
-     << " lpm_max_tbl8_groups=" << cfg.lpm_max_tbl8_groups
-     << " enable_range_template=" << (cfg.enable_range_template ? 1 : 0)
      << " force_template=";
   if (cfg.force_template.has_value())
     os << static_cast<int>(*cfg.force_template);
@@ -363,8 +359,9 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
     if (line.empty()) continue;
     if (line.rfind("# cfg ", 0) == 0) {
       // Unknown keys are skipped, so artifacts written by older builds (which
-      // also recorded the retired cuckoo size threshold and fusion switch)
-      // still load.
+      // also recorded retired knobs: the cuckoo size threshold, the fusion
+      // switch, the decomposition and tbl8 budgets, the parser and range
+      // template switches) still load.
       std::istringstream is(line.substr(6));
       std::string kv;
       while (is >> kv) {
@@ -376,14 +373,6 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
           art.cfg.direct_code_max_entries = static_cast<uint32_t>(num());
         else if (key == "enable_decomposition")
           art.cfg.enable_decomposition = num() != 0;
-        else if (key == "decompose_max_tables")
-          art.cfg.decompose_max_tables = static_cast<uint32_t>(num());
-        else if (key == "specialize_parser")
-          art.cfg.specialize_parser = num() != 0;
-        else if (key == "lpm_max_tbl8_groups")
-          art.cfg.lpm_max_tbl8_groups = static_cast<uint32_t>(num());
-        else if (key == "enable_range_template")
-          art.cfg.enable_range_template = num() != 0;
         else if (key == "force_template" && val != "-")
           art.cfg.force_template = static_cast<core::TableTemplate>(num());
       }

@@ -345,9 +345,7 @@ GeneratedWorkload PipelineGen::next_pipeline() {
       static_cast<uint32_t>(rng_.range(opts_.min_tables, opts_.max_tables));
 
   wl.cfg.enable_jit = true;  // the oracle flips this knob itself
-  wl.cfg.specialize_parser = rng_.chance(3, 4);
   wl.cfg.enable_decomposition = opts_.allow_decomposition && rng_.chance(1, 2);
-  wl.cfg.enable_range_template = rng_.chance(7, 8);
   if (rng_.chance(1, 8)) wl.cfg.force_template = core::TableTemplate::kLinkedList;
 
   wl.description = "pipeline#" + std::to_string(n_generated_++) + " [";
@@ -372,7 +370,6 @@ GeneratedWorkload PipelineGen::next_pipeline() {
   }
   wl.description += "]";
   if (wl.cfg.enable_decomposition) wl.description += " decompose";
-  if (!wl.cfg.specialize_parser) wl.description += " full-parser";
   if (wl.cfg.force_template.has_value()) wl.description += " force-ll";
   return wl;
 }

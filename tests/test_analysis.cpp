@@ -104,8 +104,6 @@ TEST(Analysis, LpmRejectsPriorityInversion) {
   // Falls through LPM to the range extension template (single field, prefix
   // masks, priorities resolved by interval flattening).
   EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kRange);
-  cfg.enable_range_template = false;
-  EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kLinkedList);
 }
 
 TEST(Analysis, LpmRejectsNonPrefixMasksAndMixedFields) {
@@ -132,14 +130,6 @@ TEST(Analysis, ForceTemplateOverrides) {
   // The retired compound-hash enumerator compiles as the cuckoo template.
   cfg.force_template = TableTemplate::kCompoundHash;
   EXPECT_EQ(analyze_table(t, cfg).chosen, TableTemplate::kCuckooHash);
-}
-
-TEST(Analysis, FallbackChainShape) {
-  EXPECT_EQ(fallback_of(TableTemplate::kDirectCode), TableTemplate::kCuckooHash);
-  EXPECT_EQ(fallback_of(TableTemplate::kCuckooHash), TableTemplate::kLpm);
-  EXPECT_EQ(fallback_of(TableTemplate::kLpm), TableTemplate::kRange);
-  EXPECT_EQ(fallback_of(TableTemplate::kRange), TableTemplate::kLinkedList);
-  EXPECT_EQ(fallback_of(TableTemplate::kLinkedList), TableTemplate::kLinkedList);
 }
 
 }  // namespace

@@ -117,13 +117,6 @@ TEST(Compiler, ParserPlanSpecialization) {
   sw.apply(fm);
   EXPECT_TRUE(sw.datapath().plan().need_l3);
   EXPECT_TRUE(sw.datapath().plan().need_l4);
-
-  // Combined-parser mode never specializes.
-  CompilerConfig cfg;
-  cfg.specialize_parser = false;
-  Eswitch sw2(cfg);
-  sw2.install(l2);
-  EXPECT_TRUE(sw2.datapath().plan().need_l4);
 }
 
 TEST(Compiler, SetFieldActionWidensPlan) {

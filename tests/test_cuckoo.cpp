@@ -204,16 +204,16 @@ TEST(Cuckoo, ReseedThenGrow) {
   // derivation is public arithmetic: mix64(hash ^ salt)).  Five such keys
   // overflow the 4-slot bucket with no displacement possible — at load well
   // under 0.5 the table must *reseed* (new salt, same capacity) rather than
-  // grow.  Afterwards, bulk inserts past grow_load force a real grow.
+  // grow.  Afterwards, bulk inserts past kGrowLoad force a real grow.
   CuckooTable::Config cfg;
   cfg.initial_buckets = 64;
   CuckooTable t(cfg);
   std::vector<uint64_t> colliders;
   const uint32_t mask = cfg.initial_buckets - 1;
   // Replicates the table's derivation: the first view's salt is one
-  // next_salt() step past cfg.salt, and buckets come from mix64(hash ^ salt).
+  // next_salt() step past kSaltSeed, and buckets come from mix64(hash ^ salt).
   constexpr uint64_t kHashSeed = 0xC6A4A7935BD1E995ULL;
-  const uint64_t view_salt = mix64(cfg.salt + kHashSeed);
+  const uint64_t view_salt = mix64(CuckooTable::kSaltSeed + kHashSeed);
   for (uint64_t x = 0; colliders.size() < 5; ++x) {
     const auto k = key_of(x);
     const uint64_t hs = mix64(hash_bytes(bytes(k), 8, kHashSeed) ^ view_salt);

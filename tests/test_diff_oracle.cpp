@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 
 #include "testing/diff_runner.hpp"
@@ -158,7 +159,6 @@ TEST(DiffOracle, InjectedFaultMinimizesToReproArtifact) {
   ASSERT_TRUE(art.has_value()) << err;
   EXPECT_EQ(art->trace.size(), fault_at + 1);
   EXPECT_EQ(art->cfg.enable_decomposition, wl.cfg.enable_decomposition);
-  EXPECT_EQ(art->cfg.specialize_parser, wl.cfg.specialize_parser);
   ASSERT_EQ(art->pipeline.tables().size(), wl.pipeline.tables().size());
   for (size_t t = 0; t < art->pipeline.tables().size(); ++t)
     EXPECT_EQ(art->pipeline.tables()[t].size(), wl.pipeline.tables()[t].size());
@@ -191,7 +191,6 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
   const DiffTrace trace = DiffTrace::from_flows(gen.traffic(wl, 8, 4));
   core::CompilerConfig cfg;
   cfg.direct_code_max_entries = 7;
-  cfg.lpm_max_tbl8_groups = 99;
   cfg.force_template = core::TableTemplate::kCompoundHash;  // stored as 1
 
   const std::string dir = ::testing::TempDir();
@@ -204,7 +203,6 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
     const auto art = esw::testing::load_repro(rules, pcap, &err);
     ASSERT_TRUE(art.has_value()) << what << ": " << err;
     EXPECT_EQ(art->cfg.direct_code_max_entries, 7u) << what;
-    EXPECT_EQ(art->cfg.lpm_max_tbl8_groups, 99u) << what;
     EXPECT_EQ(art->cfg.force_template, cfg.force_template) << what;
     EXPECT_EQ(art->trace.size(), trace.size()) << what;
     EXPECT_EQ(art->pipeline.tables().size(), wl.pipeline.tables().size()) << what;
@@ -212,8 +210,9 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
   check("fresh artifact");
 
   // Artifacts from older builds carry retired cfg keys (the cuckoo size
-  // threshold, the fusion switch): they are skipped, and the rest of the
-  // line still applies.
+  // threshold, the fusion switch, the decomposition and tbl8 budgets, the
+  // parser and range-template switches): they are skipped, and the rest of
+  // the line still applies.
   std::string text;
   {
     std::FILE* f = std::fopen(rules.c_str(), "r");
@@ -223,11 +222,17 @@ TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
     std::fclose(f);
   }
-  EXPECT_EQ(text.find("cuckoo_min_entries"), std::string::npos);
-  EXPECT_EQ(text.find("enable_fusion"), std::string::npos);
+  const std::string retired =
+      " cuckoo_min_entries=16 enable_fusion=0 decompose_max_tables=2"
+      " specialize_parser=0 lpm_max_tbl8_groups=99 enable_range_template=0";
+  std::istringstream retired_kvs(retired);
+  for (std::string kv; retired_kvs >> kv;) {
+    const std::string key = kv.substr(0, kv.find('='));
+    EXPECT_EQ(text.find(key), std::string::npos) << key << " still written";
+  }
   const size_t at = text.find(" force_template=");
   ASSERT_NE(at, std::string::npos);
-  text.insert(at, " cuckoo_min_entries=16 enable_fusion=0");
+  text.insert(at, retired);
   {
     std::FILE* f = std::fopen(rules.c_str(), "w");
     ASSERT_NE(f, nullptr);

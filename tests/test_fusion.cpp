@@ -614,7 +614,7 @@ TEST(Fusion, RebuildChurnReusesMachineProgram) {
   EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u);
 }
 
-// --- degradation: exec-map refusal, bounded retry, recovery -----------------
+// --- degradation: exec-map refusal, re-emit on the next update --------------
 
 /// Arms the ExecBuffer failure hook for one scope (the jit.exec_map site).
 struct ExecFailGuard {
@@ -624,13 +624,11 @@ struct ExecFailGuard {
 
 TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
-  CompilerConfig cfg;
-  cfg.jit_retry_base_updates = 2;  // short windows so the test sees recovery
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=10,udp_dst=53,actions=goto:1"));
   pl.table(0).add(parse_rule("priority=0,actions=goto:1"));  // catch-all
   pl.table(1).add(parse_rule("priority=10,udp_dst=53,actions=output:4"));
-  Eswitch sw(cfg);
+  Eswitch sw;
   sw.install(pl);
   ASSERT_TRUE(sw.fused_active());
   ASSERT_NE(sw.datapath().fused()->program, nullptr);
@@ -640,11 +638,15 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
     // The rebuild's fused re-compile is refused: the plan stays published,
     // without machine code, its direct-code stages interpreted.
     sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
+    ASSERT_TRUE(sw.fused_active()) << "refused compile left no plan published";
+    EXPECT_EQ(sw.datapath().fused()->program, nullptr);
+    EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
+    // Every update while the mapper keeps refusing tries the emit once more
+    // and counts one more fallback.
+    sw.apply(add_mod(1, "priority=8,udp_dst=100,actions=output:6"));
+    EXPECT_EQ(sw.datapath().fused()->program, nullptr);
+    EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 2u);
   }
-  ASSERT_TRUE(sw.fused_active()) << "refused compile left no plan published";
-  EXPECT_EQ(sw.datapath().fused()->program, nullptr);
-  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
-  EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 0u);
 
   // The program-less plan serves the same verdicts the spec gives.
   const auto expect_verdicts = [&] {
@@ -661,15 +663,12 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, 99));
   EXPECT_EQ(sw.process(p), Verdict::output(5));
 
-  // Two healthy updates elapse the retry window; the re-emit must land and
-  // be accounted as a recovery.
-  sw.apply(add_mod(1, "priority=8,udp_dst=100,actions=output:6"));
+  // The first healthy update re-emits the program.
   sw.apply(add_mod(1, "priority=7,udp_dst=101,actions=output:7"));
   ASSERT_TRUE(sw.fused_active());
   EXPECT_NE(sw.datapath().fused()->program, nullptr)
-      << "retry window elapsed without re-emitting the program";
-  EXPECT_GE(sw.degradation_stats().fusion_retries, 1u);
-  EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 1u);
+      << "healthy update did not re-emit the program";
+  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 2u);
   expect_verdicts();
 
   net::Packet p2 = test::make_packet(test::udp_spec(1, 2, 9, 53));
@@ -677,51 +676,6 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   Verdict v;
   sw.process_burst(&pp2, 1, &v);
   EXPECT_EQ(v, Verdict::output(4));
-}
-
-TEST(Fusion, ZeroRetryBaseKeepsPlanWithoutProgram) {
-  if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
-  CompilerConfig cfg;
-  cfg.jit_retry_base_updates = 0;  // retries disabled
-  Pipeline pl;
-  pl.table(0).add(parse_rule("priority=10,udp_dst=53,actions=goto:1"));
-  pl.table(0).add(parse_rule("priority=0,actions=goto:1"));
-  pl.table(1).add(parse_rule("priority=10,udp_dst=53,actions=output:4"));
-  Eswitch sw(cfg);
-  sw.install(pl);
-  ASSERT_NE(sw.datapath().fused()->program, nullptr);
-
-  {
-    ExecFailGuard guard;
-    sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
-  }
-  ASSERT_TRUE(sw.fused_active());
-  EXPECT_EQ(sw.datapath().fused()->program, nullptr);
-
-  // Three healthy updates that each rebuild a direct-code table: with
-  // retries disabled none of them re-emits the program.
-  FlowMod extra = add_mod(1, "priority=8,udp_dst=100,actions=output:6");
-  FlowMod del = extra;
-  del.command = FlowMod::Cmd::kDelete;
-  for (const FlowMod& fm : {extra, del, extra}) {
-    sw.apply(fm);
-    ASSERT_EQ(sw.table_template(1), TableTemplate::kDirectCode);
-    EXPECT_EQ(sw.datapath().fused()->program, nullptr) << "re-emitted with retries disabled";
-  }
-  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
-  EXPECT_EQ(sw.degradation_stats().fusion_retries, 0u);
-  EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 0u);
-  for (const uint16_t dport : {53, 99, 100, 7}) {
-    net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, dport));
-    net::Packet spec = p;
-    EXPECT_EQ(sw.process(p), sw.pipeline().run(spec)) << "udp_dst=" << dport;
-  }
-
-  // A wholesale install owes the refused emit nothing: the program is back.
-  const Pipeline now = sw.pipeline();
-  sw.install(now);
-  EXPECT_NE(sw.datapath().fused()->program, nullptr);
-  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
 }
 
 // The fused program is the switch's only machine code: a plan emit maps one

@@ -1,6 +1,6 @@
 // pcap I/O and trace plumbing: writer→reader byte-exact round trips in all
 // four header variants, every malformed-capture corner case the reader must
-// survive, and the TraceSource/PcapPort/SwitchRuntime path that runs a switch
+// survive, and the TraceSource/SwitchRuntime path that runs a switch
 // entirely from/to capture files.
 #include <gtest/gtest.h>
 
@@ -207,36 +207,6 @@ TEST(TraceSource, LoopingRewinds) {
   net::Packet* bufs[3] = {&scratch[0], &scratch[1], &scratch[2]};
   EXPECT_EQ(src.next_burst(bufs, 3), 3u);  // 1-frame trace loops forever
   EXPECT_FALSE(src.exhausted());
-}
-
-TEST(PcapPort, RxFromTraceTxToCapture) {
-  MbufPool pool(64);
-  PcapWriter in_writer;
-  for (int i = 0; i < 3; ++i) {
-    const net::Packet p = make_packet(test::udp_spec(10, 20, 30, 40 + i));
-    in_writer.add(p.data(), p.len(), i);
-  }
-  const PcapReader in = PcapReader::from_buffer(in_writer.buffer());
-  ASSERT_TRUE(in.ok());
-  TraceSource src(in);
-  PcapWriter out;
-  PcapPort port(pool, &src, &out);
-
-  net::Packet* burst[kBurstSize];
-  const uint32_t n = port.rx_burst(burst, kBurstSize);
-  ASSERT_EQ(n, 3u);
-  EXPECT_EQ(pool.available(), 64u - 3u);
-  EXPECT_EQ(port.tx_burst(burst, n), 3u);  // consumed: written + recycled
-  EXPECT_EQ(pool.available(), 64u);
-  EXPECT_EQ(out.packets(), 3u);
-  EXPECT_EQ(port.counters().rx_packets, 3u);
-  EXPECT_EQ(port.counters().tx_packets, 3u);
-
-  const PcapReader echoed = PcapReader::from_buffer(out.buffer());
-  ASSERT_TRUE(echoed.ok());
-  ASSERT_EQ(echoed.size(), 3u);
-  for (size_t i = 0; i < 3; ++i)
-    EXPECT_EQ(echoed.packet(i).len, in.packet(i).len);
 }
 
 TEST(PcapPort, SwitchRuntimeRunsEntirelyFromCaptureFiles) {

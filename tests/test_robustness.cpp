@@ -321,10 +321,7 @@ TEST_F(FailpointTest, RingEnqueueRejectsWithoutLosingState) {
 TEST_F(FailpointTest, JitMapFailureFallsBackToInterpreterAndRecovers) {
   if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
 
-  core::CompilerConfig cfg;
-  cfg.jit_retry_base_updates = 2;
-  cfg.jit_retry_max_updates = 8;
-  core::Eswitch sw(cfg);
+  core::Eswitch sw;
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=5,udp_dst=1,actions=output:1"));
   pl.table(0).add(parse_rule("priority=5,udp_dst=2,actions=output:2"));
@@ -344,15 +341,17 @@ TEST_F(FailpointTest, JitMapFailureFallsBackToInterpreterAndRecovers) {
   auto p1 = test::make_packet(test::udp_spec(1, 2, 9, 1));
   EXPECT_EQ(sw.process(p1), Verdict::output(1));
 
-  // Mapping works again: the re-emit lands once the retry window (two
-  // applies at base 2) elapses.
-  fpr_.disarm_all();
+  // Each update while the mapper still refuses tries the emit once more.
   sw.apply(add_mod(0, "priority=5,udp_dst=3,actions=output:3"));
-  EXPECT_EQ(sw.datapath().fused()->program, nullptr) << "re-emitted inside the window";
+  EXPECT_EQ(sw.datapath().fused()->program, nullptr);
+  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, fallbacks + 1);
+
+  // Mapping works again: the first healthy update re-emits the program.
+  fpr_.disarm_all();
   sw.apply(add_mod(0, "priority=5,udp_dst=4,actions=output:4"));
   ASSERT_EQ(sw.table_template(0), core::TableTemplate::kDirectCode);
   EXPECT_NE(sw.datapath().fused()->program, nullptr);
-  EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 1u);
+  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, fallbacks + 1);
   auto p3 = test::make_packet(test::udp_spec(1, 2, 9, 3));
   EXPECT_EQ(sw.process(p3), Verdict::output(3));
 }
@@ -561,8 +560,6 @@ TEST_F(FailpointTest, RuntimeBackpressureOnPoolExhaustion) {
   cfg.n_workers = 1;
   cfg.n_ports = 2;
   cfg.pool_capacity = 64;
-  cfg.worker_cache = 16;
-  cfg.backpressure_pause_us = 100;
   core::SwitchRuntime<core::Eswitch> rt(cfg);
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=1,actions=drop"));
