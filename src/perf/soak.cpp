@@ -391,8 +391,13 @@ SoakReport run_soak(const SoakOptions& opts) {
       rt.backend().datapath().clear_stats();
       drift_planted = true;
     }
-    if (opts.target_packets > 0 && processed >= opts.target_packets) break;
-    if (opts.max_seconds > 0 && elapsed >= opts.max_seconds) break;
+    // A chaos run stops at its bound only once the rotation is whole (the
+    // window closed after the loop completes it): a control-loop pass
+    // slower than the window period closes one window per pass, not one per
+    // period, and must not cut the schedule short.
+    const bool rotation_done = !opts.chaos || rep.chaos_windows + 1 >= kChaosSlots;
+    if (rotation_done && opts.target_packets > 0 && processed >= opts.target_packets) break;
+    if (rotation_done && opts.max_seconds > 0 && elapsed >= opts.max_seconds) break;
     if (now >= next_cp) {
       ++rep.checkpoints;
       max_pending = std::max(max_pending, rt.backend().reclaim_stats().pending);

@@ -66,7 +66,8 @@ struct SoakOptions {
   /// while all the standard conservation/leak/drift checks stay on.  The
   /// chaos churn additionally exercises tbl8-extending /30 routes, a hash
   /// side table and a tiny direct-code table (a fused-program re-emit per
-  /// mod).
+  /// mod).  A chaos run outlasts its packet/time bound until it has closed
+  /// one window per schedule slot.
   bool chaos = false;
   double chaos_period_ms = 200;
 

@@ -61,30 +61,22 @@ uint64_t hrw_score(uint64_t flow_hash, uint32_t i) {
 Conntrack::Conntrack(const CtConfig& cfg, common::EpochDomain* domain)
     : cfg_(cfg), domain_(domain) {
   ESW_CHECK(domain_ != nullptr);
+  ESW_CHECK(cfg.capacity <= kMaxCapacity);
   capacity_ = std::max<uint32_t>(cfg.capacity, 2);
-  const uint32_t buckets = round_up_pow2(std::max<uint32_t>(capacity_, 64));
+  const uint32_t buckets = round_up_pow2(std::max<uint32_t>(kBucketsPerSlot * capacity_, 64));
   bucket_mask_ = buckets - 1;
   shard_shift_ = static_cast<uint32_t>(__builtin_ctz(buckets / kShards));
 
   slab_ = std::make_unique<Entry[]>(capacity_);
-  buckets_ = std::make_unique<std::atomic<HashLink*>[]>(buckets);
-  for (uint32_t i = 0; i < buckets; ++i)
-    buckets_[i].store(nullptr, std::memory_order_relaxed);
+  buckets_ = std::make_unique<std::atomic<uint32_t>[]>(buckets);
+  for (uint32_t i = 0; i < buckets; ++i) buckets_[i].store(kNil, std::memory_order_relaxed);
   shards_ = std::make_unique<Shard[]>(kShards);
 
   const uint64_t now = now_ms();
   for (uint32_t s = 0; s < kShards; ++s) shards_[s].wheel_cursor_ms = now;
 
   free_.reserve(capacity_);
-  for (uint32_t i = capacity_; i-- > 0;) {
-    // Direction links are per-slot constants; set once, never rewritten, so
-    // lock-free chain walks read them race-free.
-    slab_[i].link[0].entry = &slab_[i];
-    slab_[i].link[0].dir = 0;
-    slab_[i].link[1].entry = &slab_[i];
-    slab_[i].link[1].dir = 1;
-    free_.push_back(i);
-  }
+  for (uint32_t i = capacity_; i-- > 0;) free_.push_back(i);
 
   n_profiles_ = std::max<size_t>(cfg.profiles.size(), 1);
   profiles_ = std::make_unique<Profile[]>(n_profiles_);
@@ -117,7 +109,7 @@ uint64_t Conntrack::now_ms() const {
 }
 
 uint64_t Conntrack::timeout_ms(const Entry& e) const {
-  if (e.proto == proto::kIpProtoTcp) {
+  if (e.orig.proto == proto::kIpProtoTcp) {
     switch (static_cast<TcpState>(e.tcp_state.load(std::memory_order_relaxed))) {
       case TcpState::kSynSent:
       case TcpState::kSynRecv:
@@ -129,13 +121,13 @@ uint64_t Conntrack::timeout_ms(const Entry& e) const {
         return cfg_.tcp_closed_timeout_ms;
     }
   }
-  if (e.proto == proto::kIpProtoIcmp) return cfg_.icmp_timeout_ms;
+  if (e.orig.proto == proto::kIpProtoIcmp) return cfg_.icmp_timeout_ms;
   return cfg_.udp_timeout_ms;
 }
 
 uint32_t Conntrack::state_bits(const Entry& e, uint8_t dir) const {
   uint32_t bits = kCtTracked | (dir != 0 ? kCtReply : 0u);
-  if (e.proto != proto::kIpProtoTcp) return bits | kCtEstablished;
+  if (e.orig.proto != proto::kIpProtoTcp) return bits | kCtEstablished;
   switch (static_cast<TcpState>(e.tcp_state.load(std::memory_order_relaxed))) {
     case TcpState::kSynSent:
     case TcpState::kSynRecv:
@@ -151,7 +143,7 @@ uint32_t Conntrack::state_bits(const Entry& e, uint8_t dir) const {
 }
 
 void Conntrack::touch_tcp(Entry& e, uint8_t dir, uint8_t flags) {
-  if (e.proto != proto::kIpProtoTcp || flags == 0) return;
+  if (e.orig.proto != proto::kIpProtoTcp || flags == 0) return;
   uint8_t cur = e.tcp_state.load(std::memory_order_relaxed);
   for (;;) {
     TcpState next = static_cast<TcpState>(cur);
@@ -187,14 +179,14 @@ void Conntrack::touch_tcp(Entry& e, uint8_t dir, uint8_t flags) {
 
 Conntrack::Entry* Conntrack::lookup(uint32_t b, const FiveTuple& t,
                                     uint8_t* dir_out) const {
-  for (HashLink* l = buckets_[b].load(std::memory_order_acquire); l != nullptr;
-       l = l->next.load(std::memory_order_acquire)) {
-    Entry* e = l->entry;
-    const FiveTuple& key = l->dir == 0 ? e->orig : e->reply;
-    if (key == t && !e->dead.load(std::memory_order_acquire)) {
-      *dir_out = l->dir;
-      return e;
+  for (uint32_t id = buckets_[b].load(std::memory_order_acquire); id != kNil;) {
+    Entry& e = slab_[id >> 1];
+    const uint8_t dir = static_cast<uint8_t>(id & 1);
+    if ((dir == 0 ? e.orig : e.reply) == t && !e.dead.load(std::memory_order_acquire)) {
+      *dir_out = dir;
+      return &e;
     }
+    id = e.next[dir].load(std::memory_order_acquire);
   }
   return nullptr;
 }
@@ -215,22 +207,15 @@ void Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
     esw_prefetch(&buckets_[bucket[i]]);
   }
 
-  // Pass 2: with the bucket words resident, start the head link's line, its
-  // entry's key line and the line holding `dead` (a hit reads it, and the
-  // state/last-seen words beside it).  Every link is embedded in its slab
-  // entry, so the entry and the link's direction follow from the address
-  // alone — no dependent load.  Prefetch only: a stale head here costs a
-  // wasted line, never a wrong answer.
+  // Pass 2: with the bucket words resident, start the head entry's line —
+  // its tuples, chain links, `dead` and the state/last-seen words a hit
+  // touches all live in that one line, and the head id names the slot with
+  // no dependent load.  Prefetch only: a stale head here costs a wasted
+  // line, never a wrong answer.
   for (uint32_t i = 0; i < n; ++i) {
     if (!hits[i].tuple_valid) continue;
-    const HashLink* l = buckets_[bucket[i]].load(std::memory_order_relaxed);
-    if (l == nullptr) continue;
-    const size_t off = static_cast<size_t>(reinterpret_cast<const char*>(l) -
-                                           reinterpret_cast<const char*>(slab_.get()));
-    const Entry& e = slab_[off / sizeof(Entry)];
-    esw_prefetch(l);
-    esw_prefetch(l == &e.link[0] ? &e.orig : &e.reply);
-    esw_prefetch(&e.dead);
+    const uint32_t id = buckets_[bucket[i]].load(std::memory_order_relaxed);
+    if (id != kNil) esw_prefetch(&slab_[id >> 1]);
   }
 
   // Pass 3: the scalar pre-stage in packet order.  Each walk starts from a
@@ -331,8 +316,6 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
 
   Entry& e = slab_[slot];
   e.orig = t;
-  e.proto = t.proto;
-  e.profile = profile;
   e.rw_active = false;
   e.last_seen_ms.store(now, std::memory_order_relaxed);
   if (t.proto == proto::kIpProtoTcp) {
@@ -398,52 +381,29 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
     {
       ShardLocks locks(shards_[std::min(s0, s1)].lock, shards_[std::max(s0, s1)].lock,
                        s0 == s1);
-      bool dup_orig = false;
-      bool dup_reply = false;
-      for (HashLink* l = buckets_[b0].load(std::memory_order_relaxed); l != nullptr;
-           l = l->next.load(std::memory_order_relaxed)) {
-        const FiveTuple& key = l->dir == 0 ? l->entry->orig : l->entry->reply;
-        if (key == e.orig && !l->entry->dead.load(std::memory_order_relaxed))
-          dup_orig = true;
+      // The duplicate check is the lock-free walk; its acquire loads are
+      // more than the held locks need, never less.
+      uint8_t dir = 0;
+      if (Entry* existing = lookup(b0, e.orig, &dir)) {
+        // Another worker committed the same flow first: adopt it.
+        free_slot(slot);
+        return existing;
       }
-      for (HashLink* l = buckets_[b1].load(std::memory_order_relaxed); l != nullptr;
-           l = l->next.load(std::memory_order_relaxed)) {
-        const FiveTuple& key = l->dir == 0 ? l->entry->orig : l->entry->reply;
-        if (key == e.reply && !l->entry->dead.load(std::memory_order_relaxed))
-          dup_reply = true;
-      }
-      if (!dup_orig && !dup_reply) {
+      if (lookup(b1, e.reply, &dir) == nullptr) {
         e.shard_pack.store((s0 << 16) | s1, std::memory_order_relaxed);
         e.dead.store(false, std::memory_order_relaxed);
-        e.link[0].next.store(buckets_[b0].load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-        buckets_[b0].store(&e.link[0], std::memory_order_release);
-        e.link[1].next.store(buckets_[b1].load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-        buckets_[b1].store(&e.link[1], std::memory_order_release);
+        for (uint32_t d = 0; d < 2; ++d) {
+          std::atomic<uint32_t>& head = buckets_[d == 0 ? b0 : b1];
+          e.next[d].store(head.load(std::memory_order_relaxed), std::memory_order_relaxed);
+          head.store((slot << 1) | d, std::memory_order_release);
+        }
         wheel_insert_locked(shards_[s0], slot, e.gen.load(std::memory_order_relaxed),
                             now + timeout_ms(e), now);
         c_.commits.fetch_add(1, std::memory_order_relaxed);
         c_.live.fetch_add(1, std::memory_order_relaxed);
         return &e;
       }
-      if (dup_orig) {
-        // Another worker committed the same flow first; locate and adopt it.
-        Entry* existing = nullptr;
-        for (HashLink* l = buckets_[b0].load(std::memory_order_relaxed);
-             l != nullptr; l = l->next.load(std::memory_order_relaxed)) {
-          const FiveTuple& key = l->dir == 0 ? l->entry->orig : l->entry->reply;
-          if (key == e.orig && !l->entry->dead.load(std::memory_order_relaxed)) {
-            existing = l->entry;
-            break;
-          }
-        }
-        // locks release at scope exit
-        free_slot(slot);
-        return existing;
-      }
-      // dup_reply only: SNAT port collision — retry with the next port.
-      (void)dup_reply;
+      // The reply tuple is taken (an SNAT port collision): retry the next port.
     }
     if (prof->kind != CtProfileConfig::Kind::kSnat ||
         ++port_attempts >= std::min<uint32_t>(port_range, 64)) {
@@ -460,17 +420,18 @@ void Conntrack::free_slot(uint32_t slot) {
   free_.push_back(slot);
 }
 
-void Conntrack::unlink_locked(Entry& e) {
-  for (int d = 0; d < 2; ++d) {
-    const FiveTuple& key = d == 0 ? e.orig : e.reply;
-    std::atomic<HashLink*>* pp = &buckets_[bucket_of(hash_tuple(key))];
-    for (HashLink* l = pp->load(std::memory_order_relaxed); l != nullptr;
-         l = pp->load(std::memory_order_relaxed)) {
-      if (l == &e.link[d]) {
-        pp->store(l->next.load(std::memory_order_relaxed), std::memory_order_release);
+void Conntrack::unlink_locked(uint32_t slot) {
+  Entry& e = slab_[slot];
+  for (uint32_t d = 0; d < 2; ++d) {
+    const uint32_t self = (slot << 1) | d;
+    std::atomic<uint32_t>* pp = &buckets_[bucket_of(hash_tuple(d == 0 ? e.orig : e.reply))];
+    for (uint32_t id = pp->load(std::memory_order_relaxed); id != kNil;
+         id = pp->load(std::memory_order_relaxed)) {
+      if (id == self) {
+        pp->store(e.next[d].load(std::memory_order_relaxed), std::memory_order_release);
         break;
       }
-      pp = &l->next;
+      pp = &slab_[id >> 1].next[id & 1];
     }
   }
 }
@@ -503,7 +464,7 @@ bool Conntrack::remove_entry(uint32_t slot, uint32_t gen, bool expire_check,
       }
     }
 
-    unlink_locked(e);
+    unlink_locked(slot);
     e.dead.store(true, std::memory_order_release);
     const uint64_t stamp = domain_->current_epoch();
     shards_[s0].retired.retire(slot, stamp);
@@ -541,17 +502,16 @@ void Conntrack::wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen,
 
 void Conntrack::reclaim_locked(Shard& s) {
   const uint64_t horizon = domain_->min_observed();
-  std::vector<uint32_t> freed;
+  // One free_lock_ acquisition, taken at the first reclaimable slot; free_
+  // has capacity_ slots reserved, so the pushes never allocate.
+  std::unique_lock<std::mutex> g(free_lock_, std::defer_lock);
   s.retired.reclaim_into(horizon, [&](uint32_t slot) {
     // Bump the generation before the slot becomes allocatable: stale wheel
     // items and eviction candidates detect the reuse.
     slab_[slot].gen.fetch_add(1, std::memory_order_release);
-    freed.push_back(slot);
+    if (!g.owns_lock()) g.lock();
+    free_.push_back(slot);
   });
-  if (!freed.empty()) {
-    std::lock_guard<std::mutex> g(free_lock_);
-    free_.insert(free_.end(), freed.begin(), freed.end());
-  }
 }
 
 void Conntrack::poll(uint64_t now) {
@@ -569,6 +529,8 @@ void Conntrack::poll(uint64_t now) {
       s.wheel_cursor_ms += slot_ms;
       auto& v = s.wheel[(s.wheel_cursor_ms >> kWheelShift) % kWheelSlots];
       if (!v.empty()) {
+        // Borrow the shard's buffer, so a due slot costs no allocation.
+        if (due.capacity() == 0) due.swap(s.due_spare);
         due.insert(due.end(), v.begin(), v.end());
         v.clear();
       }
@@ -579,9 +541,14 @@ void Conntrack::poll(uint64_t now) {
     if (advanced == kWheelSlots && s.wheel_cursor_ms + slot_ms <= now)
       s.wheel_cursor_ms = now;
   }
+  if (due.empty()) return;
   for (const WheelItem& it : due)
     if (remove_entry(it.slot, it.gen, /*expire_check=*/true, now))
       c_.expired.fetch_add(1, std::memory_order_relaxed);
+  // Hand the (larger) buffer back.
+  due.clear();
+  std::lock_guard<std::mutex> g(s.lock);
+  if (s.due_spare.capacity() < due.capacity()) s.due_spare.swap(due);
 }
 
 void Conntrack::set_backend_enabled(uint32_t profile, uint32_t backend, bool enabled) {

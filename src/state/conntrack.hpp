@@ -1,11 +1,18 @@
-// Conntrack — the sharded stateful connection layer (ROADMAP item 4).
+// Conntrack — the sharded stateful connection layer.
 //
 // A bounded slab of dual-keyed connection entries behind a lock-free-read
 // hash table: each entry is linked into the bucket of its `orig` tuple AND
 // the bucket of its `reply` tuple, so one lookup on the packet's wire tuple
 // finds the connection in either direction, NAT or not.  Buckets are grouped
 // into shards; mutation (insert/unlink) takes the affected shard locks in
-// index order, lookups walk acquire-published chain pointers with no lock.
+// index order, lookups walk acquire-published chain links with no lock.
+//
+// Layout: one connection is one 64-byte, line-aligned slab entry holding
+// both tuples, both chain links and every per-packet word, so a hit at the
+// head of its chain touches one bucket word and one entry line.  Chain links are 32-bit ids,
+// (slot << 1) | dir, so the entry and the direction a link keys on follow
+// from the id alone.  Bucket heads are ids too, two buckets per slot (one per
+// linked tuple), so a full table averages one link per bucket.
 //
 // Lifetime follows the datapath's QSBR discipline (common/epoch.hpp): an
 // unlinked entry is stamped with the current epoch, parked on its home
@@ -24,9 +31,9 @@
 // are re-inserted at the refreshed deadline rather than expired.
 //
 // The pre-stage runs a burst at a time (pre_burst): hash every tuple and
-// prefetch its bucket word, then load each bucket head and prefetch the head
-// link and its entry's key, then walk in packet order from a fresh head load
-// so a commit made for an earlier packet of the burst is seen by later ones.
+// prefetch its bucket word, then load each bucket head and prefetch its
+// entry's line, then walk in packet order from a fresh head load so a
+// commit made for an earlier packet of the burst is seen by later ones.
 // Lookup/hit/miss counts are flushed once per burst, so they are exact at
 // burst boundaries.
 //
@@ -72,33 +79,33 @@ enum class TcpState : uint8_t {
 
 class Conntrack {
  public:
-  struct Entry;
+  /// Ends a chain.  Link ids are (slot << 1) | dir, so kNil is never one.
+  static constexpr uint32_t kNil = ~0u;
+  /// Largest CtConfig::capacity: slot ids need 31 bits and the 2x bucket
+  /// array's size must fit a uint32_t.
+  static constexpr uint32_t kMaxCapacity = 1u << 30;
 
-  /// Chain node: each entry owns two, one per direction/key.
-  struct HashLink {
-    std::atomic<HashLink*> next{nullptr};
-    Entry* entry = nullptr;
-    uint8_t dir = 0;  // 0 = keyed on orig, 1 = keyed on reply
-  };
-
-  struct Entry {
+  /// One connection, one cache line.  The tuples are plain: written before
+  /// the entry's link ids are release-published, immutable while linked.
+  struct alignas(64) Entry {
     FiveTuple orig;   // committing direction's wire tuple (pre-NAT)
     FiveTuple reply;  // reply direction's wire tuple (post-NAT)
-    uint8_t proto = 0;
-    bool rw_active = false;  // reply != orig.reversed(): apply NAT rewrites
-    uint32_t profile = 0;
-    std::atomic<uint8_t> tcp_state{0};
+    /// Chain links, one per direction: next[d] continues the chain of the
+    /// bucket this entry's direction-d tuple hashes to (a link id or kNil).
+    std::atomic<uint32_t> next[2] = {kNil, kNil};
     std::atomic<uint64_t> last_seen_ms{0};
     // Control fields guarded by shard locks (see dead/gen contract below).
-    std::atomic<bool> dead{true};      // write under both shard locks; read anywhere
     std::atomic<uint32_t> gen{0};      // bumped when the slot returns to the freelist
     /// (shard0 << 16) | shard1 of the current incarnation, written at insert
     /// under both locks.  Candidate paths (eviction scan, wheel items) read
     /// this — never the plain tuples — to decide which locks to take, then
     /// re-validate gen and the pack after locking.
     std::atomic<uint32_t> shard_pack{0};
-    HashLink link[2];
+    std::atomic<uint8_t> tcp_state{0};
+    std::atomic<bool> dead{true};      // write under both shard locks; read anywhere
+    bool rw_active = false;  // reply != orig.reversed(): apply NAT rewrites
   };
+  static_assert(sizeof(Entry) == 64 && alignof(Entry) == 64);
 
   /// Pre-stage result, threaded to the post-stage by the datapath.
   struct Hit {
@@ -197,8 +204,14 @@ class Conntrack {
     std::mutex lock;
     std::vector<WheelItem> wheel[kWheelSlots];
     uint64_t wheel_cursor_ms = 0;
+    /// poll()'s due-list buffer, lent out and returned under `lock`.
+    std::vector<WheelItem> due_spare;
     common::RetireList<uint32_t> retired;  // slab slot indices
   };
+
+  /// Buckets per slab slot: each slot links two tuples, so a full table
+  /// averages one link per bucket, for 8 bytes of heads per slot.
+  static constexpr uint32_t kBucketsPerSlot = 2;
 
   uint32_t bucket_of(uint64_t h) const { return static_cast<uint32_t>(h) & bucket_mask_; }
   uint32_t shard_of(uint32_t bucket) const { return bucket >> shard_shift_; }
@@ -218,7 +231,7 @@ class Conntrack {
   /// is alive; `expire_check` additionally requires the idle deadline to
   /// have passed.  Takes both of the entry's shard locks in index order.
   bool remove_entry(uint32_t slot, uint32_t gen, bool expire_check, uint64_t now_ms);
-  void unlink_locked(Entry& e);
+  void unlink_locked(uint32_t slot);
   void wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen, uint64_t due_ms,
                            uint64_t now_ms);
   bool evict_one(uint64_t now_ms);
@@ -231,7 +244,7 @@ class Conntrack {
   uint32_t shard_shift_;   // bucket index -> shard index
 
   std::unique_ptr<Entry[]> slab_;
-  std::unique_ptr<std::atomic<HashLink*>[]> buckets_;
+  std::unique_ptr<std::atomic<uint32_t>[]> buckets_;  // head link id or kNil
   std::unique_ptr<Shard[]> shards_;
 
   std::mutex free_lock_;

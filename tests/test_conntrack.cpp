@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/epoch.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
@@ -262,6 +266,198 @@ TEST(Conntrack, InsertFailpointForcesAccountedEviction) {
   EXPECT_EQ(s.commits, 2u);
   EXPECT_EQ(s.live, 1u);
   EXPECT_EQ(s.commits, s.live + s.expired + s.evictions_forced);
+}
+
+// Link ids are 31 bits and the 2x bucket array must fit a uint32_t: a larger
+// capacity is refused before anything is allocated, and before the
+// bucket-count rounding (which never ends past 2^31) runs.
+TEST(Conntrack, CapacityAboveLimitIsRefused) {
+  common::EpochDomain domain;
+  for (const uint32_t capacity : {Conntrack::kMaxCapacity + 1, 0xFFFFFFFFu}) {
+    CtConfig cfg = CtHarness::manual_cfg();
+    cfg.capacity = capacity;
+    EXPECT_THROW((Conntrack{cfg, &domain}), CheckError) << capacity;
+  }
+}
+
+// Random commit / refresh / expiry / eviction / reclaim steps on a table of
+// 16 slots — 64 buckets, the minimum — over tuples picked to pile into a few
+// buckets, so chains run long.  After every step find() in both directions
+// must agree with a model of the live connections, and the model's chains
+// (new links go to the head: orig, then reply) show that unlinks at the
+// head, middle and tail, same-bucket orig/reply pairs and slot reuse after
+// grace all happened.
+TEST(Conntrack, ChainsMatchModel) {
+  const uint64_t seed = testing::test_seed(0xC7A1, "Conntrack.ChainsMatchModel");
+  constexpr uint32_t kCapacity = 16;
+  constexpr uint32_t kBuckets = 64;
+  constexpr uint64_t kSlotMs = 1024;  // the timeout wheel's slot
+  constexpr uint64_t kTimeoutSlots = 8;
+  CtConfig cfg = CtHarness::manual_cfg();
+  cfg.capacity = kCapacity;
+  // Time moves in whole wheel slots from the construction-time clock (1), so
+  // a connection last seen at slot r is expired by the polls at slot b
+  // exactly when r + kTimeoutSlots <= b.
+  cfg.udp_timeout_ms = kTimeoutSlots * kSlotMs;
+  CtHarness h(cfg);
+  Conntrack& ct = h.ct;
+  auto bucket = [](const FiveTuple& t) { return hash_tuple(t) & (kBuckets - 1); };
+
+  // The tuple universe: most keyed into 4 hot buckets, some whose orig and
+  // reply share a bucket.
+  std::vector<FiveTuple> universe;
+  size_t same_bucket = 0;
+  for (uint16_t port = 1; universe.size() < 160; ++port) {
+    const FiveTuple t{kClient + (port & 7u), kServer, port, 53, proto::kIpProtoUdp};
+    const bool same = bucket(t) == bucket(t.reversed());
+    if (same && same_bucket < 24) {
+      ++same_bucket;
+      universe.push_back(t);
+    } else if (bucket(t) < 4) {
+      universe.push_back(t);
+    }
+  }
+
+  struct Conn {
+    uint64_t last_seen;  // in wheel slots
+    const Conntrack::Entry* entry;
+  };
+  std::map<std::tuple<uint32_t, uint32_t, uint16_t, uint16_t>, Conn> live;
+  auto key_of = [](const FiveTuple& t) {
+    return std::make_tuple(t.src_ip, t.dst_ip, t.src_port, t.dst_port);
+  };
+  auto tuple_of = [](const auto& k) {
+    return FiveTuple{std::get<0>(k), std::get<1>(k), std::get<2>(k), std::get<3>(k),
+                     proto::kIpProtoUdp};
+  };
+  std::vector<std::vector<FiveTuple>> chains(kBuckets);  // front = head
+  std::set<const Conntrack::Entry*> retired;
+  uint64_t now = 0;  // wheel slots since construction
+  uint64_t at_head = 0, in_middle = 0, at_tail = 0, same_bucket_unlinks = 0;
+  uint64_t reuses = 0, expired = 0;
+
+  auto unlink_model = [&](const FiveTuple& orig) {
+    const Conn c = live.at(key_of(orig));
+    live.erase(key_of(orig));
+    retired.insert(c.entry);
+    if (bucket(orig) == bucket(orig.reversed())) ++same_bucket_unlinks;
+    for (const FiveTuple& k : {orig, orig.reversed()}) {
+      std::vector<FiveTuple>& ch = chains[bucket(k)];
+      const size_t pos = static_cast<size_t>(std::find(ch.begin(), ch.end(), k) - ch.begin());
+      ASSERT_LT(pos, ch.size());
+      if (ch.size() > 1) {
+        at_head += pos == 0;
+        at_tail += pos == ch.size() - 1;
+        in_middle += pos > 0 && pos < ch.size() - 1;
+      }
+      ch.erase(ch.begin() + static_cast<std::ptrdiff_t>(pos));
+    }
+  };
+  auto feed = [&](const FiveTuple& t, bool commit) {
+    auto p = make_packet(test::udp_spec(t.src_ip, t.dst_ip, t.src_port, t.dst_port));
+    h.feed(p, commit);
+  };
+  // Evictions pick their own victims: exactly `n` connections must be gone
+  // from the table, in both directions.
+  auto reconcile_evictions = [&](uint64_t n) {
+    std::vector<FiveTuple> gone;
+    for (const auto& [k, c] : live)
+      if (ct.find(tuple_of(k)) == nullptr) gone.push_back(tuple_of(k));
+    ASSERT_EQ(gone.size(), n);
+    for (const FiveTuple& t : gone) unlink_model(t);
+  };
+  auto check = [&](size_t step) {
+    for (const FiveTuple& t : universe) {
+      const auto it = live.find(key_of(t));
+      const auto rit = live.find(key_of(t.reversed()));
+      for (const uint8_t dir : {uint8_t{0}, uint8_t{1}}) {
+        const FiveTuple q = dir == 0 ? t : t.reversed();
+        uint8_t got_dir = 2;
+        const Conntrack::Entry* e = ct.find(q, &got_dir);
+        // q is some live connection's orig (dir 0) or reply (dir 1) tuple.
+        const auto& as_orig = dir == 0 ? it : rit;
+        const auto& as_reply = dir == 0 ? rit : it;
+        if (as_orig != live.end()) {
+          ASSERT_EQ(e, as_orig->second.entry) << "step " << step;
+          ASSERT_EQ(got_dir, 0) << "step " << step;
+          ASSERT_EQ(e->orig, q);
+        } else if (as_reply != live.end()) {
+          ASSERT_EQ(e, as_reply->second.entry) << "step " << step;
+          ASSERT_EQ(got_dir, 1) << "step " << step;
+          ASSERT_EQ(e->reply, q);
+        } else {
+          ASSERT_EQ(e, nullptr) << "step " << step;
+        }
+      }
+    }
+    ASSERT_EQ(ct.stats().live, live.size()) << "step " << step;
+  };
+
+  Rng rng(seed);
+  for (size_t step = 0; step < 1500; ++step) {
+    const uint64_t op = rng.below(16);
+    const Conntrack::Stats before = ct.stats();
+    if (op < 7) {
+      // Commit: a tuple whose connection (either direction) is live only
+      // refreshes it.  At capacity the commit evicts and drops; an armed
+      // ct.insert evicts first and proceeds.
+      const FiveTuple t = universe[rng.below(universe.size())];
+      if (live.count(key_of(t)) != 0 || live.count(key_of(t.reversed())) != 0) continue;
+      const bool forced = rng.below(4) == 0;
+      if (forced) {
+        ASSERT_TRUE(common::FailpointRegistry::instance().arm("ct.insert", "nth:1"));
+      }
+      feed(t, /*commit=*/true);
+      if (forced) common::FailpointRegistry::instance().disarm("ct.insert");
+      const Conntrack::Stats after = ct.stats();
+      ASSERT_NO_FATAL_FAILURE(
+          reconcile_evictions(after.evictions_forced - before.evictions_forced));
+      if (after.commits == before.commits + 1) {
+        const Conntrack::Entry* e = ct.find(t);
+        ASSERT_NE(e, nullptr);
+        reuses += retired.count(e);
+        live[key_of(t)] = Conn{now, e};
+        chains[bucket(t)].insert(chains[bucket(t)].begin(), t);
+        chains[bucket(t.reversed())].insert(chains[bucket(t.reversed())].begin(),
+                                            t.reversed());
+      } else {
+        ASSERT_EQ(after.commit_drops, before.commit_drops + 1);
+      }
+    } else if (op < 11) {
+      // Refresh a live connection from either side.
+      if (live.empty()) continue;
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+      const FiveTuple t = tuple_of(it->first);
+      feed(rng.below(2) == 0 ? t : t.reversed(), /*commit=*/false);
+      it->second.last_seen = now;
+    } else if (op < 13) {
+      // Advance one wheel slot and poll every shard once.
+      ++now;
+      ct.set_now_ms(1 + now * kSlotMs);
+      for (uint32_t i = 0; i < 16; ++i) ct.poll(ct.now_ms());
+      std::vector<FiveTuple> due;
+      for (const auto& [k, c] : live)
+        if (c.last_seen + kTimeoutSlots <= now) due.push_back(tuple_of(k));
+      for (const FiveTuple& t : due) ASSERT_NO_FATAL_FAILURE(unlink_model(t));
+      expired += due.size();
+      ASSERT_EQ(ct.stats().expired, before.expired + due.size()) << "step " << step;
+    } else {
+      ct.flush_reclaim();
+      ASSERT_EQ(ct.stats().retire_pending, 0u);
+    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+  const Conntrack::Stats s = ct.stats();
+  EXPECT_EQ(s.commits, s.live + s.expired + s.evictions_forced);
+  EXPECT_GT(s.evictions_forced, 0u);
+  EXPECT_GT(s.commit_drops, 0u);
+  EXPECT_GT(expired, 0u);
+  EXPECT_GT(at_head, 0u);
+  EXPECT_GT(in_middle, 0u);
+  EXPECT_GT(at_tail, 0u);
+  EXPECT_GT(same_bucket_unlinks, 0u);
+  EXPECT_GT(reuses, 0u);
 }
 
 // --- use cases through the full switch --------------------------------------

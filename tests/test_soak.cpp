@@ -180,8 +180,8 @@ TEST(Soak, ChaosRunPassesAllChecks) {
   const SoakReport r = run_soak(o);
   EXPECT_TRUE(r.chaos);
   for (const auto& c : r.checks) EXPECT_TRUE(c.ok) << c.name << ": " << c.detail;
-  // At least one full rotation of the 6-slot schedule...
-  EXPECT_GE(r.chaos_windows, 6u);
+  // At least one full rotation of the 7-slot schedule...
+  EXPECT_GE(r.chaos_windows, 7u);
   // ...and the faults genuinely fired at distinct points (>= 5 of them).
   size_t fired = 0;
   for (const auto& fp : r.failpoints) fired += fp.fires > 0;
