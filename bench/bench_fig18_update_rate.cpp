@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <type_traits>
 
 #include "bench_util.hpp"
 
@@ -64,43 +65,33 @@ double loaded_pps(double updates_per_sec, ApplyFn&& apply, ProcessFn&& process,
   return static_cast<double>(pkts) / elapsed;
 }
 
-void BM_Fig18_UpdateRate(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0));
-  const bool use_es = state.range(1) == 1;
+// Both backends take the same flow-mods through the Dataplane surface.
+template <core::Dataplane Backend>
+void update_rate(benchmark::State& state, double rate) {
   const auto uc = uc::make_gateway(10, 20, 10000);
   const auto ts = net::TrafficSet::from_flows(uc.traffic(1000, 42));
 
   for (auto _ : state) {
-    double unloaded = 0, loaded = 0;
-    if (use_es) {
-      core::Eswitch sw;
-      sw.install(uc.pipeline);
-      unloaded = bench::measure([&](net::Packet& p) { sw.process(p); }, ts, 1000).pps;
-      loaded = loaded_pps(
-          rate, [&](const flow::FlowMod& fm) { sw.apply(fm); },
-          [&](net::Packet& p) { sw.process(p); }, ts);
+    Backend sw;
+    sw.install(uc.pipeline);
+    const auto process = [&](net::Packet& p) { sw.process(p); };
+    const double unloaded = bench::measure(process, ts, 1000).pps;
+    const double loaded = loaded_pps(
+        rate, [&](const flow::FlowMod& fm) { sw.apply(fm); }, process, ts);
+    if constexpr (std::is_same_v<Backend, core::Eswitch>)
       state.counters["incremental_updates"] =
           static_cast<double>(sw.update_stats().incremental);
-    } else {
-      ovs::OvsSwitch sw;
-      sw.install(uc.pipeline);
-      auto apply = [&](const flow::FlowMod& fm) {
-        if (fm.command == flow::FlowMod::Cmd::kDelete) {
-          sw.remove_flow(fm.table_id, fm.match, fm.priority);
-        } else {
-          flow::FlowEntry e;
-          e.match = fm.match;
-          e.priority = fm.priority;
-          e.actions = fm.actions;
-          sw.add_flow(fm.table_id, e);
-        }
-      };
-      unloaded = bench::measure([&](net::Packet& p) { sw.process(p); }, ts, 1000).pps;
-      loaded = loaded_pps(rate, apply, [&](net::Packet& p) { sw.process(p); }, ts);
-    }
     state.counters["normed_rate"] = loaded / unloaded;
     state.counters["pps"] = loaded;
   }
+}
+
+void BM_Fig18_UpdateRate(benchmark::State& state) {
+  const double rate = static_cast<double>(state.range(0));
+  if (state.range(1) == 1)
+    update_rate<core::Eswitch>(state, rate);
+  else
+    update_rate<ovs::OvsSwitch>(state, rate);
 }
 
 void args(benchmark::internal::Benchmark* b) {
@@ -113,54 +104,36 @@ BENCHMARK(BM_Fig18_UpdateRate)->Apply(args);
 
 // Batched updates: periodic bursts of 20 adds and 20 deletes (paper: at most
 // 3% rate change for ESWITCH, 23% for OVS).
-void BM_Fig18_BatchedUpdates(benchmark::State& state) {
-  const bool use_es = state.range(0) == 1;
+template <core::Dataplane Backend>
+void batched_updates(benchmark::State& state) {
   const auto uc = uc::make_gateway(10, 20, 10000);
   const auto ts = net::TrafficSet::from_flows(uc.traffic(1000, 42));
 
   for (auto _ : state) {
-    double unloaded = 0, loaded = 0;
-    if (use_es) {
-      core::Eswitch sw;
-      sw.install(uc.pipeline);
-      unloaded = bench::measure([&](net::Packet& p) { sw.process(p); }, ts, 1000).pps;
-      uint32_t i = 0;
-      loaded = loaded_pps(
-          50.0,  // 50 bursts/sec...
-          [&](const flow::FlowMod&) {
-            std::vector<flow::FlowMod> batch;
-            for (int k = 0; k < 20; ++k) batch.push_back(route_mod(i + k, false));
-            for (int k = 0; k < 20; ++k) batch.push_back(route_mod(i + k, true));
-            sw.apply_batch(batch);
-            i += 20;
-          },
-          [&](net::Packet& p) { sw.process(p); }, ts);
-    } else {
-      ovs::OvsSwitch sw;
-      sw.install(uc.pipeline);
-      unloaded = bench::measure([&](net::Packet& p) { sw.process(p); }, ts, 1000).pps;
-      uint32_t i = 0;
-      loaded = loaded_pps(
-          50.0,
-          [&](const flow::FlowMod&) {
-            for (int k = 0; k < 20; ++k) {
-              flow::FlowEntry e;
-              const auto fm = route_mod(i + k, false);
-              e.match = fm.match;
-              e.priority = fm.priority;
-              e.actions = fm.actions;
-              sw.add_flow(fm.table_id, e);
-            }
-            for (int k = 0; k < 20; ++k) {
-              const auto fm = route_mod(i + k, true);
-              sw.remove_flow(fm.table_id, fm.match, fm.priority);
-            }
-            i += 20;
-          },
-          [&](net::Packet& p) { sw.process(p); }, ts);
-    }
+    Backend sw;
+    sw.install(uc.pipeline);
+    const auto process = [&](net::Packet& p) { sw.process(p); };
+    const double unloaded = bench::measure(process, ts, 1000).pps;
+    uint32_t i = 0;
+    const double loaded = loaded_pps(
+        50.0,  // 50 bursts/sec...
+        [&](const flow::FlowMod&) {
+          std::vector<flow::FlowMod> batch;
+          for (int k = 0; k < 20; ++k) batch.push_back(route_mod(i + k, false));
+          for (int k = 0; k < 20; ++k) batch.push_back(route_mod(i + k, true));
+          sw.apply_batch(batch);
+          i += 20;
+        },
+        process, ts);
     state.counters["normed_rate"] = loaded / unloaded;
   }
+}
+
+void BM_Fig18_BatchedUpdates(benchmark::State& state) {
+  if (state.range(0) == 1)
+    batched_updates<core::Eswitch>(state);
+  else
+    batched_updates<ovs::OvsSwitch>(state);
 }
 BENCHMARK(BM_Fig18_BatchedUpdates)->Arg(1)->Arg(0)->ArgName("es")->Iterations(1);
 

@@ -1,6 +1,6 @@
 // Pipeline compilation helpers: template selection + construction for one
 // (sub)table, parser-plan derivation for the whole pipeline, and the
-// whole-pipeline fusion planner (ROADMAP item 3).
+// whole-pipeline fusion planner.
 #pragma once
 
 #include <array>

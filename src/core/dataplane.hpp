@@ -53,10 +53,13 @@ struct DataplaneStats {
   uint64_t ct_expired = 0;               // idle-timeout removals
 };
 
-/// What a switch backend must provide: bulk install, single and transactional
-/// batched flow-mods, scalar and burst processing, verdict-level stats and
-/// the authoritative rule store.  Compile-time (template/CRTP-style)
-/// polymorphism only — the per-packet calls inline into the harness loops.
+/// What a switch backend must provide: bulk install, single, transactional
+/// batched and best-effort batched flow-mods, scalar and burst processing,
+/// verdict-level stats and the authoritative rule store.  Every flow-mod of
+/// either backend is the same rule-store edit (flow::Pipeline::apply), so
+/// both accept and refuse the same mods with the same resulting pipeline.
+/// Compile-time (template/CRTP-style) polymorphism only — the per-packet
+/// calls inline into the harness loops.
 template <typename T>
 concept Dataplane = requires(T sw, const T csw, const flow::Pipeline& pl,
                              const flow::FlowMod& fm,
@@ -66,6 +69,7 @@ concept Dataplane = requires(T sw, const T csw, const flow::Pipeline& pl,
   { sw.install(pl) };
   { sw.apply(fm) };
   { sw.apply_batch(fms) };
+  { sw.apply_batch_partial(fms) } -> std::same_as<std::vector<ModStatus>>;
   { sw.process(pkt) } -> std::same_as<flow::Verdict>;
   { sw.process_burst(pkts, n, out) };
   { csw.stats() } -> std::convertible_to<DataplaneStats>;

@@ -148,40 +148,20 @@ void Eswitch::maybe_widen_plan(const FlowEntry& e) {
 }
 
 /// Table-capacity admission control (cfg_.table_capacity, 0 = unbounded):
-/// an add that would grow the table past the cap throws TableFullError
-/// *before* any state mutates — the OpenFlow TABLE_FULL refusal shape.
-/// Replacing an existing (match, priority) entry never grows the table and
-/// is always admitted.
-void Eswitch::check_capacity(const flow::Pipeline& pl, const FlowMod& fm) const {
+/// an add that would grow the table past the cap is counted and throws
+/// TableFullError *before* any state mutates — the OpenFlow TABLE_FULL
+/// refusal shape.  Replacing an existing (match, priority) entry never grows
+/// the table and is always admitted.
+void Eswitch::check_capacity(const flow::Pipeline& pl, const FlowMod& fm) {
   if (cfg_.table_capacity == 0 || fm.command == FlowMod::Cmd::kDelete) return;
   const FlowTable* t = pl.find_table(fm.table_id);
   if (t == nullptr || t->size() < cfg_.table_capacity) return;
   for (const FlowEntry& e : t->entries())
     if (e.priority == fm.priority && e.match == fm.match) return;
+  ++degradation_.mods_refused_table_full;
   throw TableFullError("table " + std::to_string(fm.table_id) +
                        " at capacity (" + std::to_string(cfg_.table_capacity) +
                        " entries)");
-}
-
-void Eswitch::apply_to_pipeline(flow::Pipeline& pl, const FlowMod& fm) const {
-  switch (fm.command) {
-    case FlowMod::Cmd::kAdd:
-    case FlowMod::Cmd::kModify: {
-      if (fm.goto_table != flow::kNoGoto) {
-        ESW_CHECK_MSG(fm.goto_table > fm.table_id, "goto_table must go forward");
-        ESW_CHECK_MSG(pl.find_table(static_cast<uint8_t>(fm.goto_table)) != nullptr,
-                      "goto_table target does not exist");
-      }
-      check_capacity(pl, fm);
-      pl.table(fm.table_id).add(flow::entry_from(fm));
-      break;
-    }
-    case FlowMod::Cmd::kDelete: {
-      if (pl.find_table(fm.table_id) != nullptr)
-        pl.table(fm.table_id).remove(fm.match, fm.priority);
-      break;
-    }
-  }
 }
 
 /// §3.4's non-destructive incremental update: the published impl absorbs the
@@ -212,8 +192,9 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet& dirty) {
   const bool new_table =
       fm.command != FlowMod::Cmd::kDelete && pipeline_.find_table(fm.table_id) == nullptr;
 
-  // Control plane first; throws leave no trace.
-  apply_to_pipeline(pipeline_, fm);
+  // Control plane first; a refusal throws before anything mutates.
+  check_capacity(pipeline_, fm);
+  pipeline_.apply(fm);
 
   if (fm.command == FlowMod::Cmd::kDelete && pipeline_.find_table(fm.table_id) == nullptr)
     return;  // delete on a never-created table: no-op
@@ -234,37 +215,29 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet& dirty) {
   if (!try_incremental(fm.table_id, fm)) dirty.insert(fm.table_id);
 }
 
-/// Batch commit: one rebuild per dirty table (from the final pipeline state)
-/// and one start/plan refresh.
+/// The tail every update shares: one rebuild per dirty table (from the final
+/// pipeline state), one start/plan refresh, one fusion re-plan and one epoch
+/// reclaim pass, however many mods the batch carried.
 void Eswitch::commit_batch(const DirtySet& dirty) {
   for (const uint8_t id : dirty) rebuild_logical(id);
   if (!dirty.empty()) refresh_start_and_plan();
+  refresh_fusion();
+  dp_.reclaim();
 }
 
 void Eswitch::apply(const FlowMod& fm) {
   DirtySet dirty;
-  try {
-    apply_one(fm, dirty);
-  } catch (const TableFullError&) {
-    ++degradation_.mods_refused_table_full;
-    throw;
-  }
+  apply_one(fm, dirty);
   commit_batch(dirty);
-  refresh_fusion();
-  dp_.reclaim();
 }
 
 void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
   // Validate every mod against a scratch copy: all-or-nothing semantics.
   flow::Pipeline scratch = pipeline_;
-  try {
-    for (const FlowMod& fm : fms) apply_to_pipeline(scratch, fm);
-  } catch (const TableFullError&) {
-    ++degradation_.mods_refused_table_full;
-    throw;
+  for (const FlowMod& fm : fms) {
+    check_capacity(scratch, fm);
+    scratch.apply(fm);
   }
-  const auto err = scratch.validate();
-  ESW_CHECK_MSG(!err.has_value(), err.value_or(""));
 
   // Commit through the regular path: validated mods cannot throw, and each
   // lands incrementally where its table's template allows, so a batch of
@@ -273,8 +246,6 @@ void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
   DirtySet dirty;
   for (const FlowMod& fm : fms) apply_one(fm, dirty);
   commit_batch(dirty);
-  refresh_fusion();
-  dp_.reclaim();
 }
 
 std::vector<ModStatus> Eswitch::apply_batch_partial(const std::vector<FlowMod>& fms) {
@@ -282,21 +253,18 @@ std::vector<ModStatus> Eswitch::apply_batch_partial(const std::vector<FlowMod>& 
   out.reserve(fms.size());
   DirtySet dirty;
   for (const FlowMod& fm : fms) {
+    // apply_one throws before mutating anything, so refusing this mod leaves
+    // the batch's accumulated state intact and the rest still lands.
     try {
       apply_one(fm, dirty);
       out.push_back(ModStatus::kApplied);
     } catch (const TableFullError&) {
-      // apply_one throws before mutating anything, so refusing this mod
-      // leaves the batch's accumulated state intact and the rest still lands.
-      ++degradation_.mods_refused_table_full;
       out.push_back(ModStatus::kRefusedTableFull);
     } catch (const CheckError&) {
       out.push_back(ModStatus::kRefusedInvalid);
     }
   }
   commit_batch(dirty);
-  refresh_fusion();
-  dp_.reclaim();
   return out;
 }
 

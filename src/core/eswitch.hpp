@@ -176,8 +176,7 @@ class Eswitch {
   void apply_one(const flow::FlowMod& fm, DirtySet& dirty);
   bool try_incremental(uint8_t table, const flow::FlowMod& fm);
   void commit_batch(const DirtySet& dirty);
-  void apply_to_pipeline(flow::Pipeline& pl, const flow::FlowMod& fm) const;
-  void check_capacity(const flow::Pipeline& pl, const flow::FlowMod& fm) const;
+  void check_capacity(const flow::Pipeline& pl, const flow::FlowMod& fm);
   void refresh_fusion();
 
   CompilerConfig cfg_;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "flow/wire.hpp"
 
 namespace esw::flow {
 
@@ -49,6 +50,19 @@ std::optional<std::string> Pipeline::validate() const {
     }
   }
   return std::nullopt;
+}
+
+void Pipeline::apply(const FlowMod& fm) {
+  if (fm.command == FlowMod::Cmd::kDelete) {
+    if (find_table(fm.table_id) != nullptr) table(fm.table_id).remove(fm.match, fm.priority);
+    return;
+  }
+  if (fm.goto_table != kNoGoto) {
+    ESW_CHECK_MSG(fm.goto_table > fm.table_id, "goto_table must go forward");
+    ESW_CHECK_MSG(find_table(static_cast<uint8_t>(fm.goto_table)) != nullptr,
+                  "goto_table target does not exist");
+  }
+  table(fm.table_id).add(entry_from(fm));
 }
 
 Verdict Pipeline::process(net::Packet& pkt, proto::ParseInfo& pi,

@@ -14,6 +14,8 @@
 
 namespace esw::flow {
 
+struct FlowMod;
+
 /// One step of a pipeline traversal (for megaflow construction and tests).
 struct TraceStep {
   uint8_t table_id = 0;
@@ -40,6 +42,15 @@ class Pipeline {
   /// Validates OpenFlow constraints (goto targets exist and go forward only);
   /// returns an error message or nullopt.
   std::optional<std::string> validate() const;
+
+  /// The one rule-store edit every backend makes for a flow-mod: add/modify
+  /// stores flow::entry_from(fm), replacing an equal (match, priority) entry;
+  /// delete removes that exact entry (a no-op on an absent table or entry).
+  /// An add/modify whose goto_table does not go forward or names a missing
+  /// table throws CheckError before anything mutates, so a valid pipeline
+  /// stays valid.  Whether a mod is refused depends only on which tables
+  /// exist, never on their entries.
+  void apply(const FlowMod& fm);
 
   /// Reference interpretation of one parsed packet.  Mutates the packet when
   /// the accumulated action set says so and returns the verdict.  If `trace`

@@ -1,6 +1,6 @@
-// Whole-pipeline fusion (ROADMAP item 3): the goto graph's direct-code
-// members compiled into ONE function, with inter-table dispatch resolved at
-// compile time.  This is the switch's only machine code.
+// Whole-pipeline fusion: the goto graph's direct-code members compiled into
+// ONE function, with inter-table dispatch resolved at compile time.  This is
+// the switch's only machine code.
 //
 // Each member renders the paper's direct-code shape (§3.1): its entry chain
 // of per-flow compare-and-branch blocks, keys patched into the instruction

@@ -36,45 +36,61 @@ void OvsSwitch::install(const flow::Pipeline& pl) {
   ESW_CHECK_MSG(!err.has_value(), err.value_or(""));
   pipeline_ = pl;
   rebuild_classifiers();
-  megaflow_.invalidate_all();
-  ++generation_;
+  invalidate_caches();
 }
 
-void OvsSwitch::add_flow(uint8_t table, const flow::FlowEntry& e) {
-  const bool new_table = pipeline_.find_table(table) == nullptr;
-  pipeline_.table(table).add(e);
-  if (new_table) {
+/// One flow-mod into the rule store and its classifier; throws CheckError
+/// before anything mutates.  The caches are the caller's to invalidate.
+void OvsSwitch::edit(const flow::FlowMod& fm) {
+  const bool new_table = pipeline_.find_table(fm.table_id) == nullptr;
+  pipeline_.apply(fm);
+  if (fm.command == flow::FlowMod::Cmd::kDelete) {
+    if (TableCls* c = find_cls(fm.table_id)) c->ts.remove(fm.match, fm.priority);
+  } else if (new_table) {
     rebuild_classifiers();
-  } else if (TableCls* c = find_cls(table)) {
-    c->add(e);
+  } else {
+    find_cls(fm.table_id)->add(flow::entry_from(fm));
   }
-  // §2.2 footnote: entire cache invalidated on essentially all changes.
-  megaflow_.invalidate_all();
-  ++generation_;
 }
 
-void OvsSwitch::remove_flow(uint8_t table, const Match& m, uint16_t priority) {
-  if (pipeline_.find_table(table) == nullptr) return;
-  pipeline_.table(table).remove(m, priority);
-  if (TableCls* c = find_cls(table)) c->ts.remove(m, priority);
+/// §2.2 footnote: the entire cache is invalidated on essentially all changes.
+void OvsSwitch::invalidate_caches() {
   megaflow_.invalidate_all();
   ++generation_;
 }
 
 void OvsSwitch::apply(const flow::FlowMod& fm) {
-  switch (fm.command) {
-    case flow::FlowMod::Cmd::kAdd:
-    case flow::FlowMod::Cmd::kModify:
-      add_flow(fm.table_id, flow::entry_from(fm));
-      break;
-    case flow::FlowMod::Cmd::kDelete:
-      remove_flow(fm.table_id, fm.match, fm.priority);
-      break;
-  }
+  edit(fm);
+  invalidate_caches();
 }
 
 void OvsSwitch::apply_batch(const std::vector<flow::FlowMod>& fms) {
-  for (const flow::FlowMod& fm : fms) apply(fm);
+  // All-or-nothing: every mod is validated against a scratch pipeline first.
+  // Pipeline::apply refuses a mod only for its goto, which depends on which
+  // tables exist and not on their entries, so the scratch holds the tables
+  // without entries: copying the rule store per batch would charge the
+  // baseline a cost OVS does not have.
+  flow::Pipeline scratch;
+  for (const flow::FlowTable& t : pipeline_.tables()) scratch.table(t.id());
+  for (const flow::FlowMod& fm : fms) scratch.apply(fm);
+  for (const flow::FlowMod& fm : fms) edit(fm);  // validated: cannot throw
+  invalidate_caches();
+}
+
+std::vector<core::ModStatus> OvsSwitch::apply_batch_partial(
+    const std::vector<flow::FlowMod>& fms) {
+  std::vector<core::ModStatus> out;
+  out.reserve(fms.size());
+  for (const flow::FlowMod& fm : fms) {
+    try {
+      edit(fm);
+      out.push_back(core::ModStatus::kApplied);
+    } catch (const CheckError&) {
+      out.push_back(core::ModStatus::kRefusedInvalid);
+    }
+  }
+  invalidate_caches();
+  return out;
 }
 
 Verdict OvsSwitch::replay(const MegaflowCache::Entry& e, net::Packet& pkt,

@@ -47,16 +47,17 @@ class OvsSwitch {
   /// Installs the full pipeline (controller bulk programming).
   void install(const flow::Pipeline& pl);
 
-  /// Single flow-mod; invalidates the whole cache hierarchy.
-  void add_flow(uint8_t table, const flow::FlowEntry& e);
-  void remove_flow(uint8_t table, const flow::Match& m, uint16_t priority);
-
-  /// Unified Dataplane entry points: OpenFlow flow-mods mapped onto
-  /// add_flow/remove_flow.  The baseline applies batches sequentially — it
-  /// has no transactional rollback (neither does OVS; every mod already
-  /// invalidates the whole cache hierarchy).
+  /// Unified Dataplane flow-mod entry points.  Every mod is the shared
+  /// rule-store edit (flow::Pipeline::apply, so goto validation and
+  /// add/modify/delete semantics match ESWITCH's), mirrored into the
+  /// tuple-space classifiers; each call then invalidates the whole cache
+  /// hierarchy once.  apply() throws CheckError on an invalid mod, leaving all
+  /// state untouched; apply_batch() is all-or-nothing, validated against a
+  /// scratch pipeline first; apply_batch_partial() applies every valid mod and
+  /// reports one ModStatus per mod.
   void apply(const flow::FlowMod& fm);
   void apply_batch(const std::vector<flow::FlowMod>& fms);
+  std::vector<core::ModStatus> apply_batch_partial(const std::vector<flow::FlowMod>& fms);
 
   /// One packet through the datapath hierarchy.
   flow::Verdict process(net::Packet& pkt, MemTrace* trace = nullptr);
@@ -130,6 +131,8 @@ class OvsSwitch {
 
   TableCls* find_cls(uint8_t id);
   void rebuild_classifiers();
+  void edit(const flow::FlowMod& fm);
+  void invalidate_caches();
   flow::Verdict classify(net::Packet& pkt, MemTrace* trace);
   flow::Verdict slow_path(net::Packet& pkt, proto::ParseInfo& pi, MemTrace* trace);
   flow::Verdict replay(const MegaflowCache::Entry& e, net::Packet& pkt,

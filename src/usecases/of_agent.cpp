@@ -87,7 +87,8 @@ uint32_t for_each_frame(std::vector<uint8_t>& buf, Fn&& fn) {
 
 OfAgent::OfAgent(Callbacks cbs, uint64_t datapath_id)
     : cbs_(std::move(cbs)), datapath_id_(datapath_id) {
-  ESW_CHECK_MSG(cbs_.on_flow_mod != nullptr, "OfAgent needs an on_flow_mod callback");
+  ESW_CHECK_MSG(cbs_.on_flow_mod_batch != nullptr,
+                "OfAgent needs an on_flow_mod_batch callback");
   open_channel();
 }
 
@@ -312,42 +313,20 @@ void OfAgent::handle(const flow::OfMsg& msg, const uint8_t* frame, size_t len) {
     ++stats_.barriers;
     send(flow::encode_barrier_reply({m->xid}));
   } else if (const auto* m = std::get_if<flow::FlowMod>(&msg)) {
+    // Park the mod for the run's single flush.  The error frame prefix is
+    // captured now; whether an ERROR or the FLOW_REMOVEDs go out is decided by
+    // the mod's status at flush time.
     ++stats_.flow_mods;
-    std::vector<flow::FlowRemoved> removed;
-    try {
-      if (m->command == flow::FlowMod::Cmd::kDelete &&
-          (m->flags & flow::FlowMod::kFlagSendFlowRem) != 0 && cbs_.on_collect_removed)
-        removed = cbs_.on_collect_removed(*m);
-      if (cbs_.on_flow_mod_batch) {
-        // Batch mode: park the mod for the run's single flush.  The error
-        // frame prefix and FLOW_REMOVED set are captured now; whether they go
-        // out is decided by the mod's status at flush time.
-        PendingMod p;
-        p.fm = *m;
-        p.frame_head.assign(frame, frame + std::min<size_t>(len, 64));
-        p.removed = std::move(removed);
-        pending_mods_.push_back(std::move(p));
-        return;
-      }
-      cbs_.on_flow_mod(*m);
-    } catch (const TableFullError&) {
-      // The table is at its configured capacity: refuse with the specific
-      // OFPFMFC_TABLE_FULL code so the controller can tell "out of room"
-      // from "malformed" — session stays up, dataplane keeps forwarding.
-      send_error(m->xid, flow::kErrTypeFlowModFailed, flow::kErrCodeTableFull, frame,
-                 len);
-      return;
-    } catch (const CheckError&) {
-      // Wire-valid but semantically invalid (backwards goto, bad target…):
-      // the mod is refused with an Error, the session stays up.
-      send_error(m->xid, flow::kErrTypeFlowModFailed, flow::kErrCodeFlowModUnknown,
-                 frame, len);
-      return;
+    PendingMod p;
+    p.fm = *m;
+    p.frame_head.assign(frame, frame + std::min<size_t>(len, 64));
+    if (m->command == flow::FlowMod::Cmd::kDelete &&
+        (m->flags & flow::FlowMod::kFlagSendFlowRem) != 0 && cbs_.on_collect_removed) {
+      // The removed set must reflect every earlier mod: land the run first.
+      flush_flow_mods();
+      p.removed = cbs_.on_collect_removed(*m);
     }
-    for (flow::FlowRemoved& r : removed) {
-      r.xid = next_xid();
-      if (try_send(flow::encode_flow_removed(r))) ++stats_.flow_removed_sent;
-    }
+    pending_mods_.push_back(std::move(p));
   } else if (const auto* m = std::get_if<flow::PacketOut>(&msg)) {
     ++stats_.packet_outs;
     try {

@@ -9,18 +9,18 @@
 //     async events (PACKET_IN, FLOW_REMOVED) from its own xid counter.  The
 //     controller helper keeps the outstanding-request set and rejects replies
 //     with unknown xids.
-//   * barrier semantics: messages are dispatched strictly in arrival order
-//     and applied synchronously, so by the time BARRIER_REQUEST is answered
-//     every earlier flow-mod has taken effect in the datapath.  With a batch
-//     callback, consecutive FLOW_MODs coalesce into one best-effort datapath
-//     batch per run — flushed before any other message type is acted on, so
-//     the barrier guarantee is unchanged while a churn burst costs one
-//     recompile instead of one per mod.
+//   * barrier semantics: messages are dispatched strictly in arrival order.
+//     Consecutive FLOW_MODs coalesce into one best-effort datapath batch per
+//     run, flushed before any other message type is acted on, so by the time
+//     BARRIER_REQUEST is answered every earlier flow-mod has taken effect in
+//     the datapath while a churn burst costs one recompile instead of one
+//     per mod.  A delete carrying OFPFF_SEND_FLOW_REM flushes the run ahead
+//     of it first, so the flows it reports are the ones it removes.
 //
 // The agent is backend-agnostic: it talks to the switch through callbacks.
 // `make_dataplane_callbacks()` wires those callbacks to any `core::Dataplane`
-// backend (flow-mods apply, multipart stats walk the rule store, deletes
-// carrying OFPFF_SEND_FLOW_REM collect FLOW_REMOVED notifications).
+// backend (flow-mod runs land through apply_batch_partial, multipart stats
+// walk the rule store, flagged deletes collect FLOW_REMOVED notifications).
 #pragma once
 
 #include <cstdint>
@@ -36,14 +36,11 @@ namespace esw::uc {
 class OfAgent {
  public:
   struct Callbacks {
-    /// Applies one flow-mod to the datapath (required).
-    std::function<void(const flow::FlowMod&)> on_flow_mod;
-    /// Best-effort batch apply (optional).  When present, the agent
-    /// accumulates consecutive FLOW_MODs within a poll and hands each run
-    /// over in one call — one datapath recompile/fusion/reclaim pass per run
-    /// instead of per mod.  Must return one ModStatus per mod, in order; the
-    /// agent answers each refused mod with its own ERROR while the rest of
-    /// the batch stands.
+    /// Best-effort batch apply (required): the agent accumulates consecutive
+    /// FLOW_MODs within a poll and hands each run over in one call — one
+    /// datapath recompile/fusion/reclaim pass per run instead of per mod.
+    /// Must return one ModStatus per mod, in order; the agent answers each
+    /// refused mod with its own ERROR while the rest of the batch stands.
     std::function<std::vector<core::ModStatus>(const std::vector<flow::FlowMod>&)>
         on_flow_mod_batch;
     /// Executes a controller-originated packet (optional).
@@ -54,8 +51,8 @@ class OfAgent {
     /// Serves OFPMP_TABLE (optional; empty reply when absent).
     std::function<std::vector<flow::TableStatsEntry>()> on_table_stats;
     /// Called for a delete carrying OFPFF_SEND_FLOW_REM *before* it is
-    /// applied; returns the to-be-removed flows so the agent can emit
-    /// FLOW_REMOVED for each (optional).
+    /// applied (every earlier mod has landed); returns the to-be-removed
+    /// flows so the agent can emit FLOW_REMOVED for each (optional).
     std::function<std::vector<flow::FlowRemoved>(const flow::FlowMod&)>
         on_collect_removed;
   };
@@ -110,7 +107,8 @@ class OfAgent {
  private:
   /// A FLOW_MOD parked for the next batch flush: the decoded mod, the frame
   /// prefix an ERROR must echo (spec: first ≤64 bytes), and the FLOW_REMOVED
-  /// notifications collected at enqueue time (sent only if the mod lands).
+  /// notifications collected at enqueue time, after the run ahead of a
+  /// flagged delete was flushed (sent only if the mod lands).
   struct PendingMod {
     flow::FlowMod fm;
     std::vector<uint8_t> frame_head;
@@ -141,7 +139,7 @@ class OfAgent {
   uint32_t reconnect_wait_ = 0;     // countdown while channel_down_
   uint32_t xid_ = 1;
   std::vector<uint8_t> rxbuf_;
-  std::vector<PendingMod> pending_mods_;  // current FLOW_MOD run, batch mode only
+  std::vector<PendingMod> pending_mods_;  // current FLOW_MOD run
   SessionStats stats_;
 };
 
@@ -204,9 +202,10 @@ class OfController {
 /// HELLO + FEATURES exchange, pumped to completion (in-process convenience).
 void run_handshake(OfAgent& agent, OfController& ctrl);
 
-/// Wires an agent's callbacks to a Dataplane backend: flow-mods apply
-/// directly, flow/table stats walk the backend's rule store, and deletes
-/// with OFPFF_SEND_FLOW_REM collect per-entry FLOW_REMOVED data.
+/// Wires an agent's callbacks to a Dataplane backend: flow-mod runs land
+/// through apply_batch_partial, flow/table stats walk the backend's rule
+/// store, and deletes with OFPFF_SEND_FLOW_REM collect per-entry
+/// FLOW_REMOVED data.
 ///
 /// Packet/byte counts come from the rule store's per-entry counters, which
 /// the reference interpreter maintains; the compiled fast path counts at
@@ -215,19 +214,9 @@ void run_handshake(OfAgent& agent, OfController& ctrl);
 template <core::Dataplane Backend>
 OfAgent::Callbacks make_dataplane_callbacks(Backend& sw) {
   OfAgent::Callbacks cbs;
-  cbs.on_flow_mod = [&sw](const flow::FlowMod& fm) { sw.apply(fm); };
-  // Backends exposing a best-effort batch path (Eswitch::apply_batch_partial)
-  // get batched ingestion — one recompile/fusion/reclaim pass per FLOW_MOD
-  // run; the rest fall back to the per-mod path above.
-  if constexpr (requires(const std::vector<flow::FlowMod>& fms) {
-                  {
-                    sw.apply_batch_partial(fms)
-                  } -> std::same_as<std::vector<core::ModStatus>>;
-                }) {
-    cbs.on_flow_mod_batch = [&sw](const std::vector<flow::FlowMod>& fms) {
-      return sw.apply_batch_partial(fms);
-    };
-  }
+  cbs.on_flow_mod_batch = [&sw](const std::vector<flow::FlowMod>& fms) {
+    return sw.apply_batch_partial(fms);
+  };
   cbs.on_flow_stats = [&sw](const flow::FlowStatsRequest& req) {
     std::vector<flow::FlowStatsEntry> out;
     for (const flow::FlowTable& t : sw.pipeline().tables()) {

@@ -412,6 +412,90 @@ TEST(OfAgent, BatchedDeleteStillEmitsFlowRemoved) {
   EXPECT_EQ(sw.process(live), Verdict::output(3));
 }
 
+// A flagged delete sees every earlier mod of its FLOW_MOD run: the add it
+// removes lands first, so the controller hears exactly one FLOW_REMOVED —
+// the same on both backends.
+template <typename Backend>
+void flow_removed_within_one_run() {
+  Backend sw;
+  sw.install(Pipeline{});
+  uc::OfAgent agent(uc::make_dataplane_callbacks(sw));
+  uc::OfController ctrl(agent.controller_fd());
+  uc::run_handshake(agent, ctrl);
+
+  FlowMod add = udp_forward_mod(53, 2);
+  add.cookie = 0x5A4E;
+  FlowMod del = add;
+  del.command = FlowMod::Cmd::kDelete;
+  del.flags = FlowMod::kFlagSendFlowRem;
+  del.actions.clear();
+  ctrl.send_flow_mod(add);
+  ctrl.send_flow_mod(del);
+  ctrl.send_barrier();
+  agent.poll();  // one poll: add, flagged delete and barrier
+  ctrl.poll();
+
+  const auto removed = ctrl.take_flow_removed();
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].cookie, 0x5A4Eu);
+  EXPECT_EQ(ctrl.take_barrier_replies().size(), 1u);
+  EXPECT_TRUE(ctrl.take_errors().empty());
+  EXPECT_EQ(agent.stats().flow_removed_sent, 1u);
+  EXPECT_TRUE(sw.pipeline().find_table(0)->empty());
+}
+
+TEST(OfAgent, FlowRemovedWithinOneRunEswitch) {
+  flow_removed_within_one_run<core::Eswitch>();
+}
+
+TEST(OfAgent, FlowRemovedWithinOneRunOvs) {
+  flow_removed_within_one_run<ovs::OvsSwitch>();
+}
+
+TEST(OfAgent, OvsRefusesBackwardGotoAndKeepsForwarding) {
+  // The OVS model validates gotos like ESWITCH: a backward goto answers
+  // FLOW_MOD_FAILED instead of looping the slow path.  Every packet below
+  // runs only after the refusal is confirmed.
+  ovs::OvsSwitch sw;
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=1,actions=,goto:1"));
+  pl.table(1).add(parse_rule("priority=10,udp_dst=53,actions=output:2"));
+  sw.install(pl);
+  uc::OfAgent agent(uc::make_dataplane_callbacks(sw));
+  uc::OfController ctrl(agent.controller_fd());
+  uc::run_handshake(agent, ctrl);
+
+  FlowMod bad = udp_forward_mod(54, 3);
+  bad.table_id = 1;
+  bad.actions.clear();
+  bad.goto_table = 0;
+  const uint32_t xid = ctrl.send_flow_mod(bad);
+  ctrl.send_barrier();
+  EXPECT_NO_THROW(agent.poll());
+  ctrl.poll();
+  const auto errors = ctrl.take_errors();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].xid, xid);
+  EXPECT_EQ(errors[0].type, kErrTypeFlowModFailed);
+  EXPECT_EQ(errors[0].code, kErrCodeFlowModUnknown);
+  EXPECT_EQ(ctrl.take_barrier_replies().size(), 1u);
+  ASSERT_FALSE(sw.pipeline().validate().has_value());
+  EXPECT_EQ(sw.pipeline().find_table(1)->size(), 1u);
+
+  // The session stays open and the switch keeps forwarding.
+  EXPECT_TRUE(agent.session_open());
+  auto p = test::make_packet(test::udp_spec(1, 2, 9, 53));
+  EXPECT_EQ(sw.process(p), Verdict::output(2));
+  FlowMod good = udp_forward_mod(54, 3);
+  good.table_id = 1;
+  ctrl.send_flow_mod(good);
+  agent.poll();
+  ctrl.poll();
+  EXPECT_TRUE(ctrl.take_errors().empty());
+  auto q = test::make_packet(test::udp_spec(1, 2, 9, 54));
+  EXPECT_EQ(sw.process(q), Verdict::output(3));
+}
+
 // The acceptance scenario: a reactive learning switch over the full stack —
 // SwitchRuntime (driven inline) executes verdicts, OfAgent speaks the
 // session, the controller reacts to PACKET_IN with FLOW_MOD + PACKET_OUT, and

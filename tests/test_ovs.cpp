@@ -15,6 +15,25 @@ using ovs::OvsSwitch;
 using test::ip;
 using test::make_packet;
 
+// Table-0 flow-mods carrying a rule-store entry (the Dataplane update path).
+FlowMod add_mod(const FlowEntry& e) {
+  FlowMod fm;
+  fm.priority = e.priority;
+  fm.cookie = e.cookie;
+  fm.match = e.match;
+  fm.actions = e.actions;
+  fm.goto_table = e.goto_table;
+  return fm;
+}
+
+FlowMod del_mod(const FlowEntry& e) {
+  FlowMod fm;
+  fm.command = FlowMod::Cmd::kDelete;
+  fm.priority = e.priority;
+  fm.match = e.match;
+  return fm;
+}
+
 Pipeline simple_pipeline() {
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=20,tcp_dst=80,actions=output:1"));
@@ -109,7 +128,7 @@ TEST(Ovs, UpdateInvalidatesWholeCache) {
   }
   EXPECT_GT(sw.megaflow().size(), 0u);
 
-  sw.add_flow(0, parse_rule("priority=30,tcp_dst=81,actions=output:3"));
+  sw.apply(add_mod(parse_rule("priority=30,tcp_dst=81,actions=output:3")));
   EXPECT_EQ(sw.megaflow().size(), 0u);  // brute-force invalidation
 
   // Old traffic must repopulate through the slow path (and stay correct).
@@ -258,7 +277,7 @@ TEST(Ovs, ModifyKeepsEqualPriorityOrder) {
   for (const char* rule : {"priority=10,udp_dst=5,actions=output:1",
                            "priority=10,ip_src=10.0.0.1,actions=output:2",
                            "priority=10,udp_dst=5,actions=output:3"}) {
-    sw.add_flow(0, parse_rule(rule));
+    sw.apply(add_mod(parse_rule(rule)));
     ref.table(0).add(parse_rule(rule));
   }
   auto p1 = make_packet(test::udp_spec(ip("10.0.0.1"), 2, 9, 5));
@@ -280,11 +299,11 @@ TEST(Ovs, OrderSurvives64KAdds) {
   // sequence to 0, ahead of the udp_dst=5 rule.
   const FlowEntry churn = parse_rule("priority=10,udp_dst=7,actions=output:4");
   for (int i = 0; i < 65536 - 3; ++i) {
-    sw.add_flow(0, churn);
-    sw.remove_flow(0, churn.match, churn.priority);
+    sw.apply(add_mod(churn));
+    sw.apply(del_mod(churn));
   }
   const FlowEntry newer = parse_rule("priority=10,ip_src=10.0.0.1,actions=output:2");
-  sw.add_flow(0, newer);
+  sw.apply(add_mod(newer));
   pl.table(0).add(newer);
 
   auto p1 = make_packet(test::udp_spec(ip("10.0.0.1"), 2, 9, 5));
@@ -306,7 +325,7 @@ TEST(Ovs, ChurnWithModifiesEquivalentToInterpreter) {
   for (int op = 0; op < 300; ++op) {
     if (!live.empty() && rng.chance(1, 4)) {
       const size_t k = rng.below(live.size());
-      sw.remove_flow(0, live[k].match, live[k].priority);
+      sw.apply(del_mod(live[k]));
       ref.table(0).remove(live[k].match, live[k].priority);
       live[k] = live.back();
       live.pop_back();
@@ -321,7 +340,7 @@ TEST(Ovs, ChurnWithModifiesEquivalentToInterpreter) {
         live.push_back(e);
       }
       e.actions = {Action::output(static_cast<uint32_t>(rng.below(6)))};
-      sw.add_flow(0, e);
+      sw.apply(add_mod(e));
       ref.table(0).add(e);
     }
     for (int q = 0; q < 10; ++q) {

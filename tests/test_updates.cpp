@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "core/eswitch.hpp"
+#include "ovs/ovs_switch.hpp"
 #include "test_util.hpp"
 
 namespace esw {
@@ -465,6 +466,117 @@ TEST(Updates, LinkedListOrderSurvives64KAdds) {
   auto p2 = p1;
   EXPECT_EQ(pl.run(p2), Verdict::output(1));
   EXPECT_EQ(sw.process(p1), Verdict::output(1));
+}
+
+// ---------------------------------------------------------------------------
+// Backend flow-mod parity: ESWITCH and the OVS model make the same rule-store
+// edit, so they accept and refuse the same mods and end with the same
+// pipeline.  No case processes a packet: a mod one backend wrongly accepts
+// (a goto cycle) must fail the comparison, not loop a slow path.
+
+Pipeline two_table_pipeline() {
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=10,udp_dst=53,actions=,goto:1"));
+  pl.table(0).add(parse_rule("priority=1,actions=drop"));
+  pl.table(1).add(parse_rule("priority=10,ip_dst=10.0.0.0/8,actions=output:1"));
+  pl.table(1).add(parse_rule("priority=5,udp_src=7,actions=output:2"));
+  return pl;
+}
+
+void expect_same_pipeline(const Pipeline& a, const Pipeline& b, const char* what) {
+  ASSERT_EQ(a.tables().size(), b.tables().size()) << what;
+  for (size_t t = 0; t < a.tables().size(); ++t) {
+    const FlowTable& ta = a.tables()[t];
+    const FlowTable& tb = b.tables()[t];
+    ASSERT_EQ(ta.id(), tb.id()) << what;
+    ASSERT_EQ(ta.size(), tb.size()) << what << ": table " << int(ta.id());
+    for (size_t i = 0; i < ta.size(); ++i) {
+      const FlowEntry& ea = ta.entries()[i];
+      const FlowEntry& eb = tb.entries()[i];
+      EXPECT_TRUE(ea.match == eb.match) << what << ": entry " << i;
+      EXPECT_EQ(ea.priority, eb.priority) << what << ": entry " << i;
+      EXPECT_EQ(ea.actions, eb.actions) << what << ": entry " << i;
+      EXPECT_EQ(ea.goto_table, eb.goto_table) << what << ": entry " << i;
+      EXPECT_EQ(ea.cookie, eb.cookie) << what << ": entry " << i;
+    }
+  }
+}
+
+template <typename Backend>
+bool accepts(Backend& sw, const FlowMod& fm) {
+  try {
+    sw.apply(fm);
+    return true;
+  } catch (const CheckError&) {
+    return false;
+  }
+}
+
+TEST(Updates, BackendsAgreeOnFlowMods) {
+  FlowMod modify = add_mod(1, "priority=5,udp_src=7,actions=output:9");
+  modify.command = FlowMod::Cmd::kModify;
+  modify.cookie = 0xC0FFEE;
+  const struct {
+    const char* what;
+    FlowMod fm;
+    bool accepted;
+  } cases[] = {
+      {"self goto", add_mod(0, "priority=20,udp_dst=54,actions=,goto:0"), false},
+      {"backward goto", add_mod(1, "priority=20,udp_dst=54,actions=,goto:0"), false},
+      {"missing goto target", add_mod(0, "priority=20,udp_dst=54,actions=,goto:7"), false},
+      {"forward goto", add_mod(0, "priority=20,udp_dst=54,actions=,goto:1"), true},
+      {"delete on a missing table", del_mod(9, "priority=5,udp_dst=1,actions=drop"), true},
+      {"modify replaces an entry", modify, true},
+      {"delete an entry", del_mod(1, "priority=10,ip_dst=10.0.0.0/8,actions=drop"), true},
+  };
+  for (const auto& c : cases) {
+    Eswitch es;
+    ovs::OvsSwitch ovs;
+    es.install(two_table_pipeline());
+    ovs.install(two_table_pipeline());
+    EXPECT_EQ(accepts(es, c.fm), c.accepted) << c.what << " (eswitch)";
+    EXPECT_EQ(accepts(ovs, c.fm), c.accepted) << c.what << " (ovs)";
+    expect_same_pipeline(es.pipeline(), ovs.pipeline(), c.what);
+    EXPECT_FALSE(ovs.pipeline().validate().has_value()) << c.what;
+    if (!c.accepted) expect_same_pipeline(es.pipeline(), two_table_pipeline(), c.what);
+  }
+
+  // The modify kept the entry's place and took the new actions and cookie.
+  Eswitch es;
+  es.install(two_table_pipeline());
+  es.apply(modify);
+  const FlowEntry& e = es.pipeline().find_table(1)->entries()[1];
+  EXPECT_EQ(e.actions, ActionList{Action::output(9)});
+  EXPECT_EQ(e.cookie, 0xC0FFEEu);
+  // The delete on a missing table created none.
+  es.apply(del_mod(9, "priority=5,udp_dst=1,actions=drop"));
+  EXPECT_EQ(es.pipeline().find_table(9), nullptr);
+}
+
+TEST(Updates, BackendsAgreeOnBatches) {
+  // A transactional batch whose last mod is invalid leaves both pipelines
+  // untouched; the best-effort batch applies the rest and refuses that mod.
+  const std::vector<FlowMod> batch = {
+      add_mod(1, "priority=20,udp_dst=55,actions=output:3"),
+      del_mod(1, "priority=5,udp_src=7,actions=drop"),
+      add_mod(2, "priority=1,actions=output:4"),
+      add_mod(2, "priority=9,udp_dst=56,actions=,goto:1"),
+  };
+  Eswitch es;
+  ovs::OvsSwitch ovs;
+  es.install(two_table_pipeline());
+  ovs.install(two_table_pipeline());
+  EXPECT_THROW(es.apply_batch(batch), CheckError);
+  EXPECT_THROW(ovs.apply_batch(batch), CheckError);
+  expect_same_pipeline(es.pipeline(), two_table_pipeline(), "eswitch batch");
+  expect_same_pipeline(ovs.pipeline(), two_table_pipeline(), "ovs batch");
+
+  const std::vector<ModStatus> want = {ModStatus::kApplied, ModStatus::kApplied,
+                                       ModStatus::kApplied, ModStatus::kRefusedInvalid};
+  EXPECT_EQ(es.apply_batch_partial(batch), want);
+  EXPECT_EQ(ovs.apply_batch_partial(batch), want);
+  expect_same_pipeline(es.pipeline(), ovs.pipeline(), "partial batch");
+  EXPECT_EQ(ovs.pipeline().find_table(2)->size(), 1u);
 }
 
 }  // namespace
