@@ -53,7 +53,9 @@ void set_ct_counters(benchmark::State& state, const state::Conntrack::Stats& cs,
 }
 
 // Steady state: table sized above the connection count, one warmup pass
-// commits every connection, the measured window is pure hit-path.
+// commits every connection, the measured window is pure hit-path.  The
+// window lasts at least 0.5 s, like the flood's: CI's flood/steady gate
+// divides the two, and single 0.05 s passes let one stall move the ratio.
 void BM_Ct_Steady(benchmark::State& state) {
   const size_t conns = static_cast<size_t>(state.range(0));
   uc::CtUseCase fw = uc::make_ct_firewall(
@@ -63,7 +65,7 @@ void BM_Ct_Steady(benchmark::State& state) {
   net::RunOpts opts;
   opts.warmup_packets = conns;    // one full pass: every connection committed
   opts.min_packets = conns;       // one full pass: every connection touched
-  opts.min_seconds = 0.05;
+  opts.min_seconds = 0.5;
 
   for (auto _ : state) {
     core::CompilerConfig cfg;
@@ -84,7 +86,8 @@ void steady_args(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_Ct_Steady)->Apply(steady_args);
 
 // Adversarial: 256K distinct SYNs cycled against an 8K-entry table — every
-// packet past capacity is a miss that must evict to commit.
+// packet past capacity is a miss that must evict to commit.  Measured for at
+// least 0.5 s, as the steady point it is divided by.
 void BM_Ct_SynFlood(benchmark::State& state) {
   uc::CtUseCase fw = uc::make_ct_firewall(/*capacity=*/8192);
   const net::TrafficSet ts = distinct_conns(1u << 18);
@@ -92,7 +95,7 @@ void BM_Ct_SynFlood(benchmark::State& state) {
   net::RunOpts opts;
   opts.warmup_packets = 20000;
   opts.min_packets = 1u << 18;
-  opts.min_seconds = 0.05;
+  opts.min_seconds = 0.5;
 
   for (auto _ : state) {
     core::CompilerConfig cfg;

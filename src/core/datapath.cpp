@@ -2,16 +2,12 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
-#include "common/counters.hpp"
 #include "common/failpoint.hpp"
 #include "state/conntrack.hpp"
 
 namespace esw::core {
 
 namespace {
-
-using common::counter_add;   // multi-writer per-slot stats, once per burst
-using common::counter_bump;  // single-writer worker stat blocks
 
 /// Global-stat outcome of a verdict.  A controller verdict covers both the
 /// miss-policy punt and an explicit controller action; flood counts as
@@ -95,9 +91,7 @@ void CompiledDatapath::recycle_slot(int32_t slot) {
   // zeroing the counters cannot race anything.
   CompiledTable* old = slots_[slot].impl.exchange(nullptr, std::memory_order_relaxed);
   if (old != nullptr) take_live(old);  // destroyed here — grace already served
-  slots_[slot].lookups.store(0, std::memory_order_relaxed);
-  slots_[slot].hits.store(0, std::memory_order_relaxed);
-  slots_[slot].misses.store(0, std::memory_order_relaxed);
+  slots_[slot].stats.clear();
   free_slots_.push_back(slot);
 }
 
@@ -135,9 +129,7 @@ void CompiledDatapath::reset() {
   const int32_t n = n_slots_.load(std::memory_order_relaxed);
   for (int32_t i = 0; i < n; ++i) {
     slots_[i].impl.store(nullptr, std::memory_order_relaxed);
-    slots_[i].lookups.store(0, std::memory_order_relaxed);
-    slots_[i].hits.store(0, std::memory_order_relaxed);
-    slots_[i].misses.store(0, std::memory_order_relaxed);
+    slots_[i].stats.clear();
   }
   n_slots_.store(0, std::memory_order_release);
   free_slots_.clear();
@@ -213,8 +205,7 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   if (ESW_UNLIKELY(fp == nullptr)) {  // empty datapath: drop everything
     local.drops = n;
     for (uint32_t i = 0; i < n; ++i) out[i] = flow::Verdict::drop();
-    counter_bump(w.stats_.packets, local.packets);
-    counter_bump(w.stats_.drops, local.drops);
+    w.stats_.bump(local);
     return;
   }
   const uint32_t n_stages = static_cast<uint32_t>(fp->stages.size());
@@ -418,55 +409,30 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   for (const uint32_t cs : w.touched_) {
     uint64_t* d = delta + cs * jit::kFusedStatStride;
     if (d[jit::kFusedStatLookups] == 0) continue;
-    Slot& s = slots_[fp->stages[cs].slot];
-    counter_add(s.lookups, d[jit::kFusedStatLookups]);
-    if (d[jit::kFusedStatHits] != 0) counter_add(s.hits, d[jit::kFusedStatHits]);
-    if (d[jit::kFusedStatMisses] != 0)
-      counter_add(s.misses, d[jit::kFusedStatMisses]);
+    slots_[fp->stages[cs].slot].stats.add(
+        {d[jit::kFusedStatLookups], d[jit::kFusedStatHits], d[jit::kFusedStatMisses]});
     d[jit::kFusedStatLookups] = d[jit::kFusedStatHits] = d[jit::kFusedStatMisses] = 0;
   }
   w.touched_.clear();
-  counter_bump(w.stats_.packets, local.packets);
-  counter_bump(w.stats_.outputs, local.outputs);
-  counter_bump(w.stats_.drops, local.drops);
-  counter_bump(w.stats_.to_controller, local.to_controller);
+  w.stats_.bump(local);
 }
 
 // --- introspection -----------------------------------------------------------
 
 CompiledDatapath::TableStats CompiledDatapath::table_stats(int32_t slot) const {
-  const Slot& s = slots_[slot];
-  return {s.lookups.load(std::memory_order_relaxed),
-          s.hits.load(std::memory_order_relaxed),
-          s.misses.load(std::memory_order_relaxed)};
+  return slots_[slot].stats.load();
 }
 
 CompiledDatapath::Stats CompiledDatapath::stats() const {
   Stats out;
-  for (uint32_t i = 0; i <= kMaxWorkers; ++i) {
-    const Worker::StatBlock& b = workers_[i].stats_;
-    out.packets += b.packets.load(std::memory_order_relaxed);
-    out.outputs += b.outputs.load(std::memory_order_relaxed);
-    out.drops += b.drops.load(std::memory_order_relaxed);
-    out.to_controller += b.to_controller.load(std::memory_order_relaxed);
-  }
+  for (uint32_t i = 0; i <= kMaxWorkers; ++i) workers_[i].stats_.add_to(out);
   return out;
 }
 
 void CompiledDatapath::clear_stats() {
-  for (uint32_t i = 0; i <= kMaxWorkers; ++i) {
-    Worker::StatBlock& b = workers_[i].stats_;
-    b.packets.store(0, std::memory_order_relaxed);
-    b.outputs.store(0, std::memory_order_relaxed);
-    b.drops.store(0, std::memory_order_relaxed);
-    b.to_controller.store(0, std::memory_order_relaxed);
-  }
+  for (uint32_t i = 0; i <= kMaxWorkers; ++i) workers_[i].stats_.clear();
   const int32_t n = n_slots_.load(std::memory_order_relaxed);
-  for (int32_t i = 0; i < n; ++i) {
-    slots_[i].lookups.store(0, std::memory_order_relaxed);
-    slots_[i].hits.store(0, std::memory_order_relaxed);
-    slots_[i].misses.store(0, std::memory_order_relaxed);
-  }
+  for (int32_t i = 0; i < n; ++i) slots_[i].stats.clear();
 }
 
 CompiledDatapath::ReclaimStats CompiledDatapath::reclaim_stats() const {

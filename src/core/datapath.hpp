@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/epoch.hpp"
 #include "core/compiled_table.hpp"
 #include "flow/pipeline.hpp"
@@ -138,16 +139,6 @@ class CompiledDatapath {
 
    private:
     friend class CompiledDatapath;
-    // Verdict-level counters: own cache line, single-writer (the worker),
-    // relaxed-atomic so aggregating readers are race-free.
-    struct alignas(64) StatBlock {
-      std::atomic<uint64_t> packets{0};
-      std::atomic<uint64_t> outputs{0};
-      std::atomic<uint64_t> drops{0};
-      std::atomic<uint64_t> to_controller{0};
-    };
-
-    StatBlock stats_;
     // Walk scratch: the per-stage lookup/hit/miss delta block the machine
     // code increments (stage * 3 + field, jit/fusion.hpp layout), all zero
     // between chunks; the stages the chunk touched, the only ones it flushes;
@@ -158,6 +149,9 @@ class CompiledDatapath {
     common::EpochDomain::WorkerSlot* epoch_ = nullptr;  // null for the owner ctx
     uint32_t id_ = 0;
     bool in_use_ = false;  // control-thread bookkeeping
+    // Verdict-level counters, single-writer (the worker).  Last and aligned,
+    // so the block has its cache line to itself.
+    alignas(64) common::CounterCells<Stats> stats_;
   };
 
   CompiledDatapath();
@@ -303,10 +297,9 @@ class CompiledDatapath {
     std::atomic<CompiledTable*> impl{nullptr};
     // Shared per-slot counters: workers flush burst-local deltas with relaxed
     // fetch_add (a handful per burst), readers aggregate with relaxed loads.
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
+    common::CounterCells<TableStats> stats;
   };
+  static_assert(sizeof(Slot) == 32, "a slot is one pointer and three counters");
 
   template <uint32_t kCap>
   void process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,

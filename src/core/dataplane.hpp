@@ -37,13 +37,17 @@ struct DataplaneStats {
   uint64_t outputs = 0;
   uint64_t drops = 0;
   uint64_t to_controller = 0;
-  // Degradation counters (additive; zero on backends without the edge).
-  // Every gracefully absorbed fault lands in exactly one of these — the
-  // chaos soak's accounting audits that (docs/ROBUSTNESS.md).
-  uint64_t pool_exhausted = 0;           // buffer alloc failed at the backend
-  uint64_t jit_fallbacks = 0;            // plans published without their program
+  // The backend's degradation ledger (zero on backends without the edge).
+  // Every fault the backend absorbs lands in exactly one of these — the chaos
+  // soak's accounting audits that (docs/ROBUSTNESS.md).  Buffer-pool faults
+  // are the runtime's (SwitchRuntime::Counters).
+  uint64_t template_fallbacks = 0;       // exhausted builds demoted to linked list
+  // The fused program (jit/fusion.hpp) is the switch's only machine code.
+  // When the exec mapper refuses its emit, the plan is published without it
+  // (every stage walks its pinned impl, direct code interpreted) and the
+  // next update emits it again.  One count per refused emit.
+  uint64_t fusion_fallbacks = 0;         // plans published without machine code
   uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
-  uint64_t backpressure_events = 0;      // RX pauses under pool exhaustion
   // Connection-tracking counters (src/state/; zero when ct is disabled or on
   // backends without the subsystem).  ct_evictions_forced and
   // ct_commit_drops are the stateful layer's degradation edges.

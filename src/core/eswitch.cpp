@@ -25,9 +25,11 @@ Eswitch::~Eswitch() {
 
 DataplaneStats Eswitch::stats() const {
   const CompiledDatapath::Stats s = dp_.stats();
-  DataplaneStats out{s.packets, s.outputs, s.drops, s.to_controller};
-  out.jit_fallbacks = degradation_.fusion_fallbacks;
-  out.mods_refused_table_full = degradation_.mods_refused_table_full;
+  DataplaneStats out = degradation_;
+  out.packets = s.packets;
+  out.outputs = s.outputs;
+  out.drops = s.drops;
+  out.to_controller = s.to_controller;
   if (ct_ != nullptr) {
     const state::Conntrack::Stats cs = ct_->stats();
     out.ct_entries = cs.live;
@@ -232,8 +234,10 @@ void Eswitch::apply(const FlowMod& fm) {
 }
 
 void Eswitch::apply_batch(const std::vector<FlowMod>& fms) {
-  // Validate every mod against a scratch copy: all-or-nothing semantics.
-  flow::Pipeline scratch = pipeline_;
+  // Validate every mod against a scratch pipeline: all-or-nothing semantics.
+  // Only the capacity check reads entries, so only then are the edited
+  // tables' entries copied.
+  flow::Pipeline scratch = pipeline_.scratch_for(fms, cfg_.table_capacity != 0);
   for (const FlowMod& fm : fms) {
     check_capacity(scratch, fm);
     scratch.apply(fm);

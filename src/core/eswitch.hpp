@@ -142,18 +142,6 @@ class Eswitch {
   };
   const UpdateStats& update_stats() const { return update_stats_; }
 
-  /// Graceful-degradation ledger: every absorbed fault is accounted here
-  /// (the chaos soak audits these against the failpoint fire counts).
-  struct DegradationStats {
-    uint64_t template_fallbacks = 0;  // exhausted builds demoted to linked list
-    uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
-    // The fused program (jit/fusion.hpp) is the switch's only machine code.
-    // When the exec mapper refuses its emit, the plan is published without
-    // it (every stage walks its pinned impl, direct code interpreted) and the
-    // next update emits it again.  One count per refused emit.
-    uint64_t fusion_fallbacks = 0;  // plans published without machine code
-  };
-  const DegradationStats& degradation_stats() const { return degradation_; }
   /// True while a fused plan is published: for every non-empty installed
   /// pipeline.  Whether the plan carries machine code is
   /// datapath().fused()->program.
@@ -190,7 +178,9 @@ class Eswitch {
   // order), retired wholesale when the logical table rebuilds.
   SubSlotMap sub_slots_{};
   UpdateStats update_stats_;
-  DegradationStats degradation_;
+  // The degradation ledger stats() reports: only its ledger fields are kept
+  // here, the verdict and conntrack counters are read at stats() time.
+  DataplaneStats degradation_;
 };
 
 static_assert(ConcurrentDataplane<Eswitch>,

@@ -80,6 +80,25 @@ struct RuntimePacketIn {
   uint32_t in_port = 0;
 };
 
+/// Verdict-execution counters of a SwitchRuntime (whatever its backend);
+/// one padded block per worker, aggregated on read.  `processed` is the
+/// throughput counter Fig. 19 reports.  Every frame takes exactly one exit,
+/// so processed + flood_copies == tx_packets + tx_rejected + bad_port + drops
+/// + packet_ins.
+struct RuntimeCounters {
+  uint64_t polls = 0;          // worker loop iterations
+  uint64_t processed = 0;      // packets through process_burst
+  uint64_t source_packets = 0; // injected by the traffic source hook
+  uint64_t tx_packets = 0;     // frames accepted by a TX ring (flood copies too)
+  uint64_t flood_copies = 0;   // frames a flood copied beyond the original
+  uint64_t drops = 0;          // kDrop verdicts, floods with no egress port
+  uint64_t packet_ins = 0;
+  uint64_t tx_rejected = 0;    // frames refused by a full TX ring
+  uint64_t bad_port = 0;
+  uint64_t pool_exhausted = 0;       // buffer allocs refused by the pool
+  uint64_t backpressure_events = 0;  // bounded pauses under pool exhaustion
+};
+
 template <ConcurrentDataplane Backend>
 class SwitchRuntime {
  public:
@@ -105,24 +124,7 @@ class SwitchRuntime {
   /// instead of spinning the source loop into a drop storm.
   static constexpr std::chrono::microseconds kBackpressurePause{50};
 
-  /// Verdict-execution counters; one padded block per worker, aggregated on
-  /// read.  `processed` is the throughput counter Fig. 19 reports.
-  /// Every frame takes exactly one exit, so
-  /// processed + flood_copies == tx_packets + tx_rejected + bad_port + drops
-  /// + packet_ins.
-  struct Counters {
-    uint64_t polls = 0;          // worker loop iterations
-    uint64_t processed = 0;      // packets through process_burst
-    uint64_t source_packets = 0; // injected by the traffic source hook
-    uint64_t tx_packets = 0;     // frames accepted by a TX ring (flood copies too)
-    uint64_t flood_copies = 0;   // frames a flood copied beyond the original
-    uint64_t drops = 0;          // kDrop verdicts, floods with no egress port
-    uint64_t packet_ins = 0;
-    uint64_t tx_rejected = 0;    // frames refused by a full TX ring
-    uint64_t bad_port = 0;
-    uint64_t pool_exhausted = 0;
-    uint64_t backpressure_events = 0;  // bounded pauses under pool exhaustion
-  };
+  using Counters = RuntimeCounters;
 
   /// One watchdog_scan() pass's findings (cumulative totals in
   /// watchdog_stalled_total() / watchdog_recovered_total()).
@@ -203,8 +205,8 @@ class SwitchRuntime {
     final_worker_counters_.assign(workers_.size(), Counters{});
     for (auto& ws : workers_) {
       backend_.unregister_worker(ws->ctx);
-      add_block(retired_counters_, ws->stats);
-      add_block(final_worker_counters_[ws->id], ws->stats);
+      ws->stats.add_to(retired_counters_);
+      ws->stats.add_to(final_worker_counters_[ws->id]);
       retired_latency_.merge(ws->latency);
     }
     workers_.clear();
@@ -213,23 +215,20 @@ class SwitchRuntime {
   /// Aggregated over all workers (past and, while running, live blocks).
   Counters counters() const {
     Counters sum = retired_counters_;
-    add_block(sum, inline_.stats);
-    for (const auto& ws : workers_) add_block(sum, ws->stats);
+    inline_.stats.add_to(sum);
+    for (const auto& ws : workers_) ws->stats.add_to(sum);
     return sum;
   }
   /// One worker's counter snapshot; worker ids are 0..n_workers-1.  Live
   /// while running; after stop() returns that run's final per-worker totals
   /// (until the next start()).
   Counters worker_counters(uint32_t worker) const {
-    Counters out;
     if (running()) {
       ESW_CHECK(worker < workers_.size());
-      add_block(out, workers_[worker]->stats);
-    } else {
-      ESW_CHECK(worker < final_worker_counters_.size());
-      out = final_worker_counters_[worker];
+      return workers_[worker]->stats.load();
     }
-    return out;
+    ESW_CHECK(worker < final_worker_counters_.size());
+    return final_worker_counters_[worker];
   }
 
   /// Merged latency distribution over all workers, past runs included
@@ -281,7 +280,7 @@ class SwitchRuntime {
     flow::Verdict verdicts[net::kBurstSize];
     uint32_t processed = 0, n;
     do {
-      bump(inline_.stats.polls, 1);
+      inline_.stats.bump(&Counters::polls, 1);
       n = run_round(inline_, burst, verdicts);
       processed += n;
     } while (n > 0);
@@ -301,7 +300,7 @@ class SwitchRuntime {
     ESW_CHECK_MSG(!running(), "packet_out() drives the runtime inline: stop() first");
     net::Packet* pkt = pool_.alloc();
     if (pkt == nullptr) {
-      bump(inline_.stats.pool_exhausted, 1);
+      inline_.stats.bump(&Counters::pool_exhausted, 1);
       return false;
     }
     pkt->assign(frame, len);
@@ -356,7 +355,7 @@ class SwitchRuntime {
     if (!baselined) last_polls_.assign(workers_.size(), 0);
     for (size_t i = 0; i < workers_.size(); ++i) {
       WorkerState& ws = *workers_[i];
-      const uint64_t polls = ws.stats.polls.load(std::memory_order_relaxed);
+      const uint64_t polls = ws.stats.load(&Counters::polls);
       const bool frozen = baselined && polls == last_polls_[i];
       last_polls_[i] = polls;
       if (!frozen) continue;
@@ -375,13 +374,6 @@ class SwitchRuntime {
   uint64_t watchdog_recovered_total() const { return watchdog_recovered_; }
 
  private:
-  /// Single-writer relaxed counter cell (aggregators read concurrently).
-  struct alignas(64) StatBlock {
-    std::atomic<uint64_t> polls{0}, processed{0}, source_packets{0}, tx_packets{0},
-        flood_copies{0}, drops{0}, packet_ins{0}, tx_rejected{0}, bad_port{0},
-        pool_exhausted{0}, backpressure_events{0};
-  };
-
   /// One egress port's frames of the burst being executed, in packet order.
   struct TxBucket {
     uint32_t n = 0;
@@ -396,7 +388,6 @@ class SwitchRuntime {
     net::MbufCache cache;
     std::vector<TxBucket> tx;           // indexed by port number
     std::vector<uint32_t> tx_touched;   // ports with a non-empty bucket, first-touch order
-    StatBlock stats;
     // Raised while the worker provably holds no datapath pointers (bounded
     // backpressure sleep, or the worker_stall failpoint).  The watchdog may
     // tick a parked worker's epoch slot on its behalf.
@@ -404,24 +395,10 @@ class SwitchRuntime {
     // Single-writer (this worker); merged/read by the control thread.
     perf::LatencyHistogram latency;
     std::thread thread;
+    // Single-writer (this worker); aggregated by counters() readers.  Last
+    // and aligned, so the block has its cache lines to itself.
+    alignas(64) common::CounterCells<Counters> stats;
   };
-
-  static void bump(std::atomic<uint64_t>& c, uint64_t d) {
-    common::counter_bump(c, d);  // single writer: the owning worker
-  }
-  static void add_block(Counters& sum, const StatBlock& b) {
-    sum.polls += b.polls.load(std::memory_order_relaxed);
-    sum.processed += b.processed.load(std::memory_order_relaxed);
-    sum.source_packets += b.source_packets.load(std::memory_order_relaxed);
-    sum.tx_packets += b.tx_packets.load(std::memory_order_relaxed);
-    sum.flood_copies += b.flood_copies.load(std::memory_order_relaxed);
-    sum.drops += b.drops.load(std::memory_order_relaxed);
-    sum.packet_ins += b.packet_ins.load(std::memory_order_relaxed);
-    sum.tx_rejected += b.tx_rejected.load(std::memory_order_relaxed);
-    sum.bad_port += b.bad_port.load(std::memory_order_relaxed);
-    sum.pool_exhausted += b.pool_exhausted.load(std::memory_order_relaxed);
-    sum.backpressure_events += b.backpressure_events.load(std::memory_order_relaxed);
-  }
 
   /// Port `no` belongs to worker (no - kFirstPort) % n_workers, so the
   /// inline worker (id 0 of 1) owns every port.  Sizes the TX buckets to
@@ -449,7 +426,7 @@ class SwitchRuntime {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         ws.parked.store(false, std::memory_order_release);
       }
-      bump(ws.stats.polls, 1);
+      ws.stats.bump(&Counters::polls, 1);
       uint32_t did = 0;
       if (source_ && !ws.owned_ports.empty()) did += pull_source(ws);
       did += run_round(ws, burst, verdicts);
@@ -505,7 +482,7 @@ class SwitchRuntime {
       bufs[got++] = p;
     }
     if (got == 0) {
-      bump(ws.stats.pool_exhausted, 1);
+      ws.stats.bump(&Counters::pool_exhausted, 1);
       backpressure_pause(ws);
       return 0;
     }
@@ -513,7 +490,7 @@ class SwitchRuntime {
     net::Port& p = ports_.port(ws.owned_ports.front());
     const uint32_t accepted = filled > 0 ? p.inject_rx(bufs, filled) : 0;
     for (uint32_t i = accepted; i < got; ++i) ws.cache.free(bufs[i]);
-    bump(ws.stats.source_packets, accepted);
+    ws.stats.bump(&Counters::source_packets, accepted);
     return accepted;
   }
 
@@ -523,7 +500,7 @@ class SwitchRuntime {
   /// parked and sleep briefly.  Parked means "holds no datapath pointers":
   /// the watchdog may quiesce on our behalf if we wedge here.
   void backpressure_pause(WorkerState& ws) {
-    bump(ws.stats.backpressure_events, 1);
+    ws.stats.bump(&Counters::backpressure_events, 1);
     backend_.quiesce(*ws.ctx);
     ws.parked.store(true, std::memory_order_release);
     std::this_thread::sleep_for(kBackpressurePause);
@@ -614,14 +591,8 @@ class SwitchRuntime {
       b.n = 0;
     }
     ws.tx_touched.clear();
-    bump(ws.stats.processed, n);
-    bump(ws.stats.tx_packets, d.tx_packets);
-    bump(ws.stats.flood_copies, d.flood_copies);
-    bump(ws.stats.drops, d.drops);
-    bump(ws.stats.packet_ins, d.packet_ins);
-    bump(ws.stats.tx_rejected, d.tx_rejected);
-    bump(ws.stats.bad_port, d.bad_port);
-    bump(ws.stats.pool_exhausted, d.pool_exhausted);
+    d.processed = n;
+    ws.stats.bump(d);
   }
 
   Config cfg_;

@@ -65,6 +65,20 @@ void Pipeline::apply(const FlowMod& fm) {
   table(fm.table_id).add(entry_from(fm));
 }
 
+Pipeline Pipeline::scratch_for(const std::vector<FlowMod>& fms, bool edited_entries) const {
+  Pipeline scratch;
+  scratch.tables_.reserve(tables_.size());
+  for (const FlowTable& t : tables_) scratch.tables_.emplace_back(t.id());
+  if (!edited_entries) return scratch;
+  for (const FlowMod& fm : fms) {
+    const FlowTable* t = find_table(fm.table_id);
+    if (t == nullptr || t->empty()) continue;
+    FlowTable& s = scratch.table(fm.table_id);
+    if (s.empty()) s = *t;  // first mod on this table: not yet copied
+  }
+  return scratch;
+}
+
 Verdict Pipeline::process(net::Packet& pkt, proto::ParseInfo& pi,
                           std::vector<TraceStep>* trace) const {
   const FlowTable* t = first_table();

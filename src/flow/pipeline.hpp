@@ -52,6 +52,13 @@ class Pipeline {
   /// exist, never on their entries.
   void apply(const FlowMod& fm);
 
+  /// A scratch pipeline to validate the batch `fms` against before any of it
+  /// lands: every table, without entries (apply() refuses a mod only for its
+  /// goto, which depends on the table set alone), except that with
+  /// `edited_entries` each table the batch edits keeps its entries, which a
+  /// capacity check reads.  Nothing else of the rule store is copied.
+  Pipeline scratch_for(const std::vector<FlowMod>& fms, bool edited_entries) const;
+
   /// Reference interpretation of one parsed packet.  Mutates the packet when
   /// the accumulated action set says so and returns the verdict.  If `trace`
   /// is given, every table visit is recorded.

@@ -65,13 +65,8 @@ void OvsSwitch::apply(const flow::FlowMod& fm) {
 }
 
 void OvsSwitch::apply_batch(const std::vector<flow::FlowMod>& fms) {
-  // All-or-nothing: every mod is validated against a scratch pipeline first.
-  // Pipeline::apply refuses a mod only for its goto, which depends on which
-  // tables exist and not on their entries, so the scratch holds the tables
-  // without entries: copying the rule store per batch would charge the
-  // baseline a cost OVS does not have.
-  flow::Pipeline scratch;
-  for (const flow::FlowTable& t : pipeline_.tables()) scratch.table(t.id());
+  // All-or-nothing: every mod is validated against the table set first.
+  flow::Pipeline scratch = pipeline_.scratch_for(fms, false);
   for (const flow::FlowMod& fm : fms) scratch.apply(fm);
   for (const flow::FlowMod& fm : fms) edit(fm);  // validated: cannot throw
   invalidate_caches();

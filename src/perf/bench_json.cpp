@@ -663,16 +663,16 @@ void check_trace_point(const BenchReport& r, const BenchSeries& s,
 }
 
 /// Chaos point-shape contract: a point measured with failpoints armed
-/// (counter chaos == 1) must carry the full degradation-counter quartet, so
-/// a chaos leg's results always say where the injected faults went — a
-/// chaos point without the block is indistinguishable from a clean run.
+/// (counter chaos == 1) must carry the backend's whole degradation ledger
+/// (core::DataplaneStats), so a chaos leg's results always say where the
+/// injected faults went — a chaos point without the block is
+/// indistinguishable from a clean run.
 void check_chaos_point(const BenchReport& r, const BenchSeries& s,
                        const BenchPoint& p, std::vector<std::string>* errors) {
   const auto it = p.counters.find("chaos");
   if (it == p.counters.end() || it->second != 1) return;
-  static const char* kRequired[] = {"pool_exhausted", "jit_fallbacks",
-                                    "mods_refused_table_full",
-                                    "backpressure_events"};
+  static const char* kRequired[] = {"template_fallbacks", "fusion_fallbacks",
+                                    "mods_refused_table_full"};
   for (const char* key : kRequired)
     if (p.counters.find(key) == p.counters.end())
       errors->push_back(point_id(r, s, p) + ": chaos point missing " +

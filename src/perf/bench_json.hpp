@@ -134,6 +134,9 @@ inline constexpr char kLatencyCounterPrefix[] = "latency_ns_";
 /// valid):
 ///   * any point with a latency_ns block (or flat latency_ns_* counters)
 ///     must carry the complete non-decreasing p50/p90/p99/p999/max quintet;
+///   * any point measured with a failpoint armed (`chaos` = 1) must carry
+///     the backend's degradation ledger: `template_fallbacks`,
+///     `fusion_fallbacks` and `mods_refused_table_full`;
 ///   * fig19 points must carry `threads` and per-worker `pps_w<i>` summing
 ///     to the aggregate, and its churn:1 points must carry the latency
 ///     block (p99/p99.9 under update load is the point of that variant);

@@ -97,38 +97,19 @@ constexpr ChaosSlot kChaosSchedule[] = {
 };
 constexpr size_t kChaosSlots = sizeof(kChaosSchedule) / sizeof(kChaosSchedule[0]);
 
-/// Counter snapshot bracketing one chaos window, for the delta accounting.
-struct ChaosWindowBase {
-  uint64_t pool_exhausted = 0;
-  uint64_t backpressure_events = 0;
+/// One end of a chaos window: whole counter snapshots, differenced at close.
+struct ChaosMark {
+  core::DataplaneStats backend;
+  Runtime::Counters runtime;
   uint64_t alloc_failures = 0;
-  uint64_t tx_rejected = 0;
-  uint64_t fusion_fallbacks = 0;
-  uint64_t template_fallbacks = 0;
   uint64_t table_rebuilds = 0;
-  uint64_t ct_absorbed = 0;  // conntrack forced evictions + commit drops
   uint64_t fires = 0;
-  uint64_t pending_seen = 0;  // max reclaim-pending observed inside the window
 };
 
-ChaosWindowBase chaos_snapshot(core::SwitchRuntime<core::Eswitch>& rt,
-                               const char* point) {
-  const auto c = rt.counters();
-  const auto& deg = rt.backend().degradation_stats();
-  ChaosWindowBase b;
-  b.pool_exhausted = c.pool_exhausted;
-  b.backpressure_events = c.backpressure_events;
-  b.alloc_failures = rt.pool().alloc_failures();
-  b.tx_rejected = c.tx_rejected;
-  b.fusion_fallbacks = deg.fusion_fallbacks;
-  b.template_fallbacks = deg.template_fallbacks;
-  b.table_rebuilds = rt.backend().update_stats().table_rebuilds;
-  if (const state::Conntrack* ct = rt.backend().conntrack()) {
-    const state::Conntrack::Stats cs = ct->stats();
-    b.ct_absorbed = cs.evictions_forced + cs.commit_drops;
-  }
-  b.fires = common::FailpointRegistry::instance().fires(point);
-  return b;
+ChaosMark chaos_mark(Runtime& rt, const char* point) {
+  return {rt.backend().stats(), rt.counters(), rt.pool().alloc_failures(),
+          rt.backend().update_stats().table_rebuilds,
+          common::FailpointRegistry::instance().fires(point)};
 }
 
 /// Audits one closed window: if the armed point fired at all, the mapped
@@ -136,31 +117,30 @@ ChaosWindowBase chaos_snapshot(core::SwitchRuntime<core::Eswitch>& rt,
 /// hole, and the check fails loudly instead of the process dying quietly.
 /// jit.exec_map is audited exactly: every update makes at most one emit
 /// attempt, so each fire is one plan published without its program.
-SoakCheck close_chaos_window(core::SwitchRuntime<core::Eswitch>& rt,
-                             const ChaosSlot& slot, const ChaosWindowBase& base,
-                             uint64_t window_no) {
-  const ChaosWindowBase now = chaos_snapshot(rt, slot.name);
+SoakCheck close_chaos_window(Runtime& rt, const ChaosSlot& slot, const ChaosMark& base,
+                             uint64_t pending_seen, uint64_t window_no) {
+  const ChaosMark now = chaos_mark(rt, slot.name);
   const uint64_t fires = now.fires - base.fires;
   const std::string name = slot.name;
+  const core::DataplaneStats &b0 = base.backend, &b1 = now.backend;
+  const Runtime::Counters &r0 = base.runtime, &r1 = now.runtime;
   uint64_t delta = 0;
   if (name == "mbuf.alloc")
-    delta = (now.pool_exhausted - base.pool_exhausted) +
-            (now.backpressure_events - base.backpressure_events) +
+    delta = (r1.pool_exhausted - r0.pool_exhausted) +
+            (r1.backpressure_events - r0.backpressure_events) +
             (now.alloc_failures - base.alloc_failures);
   else if (name == "ring.enqueue_mp")
-    delta = now.tx_rejected - base.tx_rejected;
+    delta = r1.tx_rejected - r0.tx_rejected;
   else if (name == "jit.exec_map")
-    delta = now.fusion_fallbacks - base.fusion_fallbacks;
-  else if (name == "lpm.tbl8")
+    delta = b1.fusion_fallbacks - b0.fusion_fallbacks;
+  else if (name == "lpm.tbl8" || name == "hash.insert")
     delta = (now.table_rebuilds - base.table_rebuilds) +
-            (now.template_fallbacks - base.template_fallbacks);
-  else if (name == "hash.insert")
-    delta = (now.table_rebuilds - base.table_rebuilds) +
-            (now.template_fallbacks - base.template_fallbacks);
+            (b1.template_fallbacks - b0.template_fallbacks);
   else if (name == "epoch.reclaim")
-    delta = base.pending_seen;  // deferred work observed; final reclaim drains it
+    delta = pending_seen;  // deferred work observed; final reclaim drains it
   else if (name == "ct.insert")
-    delta = now.ct_absorbed - base.ct_absorbed;
+    delta = (b1.ct_evictions_forced + b1.ct_commit_drops) -
+            (b0.ct_evictions_forced + b0.ct_commit_drops);
   SoakCheck c;
   c.name = "chaos-" + name;
   c.ok = name == "jit.exec_map" ? delta == fires : fires == 0 || delta > 0;
@@ -369,14 +349,15 @@ SoakReport run_soak(const SoakOptions& opts) {
   const auto chaos_interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(opts.chaos_period_ms));
   size_t chaos_idx = 0;
-  ChaosWindowBase chaos_base;
+  ChaosMark chaos_base;
+  uint64_t chaos_pending_seen = 0;  // max reclaim-pending inside the window
   auto chaos_window_end = t0 + chaos_interval;
   std::vector<net::Packet*> chaos_leaked;
   uint64_t leak_pending = 0;
   if (opts.chaos) {
     ESW_CHECK(opts.chaos_period_ms > 0);
     fpr.arm(kChaosSchedule[0].name, kChaosSchedule[0].spec);
-    chaos_base = chaos_snapshot(rt, kChaosSchedule[0].name);
+    chaos_base = chaos_mark(rt, kChaosSchedule[0].name);
   }
   for (;;) {
     const auto now = Clock::now();
@@ -417,18 +398,19 @@ SoakReport run_soak(const SoakOptions& opts) {
         chaos_leaked.push_back(p);
         --leak_pending;
       }
-      chaos_base.pending_seen =
-          std::max(chaos_base.pending_seen, rt.backend().reclaim_stats().pending);
+      chaos_pending_seen =
+          std::max(chaos_pending_seen, rt.backend().reclaim_stats().pending);
       if (now >= chaos_window_end) {
         const ChaosSlot& slot = kChaosSchedule[chaos_idx % kChaosSlots];
         fpr.disarm(slot.name);
-        rep.checks.push_back(
-            close_chaos_window(rt, slot, chaos_base, rep.chaos_windows));
+        rep.checks.push_back(close_chaos_window(rt, slot, chaos_base, chaos_pending_seen,
+                                                rep.chaos_windows));
         ++rep.chaos_windows;
         ++chaos_idx;
         const ChaosSlot& nxt = kChaosSchedule[chaos_idx % kChaosSlots];
         fpr.arm(nxt.name, nxt.spec);
-        chaos_base = chaos_snapshot(rt, nxt.name);
+        chaos_base = chaos_mark(rt, nxt.name);
+        chaos_pending_seen = 0;
         chaos_window_end += chaos_interval;
         // A stalled control-loop pass must not burn phantom windows.
         while (chaos_window_end <= now) chaos_window_end += chaos_interval;
@@ -452,10 +434,10 @@ SoakReport run_soak(const SoakOptions& opts) {
     // Close the window the run ended inside, then run the final audits with
     // everything disarmed — the faults stop, the drains must still balance.
     const ChaosSlot& slot = kChaosSchedule[chaos_idx % kChaosSlots];
-    chaos_base.pending_seen =
-        std::max(chaos_base.pending_seen, rt.backend().reclaim_stats().pending);
+    chaos_pending_seen = std::max(chaos_pending_seen, rt.backend().reclaim_stats().pending);
     fpr.disarm(slot.name);
-    rep.checks.push_back(close_chaos_window(rt, slot, chaos_base, rep.chaos_windows));
+    rep.checks.push_back(
+        close_chaos_window(rt, slot, chaos_base, chaos_pending_seen, rep.chaos_windows));
     ++rep.chaos_windows;
     fpr.disarm_all();
   }
@@ -491,20 +473,11 @@ SoakReport run_soak(const SoakOptions& opts) {
   rep.churn_mods = mods;
   rep.latency_ns = rt.latency_histogram().percentiles_ns();
   rep.chaos = opts.chaos;
-  const core::Eswitch::DegradationStats& deg = rt.backend().degradation_stats();
-  rep.degradation.pool_exhausted = c.pool_exhausted;
-  rep.degradation.backpressure_events = c.backpressure_events;
-  rep.degradation.alloc_failures = rt.pool().alloc_failures();
-  rep.degradation.tx_rejected = c.tx_rejected;
-  rep.degradation.jit_fallbacks = bs.jit_fallbacks;
-  rep.degradation.fusion_fallbacks = deg.fusion_fallbacks;
-  rep.degradation.template_fallbacks = deg.template_fallbacks;
-  rep.degradation.mods_refused_table_full = deg.mods_refused_table_full;
-  rep.degradation.watchdog_stalled = rt.watchdog_stalled_total();
-  rep.degradation.watchdog_recovered = rt.watchdog_recovered_total();
-  rep.degradation.ct_commit_drops = bs.ct_commit_drops;
-  rep.degradation.ct_evictions_forced = bs.ct_evictions_forced;
-  rep.degradation.ct_expired = bs.ct_expired;
+  rep.backend = bs;
+  rep.runtime = c;
+  rep.alloc_failures = rt.pool().alloc_failures();
+  rep.watchdog_stalled = rt.watchdog_stalled_total();
+  rep.watchdog_recovered = rt.watchdog_recovered_total();
   for (const auto& s : fpr.snapshot())
     rep.failpoints.push_back({s.name, s.hits, s.fires});
 
@@ -622,27 +595,21 @@ std::string SoakReport::to_json() const {
   doc.set("chaos", Json::boolean(chaos));
   doc.set("chaos_windows", Json::number(static_cast<double>(chaos_windows)));
   Json deg = Json::object();
-  deg.set("pool_exhausted", Json::number(static_cast<double>(degradation.pool_exhausted)));
-  deg.set("backpressure_events",
-          Json::number(static_cast<double>(degradation.backpressure_events)));
-  deg.set("alloc_failures", Json::number(static_cast<double>(degradation.alloc_failures)));
-  deg.set("tx_rejected", Json::number(static_cast<double>(degradation.tx_rejected)));
-  deg.set("jit_fallbacks", Json::number(static_cast<double>(degradation.jit_fallbacks)));
-  deg.set("fusion_fallbacks",
-          Json::number(static_cast<double>(degradation.fusion_fallbacks)));
-  deg.set("template_fallbacks",
-          Json::number(static_cast<double>(degradation.template_fallbacks)));
-  deg.set("mods_refused_table_full",
-          Json::number(static_cast<double>(degradation.mods_refused_table_full)));
-  deg.set("watchdog_stalled",
-          Json::number(static_cast<double>(degradation.watchdog_stalled)));
-  deg.set("watchdog_recovered",
-          Json::number(static_cast<double>(degradation.watchdog_recovered)));
-  deg.set("ct_commit_drops",
-          Json::number(static_cast<double>(degradation.ct_commit_drops)));
-  deg.set("ct_evictions_forced",
-          Json::number(static_cast<double>(degradation.ct_evictions_forced)));
-  deg.set("ct_expired", Json::number(static_cast<double>(degradation.ct_expired)));
+  const auto put = [&deg](const char* key, uint64_t v) {
+    deg.set(key, Json::number(static_cast<double>(v)));
+  };
+  put("pool_exhausted", runtime.pool_exhausted);
+  put("backpressure_events", runtime.backpressure_events);
+  put("alloc_failures", alloc_failures);
+  put("tx_rejected", runtime.tx_rejected);
+  put("fusion_fallbacks", backend.fusion_fallbacks);
+  put("template_fallbacks", backend.template_fallbacks);
+  put("mods_refused_table_full", backend.mods_refused_table_full);
+  put("watchdog_stalled", watchdog_stalled);
+  put("watchdog_recovered", watchdog_recovered);
+  put("ct_commit_drops", backend.ct_commit_drops);
+  put("ct_evictions_forced", backend.ct_evictions_forced);
+  put("ct_expired", backend.ct_expired);
   doc.set("degradation", std::move(deg));
   Json fps = Json::array();
   for (const FailpointStat& f : failpoints) {

@@ -29,6 +29,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/dataplane.hpp"
+#include "core/switch_runtime.hpp"
 #include "perf/latency.hpp"
 
 namespace esw::perf {
@@ -90,24 +92,6 @@ struct SoakCheck {
   std::string detail;  // expected-vs-actual, or why the check was skipped
 };
 
-/// Where every absorbed fault went: the graceful-degradation counters the
-/// chaos accounting audits, snapshotted at the end of the run.
-struct DegradationSummary {
-  uint64_t pool_exhausted = 0;
-  uint64_t backpressure_events = 0;
-  uint64_t alloc_failures = 0;
-  uint64_t tx_rejected = 0;
-  uint64_t jit_fallbacks = 0;  // DataplaneStats::jit_fallbacks
-  uint64_t fusion_fallbacks = 0;  // refused emits: plans without machine code
-  uint64_t template_fallbacks = 0;
-  uint64_t mods_refused_table_full = 0;
-  uint64_t watchdog_stalled = 0;
-  uint64_t watchdog_recovered = 0;
-  uint64_t ct_commit_drops = 0;      // conntrack at capacity, commit refused
-  uint64_t ct_evictions_forced = 0;  // conntrack evicted to make room
-  uint64_t ct_expired = 0;           // conntrack timeout-wheel removals
-};
-
 struct FailpointStat {
   std::string name;
   uint64_t hits = 0;
@@ -122,7 +106,14 @@ struct SoakReport {
   uint64_t checkpoints = 0;
   bool chaos = false;
   uint64_t chaos_windows = 0;  // completed failpoint windows
-  DegradationSummary degradation;
+  // Where every absorbed fault went, snapshotted at the end of the run: the
+  // backend's degradation ledger and the runtime's counters whole, plus the
+  // pool's and the watchdog's totals.
+  core::DataplaneStats backend;
+  core::RuntimeCounters runtime;
+  uint64_t alloc_failures = 0;
+  uint64_t watchdog_stalled = 0;
+  uint64_t watchdog_recovered = 0;
   std::vector<FailpointStat> failpoints;
   LatencyPercentiles latency_ns{};
   std::vector<SoakCheck> checks;

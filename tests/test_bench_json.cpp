@@ -276,20 +276,20 @@ TEST(ValidateReport, RejectsFlatCountersWithoutBlock) {
 
 TEST(ValidateReport, ChaosPointRequiresDegradationCounters) {
   // A chaos-marked point (failpoints armed during the measurement) must carry
-  // the full degradation quartet; losing one would blind the chaos legs.
+  // the backend's whole degradation ledger; losing one would blind the chaos
+  // legs.
   BenchReport r = sample_report();
   r.figure = "fig16";
   auto& c = r.series[0].points[0].counters;
   c["chaos"] = 1;
-  c["pool_exhausted"] = 0;
-  c["jit_fallbacks"] = 3;
+  c["template_fallbacks"] = 0;
   c["mods_refused_table_full"] = 0;
-  // backpressure_events deliberately missing
+  // fusion_fallbacks deliberately missing
   const auto errs = validate_report(r);
   ASSERT_EQ(errs.size(), 1u);
-  EXPECT_NE(errs[0].find("backpressure_events"), std::string::npos);
+  EXPECT_NE(errs[0].find("fusion_fallbacks"), std::string::npos);
 
-  c["backpressure_events"] = 2;
+  c["fusion_fallbacks"] = 3;
   EXPECT_TRUE(validate_report(r).empty());
 }
 

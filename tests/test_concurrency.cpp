@@ -4,7 +4,9 @@
 // rebuild path (direct code).  Asserts verdict conservation (nothing lost or
 // duplicated), old-or-new verdict consistency, eventual visibility of
 // installed rules, and that retired tables are reclaimed via the epoch grace
-// period — while readers are live — rather than via caller quiescence.
+// period — while readers are live — rather than via caller quiescence.  The
+// counter cells those stats blocks are built from (common/counters.hpp) are
+// checked here too, single-writer and shared, under four writer threads.
 //
 // Designed to run under ASan and TSan: iteration counts are modest and
 // scalable via ESW_CONC_SCALE (CI's TSan job runs with the default).
@@ -19,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/eswitch.hpp"
@@ -789,6 +792,92 @@ TEST(Concurrency, SwitchRuntimeRefusedTxGroupsFreeEveryBuffer) {
   EXPECT_EQ(c.processed + c.flood_copies,
             c.tx_packets + c.tx_rejected + c.bad_port + c.drops + c.packet_ins);
   EXPECT_EQ(run.rt.pool().available(), run.rt.pool().capacity());
+}
+
+// --- counter cells ------------------------------------------------------------
+
+struct ThreeCounters {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t c = 0;
+};
+static_assert(sizeof(common::CounterCells<ThreeCounters>) == sizeof(ThreeCounters),
+              "cells add no bytes: alignment stays with the owner");
+
+bool same(const ThreeCounters& x, const ThreeCounters& y) {
+  return x.a == y.a && x.b == y.b && x.c == y.c;
+}
+
+TEST(Counters, CellsSumSnapshotsAndClear) {
+  common::CounterCells<ThreeCounters> cells;
+  EXPECT_TRUE(same(cells.load(), {}));
+  cells.bump({1, 0, 2});
+  cells.add({0, 3, 0});
+  cells.bump(&ThreeCounters::b, 4);
+  cells.bump(&ThreeCounters::c, 0);
+  EXPECT_TRUE(same(cells.load(), {1, 7, 2}));
+  EXPECT_EQ(cells.load(&ThreeCounters::a), 1u);
+  EXPECT_EQ(cells.load(&ThreeCounters::b), 7u);
+  EXPECT_EQ(cells.load(&ThreeCounters::c), 2u);
+
+  // add_to sums blocks into one snapshot without touching the cells.
+  ThreeCounters sum{10, 20, 30};
+  cells.add_to(sum);
+  cells.add_to(sum);
+  EXPECT_TRUE(same(sum, {12, 34, 34}));
+  EXPECT_TRUE(same(cells.load(), {1, 7, 2}));
+
+  cells.clear();
+  EXPECT_TRUE(same(cells.load(), {}));
+  cells.add({5, 0, 1});
+  EXPECT_TRUE(same(cells.load(), {5, 0, 1}));
+}
+
+TEST(Counters, SingleWriterAndSharedCellsUnderFourThreads) {
+  // Each of four threads bumps its own padded block (single writer) and adds
+  // into one block all of them share, while the main thread aggregates both
+  // concurrently.  Readers see monotone sums; after the join every count is
+  // exact.
+  constexpr int kThreads = 4;
+  const uint64_t rounds = 20000 * static_cast<uint64_t>(conc_scale());
+  struct alignas(64) Own {
+    common::CounterCells<ThreeCounters> cells;
+  };
+  std::vector<Own> own(kThreads);
+  common::CounterCells<ThreeCounters> shared;
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (uint64_t i = 0; i < rounds; ++i) {
+        own[t].cells.bump({1, i % 2, 0});
+        own[t].cells.bump(&ThreeCounters::c, 2);
+        shared.add({1, 0, static_cast<uint64_t>(t)});
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  ThreeCounters last_own{}, last_shared{};
+  while (done.load(std::memory_order_acquire) < kThreads) {
+    ThreeCounters sum{};
+    for (const Own& o : own) o.cells.add_to(sum);
+    EXPECT_GE(sum.a, last_own.a);
+    EXPECT_GE(sum.c, last_own.c);
+    const ThreeCounters sh = shared.load();
+    EXPECT_GE(sh.a, last_shared.a);
+    last_own = sum;
+    last_shared = sh;
+  }
+  for (auto& th : threads) th.join();
+
+  ThreeCounters sum{};
+  for (const Own& o : own) o.cells.add_to(sum);
+  EXPECT_EQ(sum.a, kThreads * rounds);
+  EXPECT_EQ(sum.b, kThreads * (rounds / 2));
+  EXPECT_EQ(sum.c, kThreads * rounds * 2);
+  const ThreeCounters sh = shared.load();
+  EXPECT_EQ(sh.a, kThreads * rounds);
+  EXPECT_EQ(sh.b, 0u);
+  EXPECT_EQ(sh.c, rounds * (0 + 1 + 2 + 3));
 }
 
 }  // namespace

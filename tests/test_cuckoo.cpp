@@ -684,7 +684,7 @@ TEST(CuckooTemplate, ApplyBatchPartialRefusesPerMod) {
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(st[i], ModStatus::kApplied) << i;
   for (size_t i = 5; i < 8; ++i) EXPECT_EQ(st[i], ModStatus::kRefusedTableFull) << i;
   EXPECT_EQ(sw.pipeline().find_table(0)->size(), 5u);
-  EXPECT_EQ(sw.degradation_stats().mods_refused_table_full, 3u);
+  EXPECT_EQ(sw.stats().mods_refused_table_full, 3u);
 
   // The applied prefix is live; the refused tail is not.
   auto hit = make_packet(test::udp_spec(1, 2, 9, 4));

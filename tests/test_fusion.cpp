@@ -640,12 +640,12 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
     sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
     ASSERT_TRUE(sw.fused_active()) << "refused compile left no plan published";
     EXPECT_EQ(sw.datapath().fused()->program, nullptr);
-    EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
+    EXPECT_EQ(sw.stats().fusion_fallbacks, 1u);
     // Every update while the mapper keeps refusing tries the emit once more
     // and counts one more fallback.
     sw.apply(add_mod(1, "priority=8,udp_dst=100,actions=output:6"));
     EXPECT_EQ(sw.datapath().fused()->program, nullptr);
-    EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 2u);
+    EXPECT_EQ(sw.stats().fusion_fallbacks, 2u);
   }
 
   // The program-less plan serves the same verdicts the spec gives.
@@ -668,7 +668,7 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   ASSERT_TRUE(sw.fused_active());
   EXPECT_NE(sw.datapath().fused()->program, nullptr)
       << "healthy update did not re-emit the program";
-  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 2u);
+  EXPECT_EQ(sw.stats().fusion_fallbacks, 2u);
   expect_verdicts();
 
   net::Packet p2 = test::make_packet(test::udp_spec(1, 2, 9, 53));

@@ -3,6 +3,9 @@
 // and the measurement loop plumbing benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/eswitch.hpp"
 #include "netio/mbuf_pool.hpp"
@@ -95,7 +98,8 @@ TEST(Integration, EswitchOutpacesOvsOnGatewayWithManyFlows) {
 
 TEST(Integration, EswitchThroughputRobustToFlowCount) {
   // Fig. 13 shape for ESWITCH alone: rate varies little from 100 to 100K
-  // active flows.
+  // active flows.  Few- and many-flow windows alternate, and their medians
+  // are compared, so a burst of host load skews one window, not the verdict.
   const auto uc = uc::make_gateway(10, 20, 1000);
   Eswitch es;
   es.install(uc.pipeline);
@@ -104,11 +108,23 @@ TEST(Integration, EswitchThroughputRobustToFlowCount) {
   opts.min_seconds = 0.05;
   opts.min_packets = 5000;
 
-  const auto few = net::run_loop(net::TrafficSet::from_flows(uc.traffic(100, 1)),
-                                 [&](net::Packet& p) { es.process(p); }, opts);
-  const auto many = net::run_loop(net::TrafficSet::from_flows(uc.traffic(100000, 1)),
-                                  [&](net::Packet& p) { es.process(p); }, opts);
-  EXPECT_GT(many.pps, few.pps * 0.4);
+  const net::TrafficSet few_ts = net::TrafficSet::from_flows(uc.traffic(100, 1));
+  const net::TrafficSet many_ts = net::TrafficSet::from_flows(uc.traffic(100000, 1));
+  const auto pps = [&](const net::TrafficSet& ts) {
+    return net::run_loop(ts, [&](net::Packet& p) { es.process(p); }, opts).pps;
+  };
+  constexpr int kPairs = 7;
+  std::vector<double> few, many;
+  for (int i = 0; i < kPairs; ++i) {  // alternate which window runs first
+    if (i % 2 == 0) few.push_back(pps(few_ts));
+    many.push_back(pps(many_ts));
+    if (i % 2 != 0) few.push_back(pps(few_ts));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_GT(median(many), median(few) * 0.4);
 }
 
 TEST(Integration, PortPathCarriesTraffic) {

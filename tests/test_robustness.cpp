@@ -329,9 +329,8 @@ TEST_F(FailpointTest, JitMapFailureFallsBackToInterpreterAndRecovers) {
   ASSERT_TRUE(fpr_.arm("jit.exec_map", "always"));
   sw.install(pl);  // the fused emit is refused: a plan without its program
   ASSERT_EQ(sw.table_template(0), core::TableTemplate::kDirectCode);
-  const uint64_t fallbacks = sw.degradation_stats().fusion_fallbacks;
+  const uint64_t fallbacks = sw.stats().fusion_fallbacks;
   EXPECT_GE(fallbacks, 1u);
-  EXPECT_EQ(sw.stats().jit_fallbacks, fallbacks);
   ASSERT_TRUE(sw.fused_active());
   EXPECT_EQ(sw.datapath().fused()->program, nullptr);
   // The platform probe answers the genuine capability, not the failpoint.
@@ -344,14 +343,14 @@ TEST_F(FailpointTest, JitMapFailureFallsBackToInterpreterAndRecovers) {
   // Each update while the mapper still refuses tries the emit once more.
   sw.apply(add_mod(0, "priority=5,udp_dst=3,actions=output:3"));
   EXPECT_EQ(sw.datapath().fused()->program, nullptr);
-  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, fallbacks + 1);
+  EXPECT_EQ(sw.stats().fusion_fallbacks, fallbacks + 1);
 
   // Mapping works again: the first healthy update re-emits the program.
   fpr_.disarm_all();
   sw.apply(add_mod(0, "priority=5,udp_dst=4,actions=output:4"));
   ASSERT_EQ(sw.table_template(0), core::TableTemplate::kDirectCode);
   EXPECT_NE(sw.datapath().fused()->program, nullptr);
-  EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, fallbacks + 1);
+  EXPECT_EQ(sw.stats().fusion_fallbacks, fallbacks + 1);
   auto p3 = test::make_packet(test::udp_spec(1, 2, 9, 3));
   EXPECT_EQ(sw.process(p3), Verdict::output(3));
 }
@@ -387,7 +386,7 @@ TEST_F(FailpointTest, LpmTbl8ExhaustionDemotesToLinkedList) {
   fm.match.set(FieldId::kIpDst, (9u << 24) | 4u, 0xFFFFFFFC);
   fm.actions = {Action::output(9)};
   sw.apply(fm);  // must not throw out of the session
-  EXPECT_GE(sw.degradation_stats().template_fallbacks, 1u);
+  EXPECT_GE(sw.stats().template_fallbacks, 1u);
   EXPECT_EQ(sw.table_template(0), core::TableTemplate::kLinkedList);
 
   // No rule lost across the demotion, the new one included.
@@ -484,7 +483,7 @@ TEST_F(FailpointTest, TableFullRefusalKeepsSessionAndDataplaneUp) {
   EXPECT_EQ(errors[0].code, kErrCodeTableFull);
   EXPECT_TRUE(agent.session_open());
   EXPECT_EQ(sw.pipeline().find_table(0)->size(), 2u);
-  EXPECT_EQ(sw.degradation_stats().mods_refused_table_full, 1u);
+  EXPECT_EQ(sw.stats().mods_refused_table_full, 1u);
   auto p = test::make_packet(test::udp_spec(1, 2, 9, 1));
   EXPECT_EQ(sw.process(p), Verdict::output(1));
 

@@ -224,7 +224,7 @@ TEST(Soak, ChaosReportJsonCarriesDegradation) {
   const Json* deg = doc->find("degradation");
   ASSERT_NE(deg, nullptr);
   for (const char* key :
-       {"pool_exhausted", "backpressure_events", "jit_fallbacks",
+       {"pool_exhausted", "backpressure_events", "fusion_fallbacks",
         "template_fallbacks", "mods_refused_table_full", "watchdog_stalled",
         "watchdog_recovered"})
     EXPECT_NE(deg->find(key), nullptr) << key;

@@ -258,6 +258,55 @@ TEST(Updates, BatchIsTransactional) {
   EXPECT_EQ(sw.process(p3), Verdict::output(3));
 }
 
+TEST(Updates, BatchAtCapacityIsTransactional) {
+  // A batch validates against a scratch that holds only the edited tables'
+  // entries; its capacity decisions must be those of the whole rule store.
+  CompilerConfig cfg;
+  cfg.table_capacity = 3;
+  Eswitch sw(cfg);
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=5,udp_dst=1,actions=output:1"));
+  pl.table(0).add(parse_rule("priority=5,udp_dst=2,actions=,goto:1"));
+  pl.table(1).add(parse_rule("priority=5,udp_dst=2,actions=output:2"));
+  sw.install(pl);
+  const auto verdicts = [&sw] {
+    std::vector<Verdict> out;
+    for (uint16_t dport = 1; dport <= 5; ++dport) {
+      auto p = make_packet(test::udp_spec(1, 2, 9, dport));
+      out.push_back(sw.process(p));
+    }
+    return out;
+  };
+  const std::vector<Verdict> before = verdicts();
+
+  // The last mod overflows table 0: nothing of the batch lands, and the
+  // refusal is counted once.
+  std::vector<FlowMod> batch = {add_mod(0, "priority=5,udp_dst=3,actions=output:3"),
+                                add_mod(1, "priority=5,udp_dst=5,actions=output:5"),
+                                add_mod(0, "priority=5,udp_dst=4,actions=output:4")};
+  EXPECT_THROW(sw.apply_batch(batch), TableFullError);
+  EXPECT_EQ(sw.pipeline().find_table(0)->size(), 2u);
+  EXPECT_EQ(sw.pipeline().find_table(1)->size(), 1u);
+  EXPECT_EQ(verdicts(), before);
+  EXPECT_EQ(sw.stats().mods_refused_table_full, 1u);
+
+  // At capacity, replacing an existing (match, priority) entry is admitted.
+  batch.pop_back();
+  sw.apply_batch(batch);
+  ASSERT_EQ(sw.pipeline().find_table(0)->size(), 3u);
+  sw.apply_batch({add_mod(0, "priority=5,udp_dst=1,actions=output:7")});
+  EXPECT_EQ(sw.pipeline().find_table(0)->size(), 3u);
+
+  // So is an add that an earlier delete of the same batch made room for.
+  sw.apply_batch({del_mod(0, "priority=5,udp_dst=3,actions=output:3"),
+                  add_mod(0, "priority=5,udp_dst=4,actions=output:4")});
+  EXPECT_EQ(sw.pipeline().find_table(0)->size(), 3u);
+  EXPECT_EQ(sw.stats().mods_refused_table_full, 1u);
+  EXPECT_EQ(verdicts(), (std::vector<Verdict>{Verdict::output(7), Verdict::output(2),
+                                              Verdict::drop(), Verdict::output(4),
+                                              Verdict::drop()}));
+}
+
 TEST(Updates, InvalidGotoRejectedCleanly) {
   Eswitch sw;
   sw.install(Pipeline{});
