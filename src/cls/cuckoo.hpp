@@ -27,6 +27,10 @@
 // in exactly one of them.  Failed displacement chains at low load reseed
 // (new bucket-derivation salt, entries shared, private rebuild + view swap)
 // before escalating to a grow.
+//
+// A view's slot array of 2 MB or more (64K buckets and up) sits on 2 MB pages
+// (common/huge_array.hpp): a probe's two random buckets then rarely cost a
+// page walk on top of their cache misses.  Entry blobs stay on the heap.
 #pragma once
 
 #include <atomic>
@@ -36,6 +40,7 @@
 
 #include "common/bits.hpp"
 #include "common/epoch.hpp"
+#include "common/huge_array.hpp"
 #include "common/memtrace.hpp"
 
 namespace esw::cls {
@@ -142,7 +147,7 @@ class CuckooTable {
     uint32_t mask;
     uint64_t salt;
     uint32_t migrate_pos = 0;  // next bucket to drain when this is the back
-    std::vector<std::atomic<uint64_t>> slots;  // n_buckets * kSlotsPerBucket
+    common::HugeArray<std::atomic<uint64_t>> slots;  // n_buckets * kSlotsPerBucket
 
     View(uint32_t buckets, uint64_t s)
         : n_buckets(buckets),

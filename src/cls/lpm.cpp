@@ -13,15 +13,9 @@ uint32_t prefix_mask32(uint8_t len) {
 }  // namespace
 
 LpmTable::LpmTable(uint32_t max_tbl8_groups)
-    : tbl24_(new std::atomic<uint32_t>[size_t{1} << 24]),
-      tbl8_(new std::atomic<uint32_t>[size_t{max_tbl8_groups} * 256]),
-      max_tbl8_groups_(max_tbl8_groups) {
-  // Relaxed init: the table is published to readers only after construction.
-  for (size_t i = 0; i < (size_t{1} << 24); ++i)
-    tbl24_[i].store(0, std::memory_order_relaxed);
-  for (size_t i = 0; i < size_t{max_tbl8_groups} * 256; ++i)
-    tbl8_[i].store(0, std::memory_order_relaxed);
-}
+    : tbl24_(size_t{1} << 24),
+      tbl8_(size_t{max_tbl8_groups} * 256),
+      max_tbl8_groups_(max_tbl8_groups) {}
 
 uint32_t LpmTable::alloc_tbl8(uint32_t fill_entry) {
   // Injectable exhaustion: same throw as a genuinely spent budget, so the

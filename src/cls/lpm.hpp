@@ -5,6 +5,9 @@
 // tbl24 resolves the top 24 bits in one access; prefixes longer than /24
 // extend into per-/24 tbl8 groups, giving at most two memory accesses per
 // lookup (the 13 + 2·Lx cycles atom of the paper's Fig. 20 model).
+// Like rte_lpm's hugepage-backed tables, tbl24 (64 MB) sits on 2 MB pages
+// (common/huge_array.hpp), so a random /24 probe costs one cache miss and
+// rarely a page walk; tbl8 joins it once its group budget reaches 2 MB.
 // Incremental add/delete follow the rte_lpm algorithm: a deleted rule's range
 // is re-covered by its longest covering ancestor.
 //
@@ -26,11 +29,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/huge_array.hpp"
 #include "common/memtrace.hpp"
 
 namespace esw::cls {
@@ -98,8 +101,9 @@ class LpmTable {
   uint32_t cell8(size_t i) const { return tbl8_[i].load(std::memory_order_acquire); }
   void set_cell8(size_t i, uint32_t e) { tbl8_[i].store(e, std::memory_order_release); }
 
-  std::unique_ptr<std::atomic<uint32_t>[]> tbl24_;  // 2^24 entries
-  std::unique_ptr<std::atomic<uint32_t>[]> tbl8_;   // groups of 256, preallocated
+  // Zeroed (all misses) at construction, before the table is published.
+  common::HugeArray<std::atomic<uint32_t>> tbl24_;  // 2^24 entries
+  common::HugeArray<std::atomic<uint32_t>> tbl8_;   // groups of 256, preallocated
   uint32_t max_tbl8_groups_;
   std::atomic<uint32_t> tbl8_used_{0};  // high-water mark; single writer
   // Bumped (release) before a freed or fresh group is refilled: the lookup's

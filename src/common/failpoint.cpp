@@ -24,6 +24,15 @@ uint64_t xorshift_next(std::atomic<uint64_t>& state) {
 
 std::atomic<int> FailpointRegistry::armed_count_{0};
 
+namespace {
+// ESW_FAILPOINT sites test armed_count_ before they ever reach the registry,
+// so a process that never calls instance() itself would ignore
+// ESW_FAILPOINTS.  Build the registry (which arms from the environment)
+// during static initialisation instead; armed_count_ is constant-initialised,
+// so it is valid before this runs.
+[[maybe_unused]] const FailpointRegistry& env_registry = FailpointRegistry::instance();
+}  // namespace
+
 bool Failpoint::should_fire() {
   const Mode m = static_cast<Mode>(mode_.load(std::memory_order_acquire));
   if (m == Mode::kOff) return false;

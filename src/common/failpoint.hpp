@@ -14,7 +14,7 @@
 //   prob:P[:S]    each evaluation fires with probability P (xorshift, seed S)
 //
 // Arming is programmatic (FailpointRegistry::arm) or environmental: the
-// ESW_FAILPOINTS variable is parsed once at first registry use, e.g.
+// ESW_FAILPOINTS variable is parsed once, at static initialisation, e.g.
 //
 //   ESW_FAILPOINTS="jit.exec_map=always,mbuf.alloc=prob:0.01:7" ./soak ...
 //
@@ -74,7 +74,8 @@ class Failpoint {
 /// Process-wide name -> Failpoint map plus the global armed fast-path gate.
 class FailpointRegistry {
  public:
-  /// The singleton; parses ESW_FAILPOINTS on first construction.
+  /// The singleton; parses ESW_FAILPOINTS on construction, which happens
+  /// during static initialisation of any program that links a failpoint.
   static FailpointRegistry& instance();
 
   /// One relaxed load: false means no failpoint anywhere is armed and every

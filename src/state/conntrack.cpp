@@ -67,8 +67,8 @@ Conntrack::Conntrack(const CtConfig& cfg, common::EpochDomain* domain)
   bucket_mask_ = buckets - 1;
   shard_shift_ = static_cast<uint32_t>(__builtin_ctz(buckets / kShards));
 
-  slab_ = std::make_unique<Entry[]>(capacity_);
-  buckets_ = std::make_unique<std::atomic<uint32_t>[]>(buckets);
+  slab_ = common::HugeArray<Entry>(capacity_);
+  buckets_ = common::HugeArray<std::atomic<uint32_t>>(buckets);
   for (uint32_t i = 0; i < buckets; ++i) buckets_[i].store(kNil, std::memory_order_relaxed);
   shards_ = std::make_unique<Shard[]>(kShards);
 

@@ -12,7 +12,10 @@
 // head of its chain touches one bucket word and one entry line.  Chain links are 32-bit ids,
 // (slot << 1) | dir, so the entry and the direction a link keys on follow
 // from the id alone.  Bucket heads are ids too, two buckets per slot (one per
-// linked tuple), so a full table averages one link per bucket.
+// linked tuple), so a full table averages one link per bucket.  The slab and
+// the bucket array are sized once, at construction, and sit on 2 MB pages
+// when they are 2 MB or more (common/huge_array.hpp), so the bucket word and
+// the entry line of a lookup rarely add a page walk to their cache misses.
 //
 // Lifetime follows the datapath's QSBR discipline (common/epoch.hpp): an
 // unlinked entry is stamped with the current epoch, parked on its home
@@ -52,6 +55,7 @@
 #include <vector>
 
 #include "common/epoch.hpp"
+#include "common/huge_array.hpp"
 #include "state/ct_config.hpp"
 #include "state/fivetuple.hpp"
 
@@ -243,8 +247,8 @@ class Conntrack {
   uint32_t bucket_mask_;   // buckets - 1 (power of two)
   uint32_t shard_shift_;   // bucket index -> shard index
 
-  std::unique_ptr<Entry[]> slab_;
-  std::unique_ptr<std::atomic<uint32_t>[]> buckets_;  // head link id or kNil
+  common::HugeArray<Entry> slab_;
+  common::HugeArray<std::atomic<uint32_t>> buckets_;  // head link id or kNil
   std::unique_ptr<Shard[]> shards_;
 
   std::mutex free_lock_;
