@@ -1,17 +1,18 @@
 // Million-flow scale curve (tab02-style, Iterations(1)): the resizable
 // cuckoo table built to 100K / 1M / 4M entries from an empty start, growing
-// incrementally the whole way — the control-plane shape a controller session
-// produces, not a presized bulk load.
+// the whole way — the control-plane shape a controller session produces,
+// not a presized bulk load.
 //
-// Reported per point: `build_seconds` (inserts, including every incremental
-// grow the load triggers), `lookups_per_s` over the prefetch-pipelined bulk
-// probe path (lookup_burst, the burst datapath's access pattern),
-// `lines_per_lookup` (distinct cache lines a scalar probe touches, sampled
-// via MemTrace), `memory_bytes` (slot arrays + live entry blobs), and the
-// `grows`/`reseeds` the build took.  The CI gate holds `lines_per_lookup`
-// flat from 100K to 1M — O(1) probe work as the table scales is the claim
-// this template makes; wall rates are additionally cliff-guarded, since
-// they shift with the cache regime the table size lands in.
+// Reported per point: `build_seconds` (inserts, including every grow's
+// rebuild and view swap the load triggers), `lookups_per_s` over the
+// prefetch-pipelined bulk probe path (lookup_burst, the burst datapath's
+// access pattern), `lines_per_lookup` (distinct cache lines a scalar probe
+// touches, sampled via MemTrace), `memory_bytes` (slot arrays + live entry
+// blobs), and the `grows`/`reseeds` the build took.  The CI gate holds
+// `lines_per_lookup` flat from 100K to 1M — O(1) probe work as the table
+// scales is the claim this template makes; wall rates are additionally
+// cliff-guarded, since they shift with the cache regime the table size
+// lands in.
 //
 // Runs single-threaded with immediate reclamation (no EpochDomain): reader
 // safety under concurrent churn is test_cuckoo's job; this bench isolates

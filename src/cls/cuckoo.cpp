@@ -16,25 +16,20 @@ uint32_t round_pow2(uint32_t v) {
 }
 }  // namespace
 
-CuckooTable::CuckooTable(const Config& cfg) : cfg_(cfg), salt_(kSaltSeed) {
-  cfg_.initial_buckets = round_pow2(cfg_.initial_buckets == 0 ? 4 : cfg_.initial_buckets);
-  front_.store(new View(cfg_.initial_buckets, next_salt()), std::memory_order_release);
+CuckooTable::CuckooTable(uint32_t initial_buckets) : salt_(kSaltSeed) {
+  view_.store(new View(round_pow2(initial_buckets), next_salt()), std::memory_order_release);
 }
 
 CuckooTable::~CuckooTable() {
-  // Destruction implies no live readers: free entries from the live views
-  // (each live entry sits in exactly one slot of one view at API boundaries;
+  // Destruction implies no live readers: free entries from the live view
+  // (each live entry sits in exactly one of its slots at API boundaries;
   // retired views share entries and free only their slot arrays).
-  View* views[2] = {front_.load(std::memory_order_relaxed),
-                    back_.load(std::memory_order_relaxed)};
-  for (View* v : views) {
-    if (v == nullptr) continue;
-    for (auto& s : v->slots) {
-      Entry* e = word_ptr(s.load(std::memory_order_relaxed));
-      if (e != nullptr) free_entry(e);
-    }
-    delete v;
+  View* v = view_.load(std::memory_order_relaxed);
+  for (auto& s : v->slots) {
+    Entry* e = word_ptr(s.load(std::memory_order_relaxed));
+    if (e != nullptr) free_entry(e);
   }
+  delete v;
   retired_entries_.reclaim_into(UINT64_MAX, [](Entry* e) { free_entry(e); });
   retired_views_.reclaim_into(UINT64_MAX, [](View* v) { delete v; });
 }
@@ -83,12 +78,8 @@ uint64_t CuckooTable::epoch_reclaim(uint64_t horizon) {
 }
 
 size_t CuckooTable::memory_bytes() const {
-  const View* f = front_.load(std::memory_order_relaxed);
-  const View* b = back_.load(std::memory_order_relaxed);
-  size_t n = sizeof(*this) + entry_bytes_;
-  n += sizeof(View) + f->slots.size() * sizeof(uint64_t);
-  if (b != nullptr) n += sizeof(View) + b->slots.size() * sizeof(uint64_t);
-  return n;
+  const View* v = view_.load(std::memory_order_relaxed);
+  return sizeof(*this) + entry_bytes_ + sizeof(View) + v->slots.size() * sizeof(uint64_t);
 }
 
 std::atomic<uint64_t>* CuckooTable::find_slot(View* v, uint64_t h, const uint8_t* key,
@@ -146,7 +137,6 @@ bool CuckooTable::kick_place(View* v, Entry* e) {
     }
     kick_undo_.push_back({idx, vic});
     v->slots[idx].store(cur_word, std::memory_order_release);
-    ++kicks_;
     cur_word = vic;
     cur_hash = word_ptr(vic)->hash;
     const uint32_t b1 = bucket1(v, cur_hash);
@@ -159,76 +149,18 @@ bool CuckooTable::kick_place(View* v, Entry* e) {
   return false;
 }
 
-void CuckooTable::migrate_step(uint32_t max_buckets) {
-  View* b = back_.load(std::memory_order_relaxed);
-  if (b == nullptr) return;
-  View* f = front_.load(std::memory_order_relaxed);
-  uint32_t done = 0;
-  while (b->migrate_pos < b->n_buckets && done < max_buckets) {
-    const uint32_t base = b->migrate_pos * kSlotsPerBucket;
-    bool fail = false;
-    seq_begin();
-    for (uint32_t s = 0; s < kSlotsPerBucket; ++s) {
-      const uint64_t w = b->slots[base + s].load(std::memory_order_relaxed);
-      Entry* e = word_ptr(w);
-      if (e == nullptr) continue;
-      if (!place(f, e)) {
-        fail = true;
-        break;
-      }
-      b->slots[base + s].store(0, std::memory_order_release);
-      ++migrated_;
-    }
-    seq_end();
-    if (fail) {
-      // Front cannot absorb the drain: collapse both views into one doubled
-      // rebuild (rare — the incremental path normally finishes long before
-      // the front refills).
-      rebuild_collapse(f->n_buckets * 2);
-      return;
-    }
-    ++b->migrate_pos;
-    ++done;
-  }
-  if (b->migrate_pos >= b->n_buckets) {
-    back_.store(nullptr, std::memory_order_release);
-    retire_view(b);
-  }
-}
-
-void CuckooTable::force_drain() {
-  while (back_.load(std::memory_order_relaxed) != nullptr)
-    migrate_step(cfg_.migrate_per_mutation);
-}
-
-void CuckooTable::grow_incremental() {
-  ESW_CHECK(back_.load(std::memory_order_relaxed) == nullptr);
-  View* f = front_.load(std::memory_order_relaxed);
-  View* nf = new View(f->n_buckets * 2, f->salt);
-  // Publish back before front: a reader that observes the new (empty) front
-  // is guaranteed to observe the old view as back, so the union it probes is
-  // always the complete key set.
-  back_.store(f, std::memory_order_release);
-  front_.store(nf, std::memory_order_release);
-  ++grows_;
-}
-
-// Private rebuild of the whole key set into one fresh view (reseed when
-// same-sized, grow when larger), published with a single front/back swap
-// under the seq guard.  Entries are shared — old views retire slot arrays
-// only.  Escalates salt, then size, until the scatter fits.
-void CuckooTable::rebuild_collapse(uint32_t min_buckets) {
-  View* of = front_.load(std::memory_order_relaxed);
-  View* ob = back_.load(std::memory_order_relaxed);
+// Private rebuild of the whole key set into one fresh view of at least
+// `min_buckets` (a grow when larger, a reseed when the same size), published
+// with a single view swap under the seq guard.  Entries are shared: only
+// slot words are written, and the old view retires its slot array alone.
+// Escalates salt, then size, until the scatter fits.
+void CuckooTable::rebuild(uint32_t min_buckets) {
+  View* old = view_.load(std::memory_order_relaxed);
   std::vector<Entry*> all;
   all.reserve(size_);
-  const View* views[2] = {of, ob};
-  for (const View* v : views) {
-    if (v == nullptr) continue;
-    for (const auto& s : v->slots) {
-      Entry* e = word_ptr(s.load(std::memory_order_relaxed));
-      if (e != nullptr) all.push_back(e);
-    }
+  for (const auto& s : old->slots) {
+    Entry* e = word_ptr(s.load(std::memory_order_relaxed));
+    if (e != nullptr) all.push_back(e);
   }
   uint32_t buckets = round_pow2(min_buckets);
   uint32_t attempts = 0;
@@ -243,11 +175,13 @@ void CuckooTable::rebuild_collapse(uint32_t min_buckets) {
     }
     if (ok) {
       seq_begin();
-      front_.store(nv, std::memory_order_release);
-      back_.store(nullptr, std::memory_order_release);
+      view_.store(nv, std::memory_order_release);
       seq_end();
-      retire_view(of);
-      if (ob != nullptr) retire_view(ob);
+      if (buckets > old->n_buckets)
+        ++grows_;
+      else
+        ++reseeds_;
+      retire_view(old);
       return;
     }
     delete nv;
@@ -258,84 +192,40 @@ void CuckooTable::rebuild_collapse(uint32_t min_buckets) {
 void CuckooTable::insert(const uint8_t* key, uint32_t key_len, uint64_t value,
                          uint16_t aux) {
   const uint64_t h = hash_bytes(key, key_len, kHashSeed);
-  migrate_step(cfg_.migrate_per_mutation);
-
-  View* f = front_.load(std::memory_order_relaxed);
-  View* b = back_.load(std::memory_order_relaxed);
 
   // Same-key replace: a single slot-word swap, old or new both valid.
-  if (std::atomic<uint64_t>* s = find_slot(f, h, key, key_len)) {
+  if (std::atomic<uint64_t>* s = find_slot(view_.load(std::memory_order_relaxed), h, key,
+                                           key_len)) {
     Entry* old = word_ptr(s->load(std::memory_order_relaxed));
     Entry* ne = make_entry(key, key_len, value, aux, h);
     s->store(pack_word(ne), std::memory_order_release);
     retire_entry(old);
     return;
   }
-  if (b != nullptr) {
-    if (std::atomic<uint64_t>* s = find_slot(b, h, key, key_len)) {
-      // Replace of a key still in the draining view: publish the new version
-      // in front, then unlink the old — one seq section so a reader probing
-      // between the two views re-probes instead of missing.
-      Entry* ne = make_entry(key, key_len, value, aux, h);
-      seq_begin();
-      const bool ok = place(f, ne);
-      if (ok) {
-        Entry* old = word_ptr(s->load(std::memory_order_relaxed));
-        s->store(0, std::memory_order_release);
-        seq_end();
-        retire_entry(old);
-        return;
-      }
-      seq_end();
-      // No room in front even with kicks: collapse, then retry as a plain
-      // replace (the collapsed view contains the old version).
-      entry_bytes_ -= sizeof(Entry) + ne->key_len;
-      free_entry(ne);
-      rebuild_collapse(f->n_buckets * 2);
-      insert(key, key_len, value, aux);
-      return;
-    }
-  }
 
   // Fresh key.
-  if (static_cast<double>(size_ + 1) >=
-      kGrowLoad * static_cast<double>(capacity())) {
-    force_drain();
-    grow_incremental();
-  }
+  if (static_cast<double>(size_ + 1) >= kGrowLoad * static_cast<double>(capacity()))
+    rebuild(view_.load(std::memory_order_relaxed)->n_buckets * 2);
   Entry* ne = make_entry(key, key_len, value, aux, h);
-  uint32_t attempts = 0;
-  for (;;) {
-    f = front_.load(std::memory_order_relaxed);
-    if (try_place_empty(f, ne)) break;
+  for (uint32_t attempts = 0;; ++attempts) {
+    View* v = view_.load(std::memory_order_relaxed);
+    if (try_place_empty(v, ne)) break;
     seq_begin();
-    const bool ok = kick_place(f, ne);
+    const bool ok = kick_place(v, ne);
     seq_end();
     if (ok) break;
     // Kicks exhausted: at real load pressure, grow; at low load this is a
     // pathological salt — reseed first, grow if that did not help.
-    force_drain();
     const double load = static_cast<double>(size_) / static_cast<double>(capacity());
-    if (load >= 0.5 || attempts > 0) {
-      grow_incremental();
-    } else {
-      ++reseeds_;
-      rebuild_collapse(f->n_buckets);
-    }
-    ++attempts;
+    rebuild(load >= 0.5 || attempts > 0 ? v->n_buckets * 2 : v->n_buckets);
   }
   ++size_;
 }
 
 bool CuckooTable::erase(const uint8_t* key, uint32_t key_len) {
   const uint64_t h = hash_bytes(key, key_len, kHashSeed);
-  migrate_step(cfg_.migrate_per_mutation);
-  View* f = front_.load(std::memory_order_relaxed);
-  std::atomic<uint64_t>* s = find_slot(f, h, key, key_len);
-  if (s == nullptr) {
-    View* b = back_.load(std::memory_order_relaxed);
-    if (b != nullptr) s = find_slot(b, h, key, key_len);
-  }
+  std::atomic<uint64_t>* s =
+      find_slot(view_.load(std::memory_order_relaxed), h, key, key_len);
   if (s == nullptr) return false;
   Entry* e = word_ptr(s->load(std::memory_order_relaxed));
   s->store(0, std::memory_order_release);
@@ -352,27 +242,24 @@ std::optional<CuckooTable::Value> CuckooTable::lookup(const uint8_t* key,
   for (;;) {
     const uint64_t s0 = seq_.load(std::memory_order_acquire);
     if (s0 & 1) continue;  // move in flight; writer sections are short
-    const View* views[2] = {front_.load(std::memory_order_acquire),
-                            back_.load(std::memory_order_acquire)};
-    for (const View* v : views) {
-      if (v == nullptr) continue;
-      const uint32_t buckets[2] = {bucket1(v, h), bucket2(v, h)};
-      for (uint32_t b : buckets) {
-        const size_t base = static_cast<size_t>(b) * kSlotsPerBucket;
-        if (trace != nullptr)
-          trace->touch(&v->slots[base], kSlotsPerBucket * sizeof(uint64_t));
-        for (uint32_t s = 0; s < kSlotsPerBucket; ++s) {
-          const uint64_t word = v->slots[base + s].load(std::memory_order_acquire);
-          const Entry* e = word_ptr(word);
-          if (e == nullptr || word_tag(word) != tag) continue;
-          if (trace != nullptr) trace->touch(e, sizeof(Entry) + e->key_len);
-          if (e->hash == h && e->key_len == key_len &&
-              std::memcmp(e->key(), key, key_len) == 0)
-            return Value{e->value, e->aux};  // hits are self-validating
-        }
+    const View* v = view_.load(std::memory_order_acquire);
+    const uint32_t buckets[2] = {bucket1(v, h), bucket2(v, h)};
+    for (uint32_t b : buckets) {
+      const size_t base = static_cast<size_t>(b) * kSlotsPerBucket;
+      if (trace != nullptr)
+        trace->touch(&v->slots[base], kSlotsPerBucket * sizeof(uint64_t));
+      for (uint32_t s = 0; s < kSlotsPerBucket; ++s) {
+        const uint64_t word = v->slots[base + s].load(std::memory_order_acquire);
+        const Entry* e = word_ptr(word);
+        if (e == nullptr || word_tag(word) != tag) continue;
+        if (trace != nullptr) trace->touch(e, sizeof(Entry) + e->key_len);
+        if (e->hash == h && e->key_len == key_len &&
+            std::memcmp(e->key(), key, key_len) == 0)
+          return Value{e->value, e->aux};  // hits are self-validating
       }
     }
-    // A miss is only believable if no displacement overlapped the probe.
+    // A miss is only believable if no displacement or swap overlapped the
+    // probe.
     if (seq_.load(std::memory_order_acquire) == s0) return std::nullopt;
   }
 }
@@ -393,8 +280,8 @@ uint32_t CuckooTable::lookup_burst(const uint8_t* const* keys, const uint32_t* l
   };
   Chunk ring[3];
   // One view snapshot per burst: every optimistic probe below is against
-  // this front; anything it can't prove present goes to the scalar path.
-  const View* v = front_.load(std::memory_order_acquire);
+  // it; anything it can't prove present goes to the scalar path.
+  const View* v = view_.load(std::memory_order_acquire);
   uint32_t hits = 0;
 
   // Stage 1: hash the chunk and start both candidate buckets' lines.

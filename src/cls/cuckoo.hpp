@@ -15,18 +15,23 @@
 //   * single-slot writes (fresh insert into an empty slot, erase, same-key
 //     replace) need no further protection: a reader sees the old or the new
 //     word, both valid states;
-//   * multi-slot moves (displacement chains, bucket migration during grow,
-//     the reseed/collapse view swap) run inside one global even/odd seqlock
-//     section.  Positive hits are self-validating (immutable entries) and
-//     return immediately; only a *miss* that overlapped a move re-probes, so
-//     a present key is never reported absent.
+//   * multi-slot moves (displacement chains, the rebuild view swap) run
+//     inside one global even/odd seqlock section.  Positive hits are
+//     self-validating (immutable entries) and return immediately; only a
+//     *miss* that overlapped a move re-probes, so a present key is never
+//     reported absent.
 //
-// Growth is incremental: a doubled empty view is published as the new front
-// and the old view drains behind it, a few buckets per subsequent mutation —
-// no stop-the-world rehash.  Lookups probe front then back; a key is always
-// in exactly one of them.  Failed displacement chains at low load reseed
-// (new bucket-derivation salt, entries shared, private rebuild + view swap)
-// before escalating to a grow.
+// There is one resize path: rebuild().  A table that crosses kGrowLoad, or
+// whose displacement chain fails at load >= 0.5, rebuilds privately into a
+// view of twice the buckets (entries shared, only slot words written) and
+// publishes it with one view swap; a chain that fails at low load is a
+// pathological salt, so the rebuild keeps the size and reseeds.  Readers
+// keep probing the old view until the swap, and the old view retires
+// through the epoch domain.  The cost is a pause on the writer thread: the
+// insert that triggers a grow pays for the whole rebuild.  Filling a
+// default table with fresh 8-byte keys (-O2, 4-vCPU Xeon VM), the worst
+// single insert is 77-115 ms on the way to 1M keys and 0.35-0.41 s on the
+// way to 4M (builds of 0.53-0.66 s and 2.6-3.0 s, p99 insert 2.5-3.5 us).
 //
 // A view's slot array of 2 MB or more (64K buckets and up) sits on 2 MB pages
 // (common/huge_array.hpp): a probe's two random buckets then rarely cost a
@@ -49,21 +54,16 @@ class CuckooTable {
  public:
   static constexpr uint32_t kSlotsPerBucket = 4;
   static constexpr uint32_t kMaxKicks = 96;  // displacement bound before reseed/grow
-  static constexpr double kGrowLoad = 0.8;   // proactive incremental-grow threshold
+  static constexpr double kGrowLoad = 0.8;   // proactive grow threshold
   static constexpr uint64_t kSaltSeed = 0x9E3779B97F4A7C15ULL;  // first salt derives from it
-
-  struct Config {
-    uint32_t initial_buckets = 1024;   // rounded up to a power of two (>= 4)
-    uint32_t migrate_per_mutation = 8; // back-view buckets drained per write
-  };
 
   struct Value {
     uint64_t value;
     uint16_t aux;
   };
 
-  CuckooTable() : CuckooTable(Config{}) {}
-  explicit CuckooTable(const Config& cfg);
+  /// `initial_buckets` is rounded up to a power of two (>= 4).
+  explicit CuckooTable(uint32_t initial_buckets = 1024);
   ~CuckooTable();
 
   CuckooTable(const CuckooTable&) = delete;
@@ -89,11 +89,10 @@ class CuckooTable {
   /// up to a lane's worth of cache misses are in flight at once instead of
   /// one dependent miss per key.  That memory-level parallelism is what
   /// keeps the probe rate flat from 100K to millions of entries (the scale
-  /// bench's CI gate).  Lanes whose optimistic front-view probe misses (a
-  /// grow draining behind the front, a tag collision, a concurrent
-  /// displacement) fall back to the seq-checked scalar lookup(), so the
-  /// result is element-wise identical to n lookup() calls.  Fills out[i]
-  /// and hit[i]; returns the hit count.
+  /// bench's CI gate).  Lanes whose optimistic probe misses (a tag
+  /// collision, a concurrent displacement or view swap) fall back to the
+  /// seq-checked scalar lookup(), so the result is element-wise identical to
+  /// n lookup() calls.  Fills out[i] and hit[i]; returns the hit count.
   uint32_t lookup_burst(const uint8_t* const* keys, const uint32_t* lens,
                         uint32_t n, Value* out, bool* hit) const;
 
@@ -103,7 +102,7 @@ class CuckooTable {
   /// lookup would use, so a concurrent grow can never make it prefetch
   /// (or index) past the live slot array.
   void prefetch(const uint8_t* key, uint32_t key_len) const {
-    const View* v = front_.load(std::memory_order_acquire);
+    const View* v = view_.load(std::memory_order_acquire);
     const uint64_t hs = mix64(hash_bytes(key, key_len, kHashSeed) ^ v->salt);
     esw_prefetch(&v->slots[static_cast<size_t>(static_cast<uint32_t>(hs) & v->mask) *
                            kSlotsPerBucket]);
@@ -113,14 +112,12 @@ class CuckooTable {
 
   size_t size() const { return size_; }
   uint32_t capacity() const {
-    return front_.load(std::memory_order_relaxed)->n_buckets * kSlotsPerBucket;
+    return view_.load(std::memory_order_relaxed)->n_buckets * kSlotsPerBucket;
   }
   size_t memory_bytes() const;
 
   uint64_t grows() const { return grows_; }
   uint64_t reseeds() const { return reseeds_; }
-  uint64_t kicks() const { return kicks_; }
-  uint64_t migrated() const { return migrated_; }
 
   /// Frees retired entries/views stamped strictly below `horizon`
   /// (control thread; rides the datapath's reclaim pass).
@@ -146,7 +143,6 @@ class CuckooTable {
     uint32_t n_buckets;
     uint32_t mask;
     uint64_t salt;
-    uint32_t migrate_pos = 0;  // next bucket to drain when this is the back
     common::HugeArray<std::atomic<uint64_t>> slots;  // n_buckets * kSlotsPerBucket
 
     View(uint32_t buckets, uint64_t s)
@@ -190,17 +186,12 @@ class CuckooTable {
     seq_.store(seq_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
   }
 
-  void migrate_step(uint32_t max_buckets);
-  void force_drain();
-  void grow_incremental();
-  void rebuild_collapse(uint32_t min_buckets);
+  void rebuild(uint32_t min_buckets);
   uint64_t next_salt() { return salt_ = mix64(salt_ + kHashSeed); }
 
-  Config cfg_;
   uint64_t salt_;
-  std::atomic<View*> front_;
-  std::atomic<View*> back_{nullptr};
-  // Global displacement/migration guard: odd while a multi-slot move is in
+  std::atomic<View*> view_;
+  // Global displacement/swap guard: odd while a multi-slot move is in
   // flight; readers re-probe on a miss whose window saw a change.
   std::atomic<uint64_t> seq_{0};
 
@@ -213,8 +204,6 @@ class CuckooTable {
   uint32_t kick_rr_ = 0;    // round-robin victim-slot cursor
   uint64_t grows_ = 0;
   uint64_t reseeds_ = 0;
-  uint64_t kicks_ = 0;
-  uint64_t migrated_ = 0;
   struct Undo {
     uint32_t idx;
     uint64_t word;

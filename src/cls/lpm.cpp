@@ -40,6 +40,13 @@ uint32_t LpmTable::alloc_tbl8(uint32_t fill_entry) {
   return group;
 }
 
+// `kOrder` stores the range's tbl24 route cells: release for add(), relaxed
+// for add_unpublished().  Both are one plain store on x86, but
+// ThreadSanitizer keeps a sync object for every address ever release-stored,
+// and a build's /8 routes cover 65536 cells each: gigabytes of sync state for
+// one table.  A template, not a per-cell test: this loop is most of a build's
+// time.
+template <std::memory_order kOrder>
 void LpmTable::write_range24(uint32_t first, uint32_t last, uint32_t entry,
                              uint8_t at_depth) {
   for (uint32_t i = first; i <= last; ++i) {
@@ -53,7 +60,7 @@ void LpmTable::write_range24(uint32_t first, uint32_t last, uint32_t entry,
         if (!valid(cell) || depth(cell) <= at_depth) set_cell8(idx, entry);
       }
     } else if (!valid(e) || depth(e) <= at_depth) {
-      set_cell24(i, entry);
+      tbl24_[i].store(entry, kOrder);
     }
   }
 }
@@ -67,7 +74,16 @@ void LpmTable::write_tbl8_range(uint32_t group, uint32_t first, uint32_t last,
   }
 }
 
-void LpmTable::add(uint32_t prefix, uint8_t len, uint32_t value_in) {
+void LpmTable::add(uint32_t prefix, uint8_t len, uint32_t value) {
+  add_route<std::memory_order_release>(prefix, len, value);
+}
+
+void LpmTable::add_unpublished(uint32_t prefix, uint8_t len, uint32_t value) {
+  add_route<std::memory_order_relaxed>(prefix, len, value);
+}
+
+template <std::memory_order kOrder>
+void LpmTable::add_route(uint32_t prefix, uint8_t len, uint32_t value_in) {
   ESW_CHECK(len <= 32);
   ESW_CHECK_MSG(value_in <= kMaxValue, "LPM value exceeds 24 bits");
   prefix &= prefix_mask32(len);
@@ -76,7 +92,7 @@ void LpmTable::add(uint32_t prefix, uint8_t len, uint32_t value_in) {
   if (len <= 24) {
     const uint32_t first = prefix >> 8;
     const uint32_t last = first + (1u << (24 - len)) - 1;
-    write_range24(first, last, make(value_in, len, false), len);
+    write_range24<kOrder>(first, last, make(value_in, len, false), len);
     return;
   }
 

@@ -17,11 +17,13 @@
 // together), stored releases / loaded acquires, so a reader always sees a
 // well-formed entry — during a multi-cell range write it may see a mix of
 // pre- and post-update cells, i.e. either the old or the new route per
-// address, never garbage.  tbl8 storage is preallocated to its group budget
-// at construction so no reader-visible array ever reallocates.  Freed tbl8
-// groups are recycled without a grace period; the lookup therefore brackets
-// its two-level read with a generation counter that every group (re)allocation
-// bumps (seqlock-style) and retries when ownership changed underneath it —
+// address, never garbage.  (add_unpublished(), for a builder that no reader
+// can reach yet, stores its tbl24 route cells relaxed.)  tbl8 storage is
+// preallocated to its group budget at construction so no reader-visible
+// array ever reallocates.  Freed tbl8 groups are recycled without a grace
+// period; the lookup therefore brackets its two-level read with a generation
+// counter that every group (re)allocation bumps (seqlock-style) and retries
+// when ownership changed underneath it —
 // a value-compare of the tbl24 cell alone would be ABA-unsafe, since the
 // LIFO freelist readily hands the same group back to the same /24.
 #pragma once
@@ -47,6 +49,11 @@ class LpmTable {
   /// Adds/overwrites a route; `len` in [0, 32], `prefix` in host order.
   /// A /0 entry acts as the default route.  Throws when tbl8 groups run out.
   void add(uint32_t prefix, uint8_t len, uint32_t value);
+
+  /// add() for a table no reader can reach yet: the route's range of tbl24
+  /// cells is stored relaxed, and the release that later publishes the
+  /// table orders them.  Same table contents as add().
+  void add_unpublished(uint32_t prefix, uint8_t len, uint32_t value);
 
   /// Removes a route; true if it existed.  The freed range falls back to the
   /// longest covering ancestor (or to a miss).
@@ -89,6 +96,9 @@ class LpmTable {
   static uint32_t value(uint32_t e) { return e & kMaxValue; }
 
   uint32_t alloc_tbl8(uint32_t fill_entry);
+  template <std::memory_order kOrder>
+  void add_route(uint32_t prefix, uint8_t len, uint32_t value);
+  template <std::memory_order kOrder>
   void write_range24(uint32_t first, uint32_t last, uint32_t entry, uint8_t at_depth);
   void write_tbl8_range(uint32_t group, uint32_t first, uint32_t last, uint32_t entry,
                         uint8_t at_depth);

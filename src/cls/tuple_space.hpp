@@ -3,12 +3,13 @@
 //
 // Entries are grouped into tuples by their exact mask signature; each tuple
 // indexes its entries with a cuckoo hash (cls::CuckooTable, created at its
-// smallest size and grown in place) over the masked key — the dpcls subtable
-// shape.  Lookup scans tuples best-rank-first with early exit (OVS's "tuple
-// priority sorting") and can report which tuples were visited — the
-// information a flow-caching switch turns into megaflow wildcards (§2.2:
-// fields "that caused a match as well as those higher priority ones that did
-// not, need to be taken into consideration").
+// smallest size, updated in place, grown by a private rebuild and one view
+// swap) over the masked key — the dpcls subtable shape.  Lookup scans tuples
+// best-rank-first with early exit (OVS's "tuple priority sorting") and can
+// report which tuples were visited — the information a flow-caching switch
+// turns into megaflow wildcards (§2.2: fields "that caused a match as well as
+// those higher priority ones that did not, need to be taken into
+// consideration").
 //
 // The tuple space owns the match order: an entry's rank is its priority, then
 // a 64-bit insertion sequence (earlier wins among equals), exactly the
@@ -207,15 +208,15 @@ class TupleSpace {
 
  private:
   static constexpr uint32_t kMaxKeyBytes = 8 * flow::kNumFields;
-  // Tuples start at the index's smallest size: most hold a handful of keys.
-  static constexpr CuckooTable::Config kIndexConfig{.initial_buckets = 1};
 
   struct Tuple {
     // Immutable after creation: readers use these without synchronization.
     uint32_t present = 0;
     std::array<uint64_t, flow::kNumFields> masks{};
     uint32_t proto_required = 0;
-    CuckooTable index{kIndexConfig};  // masked key -> chain head (const Entry*)
+    // Masked key -> chain head (const Entry*).  Starts at the index's
+    // smallest size: most tuples hold a handful of keys.
+    CuckooTable index{1};
     // Writer side only: every live node by rank, and the min_rank last
     // published in the scan order.
     std::map<Rank, std::unique_ptr<const Entry>> nodes;

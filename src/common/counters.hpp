@@ -58,6 +58,7 @@ class CounterCells {
     const Words w = std::bit_cast<Words>(d);
     for (size_t i = 0; i < kN; ++i) counter_add(c_[i], w[i]);
   }
+  void add(uint64_t S::*field, uint64_t d) { counter_add(c_[index(field)], d); }
 
   /// Adds the cells into `sum` (aggregating several blocks into one).
   void add_to(S& sum) const {

@@ -78,12 +78,11 @@ size_t DirectCodeTable::memory_bytes() const {
 std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
     const std::vector<BuildEntry>& entries, const Match& mask_template, BuildCtx& ctx) {
   // Room for every input key below the grow threshold.
-  cls::CuckooTable::Config icfg;
-  icfg.initial_buckets = static_cast<uint32_t>(
+  const auto buckets = static_cast<uint32_t>(
       static_cast<double>(entries.size()) /
           (cls::CuckooTable::kGrowLoad * cls::CuckooTable::kSlotsPerBucket) +
       1);
-  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(icfg));
+  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(buckets));
   for (FieldId f : flow::MatchFields(mask_template)) {
     t->fields_.push_back(f);
     t->field_masks_.push_back(mask_template.mask(f));
@@ -277,7 +276,7 @@ std::unique_ptr<LpmTemplateTable> LpmTemplateTable::build(
     }
     const uint64_t packed = resolve_result(e, ctx);
     const uint32_t idx = t->intern_result(packed);
-    t->lpm_.add(prefix, len, idx);
+    t->lpm_.add_unpublished(prefix, len, idx);
     t->prefix_prio_[{prefix, len}] = e.priority;
     if (e.match.is_catch_all())
       t->proto_absent_result_.store(packed, std::memory_order_relaxed);

@@ -163,7 +163,7 @@ class CuckooTemplateTable final : public CompiledTable {
   const cls::CuckooTable& index() const { return index_; }
 
  private:
-  explicit CuckooTemplateTable(const cls::CuckooTable::Config& c) : index_(c) {}
+  explicit CuckooTemplateTable(uint32_t initial_buckets) : index_(initial_buckets) {}
 
   bool same_shape(const flow::Match& m) const;
   uint32_t key_from_match(const flow::Match& m, uint8_t* out) const;

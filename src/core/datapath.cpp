@@ -63,7 +63,7 @@ std::unique_ptr<CompiledTable> CompiledDatapath::take_live(CompiledTable* old) {
 }
 
 void CompiledDatapath::retire_impl(CompiledTable* old) {
-  retired_impls_.retire(take_live(old), domain_.current_epoch());
+  unpublished_.impls.push_back(take_live(old));
 }
 
 void CompiledDatapath::set_impl(int32_t slot, std::unique_ptr<CompiledTable> impl) {
@@ -82,7 +82,7 @@ void CompiledDatapath::retire_slot(int32_t slot) {
   // old-or-new verdict guarantee).  The slot only becomes unreachable for
   // bursts that start after the swap, so pointer, object and slot id are all
   // reclaimed together once the grace period ends (recycle_slot).
-  retired_slots_.retire(slot, domain_.current_epoch());
+  unpublished_.slots.push_back(slot);
 }
 
 void CompiledDatapath::recycle_slot(int32_t slot) {
@@ -95,7 +95,26 @@ void CompiledDatapath::recycle_slot(int32_t slot) {
   free_slots_.push_back(slot);
 }
 
+// Stamps everything displaced since the last pass.  Not at the swap: the
+// published plan pins impls and slots until the writer republishes it, and
+// packet workers advance the epoch too (conntrack expiry and eviction), so a
+// stamp taken at the swap can fall behind the epoch a worker ticks in while
+// it still loads the old plan, and that worker's impl would be freed under
+// it.  The stamp comes from an advance of the writer's own, after the
+// republish: a worker that ticks in any later epoch has synchronized with it
+// and loads the new plan.
+void CompiledDatapath::stamp_unpublished() {
+  Unpublished& u = unpublished_;
+  if (u.impls.empty() && u.slots.empty() && u.plans.empty()) return;
+  const uint64_t stamp = domain_.advance() - 1;
+  for (auto& t : u.impls) retired_impls_.retire(std::move(t), stamp);
+  for (const int32_t slot : u.slots) retired_slots_.retire(slot, stamp);
+  for (auto& p : u.plans) retired_fused_.retire(std::move(p), stamp);
+  u = {};
+}
+
 uint64_t CompiledDatapath::reclaim() {
+  stamp_unpublished();
   // Injectable stall: skip this pass as if no grace period had elapsed.
   // Retirements stay pending (bounded growth, audited by the soak's reclaim
   // check) until a later pass runs with the point disarmed.
@@ -118,8 +137,7 @@ uint64_t CompiledDatapath::reclaim() {
 
 void CompiledDatapath::set_fused(std::unique_ptr<FusedPipeline> fused) {
   fused_.store(fused.get(), std::memory_order_release);
-  if (fused_live_ != nullptr)
-    retired_fused_.retire(std::move(fused_live_), domain_.current_epoch());
+  if (fused_live_ != nullptr) unpublished_.plans.push_back(std::move(fused_live_));
   fused_live_ = std::move(fused);
 }
 
@@ -136,7 +154,8 @@ void CompiledDatapath::reset() {
   live_.clear();
   fused_.store(nullptr, std::memory_order_release);
   fused_live_.reset();
-  retired_impls_.clear();   // no workers: immediate free is safe
+  unpublished_ = {};        // no workers: immediate free is safe
+  retired_impls_.clear();
   retired_slots_.clear();
   retired_fused_.clear();
   start_.store(-1, std::memory_order_release);
@@ -438,12 +457,15 @@ void CompiledDatapath::clear_stats() {
 CompiledDatapath::ReclaimStats CompiledDatapath::reclaim_stats() const {
   uint64_t internal_pending = 0;
   for (const auto& t : live_) internal_pending += t->retired_pending();
+  // Displaced but not yet stamped counts as retired and pending.
+  const uint64_t unstamped =
+      unpublished_.impls.size() + unpublished_.slots.size() + unpublished_.plans.size();
   return {retired_impls_.retired_total() + retired_slots_.retired_total() +
-              retired_fused_.retired_total(),
+              retired_fused_.retired_total() + unstamped,
           retired_impls_.reclaimed_total() + retired_slots_.reclaimed_total() +
               retired_fused_.reclaimed_total(),
           retired_impls_.pending() + retired_slots_.pending() +
-              retired_fused_.pending(),
+              retired_fused_.pending() + unstamped,
           internal_pending};
 }
 

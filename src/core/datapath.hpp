@@ -171,8 +171,9 @@ class CompiledDatapath {
   /// then impl and slot id are reclaimed together for reuse.
   void retire_slot(int32_t slot);
 
-  /// Frees every retirement whose grace period has elapsed (advances the
-  /// epoch first).  With no registered workers this reclaims everything
+  /// Stamps what was displaced since the last pass (impls, slots, plans),
+  /// then frees every retirement whose grace period has elapsed (advances
+  /// the epoch first).  With no registered workers this reclaims everything
   /// immediately.  Returns the number of objects freed.
   uint64_t reclaim();
 
@@ -306,6 +307,7 @@ class CompiledDatapath {
                      flow::Verdict* out, MemTrace* trace);
   std::unique_ptr<CompiledTable> take_live(CompiledTable* old);
   void retire_impl(CompiledTable* old);
+  void stamp_unpublished();
   void recycle_slot(int32_t slot);
 
   std::unique_ptr<Slot[]> slots_;  // kMaxSlots, fixed — stable for readers
@@ -317,6 +319,13 @@ class CompiledDatapath {
   std::atomic<int32_t> start_{-1};
 
   common::EpochDomain domain_;
+  // Displaced since the last reclaim() and not yet stamped: the published
+  // plan may pin them until the writer republishes it.
+  struct Unpublished {
+    std::vector<std::unique_ptr<CompiledTable>> impls;
+    std::vector<int32_t> slots;
+    std::vector<std::unique_ptr<FusedPipeline>> plans;
+  } unpublished_;
   common::RetireList<std::unique_ptr<CompiledTable>> retired_impls_;
   common::RetireList<int32_t> retired_slots_;
   common::RetireList<std::unique_ptr<FusedPipeline>> retired_fused_;

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/check.hpp"
-#include "common/counters.hpp"
 #include "common/failpoint.hpp"
 #include "flow/fields.hpp"
 #include "netio/packet.hpp"
@@ -250,9 +249,7 @@ void Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
     pi.ct_state = kCtTracked | kCtNew;
     if (cfg_.auto_commit) hit.entry = commit(hit.tuple, flags, 0, now);
   }
-  common::counter_add(c_.lookups, lookups);
-  common::counter_add(c_.hits, hit_count);
-  common::counter_add(c_.misses, lookups - hit_count);
+  c_.cells.add({.lookups = lookups, .hits = hit_count, .misses = lookups - hit_count});
 }
 
 void Conntrack::post(const Hit& hit, bool commit_requested, uint32_t profile,
@@ -310,7 +307,7 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
     // still be reading it), so this commit is dropped — accounted, never a
     // crash.  Reclaim in poll() refills the freelist.
     evict_one(now);
-    c_.commit_drops.fetch_add(1, std::memory_order_relaxed);
+    c_.cells.add(&Counts::commit_drops, 1);
     return nullptr;
   }
 
@@ -348,7 +345,7 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
         const uint64_t mask = prof->enabled_mask.load(std::memory_order_relaxed);
         if (mask == 0 || prof->backends.empty()) {
           free_slot(slot);
-          c_.commit_drops.fetch_add(1, std::memory_order_relaxed);
+          c_.cells.add(&Counts::commit_drops, 1);
           return nullptr;  // no backend up: accounted refusal
         }
         const uint64_t fh = hash_tuple(t);
@@ -399,7 +396,7 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
         }
         wheel_insert_locked(shards_[s0], slot, e.gen.load(std::memory_order_relaxed),
                             now + timeout_ms(e), now);
-        c_.commits.fetch_add(1, std::memory_order_relaxed);
+        c_.cells.add(&Counts::commits, 1);
         c_.live.fetch_add(1, std::memory_order_relaxed);
         return &e;
       }
@@ -408,8 +405,7 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
     if (prof->kind != CtProfileConfig::Kind::kSnat ||
         ++port_attempts >= std::min<uint32_t>(port_range, 64)) {
       free_slot(slot);
-      c_.nat_port_exhausted.fetch_add(1, std::memory_order_relaxed);
-      c_.commit_drops.fetch_add(1, std::memory_order_relaxed);
+      c_.cells.add({.commit_drops = 1, .nat_port_exhausted = 1});
       return nullptr;
     }
   }
@@ -483,7 +479,7 @@ bool Conntrack::evict_one(uint64_t now) {
     if (e.dead.load(std::memory_order_relaxed)) continue;
     const uint32_t gen = e.gen.load(std::memory_order_relaxed);
     if (remove_entry(slot, gen, /*expire_check=*/false, now)) {
-      c_.evictions_forced.fetch_add(1, std::memory_order_relaxed);
+      c_.cells.add(&Counts::evictions_forced, 1);
       return true;
     }
   }
@@ -544,7 +540,7 @@ void Conntrack::poll(uint64_t now) {
   if (due.empty()) return;
   for (const WheelItem& it : due)
     if (remove_entry(it.slot, it.gen, /*expire_check=*/true, now))
-      c_.expired.fetch_add(1, std::memory_order_relaxed);
+      c_.cells.add(&Counts::expired, 1);
   // Hand the (larger) buffer back.
   due.clear();
   std::lock_guard<std::mutex> g(s.lock);
@@ -578,14 +574,7 @@ void Conntrack::flush_reclaim() {
 
 Conntrack::Stats Conntrack::stats() const {
   Stats s;
-  s.lookups = c_.lookups.load(std::memory_order_relaxed);
-  s.hits = c_.hits.load(std::memory_order_relaxed);
-  s.misses = c_.misses.load(std::memory_order_relaxed);
-  s.commits = c_.commits.load(std::memory_order_relaxed);
-  s.commit_drops = c_.commit_drops.load(std::memory_order_relaxed);
-  s.evictions_forced = c_.evictions_forced.load(std::memory_order_relaxed);
-  s.expired = c_.expired.load(std::memory_order_relaxed);
-  s.nat_port_exhausted = c_.nat_port_exhausted.load(std::memory_order_relaxed);
+  static_cast<Counts&>(s) = c_.cells.load();
   const int64_t live = c_.live.load(std::memory_order_relaxed);
   s.live = live > 0 ? static_cast<uint64_t>(live) : 0;
   for (uint32_t i = 0; i < kShards; ++i) {

@@ -54,6 +54,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/epoch.hpp"
 #include "common/huge_array.hpp"
 #include "state/ct_config.hpp"
@@ -119,8 +120,8 @@ class Conntrack {
     FiveTuple tuple;
   };
 
-  /// All counters are cumulative and relaxed; stats() snapshots them.
-  struct Stats {
+  /// The monotone counters: cumulative and relaxed.
+  struct Counts {
     uint64_t lookups = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -129,6 +130,10 @@ class Conntrack {
     uint64_t evictions_forced = 0;   // capacity- or failpoint-forced evictions
     uint64_t expired = 0;            // timeout-wheel removals
     uint64_t nat_port_exhausted = 0; // SNAT allocation gave up (accounted)
+  };
+
+  /// stats() snapshots the counts, the live entry count and the retire lists.
+  struct Stats : Counts {
     uint64_t live = 0;               // current entry count
     uint64_t retire_pending = 0;     // unlinked, awaiting epoch grace
     uint64_t retired_total = 0;
@@ -273,11 +278,11 @@ class Conntrack {
   std::atomic<uint64_t> manual_now_ms_{1};
 
   // Own cache line(s): packet workers flush lookups/hits/misses once per
-  // burst here, apart from the per-chunk poll/evict cursors above.
+  // burst here, apart from the per-chunk poll/evict cursors above.  `live`
+  // stays an exact signed count beside the cells: commits == live + expired
+  // + evictions_forced is a conservation check, not a derivation.
   struct alignas(64) Counters {
-    std::atomic<uint64_t> lookups{0}, hits{0}, misses{0};
-    std::atomic<uint64_t> commits{0}, commit_drops{0}, evictions_forced{0};
-    std::atomic<uint64_t> expired{0}, nat_port_exhausted{0};
+    common::CounterCells<Counts> cells;
     std::atomic<int64_t> live{0};
   };
   mutable Counters c_;

@@ -835,9 +835,9 @@ TEST(Counters, CellsSumSnapshotsAndClear) {
 
 TEST(Counters, SingleWriterAndSharedCellsUnderFourThreads) {
   // Each of four threads bumps its own padded block (single writer) and adds
-  // into one block all of them share, while the main thread aggregates both
-  // concurrently.  Readers see monotone sums; after the join every count is
-  // exact.
+  // into one block all of them share, whole and one field at a time, while
+  // the main thread aggregates both concurrently.  Readers see monotone sums;
+  // after the join every count is exact.
   constexpr int kThreads = 4;
   const uint64_t rounds = 20000 * static_cast<uint64_t>(conc_scale());
   struct alignas(64) Own {
@@ -853,6 +853,7 @@ TEST(Counters, SingleWriterAndSharedCellsUnderFourThreads) {
         own[t].cells.bump({1, i % 2, 0});
         own[t].cells.bump(&ThreeCounters::c, 2);
         shared.add({1, 0, static_cast<uint64_t>(t)});
+        shared.add(&ThreeCounters::b, 3);
       }
       done.fetch_add(1, std::memory_order_release);
     });
@@ -876,7 +877,7 @@ TEST(Counters, SingleWriterAndSharedCellsUnderFourThreads) {
   EXPECT_EQ(sum.c, kThreads * rounds * 2);
   const ThreeCounters sh = shared.load();
   EXPECT_EQ(sh.a, kThreads * rounds);
-  EXPECT_EQ(sh.b, 0u);
+  EXPECT_EQ(sh.b, kThreads * rounds * 3);
   EXPECT_EQ(sh.c, rounds * (0 + 1 + 2 + 3));
 }
 

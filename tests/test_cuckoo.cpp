@@ -89,9 +89,7 @@ TEST(Cuckoo, DistinguishesKeyLengths) {
 
 TEST(Cuckoo, ChurnMatchesReference) {
   const uint64_t seed = testing::test_seed(0xC0C0ACULL, "cuckoo reference churn");
-  CuckooTable::Config cfg;
-  cfg.initial_buckets = 4;  // every growth/migration path exercised
-  CuckooTable t(cfg);
+  CuckooTable t(4);  // every grow and reseed path exercised
   Rng rng(seed);
   std::unordered_map<uint64_t, uint64_t> ref;
   for (int op = 0; op < 60000; ++op) {
@@ -124,10 +122,7 @@ TEST(Cuckoo, ChurnMatchesReference) {
 
 TEST(Cuckoo, BurstLookupMatchesScalar) {
   const uint64_t seed = testing::test_seed(0xB0057ULL, "cuckoo burst parity");
-  CuckooTable::Config cfg;
-  cfg.initial_buckets = 4;
-  cfg.migrate_per_mutation = 1;  // keep a back view live during the bursts
-  CuckooTable t(cfg);
+  CuckooTable t(4);
   Rng rng(seed);
   std::vector<std::string> keys;
   for (uint64_t x = 0; x < 3000; ++x) {
@@ -136,7 +131,7 @@ TEST(Cuckoo, BurstLookupMatchesScalar) {
              value_of(x));
     if (x % 64 != 0) continue;
     // Mixed present/absent probe burst mid-growth: element-wise identical
-    // to scalar lookups, including keys still sitting in the back view.
+    // to scalar lookups.
     constexpr uint32_t kN = 96;
     std::vector<std::string> probe;
     std::vector<const uint8_t*> ptrs(kN);
@@ -166,37 +161,94 @@ TEST(Cuckoo, BurstLookupMatchesScalar) {
   }
 }
 
-TEST(Cuckoo, IncrementalRehashOldOrNewVisibility) {
-  // Slowest possible drain (one back-view bucket per write) with a tiny
-  // initial table: most inserts land while a grow is mid-migration, so every
-  // verification probe crosses the front/back split — a present key must be
-  // found in exactly one of the two views, whichever side of the drain it is
-  // on.
-  CuckooTable::Config cfg;
-  cfg.initial_buckets = 4;
-  cfg.migrate_per_mutation = 1;
-  CuckooTable t(cfg);
-  constexpr uint64_t kKeys = 3000;
+TEST(Cuckoo, GrowOldOrNewVisibility) {
+  // Two reader threads probe every published key while the writer grows a
+  // 4-bucket table to 64K keys through every rebuild swap, with epoch
+  // retirement live: a reader holding the old view or the new one must find
+  // every key published before its probe.  After each swap the writer checks
+  // every key itself.
+  const uint64_t seed = testing::test_seed(0x6E0ULL, "cuckoo grow visibility");
+  constexpr uint64_t kKeys = 1 << 16;
+  common::EpochDomain domain;
+  CuckooTable t(4);
+  t.set_domain(&domain);
+
+  constexpr int kReaders = 2;
+  common::EpochDomain::WorkerSlot* slots[kReaders];
+  for (auto& slot : slots) {
+    slot = domain.register_worker();
+    ASSERT_NE(slot, nullptr);
+  }
+  std::atomic<uint64_t> published{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> anomalies{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(seed + static_cast<uint64_t>(r));
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t n = published.load(std::memory_order_acquire);
+        for (int q = 0; q < 32 && n > 0; ++q) {
+          // The newest published key, then random older ones.
+          const uint64_t j = q == 0 ? n - 1 : rng.below(n);
+          const auto k = key_of(j);
+          const auto got = t.lookup(bytes(k), 8);
+          if (!got.has_value() || got->value != value_of(j))
+            anomalies.fetch_add(1, std::memory_order_relaxed);
+        }
+        domain.quiescent(*slots[r]);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+
+  uint64_t grows_seen = 0;
   for (uint64_t i = 0; i < kKeys; ++i) {
     const auto k = key_of(i);
     t.insert(bytes(k), 8, value_of(i));
-    // All recent keys plus a sample of old ones, after every insert.
-    const uint64_t lo = i >= 16 ? i - 16 : 0;
-    for (uint64_t j = lo; j <= i; ++j) {
+    published.store(i + 1, std::memory_order_release);
+    if (i % 256 == 0) t.epoch_reclaim(domain.advance_and_horizon());
+    if (t.grows() == grows_seen) continue;
+    grows_seen = t.grows();
+    for (uint64_t j = 0; j <= i; ++j) {
       const auto kj = key_of(j);
       const auto got = t.lookup(bytes(kj), 8);
       ASSERT_TRUE(got.has_value()) << "key " << j << " lost at insert " << i;
       ASSERT_EQ(got->value, value_of(j));
     }
-    for (uint64_t j = i % 8; j < i; j += 97) {
-      const auto kj = key_of(j);
-      ASSERT_TRUE(t.lookup(bytes(kj), 8).has_value())
-          << "key " << j << " lost at insert " << i;
-    }
   }
+  stop = true;
+  for (auto& th : readers) th.join();
+  for (auto* slot : slots) domain.unregister_worker(slot);
+
+  EXPECT_EQ(anomalies.load(), 0u);
   EXPECT_EQ(t.size(), kKeys);
-  EXPECT_GE(t.grows(), 5u);
-  EXPECT_GT(t.migrated(), 0u);
+  EXPECT_GE(t.grows(), 13u);  // 4 -> 32768 buckets
+  t.epoch_reclaim(domain.advance_and_horizon());
+  EXPECT_EQ(t.retired_pending(), 0u);
+}
+
+TEST(Cuckoo, OneViewAfterGrow) {
+  // A grow leaves one slot array behind it: memory_bytes() is the table's
+  // fixed bytes, one slot word per slot of capacity(), and a fixed entry
+  // size per (equal-length) key — after every insert, grows included.
+  CuckooTable t(4);
+  const auto non_slot = [&] { return t.memory_bytes() - t.capacity() * sizeof(uint64_t); };
+  const size_t fixed = non_slot();
+  const auto k0 = key_of(0);
+  t.insert(bytes(k0), 8, value_of(0));
+  const size_t per_key = non_slot() - fixed;
+  ASSERT_GT(per_key, 8u);
+  for (uint64_t i = 1; i < 5000; ++i) {
+    const auto k = key_of(i);
+    t.insert(bytes(k), 8, value_of(i));
+    ASSERT_EQ(t.memory_bytes(),
+              fixed + t.capacity() * sizeof(uint64_t) + t.size() * per_key)
+        << "after insert " << i << ", grow " << t.grows();
+  }
+  EXPECT_GE(t.grows(), 8u);
 }
 
 TEST(Cuckoo, ReseedThenGrow) {
@@ -205,11 +257,10 @@ TEST(Cuckoo, ReseedThenGrow) {
   // overflow the 4-slot bucket with no displacement possible — at load well
   // under 0.5 the table must *reseed* (new salt, same capacity) rather than
   // grow.  Afterwards, bulk inserts past kGrowLoad force a real grow.
-  CuckooTable::Config cfg;
-  cfg.initial_buckets = 64;
-  CuckooTable t(cfg);
+  constexpr uint32_t kBuckets = 64;
+  CuckooTable t(kBuckets);
   std::vector<uint64_t> colliders;
-  const uint32_t mask = cfg.initial_buckets - 1;
+  const uint32_t mask = kBuckets - 1;
   // Replicates the table's derivation: the first view's salt is one
   // next_salt() step past kSaltSeed, and buckets come from mix64(hash ^ salt).
   constexpr uint64_t kHashSeed = 0xC6A4A7935BD1E995ULL;
@@ -251,8 +302,8 @@ TEST(Cuckoo, ReseedThenGrow) {
 TEST(Cuckoo, SeededChurnWithConcurrentReaders) {
   // The tentpole's reader-safety claim, at scale: four packet-worker threads
   // hammer lookups of a stable key set while the control-plane writer churns
-  // the table through every structural transition — incremental grows, bucket
-  // migration, displacement chains, erase/reinsert — with epoch-based
+  // the table through every structural transition — grows by rebuild and
+  // view swap, displacement chains, erase/reinsert — with epoch-based
   // retirement live the whole time.  A stable key observed absent, or with a
   // torn value, is an anomaly.  ESW_CUCKOO_CHURN_KEYS=1000000 is the CI TSan
   // leg's million-entry setting.
@@ -476,10 +527,10 @@ TEST(CuckooTemplate, BurstLookupMatchesScalar) {
 
 TEST(CuckooTemplate, BurstLookupUnderConcurrentGrowth) {
   // A reader thread bulk-probes while the control-plane writer grows the
-  // table in place from 64 entries through several incremental grows (and
-  // erases behind itself), with epoch retirement live.  Stable keys must
-  // always return their own result, frames without UDP the catch-all, and
-  // churned keys one of their two valid states.
+  // table from 64 entries through several grows (and erases behind itself),
+  // with epoch retirement live.  Stable keys must always return their own
+  // result, frames without UDP the catch-all, and churned keys one of their
+  // two valid states.
   const uint64_t seed = testing::test_seed(0xB1B1ULL, "cuckoo template burst growth");
   Pipeline pl = udp_fanout(64);
   pl.table(0).add(parse_rule("priority=1,actions=output:9"));

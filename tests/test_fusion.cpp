@@ -762,6 +762,51 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
 
 // --- concurrent churn: epoch-safe republish ---------------------------------
 
+TEST(Fusion, ImplPinnedByPlanOutlivesPacketPathEpochAdvance) {
+  // A rebuilt impl leaves its slot before the plan that pins it is
+  // republished.  Meanwhile the packet path advances the epoch (conntrack
+  // expiry does) and a worker ticks in the new epoch, then walks the old
+  // plan into the displaced impl.  That impl must survive the writer's next
+  // reclaim and go only after the worker ticks again.
+  CompiledDatapath dp;
+  const core::GotoMap gmap(256, -1);
+  core::BuildCtx ctx{dp.actions(), gmap};
+  const int32_t s0 = dp.add_slot();
+  core::BuildEntry e;  // match-all, no actions
+  e.priority = 1;
+  const auto plan_for = [&] {
+    auto fp = std::make_unique<FusedPipeline>();
+    fp->stage_of_slot.assign(static_cast<size_t>(dp.num_slots()), -1);
+    fp->stages.push_back({s0, dp.impl(s0), flow::FlowTable::MissPolicy::kDrop,
+                          false, false, nullptr, 0});
+    fp->stage_of_slot[static_cast<size_t>(s0)] = 0;
+    return fp;
+  };
+  dp.set_impl(s0, core::DirectCodeTable::build({e}, ctx));
+  dp.set_start(s0);
+  dp.set_fused(plan_for());
+  dp.reclaim();
+  CompiledDatapath::Worker* w = dp.register_worker();
+  ASSERT_NE(w, nullptr);
+  net::Packet p = test::make_packet(test::udp_spec(1, 2, 3, 4));
+  const auto reclaimed_before = dp.reclaim_stats().reclaimed;
+
+  dp.set_impl(s0, core::DirectCodeTable::build({e}, ctx));  // displaced, still pinned
+  dp.domain().advance();                                   // packet-path advance
+  EXPECT_EQ(dp.process(*w, p), Verdict::drop());           // ticks, walks the old plan
+  dp.set_fused(plan_for());
+  dp.reclaim();
+  EXPECT_EQ(dp.reclaim_stats().reclaimed, reclaimed_before)
+      << "an impl the worker's plan still pins was freed";
+  EXPECT_EQ(dp.reclaim_stats().pending, 2u);  // the impl and its plan
+
+  EXPECT_EQ(dp.process(*w, p), Verdict::drop());  // the next tick unpins both
+  dp.reclaim();
+  EXPECT_EQ(dp.reclaim_stats().pending, 0u);
+  dp.unregister_worker(w);
+}
+
+
 TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
   // One packet worker runs fused bursts while the control thread churns the
   // MAC table's cuckoo index in place under the pinned plan.  The
