@@ -65,6 +65,10 @@ double loaded_pps(double updates_per_sec, ApplyFn&& apply, ProcessFn&& process,
   return static_cast<double>(pkts) / elapsed;
 }
 
+// The unloaded rate is the same loop at 0 updates/s, so normed_rate divides
+// like by like.
+constexpr auto no_updates = [](const flow::FlowMod&) {};
+
 // Both backends take the same flow-mods through the Dataplane surface.
 template <core::Dataplane Backend>
 void update_rate(benchmark::State& state, double rate) {
@@ -75,7 +79,7 @@ void update_rate(benchmark::State& state, double rate) {
     Backend sw;
     sw.install(uc.pipeline);
     const auto process = [&](net::Packet& p) { sw.process(p); };
-    const double unloaded = bench::measure(process, ts, 1000).pps;
+    const double unloaded = loaded_pps(0, no_updates, process, ts);
     const double loaded = loaded_pps(
         rate, [&](const flow::FlowMod& fm) { sw.apply(fm); }, process, ts);
     if constexpr (std::is_same_v<Backend, core::Eswitch>)
@@ -113,7 +117,7 @@ void batched_updates(benchmark::State& state) {
     Backend sw;
     sw.install(uc.pipeline);
     const auto process = [&](net::Packet& p) { sw.process(p); };
-    const double unloaded = bench::measure(process, ts, 1000).pps;
+    const double unloaded = loaded_pps(0, no_updates, process, ts);
     uint32_t i = 0;
     const double loaded = loaded_pps(
         50.0,  // 50 bursts/sec...

@@ -1,37 +1,35 @@
 // Fig. 19: packet rate as packet-processing cores grow from 1 to 5 (L3
 // routing over 2K prefixes; 100 / 10K / 500K active flows), ES vs OVS —
 // measured with *real concurrent worker threads*, not sequential per-core
-// simulation.
+// simulation.  Both legs run core::SwitchRuntime workers fed by a
+// net::ReplaySource (each worker its own traffic shard) and timed by
+// bench::measure_window, so both pay the same path: RX ring ->
+// process_burst -> verdict execution -> TX.
 //
-//   * ES (es:1) runs one shared Eswitch inside core::SwitchRuntime: N
-//     std::thread workers shard the port panel, each replaying its own
-//     traffic shard through a per-worker source hook while the bench thread
-//     stays the control plane.  The churn:1 variant streams a sustained
-//     flow-mod churn (non-colliding /24 route add/delete pairs, the LPM
-//     in-place update path + epoch reclamation) from the control thread for
-//     the whole measurement window and reports the achieved mods/s.
-//   * OVS (es:0) runs N threads each owning an independent OvsSwitch over
-//     its own shard — share-nothing, modeling OVS's per-PMD-thread caches
-//     (the slow-path classifier is identical read-only state).
+//   * ES (es:1) runs one shared Eswitch inside one runtime of N workers,
+//     while the bench thread stays the control plane.  The churn:1 variant
+//     streams a sustained flow-mod churn (non-colliding /24 route add/delete
+//     pairs, the LPM in-place update path + epoch reclamation) from the
+//     control thread for the whole measurement window and reports the
+//     achieved mods/s.
+//   * OVS (es:0) runs N share-nothing runtimes of one worker each, every one
+//     over its own OvsSwitch — OVS's per-PMD-thread caches (the slow-path
+//     classifier is identical read-only state).
 //
 // Reported per point: aggregate `pps`, per-worker `pps_w<i>`, `threads`,
-// for churn points `churn_mods_per_s`, and on every ES point the merged
-// per-worker latency percentile block (`latency_ns_*`, warmup excluded) —
-// churn:1 vs churn:0 is the p99/p99.9-under-update-load comparison.
-// Scaling on shared hardware is bounded by the machine's core count; the CI
-// gate checks 4-vs-1 workers.
+// for churn points `churn_mods_per_s`, and the merged per-worker latency
+// percentile block (`latency_ns_*`, warmup excluded) — churn:1 vs churn:0 is
+// the p99/p99.9-under-update-load comparison.  Scaling on shared hardware is
+// bounded by the machine's core count; the CI gate checks 4-vs-1 workers.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/switch_runtime.hpp"
 
 namespace {
 
@@ -40,196 +38,94 @@ using Clock = std::chrono::steady_clock;
 
 constexpr double kNicCapPps = 23.8e6;  // Intel XL710, 64-byte packets
 
-double env_double(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  return s != nullptr && std::atof(s) > 0 ? std::atof(s) : fallback;
-}
+double warmup_ms() { return bench::env_double("ESW_FIG19_WARMUP_MS", 100); }
+double measure_ms() { return bench::env_double("ESW_FIG19_MEASURE_MS", 300); }
 
-struct MulticorePoint {
-  std::vector<double> worker_pps;
-  double aggregate_pps = 0;
-  double churn_mods_per_s = 0;
-  // ES only: per-burst amortized packet latency, merged across the workers'
-  // per-thread histograms (core::SwitchRuntime latency slots).  p99/p99.9
-  // under churn is the headline of the churn:1 variant — does a sustained
-  // flow-mod stream fatten the dataplane tail?
-  perf::LatencyHistogram latency;
-};
-
-/// ES: one shared switch, `workers` concurrent worker threads through
-/// SwitchRuntime, optional control-plane churn during the window.
-MulticorePoint run_eswitch(const uc::UseCase& uc, int workers, size_t n_flows,
-                           bool churn) {
-  const double warmup_ms = env_double("ESW_FIG19_WARMUP_MS", 100);
-  const double measure_ms = env_double("ESW_FIG19_MEASURE_MS", 300);
-
-  core::SwitchRuntime<core::Eswitch>::Config rcfg;
-  rcfg.measure_latency = true;  // per-worker histograms, merged at the end
-  rcfg.n_workers = static_cast<uint32_t>(workers);
-  rcfg.n_ports = std::max<uint32_t>(static_cast<uint32_t>(workers), 8);  // L3
-                                                  // routes output to ports 1-8
-  rcfg.pool_capacity = 4096 * static_cast<uint32_t>(workers);
-  core::SwitchRuntime<core::Eswitch> rt(rcfg, core::CompilerConfig{});
+/// ES: one shared switch, `workers` concurrent workers, optional
+/// control-plane churn during the window.
+bench::RuntimeWindow run_eswitch(const uc::UseCase& uc, uint32_t workers, size_t n_flows,
+                                 bool churn, double* mods_per_s) {
+  core::SwitchRuntime<core::Eswitch> rt(bench::runtime_config<core::Eswitch>(workers),
+                                        core::CompilerConfig{});
   rt.backend().install(uc.pipeline);
-
-  const size_t shard = std::max<size_t>(1, n_flows / static_cast<size_t>(workers));
-  std::vector<net::TrafficSet> shards;
-  // One cursor per worker, each on its own cache line: adjacent size_ts
-  // would false-share a line that every worker writes per packet — inside
-  // the very loop whose scaling this bench gates.
-  struct alignas(64) Cursor {
-    size_t v = 0;
-  };
-  std::vector<Cursor> cursors(static_cast<size_t>(workers));
-  shards.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    shards.push_back(net::TrafficSet::from_flows(
-        uc.traffic(shard, 42 + static_cast<uint64_t>(w))));
-  rt.set_source([&](uint32_t w, net::Packet** bufs, uint32_t n) {
-    size_t& cur = cursors[w].v;
-    const net::TrafficSet& ts = shards[w];
-    for (uint32_t i = 0; i < n; ++i) {
-      ts.load_next(cur, *bufs[i]);
-      bufs[i]->set_in_port(1 + w);  // ingress only matters for flood fan-out
-    }
-    return n;
-  });
-
-  rt.start();
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(warmup_ms));
-  rt.clear_latency();  // exclude warmup from the percentile capture
-
-  std::vector<uint64_t> start_processed(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    start_processed[static_cast<size_t>(w)] =
-        rt.worker_counters(static_cast<uint32_t>(w)).processed;
-  const auto t0 = Clock::now();
-  const auto t_end = t0 + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double, std::milli>(measure_ms));
+  rt.set_source(net::ReplaySource(uc::traffic_shards(uc, n_flows, workers, 42)));
 
   uint64_t mods = 0;
-  if (churn) {
-    // Sustained background churn on the control thread: add/delete /24
-    // routes in 230.0.0.0/8 — above the use case's 1-223 prefix space, so
-    // they collide with nothing and every mod rides the in-place
-    // incremental LPM path (epoch-published cells), as a live RIB update
-    // stream would.  Paced at a target rate (default 10k mods/s, 10× the CI
-    // floor) so the control thread models a controller session rather than
-    // a core-saturating spin that starves the workers it is measuring.
-    const double rate = env_double("ESW_FIG19_CHURN_RATE", 10000);
-    while (Clock::now() < t_end) {
-      for (int k = 0; k < 16 && Clock::now() < t_end; ++k) {
-        flow::FlowMod fm;
-        fm.table_id = 0;
-        fm.priority = 24;
-        fm.match.set(flow::FieldId::kIpDst,
-                     (230u << 24) | (static_cast<uint32_t>(mods % 4096) << 8),
-                     0xFFFFFF00);
-        fm.actions = {flow::Action::output(static_cast<uint32_t>(1 + mods % 8))};
-        rt.backend().apply(fm);
-        fm.command = flow::FlowMod::Cmd::kDelete;
-        rt.backend().apply(fm);
-        mods += 2;
-      }
-      const auto next = t0 + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(
-                                     static_cast<double>(mods) / rate));
-      std::this_thread::sleep_until(next < t_end ? next : t_end);
-    }
-  } else {
-    std::this_thread::sleep_until(t_end);
-  }
-
-  MulticorePoint pt;
-  const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-  for (int w = 0; w < workers; ++w) {
-    const uint64_t done = rt.worker_counters(static_cast<uint32_t>(w)).processed -
-                          start_processed[static_cast<size_t>(w)];
-    pt.worker_pps.push_back(static_cast<double>(done) / dt);
-    pt.aggregate_pps += pt.worker_pps.back();
-  }
-  pt.churn_mods_per_s = static_cast<double>(mods) / dt;
-  pt.latency = rt.latency_histogram();  // merged across live workers
-  rt.stop();
-  return pt;
+  const bench::RuntimeWindow win = bench::measure_window(
+      std::vector{&rt}, warmup_ms(), measure_ms(),
+      [&](Clock::time_point t0, Clock::time_point t_end) {
+        if (!churn) return;
+        // Sustained background churn on the control thread: add/delete /24
+        // routes in 230.0.0.0/8 — above the use case's 1-223 prefix space,
+        // so they collide with nothing and every mod rides the in-place
+        // incremental LPM path (epoch-published cells), as a live RIB update
+        // stream would.  Paced at a target rate (default 10k mods/s, 10× the
+        // CI floor) so the control thread models a controller session rather
+        // than a core-saturating spin that starves the workers it measures.
+        const double rate = bench::env_double("ESW_FIG19_CHURN_RATE", 10000);
+        while (Clock::now() < t_end) {
+          for (int k = 0; k < 16 && Clock::now() < t_end; ++k) {
+            flow::FlowMod fm;
+            fm.table_id = 0;
+            fm.priority = 24;
+            fm.match.set(flow::FieldId::kIpDst,
+                         (230u << 24) | (static_cast<uint32_t>(mods % 4096) << 8),
+                         0xFFFFFF00);
+            fm.actions = {flow::Action::output(static_cast<uint32_t>(1 + mods % 8))};
+            rt.backend().apply(fm);
+            fm.command = flow::FlowMod::Cmd::kDelete;
+            rt.backend().apply(fm);
+            mods += 2;
+          }
+          const auto next = t0 + std::chrono::duration_cast<Clock::duration>(
+                                     std::chrono::duration<double>(
+                                         static_cast<double>(mods) / rate));
+          std::this_thread::sleep_until(next < t_end ? next : t_end);
+        }
+      });
+  *mods_per_s = static_cast<double>(mods) / win.seconds;
+  return win;
 }
 
-/// OVS: N threads, each a private OvsSwitch over its own shard —
-/// share-nothing concurrency (per-PMD caches), genuinely simultaneous.
-MulticorePoint run_ovs(const uc::UseCase& uc, int workers, size_t n_flows) {
-  const double measure_ms = env_double("ESW_FIG19_MEASURE_MS", 300);
-  const size_t shard = std::max<size_t>(1, n_flows / static_cast<size_t>(workers));
-
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false}, stop{false};
-  std::vector<uint64_t> counts(static_cast<size_t>(workers), 0);
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      ovs::OvsSwitch sw{ovs::OvsSwitch::Config{}};
-      sw.install(uc.pipeline);
-      const auto ts = net::TrafficSet::from_flows(
-          uc.traffic(shard, 42 + static_cast<uint64_t>(w)));
-      std::vector<net::Packet> bufs(net::kBurstSize);
-      net::Packet* ptrs[net::kBurstSize];
-      flow::Verdict verdicts[net::kBurstSize];
-      for (uint32_t i = 0; i < net::kBurstSize; ++i) ptrs[i] = &bufs[i];
-      size_t cur = 0;
-      // Warmup: one bounded pass to populate the flow caches (the paper's
-      // steady-state discipline, same cap as bench_util::measure_opts).
-      const uint64_t warm = std::min<uint64_t>(shard, 20000);
-      for (uint64_t i = 0; i < warm; i += net::kBurstSize) {
-        for (uint32_t b = 0; b < net::kBurstSize; ++b) ts.load_next(cur, bufs[b]);
-        sw.process_burst(ptrs, net::kBurstSize, verdicts);
-      }
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      uint64_t n = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (uint32_t b = 0; b < net::kBurstSize; ++b) ts.load_next(cur, bufs[b]);
-        sw.process_burst(ptrs, net::kBurstSize, verdicts);
-        n += net::kBurstSize;
-      }
-      counts[static_cast<size_t>(w)] = n;
-    });
+/// OVS: N share-nothing runtimes of one worker each, every one a private
+/// OvsSwitch over its own shard (per-PMD caches), genuinely simultaneous.
+bench::RuntimeWindow run_ovs(const uc::UseCase& uc, uint32_t workers, size_t n_flows) {
+  using Runtime = core::SwitchRuntime<ovs::OvsSwitch>;
+  std::vector<net::TrafficSet> sets = uc::traffic_shards(uc, n_flows, workers, 42);
+  std::vector<std::unique_ptr<Runtime>> owned;
+  std::vector<Runtime*> rts;
+  for (net::TrafficSet& ts : sets) {
+    owned.push_back(std::make_unique<Runtime>(bench::runtime_config<ovs::OvsSwitch>(1)));
+    owned.back()->backend().install(uc.pipeline);
+    owned.back()->set_source(net::ReplaySource(std::move(ts), 1));
+    rts.push_back(owned.back().get());
   }
-  while (ready.load() < workers) std::this_thread::yield();
-  const auto t0 = Clock::now();
-  go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(measure_ms));
-  stop.store(true, std::memory_order_relaxed);
-  const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-  for (auto& t : threads) t.join();
-
-  MulticorePoint pt;
-  for (int w = 0; w < workers; ++w) {
-    pt.worker_pps.push_back(static_cast<double>(counts[static_cast<size_t>(w)]) / dt);
-    pt.aggregate_pps += pt.worker_pps.back();
-  }
-  return pt;
+  return bench::measure_window(rts, warmup_ms(), measure_ms(),
+                               [](Clock::time_point, Clock::time_point) {});
 }
 
 void BM_Fig19_MultiCore(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
+  const auto workers = static_cast<uint32_t>(state.range(0));
   const size_t n_flows = static_cast<size_t>(state.range(1));
   const bool use_es = state.range(2) == 1;
   const bool churn = state.range(3) == 1;
   const auto uc = uc::make_l3(2000);
 
   for (auto _ : state) {
-    const MulticorePoint pt = use_es ? run_eswitch(uc, workers, n_flows, churn)
-                                     : run_ovs(uc, workers, n_flows);
+    double mods_per_s = 0;
+    const bench::RuntimeWindow win = use_es
+                                         ? run_eswitch(uc, workers, n_flows, churn, &mods_per_s)
+                                         : run_ovs(uc, workers, n_flows);
     state.counters["threads"] = workers;
-    state.counters["pps"] = pt.aggregate_pps;
-    for (int w = 0; w < workers; ++w)
-      state.counters["pps_w" + std::to_string(w)] =
-          pt.worker_pps[static_cast<size_t>(w)];
-    state.counters["nic_saturated"] = pt.aggregate_pps > kNicCapPps ? 1 : 0;
-    if (churn) state.counters["churn_mods_per_s"] = pt.churn_mods_per_s;
-    // ES points always carry the merged per-worker percentile block (the
-    // fig19 --check contract requires it on churn points; the churn:0 twin
-    // is the baseline the churn tail is read against).
-    bench::set_latency_counters(state, pt.latency);
+    state.counters["pps"] = win.pps;
+    for (uint32_t w = 0; w < workers; ++w)
+      state.counters["pps_w" + std::to_string(w)] = win.worker_pps[w];
+    state.counters["nic_saturated"] = win.pps > kNicCapPps ? 1 : 0;
+    if (churn) state.counters["churn_mods_per_s"] = mods_per_s;
+    // Every point carries the merged per-worker percentile block (the fig19
+    // --check contract requires it on churn points; the churn:0 twin is the
+    // baseline the churn tail is read against).
+    bench::set_latency_counters(state, win.latency);
   }
 }
 

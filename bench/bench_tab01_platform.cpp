@@ -21,7 +21,8 @@ void BM_Tab01_L2Fwd(benchmark::State& state) {
   const auto ts = net::TrafficSet::from_flows(uc.traffic(64, 42));
   for (auto _ : state) {
     uint64_t sink = 0;
-    const auto st = bench::measure([&](net::Packet& p) { sink += p.len(); }, ts, 64);
+    const auto st = net::run_loop(
+        ts, [&](net::Packet& p) { sink += p.len(); }, bench::measure_opts(64));
     benchmark::DoNotOptimize(sink);
     state.counters["pps"] = st.pps;
     state.counters["cycles_per_pkt"] = st.cycles_per_pkt;
@@ -37,7 +38,8 @@ void BM_Tab01_EswitchOneRule(benchmark::State& state) {
   const auto uc = uc::make_l2(1);
   const auto ts = net::TrafficSet::from_flows(uc.traffic(64, 42));
   for (auto _ : state) {
-    const auto st = bench::measure([&](net::Packet& p) { sw.process(p); }, ts, 64);
+    const auto st =
+        net::run_loop(ts, [&](net::Packet& p) { sw.process(p); }, bench::measure_opts(64));
     state.counters["pps"] = st.pps;
     state.counters["cycles_per_pkt"] = st.cycles_per_pkt;
   }

@@ -1,18 +1,27 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Throughput points use a fixed measurement window (run_loop) inside a single
-// google-benchmark iteration and report packets/second as a counter, so every
-// series point costs a bounded, predictable amount of wall time.
+// Every point runs one bounded measurement inside a single google-benchmark
+// iteration and reports packets/second as a counter, so each series point
+// costs a predictable amount of wall time.  Two harnesses, one each:
+//   * single-thread points replay through the net::run_loop_burst timed loop
+//     (netio/nfpa.hpp) into a backend's process_burst;
+//   * multi-worker points run core::SwitchRuntime instances fed by a
+//     net::ReplaySource and timed by measure_window() below: RX ring ->
+//     process_burst -> TX, the runtime's whole path.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <thread>
+#include <vector>
 
 #include "common/failpoint.hpp"
 #include "core/eswitch.hpp"
+#include "core/switch_runtime.hpp"
 #include "netio/nfpa.hpp"
 #include "netio/pcap.hpp"
 #include "netio/trace_source.hpp"
@@ -94,24 +103,6 @@ inline net::RunOpts measure_opts(size_t n_flows) {
   return opts;
 }
 
-inline net::RunStats measure(const std::function<void(net::Packet&)>& fn,
-                             const net::TrafficSet& ts, size_t n_flows) {
-  return net::run_loop(ts, fn, measure_opts(n_flows));
-}
-
-inline net::RunStats measure_burst(const net::BurstFn& fn, const net::TrafficSet& ts,
-                                   size_t n_flows) {
-  return net::run_loop_burst(ts, fn, measure_opts(n_flows));
-}
-
-/// Measures any `core::Dataplane` backend through its burst entry point —
-/// the production shape of the datapath, used by every throughput figure.
-template <core::Dataplane Switch>
-net::RunStats measure_switch_burst(Switch& sw, const net::TrafficSet& ts,
-                                   size_t n_flows) {
-  return measure_burst(uc::burst_fn(sw), ts, n_flows);
-}
-
 /// One throughput point for any backend: fresh instance per iteration
 /// (constructed from `cfg`), pipeline installed, burst loop measured.  Every
 /// backend rides the identical harness — the unified-interface contract.
@@ -121,7 +112,7 @@ net::RunStats run_throughput_point(const uc::UseCase& uc, const net::TrafficSet&
                                    core::DataplaneStats* stats_out = nullptr) {
   Switch sw(cfg);
   sw.install(uc.pipeline);
-  const net::RunStats st = measure_switch_burst(sw, ts, n_flows);
+  const net::RunStats st = net::run_loop_burst(ts, uc::burst_fn(sw), measure_opts(n_flows));
   if (stats_out != nullptr) *stats_out = sw.stats();
   return st;
 }
@@ -161,6 +152,73 @@ inline void throughput_point(benchmark::State& state, const uc::UseCase& uc,
     state.counters["trace"] = trace.active ? 1 : 0;
     if (latency_capture_enabled()) set_latency_counters(state, st.latency);
   }
+}
+
+/// A positive number from the environment, or `fallback` (the multi-worker
+/// benches' ESW_<FIG>_* knobs).
+inline double env_double(const char* name, double fallback) {
+  const char* s = std::getenv(name);
+  return s != nullptr && std::atof(s) > 0 ? std::atof(s) : fallback;
+}
+
+/// The multi-worker benches' runtime shape: `workers` workers over a panel of
+/// at least 8 ports (L3 routes output to ports 1-8), with per-worker latency
+/// histograms.
+template <typename Backend>
+typename core::SwitchRuntime<Backend>::Config runtime_config(uint32_t workers) {
+  typename core::SwitchRuntime<Backend>::Config rcfg;
+  rcfg.measure_latency = true;
+  rcfg.n_workers = workers;
+  rcfg.n_ports = std::max<uint32_t>(workers, 8);
+  rcfg.pool_capacity = 4096 * workers;
+  return rcfg;
+}
+
+/// What a measured window of running SwitchRuntimes delivered.
+struct RuntimeWindow {
+  std::vector<double> worker_pps;  // every runtime's workers, in order
+  double pps = 0;                  // their sum
+  double seconds = 0;
+  perf::LatencyHistogram latency;  // merged over all workers, warmup excluded
+};
+
+/// The multi-worker measured window: starts every runtime (backends
+/// installed, sources set), lets them warm up for `warmup_ms`, clears their
+/// latency histograms, then runs `control(t0, t_end)` on this thread — the
+/// control plane, e.g. a paced flow-mod stream — and sleeps out the rest of
+/// the `measure_ms` window.  Rates are each worker's `processed` delta over
+/// the window; the runtimes are stopped before returning.
+template <typename Runtime, typename Control>
+RuntimeWindow measure_window(const std::vector<Runtime*>& rts, double warmup_ms,
+                             double measure_ms, Control&& control) {
+  using Clock = std::chrono::steady_clock;
+  for (Runtime* rt : rts) rt->start();
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(warmup_ms));
+  std::vector<uint64_t> start;
+  for (Runtime* rt : rts) {
+    rt->clear_latency();
+    for (uint32_t w = 0; w < rt->n_workers(); ++w)
+      start.push_back(rt->worker_counters(w).processed);
+  }
+  const auto t0 = Clock::now();
+  const auto t_end = t0 + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double, std::milli>(measure_ms));
+  control(t0, t_end);
+  std::this_thread::sleep_until(t_end);
+
+  RuntimeWindow win;
+  win.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  size_t i = 0;
+  for (Runtime* rt : rts) {
+    for (uint32_t w = 0; w < rt->n_workers(); ++w, ++i) {
+      const uint64_t done = rt->worker_counters(w).processed - start[i];
+      win.worker_pps.push_back(static_cast<double>(done) / win.seconds);
+      win.pps += win.worker_pps.back();
+    }
+    win.latency.merge(rt->latency_histogram());
+  }
+  for (Runtime* rt : rts) rt->stop();
+  return win;
 }
 
 }  // namespace esw::bench

@@ -9,8 +9,8 @@
 #   BUILD_DIR  build directory            (default: build-bench)
 #   OUT_DIR    where BENCH_*.json land    (default: bench-results)
 #
-# fig19 runs real concurrent worker threads (ES via core::SwitchRuntime, OVS
-# share-nothing) and emits per-worker points (threads, pps_w<i>, aggregate
+# fig19 runs real concurrent worker threads (both legs on core::SwitchRuntime:
+# one shared ES switch, or share-nothing one-worker OVS runtimes) and emits per-worker points (threads, pps_w<i>, aggregate
 # pps, churn_mods_per_s) that `run_all --check OUT_DIR` validates; tune with
 # ESW_FIG19_WARMUP_MS / ESW_FIG19_MEASURE_MS / ESW_FIG19_CHURN_RATE.
 set -euo pipefail

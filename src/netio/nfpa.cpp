@@ -1,121 +1,90 @@
 #include "netio/nfpa.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <utility>
+
+#include "common/check.hpp"
+
 namespace esw::net {
 
 namespace {
 
-/// Folds the sampled histogram into the legacy p50/p99 cycle fields so older
-/// consumers of RunStats keep reading the same numbers.
-void finish_latency(RunStats& st) {
-  if (st.latency.empty()) return;
-  st.latency_p50_cycles = static_cast<double>(st.latency.value_at_percentile(50));
-  st.latency_p99_cycles = static_cast<double>(st.latency.value_at_percentile(99));
+/// The one timed loop: replays `traffic` round-robin, `Width` packets per
+/// call of `fn(Packet* const*, Width)`.  The buffers model the mbuf array a
+/// DPDK rx_burst fills; heap-held because kBurstSize packets are 64 KiB.
+template <uint32_t Width, typename Fn>
+RunStats replay(const TrafficSet& traffic, const Fn& fn, const RunOpts& opts) {
+  constexpr uint32_t kCallsPerCheck = 1024 / Width;  // calls between clock checks
+  static_assert(kCallsPerCheck * Width == 1024);
+  std::vector<Packet> bufs(Width);
+  Packet* ptrs[Width];
+  for (uint32_t b = 0; b < Width; ++b) ptrs[b] = &bufs[b];
+  size_t cursor = 0;  // division-free round-robin over the traffic set
+  const auto load = [&] {
+    for (uint32_t b = 0; b < Width; ++b) traffic.load_next(cursor, bufs[b]);
+  };
+
+  // Warmup: populate caches (and, for a flow-caching switch, its flow caches
+  // — the paper's steady-state measurements do the same).
+  for (uint64_t w = 0; w < opts.warmup_packets; w += Width) {
+    load();
+    fn(ptrs, Width);
+  }
+
+  const uint32_t sample_every_calls =
+      opts.latency_sample_every == 0
+          ? 0
+          : std::max<uint32_t>(1, opts.latency_sample_every / Width);
+
+  RunStats st;
+  const auto t0 = std::chrono::steady_clock::now();
+  const uint64_t c0 = rdtsc();
+  uint64_t calls = 0;
+  for (;;) {
+    for (uint32_t k = 0; k < kCallsPerCheck; ++k, ++calls) {
+      load();
+      if (sample_every_calls != 0 && calls % sample_every_calls == 0) {
+        // Serialized reads on both ends: plain back-to-back rdtsc can
+        // reorder around the short timed region (see common/tsc.hpp).
+        const uint64_t s = rdtsc_serialized();
+        fn(ptrs, Width);
+        st.latency.record_n((rdtsc_serialized() - s) / Width, Width);
+      } else {
+        fn(ptrs, Width);
+      }
+    }
+    st.packets = calls * Width;
+    st.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (st.packets >= opts.min_packets && st.seconds >= opts.min_seconds) break;
+  }
+  const uint64_t c1 = rdtsc();
+
+  st.pps = static_cast<double>(st.packets) / st.seconds;
+  st.cycles_per_pkt = static_cast<double>(c1 - c0) / static_cast<double>(st.packets);
+  return st;
 }
 
 }  // namespace
 
-RunStats run_loop(const TrafficSet& traffic, const std::function<void(Packet&)>& fn,
-                  const RunOpts& opts) {
-  Packet scratch;
-  // Warmup: populate caches (and, for a flow-caching switch, its flow caches —
-  // the paper's steady-state measurements do the same).
-  for (uint64_t i = 0; i < opts.warmup_packets; ++i) {
-    traffic.load(i, scratch);
-    fn(scratch);
-  }
-
-  RunStats st;
-  const auto t0 = std::chrono::steady_clock::now();
-  const uint64_t c0 = rdtsc();
-  uint64_t i = 0;
-  for (;;) {
-    // Process in bursts between clock checks to keep timing overhead low.
-    for (uint32_t b = 0; b < 1024; ++b, ++i) {
-      traffic.load(i, scratch);
-      if (opts.latency_sample_every && i % opts.latency_sample_every == 0) {
-        // Serialized reads on both ends: plain back-to-back rdtsc can
-        // reorder around the short timed region (see common/tsc.hpp).
-        const uint64_t s = rdtsc_serialized();
-        fn(scratch);
-        st.latency.record(rdtsc_serialized() - s);
-      } else {
-        fn(scratch);
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const double sec = std::chrono::duration<double>(now - t0).count();
-    if (i >= opts.min_packets && sec >= opts.min_seconds) {
-      st.packets = i;
-      st.seconds = sec;
-      break;
-    }
-  }
-  const uint64_t c1 = rdtsc();
-
-  st.pps = static_cast<double>(st.packets) / st.seconds;
-  st.cycles_per_pkt = static_cast<double>(c1 - c0) / static_cast<double>(st.packets);
-  finish_latency(st);
-  return st;
-}
-
 RunStats run_loop_burst(const TrafficSet& traffic, const BurstFn& fn,
                         const RunOpts& opts) {
-  // The burst buffers model the mbuf array a DPDK rx_burst fills; heap-held
-  // because kBurstSize packets are 64 KiB of buffer.
-  std::vector<Packet> bufs(kBurstSize);
-  Packet* ptrs[kBurstSize];
-  for (uint32_t b = 0; b < kBurstSize; ++b) ptrs[b] = &bufs[b];
+  return replay<kBurstSize>(traffic, fn, opts);
+}
 
-  uint64_t i = 0;
-  size_t cursor = 0;  // division-free round-robin over the traffic set
-  const auto load_burst = [&] {
-    for (uint32_t b = 0; b < kBurstSize; ++b, ++i) traffic.load_next(cursor, bufs[b]);
-  };
+RunStats run_loop(const TrafficSet& traffic, const std::function<void(Packet&)>& fn,
+                  const RunOpts& opts) {
+  return replay<1>(traffic, [&fn](Packet* const* pkts, uint32_t) { fn(*pkts[0]); },
+                   opts);
+}
 
-  for (uint64_t w = 0; w < opts.warmup_packets; w += kBurstSize) {
-    load_burst();
-    fn(ptrs, kBurstSize);
-  }
+ReplaySource::ReplaySource(std::vector<TrafficSet> shards)
+    : sets_(std::move(shards)), cursors_(sets_.size()) {
+  ESW_CHECK(!sets_.empty());
+}
 
-  const uint32_t sample_every_bursts =
-      opts.latency_sample_every == 0
-          ? 0
-          : std::max<uint32_t>(1, opts.latency_sample_every / kBurstSize);
-
-  RunStats st;
-  const auto t0 = std::chrono::steady_clock::now();
-  const uint64_t c0 = rdtsc();
-  i = 0;
-  uint64_t bursts = 0;
-  for (;;) {
-    // 32 bursts (1024 packets) between clock checks, as in the scalar loop.
-    for (uint32_t k = 0; k < 1024 / kBurstSize; ++k, ++bursts) {
-      load_burst();
-      if (sample_every_bursts != 0 && bursts % sample_every_bursts == 0) {
-        const uint64_t s = rdtsc_serialized();
-        fn(ptrs, kBurstSize);
-        const uint64_t d = rdtsc_serialized() - s;
-        // Per-burst record: the amortized per-packet latency, weighted by
-        // the packets that experienced it.
-        st.latency.record_n(d / kBurstSize, kBurstSize);
-      } else {
-        fn(ptrs, kBurstSize);
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const double sec = std::chrono::duration<double>(now - t0).count();
-    if (i >= opts.min_packets && sec >= opts.min_seconds) {
-      st.packets = i;
-      st.seconds = sec;
-      break;
-    }
-  }
-  const uint64_t c1 = rdtsc();
-
-  st.pps = static_cast<double>(st.packets) / st.seconds;
-  st.cycles_per_pkt = static_cast<double>(c1 - c0) / static_cast<double>(st.packets);
-  finish_latency(st);
-  return st;
+ReplaySource::ReplaySource(TrafficSet capture, uint32_t n_workers) : cursors_(n_workers) {
+  sets_.push_back(std::move(capture));
 }
 
 }  // namespace esw::net

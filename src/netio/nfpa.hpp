@@ -1,10 +1,10 @@
-// Measurement loop, named for the paper's Network Function Performance
-// Analyzer (NFPA) testbed: replays a TrafficSet through a packet-processing
-// function and reports packet rate, per-packet cycles and latency percentiles.
+// Packet-replay harness, named for the paper's Network Function Performance
+// Analyzer (NFPA) testbed.  One timed loop replays a TrafficSet through a
+// packet-processing function and reports packet rate, per-packet cycles and
+// a latency histogram; one traffic source replays the same TrafficSets into
+// a running core::SwitchRuntime's workers.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -20,12 +20,11 @@ struct RunStats {
   double seconds = 0;
   double pps = 0;
   double cycles_per_pkt = 0;
-  double latency_p50_cycles = 0;
-  double latency_p99_cycles = 0;
   /// Sampled per-packet latency distribution, in TSC cycles (serialized
-  /// reads, see common/tsc.hpp).  The scalar loop times individual packets;
-  /// the burst loop records each sampled burst's amortized per-packet
-  /// latency weighted by the burst size.  Convert with percentiles_ns().
+  /// reads, see common/tsc.hpp).  A sampled call records its cycles divided
+  /// by the packets it handled, weighted by that count: one sample per timed
+  /// packet on run_loop, a burst's amortized per-packet latency on
+  /// run_loop_burst.  Convert with percentiles_ns().
   perf::LatencyHistogram latency;
 };
 
@@ -35,25 +34,55 @@ struct RunOpts {
   uint64_t warmup_packets = 2000;
   /// Sample one latency measurement per this many packets (the serialized
   /// TSC reads cost ~2-3x a plain rdtsc, so the throughput loops sample).
-  /// 1 = time everything (the latency figures); 0 = no latency capture.
+  /// 1 = time every call (the latency figures); 0 = no latency capture.
   uint32_t latency_sample_every = 64;
 };
-
-/// Replays `traffic` round-robin through `fn(Packet&)` and measures.
-RunStats run_loop(const TrafficSet& traffic, const std::function<void(Packet&)>& fn,
-                  const RunOpts& opts = {});
 
 /// A burst processor: handles `n` (≤ kBurstSize) packets run-to-completion.
 /// Verdict delivery is the processor's business — the harness only measures.
 using BurstFn = std::function<void(Packet* const*, uint32_t n)>;
 
-/// Burst-mode measurement loop: replays `traffic` round-robin in kBurstSize
-/// batches through `fn` (the DPDK-style rx_burst → process → tx_burst shape).
-/// The std::function indirection and the clock/latency sampling are paid once
-/// per burst instead of once per packet.  Latency percentiles are per-packet
-/// amortized burst latencies (burst cycles / burst size), sampled every
-/// `latency_sample_every` packets' worth of bursts.
+/// Replays `traffic` round-robin in kBurstSize batches through `fn` (the
+/// DPDK-style rx_burst → process → tx_burst shape).  The std::function
+/// indirection and the clock/latency sampling are paid once per burst.
 RunStats run_loop_burst(const TrafficSet& traffic, const BurstFn& fn,
                         const RunOpts& opts = {});
+
+/// The same loop one packet per call: `fn(Packet&)` sees the same
+/// round-robin sequence run_loop_burst hands out in bursts.
+RunStats run_loop(const TrafficSet& traffic, const std::function<void(Packet&)>& fn,
+                  const RunOpts& opts = {});
+
+/// Traffic source for core::SwitchRuntime::set_source: fills each worker's
+/// buffers round-robin from either one TrafficSet per worker (shards) or one
+/// TrafficSet that every worker replays from its own cursor (a shared
+/// capture), and stamps in_port = 1 + worker, the worker's first port under
+/// the runtime's round-robin sharding.  Each cursor sits on its own cache
+/// line: the workers advance them once per packet, concurrently.
+class ReplaySource {
+ public:
+  /// Shards: worker w replays `shards[w]`.
+  explicit ReplaySource(std::vector<TrafficSet> shards);
+  /// Shared capture: each of `n_workers` workers replays all of `capture`.
+  ReplaySource(TrafficSet capture, uint32_t n_workers);
+
+  /// The SourceFn contract: fills all `n` buffers and returns `n`.
+  uint32_t operator()(uint32_t worker, Packet** bufs, uint32_t n) {
+    const TrafficSet& ts = sets_.size() == 1 ? sets_[0] : sets_[worker];
+    size_t& cur = cursors_[worker].v;
+    for (uint32_t i = 0; i < n; ++i) {
+      ts.load_next(cur, *bufs[i]);
+      bufs[i]->set_in_port(1 + worker);
+    }
+    return n;
+  }
+
+ private:
+  struct alignas(64) Cursor {
+    size_t v = 0;
+  };
+  std::vector<TrafficSet> sets_;
+  std::vector<Cursor> cursors_;
+};
 
 }  // namespace esw::net

@@ -55,15 +55,6 @@ uint32_t Port::inject_rx(Packet* const* pkts, uint32_t n) {
 
 uint32_t Port::rx_burst(Packet** out, uint32_t n) { return rx_.dequeue_burst(out, n); }
 
-uint32_t Port::tx_burst(Packet* const* pkts, uint32_t n) {
-  const uint32_t queued = enqueue_counted(
-      pkts, n,
-      [this](Packet* const* p, uint32_t c) { return tx_.enqueue_burst(p, c); },
-      tx_counters_.packets, tx_counters_.bytes);
-  counter_add(tx_counters_.drops, n - queued);
-  return queued;
-}
-
 uint32_t Port::tx_burst_mp(Packet* const* pkts, uint32_t n) {
   const uint32_t queued = enqueue_counted(
       pkts, n,

@@ -48,10 +48,8 @@ class Port {
 
   /// Transmits a burst; returns packets accepted.  Packets a full ring
   /// refuses are counted as tx_drops and NOT enqueued — the caller still
-  /// owns them.  Single TX caller.
-  uint32_t tx_burst(Packet* const* pkts, uint32_t n);
-
-  /// Multi-producer transmit: safe from any number of workers concurrently.
+  /// owns them.  Multi-producer: safe from any number of workers
+  /// concurrently.
   uint32_t tx_burst_mp(Packet* const* pkts, uint32_t n);
 
   /// Drains up to `n` transmitted packets (what the wire would carry).

@@ -3,8 +3,9 @@
 //
 //   * TraceSource — a cursor over a parsed capture that fills packet buffers
 //     in bursts (the RX-DMA model) or converts to a TrafficSet so the
-//     NFPA-style measurement loops (run_loop/run_loop_burst) replay real
-//     traces round-robin exactly like generated mixes;
+//     packet-replay harness (netio/nfpa.hpp: the timed loop, and the
+//     ReplaySource that feeds a running SwitchRuntime) replays real traces
+//     round-robin exactly like generated mixes;
 //   * run_pcap_through_host — drives a core::SwitchRuntime inline (any type
 //     with inject/poll/ports/pool) from an input trace, capturing every
 //     transmitted frame.

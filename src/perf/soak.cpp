@@ -11,6 +11,7 @@
 #include "common/failpoint.hpp"
 #include "core/eswitch.hpp"
 #include "core/switch_runtime.hpp"
+#include "netio/nfpa.hpp"
 #include "netio/pcap.hpp"
 #include "netio/trace_source.hpp"
 #include "perf/bench_json.hpp"
@@ -294,35 +295,16 @@ SoakReport run_soak(const SoakOptions& opts) {
   seed_linked_list_table(rt.backend());
   if (opts.chaos) seed_hash_table(rt.backend());
 
-  // Traffic: either the capture's frames (shared arena, per-worker cursors)
-  // or per-worker generated shards — the Fig. 19 source-hook shape either way.
-  struct alignas(64) Cursor {
-    size_t v = 0;
-  };
-  std::vector<Cursor> cursors(opts.workers);
-  std::vector<net::TrafficSet> shards;
-  net::TrafficSet trace_ts;
+  // Traffic: either the capture's frames (every worker replays all of it)
+  // or per-worker generated shards.
   if (!opts.trace_pcap.empty()) {
     const net::PcapReader r = net::PcapReader::from_file(opts.trace_pcap);
     ESW_CHECK_MSG(r.ok(), "soak: unreadable trace pcap");
-    trace_ts = net::TraceSource(r, {}).to_traffic_set();
+    rt.set_source(net::ReplaySource(net::TraceSource(r, {}).to_traffic_set(), opts.workers));
   } else {
-    const size_t shard =
-        std::max<size_t>(1, opts.n_flows / static_cast<size_t>(opts.workers));
-    shards.reserve(opts.workers);
-    for (uint32_t w = 0; w < opts.workers; ++w)
-      shards.push_back(net::TrafficSet::from_flows(uc.traffic(shard, opts.seed + w)));
+    rt.set_source(
+        net::ReplaySource(uc::traffic_shards(uc, opts.n_flows, opts.workers, opts.seed)));
   }
-  const bool trace = !opts.trace_pcap.empty();
-  rt.set_source([&](uint32_t w, net::Packet** bufs, uint32_t n) {
-    size_t& cur = cursors[w].v;
-    const net::TrafficSet& ts = trace ? trace_ts : shards[w];
-    for (uint32_t i = 0; i < n; ++i) {
-      ts.load_next(cur, *bufs[i]);
-      bufs[i]->set_in_port(1 + w);
-    }
-    return n;
-  });
 
   // Fault plants (see SoakOptions::Fault).  The phantom worker registers
   // before start and never ticks, so no grace period can ever end.

@@ -1,5 +1,6 @@
 #include "usecases/usecases.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "common/bits.hpp"
@@ -21,6 +22,15 @@ using net::FlowSpec;
 namespace {
 uint64_t nth_mac(uint64_t i) { return 0x02'00'00'00'00'00ULL | (i & 0xFFFFFF); }
 }  // namespace
+
+std::vector<net::TrafficSet> traffic_shards(const UseCase& uc, size_t n_flows,
+                                            uint32_t n_shards, uint64_t seed) {
+  const size_t per_shard = std::max<size_t>(1, n_flows / n_shards);
+  std::vector<net::TrafficSet> shards;
+  for (uint32_t w = 0; w < n_shards; ++w)
+    shards.push_back(net::TrafficSet::from_flows(uc.traffic(per_shard, seed + w)));
+  return shards;
+}
 
 UseCase make_l2(size_t table_size, uint64_t seed) {
   UseCase uc;

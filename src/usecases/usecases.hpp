@@ -20,10 +20,12 @@
 
 namespace esw::uc {
 
-/// Adapts any `core::Dataplane` backend into a net::BurstFn for
-/// run_loop_burst, which never passes bursts larger than kBurstSize.  Shared
-/// by the figure benches and the examples so the adapter tracks the
-/// process_burst contract in one place.
+/// Adapts any `core::Dataplane` backend into a net::BurstFn for the
+/// single-thread timed loop (net::run_loop_burst), which never passes bursts
+/// larger than kBurstSize.  That loop times process_burst alone — no rings,
+/// no verdict execution; the multi-worker benches run the SwitchRuntime
+/// instead.  Shared by the figure benches and the examples so the adapter
+/// tracks the process_burst contract in one place.
 template <core::Dataplane Switch>
 net::BurstFn burst_fn(Switch& sw) {
   return [&sw](net::Packet* const* pkts, uint32_t n) {
@@ -37,6 +39,12 @@ struct UseCase {
   /// Generates `n_flows` distinct flows replayed round-robin by the harness.
   std::function<std::vector<net::FlowSpec>(size_t n_flows, uint64_t seed)> traffic;
 };
+
+/// Per-worker traffic for the multi-worker runs (net::ReplaySource shards):
+/// `n_shards` sets of max(1, n_flows / n_shards) flows, shard w generated
+/// with seed `seed + w`.
+std::vector<net::TrafficSet> traffic_shards(const UseCase& uc, size_t n_flows,
+                                            uint32_t n_shards, uint64_t seed);
 
 /// L2 switching: one MAC table of `table_size` entries; traffic destinations
 /// are aligned to the table ("adequately aligned to avoid frequent table
@@ -90,6 +98,12 @@ struct CtUseCase {
   state::CtConfig ct;
   std::function<std::vector<net::FlowSpec>(size_t n_flows, uint64_t seed)> traffic;
 };
+
+/// Per-worker traffic for the multi-worker runs (net::ReplaySource shards):
+/// `n_shards` sets of max(1, n_flows / n_shards) flows, shard w generated
+/// with seed `seed + w`.
+std::vector<net::TrafficSet> traffic_shards(const UseCase& uc, size_t n_flows,
+                                            uint32_t n_shards, uint64_t seed);
 
 /// Port conventions shared by all three stateful use cases.
 inline constexpr uint32_t kCtInsidePort = 1;   // protected / client side

@@ -150,7 +150,7 @@ TEST(Integration, PortPathCarriesTraffic) {
     for (uint32_t k = 0; k < n; ++k) {
       const Verdict v = es.process(*rx[k]);
       if (v.kind == Verdict::Kind::kOutput) {
-        out_port.tx_burst(&rx[k], 1);
+        out_port.tx_burst_mp(&rx[k], 1);
         ++forwarded;
       }
       pool.free(rx[k]);

@@ -53,7 +53,7 @@ TEST(MbufPool, ExhaustionAndReuse) {
 }
 
 TEST(Port, Counters) {
-  Port port;
+  Port port(Port::Config{.ring_size = 2});
   auto p = test::make_packet(test::udp_spec(1, 2, 3, 4));
   Packet* pp = &p;
   EXPECT_EQ(port.inject_rx(&pp, 1), 1u);
@@ -61,8 +61,11 @@ TEST(Port, Counters) {
   EXPECT_EQ(port.rx_burst(out, 4), 1u);
   EXPECT_EQ(port.counters().rx_packets, 1u);
   EXPECT_EQ(port.counters().rx_bytes, p.len());
-  EXPECT_EQ(port.tx_burst(&pp, 1), 1u);
-  EXPECT_EQ(port.counters().tx_packets, 1u);
+  // A two-slot TX ring takes two of three frames and tail-drops the third.
+  Packet* three[3] = {&p, &p, &p};
+  EXPECT_EQ(port.tx_burst_mp(three, 3), 2u);
+  EXPECT_EQ(port.counters().tx_packets, 2u);
+  EXPECT_EQ(port.counters().tx_drops, 1u);
 }
 
 TEST(TrafficSet, RoundRobinLoad) {
@@ -103,45 +106,92 @@ TEST(TrafficSet, LoadNextMatchesLoad) {
   EXPECT_EQ(cursor, 13 % 5);
 }
 
-TEST(RunLoopBurst, ReportsSaneStats) {
-  std::vector<FlowSpec> flows(3);
-  for (auto& f : flows) f.pkt = test::udp_spec(1, 2, 3, 4);
-  auto ts = TrafficSet::from_flows(flows);
-  uint64_t count = 0;
-  RunOpts opts;
-  opts.min_seconds = 0.01;
-  opts.min_packets = 1000;
-  opts.warmup_packets = 10;
-  auto st = run_loop_burst(
-      ts,
-      [&](Packet* const* pkts, uint32_t n) {
-        EXPECT_LE(n, kBurstSize);
-        for (uint32_t b = 0; b < n; ++b) count += pkts[b]->len() > 0 ? 1 : 0;
-      },
-      opts);
-  EXPECT_GT(st.pps, 0.0);
-  EXPECT_GT(st.packets, 1000u);
-  EXPECT_GT(st.cycles_per_pkt, 0.0);
-  EXPECT_GE(st.latency_p99_cycles, st.latency_p50_cycles);
-  EXPECT_EQ(count, st.packets + 32 /* warmup rounds up to one burst */);
+uint32_t ip_src(const Packet& p) {
+  return static_cast<uint32_t>(
+      flow::extract_field(flow::FieldId::kIpSrc, p.data(), test::parse_packet(p)));
 }
 
-TEST(RunLoop, ReportsSaneStats) {
-  std::vector<FlowSpec> flows(1);
-  flows[0].pkt = test::udp_spec(1, 2, 3, 4);
-  auto ts = TrafficSet::from_flows(flows);
-  uint64_t count = 0;
+/// Five frames told apart by in_port 0..4 (and ip_src 1..5).
+TrafficSet five_frames() {
+  std::vector<FlowSpec> flows(5);
+  for (uint32_t i = 0; i < 5; ++i) {
+    flows[i].pkt = test::udp_spec(i + 1, 2, 3, 4);
+    flows[i].in_port = i;
+  }
+  return TrafficSet::from_flows(flows);
+}
+
+// run_loop and run_loop_burst are one timed loop at two call widths: both
+// report sane stats and replay the same round-robin sequence, warmup and
+// measured window alike.
+TEST(RunLoop, BothEntryPointsReplayOneSequence) {
+  const TrafficSet ts = five_frames();
   RunOpts opts;
   opts.min_seconds = 0.01;
   opts.min_packets = 1000;
   opts.warmup_packets = 10;
-  auto st = run_loop(
-      ts, [&](Packet& p) { count += p.len(); }, opts);
-  EXPECT_GT(st.pps, 0.0);
-  EXPECT_GT(st.packets, 1000u);
-  EXPECT_GT(st.cycles_per_pkt, 0.0);
-  EXPECT_GE(st.latency_p99_cycles, st.latency_p50_cycles);
-  EXPECT_GT(count, 0u);
+  opts.latency_sample_every = 1;
+
+  uint64_t seen = 0, out_of_order = 0;
+  const auto check = [&](const Packet& p) {
+    if (p.in_port() != seen++ % 5) ++out_of_order;
+  };
+  const RunStats one = run_loop(ts, check, opts);
+  EXPECT_EQ(seen, one.packets + 10);
+  seen = 0;  // each loop starts its replay at frame 0
+  const RunStats burst = run_loop_burst(
+      ts,
+      [&](Packet* const* pkts, uint32_t n) {
+        EXPECT_EQ(n, kBurstSize);
+        for (uint32_t b = 0; b < n; ++b) check(*pkts[b]);
+      },
+      opts);
+  EXPECT_EQ(seen, burst.packets + kBurstSize);  // warmup rounds up to a burst
+  EXPECT_EQ(out_of_order, 0u);
+
+  for (const RunStats* st : {&one, &burst}) {
+    EXPECT_GT(st->pps, 0.0);
+    EXPECT_GE(st->packets, 1000u);
+    EXPECT_GT(st->cycles_per_pkt, 0.0);
+    EXPECT_GE(st->latency.value_at_percentile(99), st->latency.value_at_percentile(50));
+  }
+  // Sampling every packet: one sample per measured packet.
+  EXPECT_EQ(one.latency.count(), one.packets);
+}
+
+TEST(ReplaySource, ShardsSharedCaptureAndIngressPorts) {
+  std::vector<Packet> storage(4);
+  Packet* bufs[4];
+  for (int i = 0; i < 4; ++i) bufs[i] = &storage[static_cast<size_t>(i)];
+
+  // Shards: worker w replays its own set.  ip_src 1..5 in shard 0,
+  // 101..105 in shard 1.
+  std::vector<FlowSpec> flows(5);
+  for (uint32_t i = 0; i < 5; ++i) flows[i].pkt = test::udp_spec(101 + i, 2, 3, 4);
+  ReplaySource shards({five_frames(), TrafficSet::from_flows(flows)});
+  EXPECT_EQ(shards(0, bufs, 2), 2u);
+  EXPECT_EQ(ip_src(*bufs[1]), 2u);
+  EXPECT_EQ(shards(1, bufs, 1), 1u);
+  EXPECT_EQ(ip_src(*bufs[0]), 101u);  // worker 0's reads did not move it
+  EXPECT_EQ(bufs[0]->in_port(), 2u);
+  EXPECT_EQ(shards(0, bufs, 1), 1u);
+  EXPECT_EQ(ip_src(*bufs[0]), 3u);
+  EXPECT_EQ(bufs[0]->in_port(), 1u);
+
+  // Shared capture: every worker replays the whole set from its own cursor.
+  ReplaySource shared(five_frames(), 3);
+  EXPECT_EQ(shared(0, bufs, 4), 4u);
+  EXPECT_EQ(ip_src(*bufs[3]), 4u);
+  for (uint32_t w : {2u, 1u}) {
+    EXPECT_EQ(shared(w, bufs, 3), 3u);
+    for (uint32_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(ip_src(*bufs[i]), i + 1) << "worker " << w;
+      EXPECT_EQ(bufs[i]->in_port(), 1 + w);  // not the frame's in_port
+    }
+  }
+  EXPECT_EQ(shared(0, bufs, 2), 2u);
+  EXPECT_EQ(ip_src(*bufs[0]), 5u);
+  EXPECT_EQ(ip_src(*bufs[1]), 1u);  // wraps
 }
 
 }  // namespace

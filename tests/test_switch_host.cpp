@@ -59,7 +59,7 @@ TEST(PortSet, TotalsAggregate) {
   net::Packet a = test::make_packet(test::udp_spec(1, 2, 3, 4));
   net::Packet* pa = &a;
   ps.port(1).inject_rx(&pa, 1);
-  ps.port(2).tx_burst(&pa, 1);
+  ps.port(2).tx_burst_mp(&pa, 1);
   const net::PortCounters t = ps.totals();
   EXPECT_EQ(t.rx_packets, 1u);
   EXPECT_EQ(t.tx_packets, 1u);
