@@ -7,7 +7,8 @@
 //   mode:1  burst harness + process_burst   (the production shape)
 //   mode:2  burst harness + process()       (isolates the datapath batching:
 //           same loader/dispatch costs as mode 1, a burst of one per packet)
-//   mode:0  scalar harness + process()      (the per-packet reference)
+//   mode:0  run_loop + process()            (the per-packet reference,
+//           with run_loop's indexed per-packet loader)
 // process() is a burst of one through the same walk, so modes 0 and 2 are
 // the gates' denominators: what a burst buys over running the walk one
 // packet at a time.

@@ -31,29 +31,29 @@ flow::FlowMod route_mod(uint32_t i, bool del) {
   return fm;
 }
 
+// Replays `ts` through net::run_loop for 0.15 s, applying updates at
+// `updates_per_sec` on the way: every 256 packets the schedule is checked
+// against the time since the window opened.  One warm pass first: the
+// loaded period must measure steady state plus update disruption, not the
+// initial cold-cache population.
 template <typename ApplyFn, typename ProcessFn>
 double loaded_pps(double updates_per_sec, ApplyFn&& apply, ProcessFn&& process,
                   const net::TrafficSet& ts) {
-  // Interleave packet processing with the prescribed update schedule.
-  net::Packet p;
-  // One warm pass first: the loaded period must measure steady state plus
-  // update disruption, not the initial cold-cache population.
-  for (size_t i = 0; i < ts.size(); ++i) {
-    ts.load(i, p);
-    process(p);
-  }
-  uint64_t pkts = 0;
+  net::RunOpts opts;
+  opts.warmup_packets = ts.size();
+  opts.min_seconds = 0.15;
+  opts.min_packets = 0;
+  opts.latency_sample_every = 0;
+  uint64_t pkts = 0;  // warmup included
   uint32_t upd = 0;
   double issued = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0;
-  while (elapsed < 0.15) {
-    for (int b = 0; b < 256; ++b) {
-      ts.load(pkts, p);
-      process(p);
-      ++pkts;
-    }
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  std::chrono::steady_clock::time_point t0;
+  const auto step = [&](net::Packet& p) {
+    process(p);
+    if (++pkts == opts.warmup_packets) t0 = std::chrono::steady_clock::now();
+    if (pkts <= opts.warmup_packets || (pkts - opts.warmup_packets) % 256 != 0) return;
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     while (issued < elapsed * updates_per_sec) {
       // Add a route, then delete that same route on the next tick, so the
       // table size stays bounded and deletes always hit.
@@ -61,8 +61,8 @@ double loaded_pps(double updates_per_sec, ApplyFn&& apply, ProcessFn&& process,
       ++upd;
       issued += 1;
     }
-  }
-  return static_cast<double>(pkts) / elapsed;
+  };
+  return net::run_loop(ts, step, opts).pps;
 }
 
 // The unloaded rate is the same loop at 0 updates/s, so normed_rate divides

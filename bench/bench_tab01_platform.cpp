@@ -1,9 +1,13 @@
-// Table 1 companion: the platform throughput ceiling.  The paper measures
-// 15.7 Mpps single-core with DPDK l2fwd (pure port forwarding, no
-// classification) and uses it as the benchmark for all other measurements.
+// Table 1 companion.  The paper measures 15.7 Mpps single-core with DPDK
+// l2fwd (pure port forwarding, no classification) and uses it as the
+// benchmark for all other measurements.  This repo has no NIC, so there is
+// no forwarding ceiling to measure; the l2fwd series is the per-packet
+// harness floor instead.
 //
 // Series:
-//   l2fwd     — parse-free port forward (our substrate's raw ceiling);
+//   l2fwd     — net::run_loop's indexed loader (a frame copy) plus one call
+//               and a length read: no parse, port, ring or TX step, so it
+//               bounds what any per-packet point can read, nothing more;
 //   es_1rule  — ESWITCH with a single direct-code rule (minimal pipeline);
 //   es_l2_1   — ESWITCH L2 use case with a one-entry MAC table (Fig. 10's
 //               best case, directly comparable to the paper's 14 Mpps).
@@ -16,7 +20,7 @@ namespace {
 using namespace esw;
 
 void BM_Tab01_L2Fwd(benchmark::State& state) {
-  // Raw forwarding: copy in, no classification — the platform benchmark.
+  // Copy in, no classification: the loader-plus-call floor.
   const auto uc = uc::make_l2(1);
   const auto ts = net::TrafficSet::from_flows(uc.traffic(64, 42));
   for (auto _ : state) {

@@ -10,25 +10,18 @@ namespace esw::net {
 
 namespace {
 
-/// The one timed loop: replays `traffic` round-robin, `Width` packets per
-/// call of `fn(Packet* const*, Width)`.  The buffers model the mbuf array a
-/// DPDK rx_burst fills; heap-held because kBurstSize packets are 64 KiB.
-template <uint32_t Width, typename Fn>
-RunStats replay(const TrafficSet& traffic, const Fn& fn, const RunOpts& opts) {
+/// The one timed loop: per call, `load(i)` fills the `Width` buffers behind
+/// `ptrs` (`i` counts the packets the current phase, warmup or window, has
+/// handed out) and `fn(ptrs, Width)` processes them.
+template <uint32_t Width, typename Load, typename Fn>
+RunStats replay(const Load& load, Packet* const* ptrs, const Fn& fn, const RunOpts& opts) {
   constexpr uint32_t kCallsPerCheck = 1024 / Width;  // calls between clock checks
   static_assert(kCallsPerCheck * Width == 1024);
-  std::vector<Packet> bufs(Width);
-  Packet* ptrs[Width];
-  for (uint32_t b = 0; b < Width; ++b) ptrs[b] = &bufs[b];
-  size_t cursor = 0;  // division-free round-robin over the traffic set
-  const auto load = [&] {
-    for (uint32_t b = 0; b < Width; ++b) traffic.load_next(cursor, bufs[b]);
-  };
 
   // Warmup: populate caches (and, for a flow-caching switch, its flow caches
   // — the paper's steady-state measurements do the same).
   for (uint64_t w = 0; w < opts.warmup_packets; w += Width) {
-    load();
+    load(w);
     fn(ptrs, Width);
   }
 
@@ -43,7 +36,7 @@ RunStats replay(const TrafficSet& traffic, const Fn& fn, const RunOpts& opts) {
   uint64_t calls = 0;
   for (;;) {
     for (uint32_t k = 0; k < kCallsPerCheck; ++k, ++calls) {
-      load();
+      load(calls * Width);
       if (sample_every_calls != 0 && calls % sample_every_calls == 0) {
         // Serialized reads on both ends: plain back-to-back rdtsc can
         // reorder around the short timed region (see common/tsc.hpp).
@@ -69,13 +62,25 @@ RunStats replay(const TrafficSet& traffic, const Fn& fn, const RunOpts& opts) {
 
 RunStats run_loop_burst(const TrafficSet& traffic, const BurstFn& fn,
                         const RunOpts& opts) {
-  return replay<kBurstSize>(traffic, fn, opts);
+  // The buffers model the mbuf array a DPDK rx_burst fills; heap-held
+  // because kBurstSize packets are 64 KiB.
+  std::vector<Packet> bufs(kBurstSize);
+  Packet* ptrs[kBurstSize];
+  for (uint32_t b = 0; b < kBurstSize; ++b) ptrs[b] = &bufs[b];
+  size_t cursor = 0;  // division-free round-robin, continued from the warmup
+  const auto load = [&](uint64_t) {
+    for (uint32_t b = 0; b < kBurstSize; ++b) traffic.load_next(cursor, bufs[b]);
+  };
+  return replay<kBurstSize>(load, ptrs, fn, opts);
 }
 
 RunStats run_loop(const TrafficSet& traffic, const std::function<void(Packet&)>& fn,
                   const RunOpts& opts) {
-  return replay<1>(traffic, [&fn](Packet* const* pkts, uint32_t) { fn(*pkts[0]); },
-                   opts);
+  // Indexed loader (one division per packet), window from frame 0.
+  Packet pkt;
+  Packet* const ptr = &pkt;
+  return replay<1>([&](uint64_t i) { traffic.load(i, pkt); }, &ptr,
+                   [&](Packet* const*, uint32_t) { fn(pkt); }, opts);
 }
 
 ReplaySource::ReplaySource(std::vector<TrafficSet> shards)

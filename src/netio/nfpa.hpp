@@ -48,8 +48,12 @@ using BurstFn = std::function<void(Packet* const*, uint32_t n)>;
 RunStats run_loop_burst(const TrafficSet& traffic, const BurstFn& fn,
                         const RunOpts& opts = {});
 
-/// The same loop one packet per call: `fn(Packet&)` sees the same
-/// round-robin sequence run_loop_burst hands out in bursts.
+/// The same loop one packet per call, fed by the indexed loader
+/// (`TrafficSet::load`, one division per packet) whose measured window
+/// starts again at frame 0; run_loop_burst's cursor carries on from the
+/// warmup.  The per-packet figures (Fig. 16, Table 1, the burst row's
+/// mode 0) are calibrated on this loader; docs/BENCHMARKS.md, "The
+/// burst-vs-burst-of-one bench".
 RunStats run_loop(const TrafficSet& traffic, const std::function<void(Packet&)>& fn,
                   const RunOpts& opts = {});
 

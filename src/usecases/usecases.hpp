@@ -99,12 +99,6 @@ struct CtUseCase {
   std::function<std::vector<net::FlowSpec>(size_t n_flows, uint64_t seed)> traffic;
 };
 
-/// Per-worker traffic for the multi-worker runs (net::ReplaySource shards):
-/// `n_shards` sets of max(1, n_flows / n_shards) flows, shard w generated
-/// with seed `seed + w`.
-std::vector<net::TrafficSet> traffic_shards(const UseCase& uc, size_t n_flows,
-                                            uint32_t n_shards, uint64_t seed);
-
 /// Port conventions shared by all three stateful use cases.
 inline constexpr uint32_t kCtInsidePort = 1;   // protected / client side
 inline constexpr uint32_t kCtOutsidePort = 2;  // untrusted / backend side
