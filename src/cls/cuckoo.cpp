@@ -22,27 +22,17 @@ CuckooTable::CuckooTable(uint32_t initial_buckets) : salt_(kSaltSeed) {
 
 CuckooTable::~CuckooTable() {
   // Destruction implies no live readers: free entries from the live view
-  // (each live entry sits in exactly one of its slots at API boundaries;
-  // retired views share entries and free only their slot arrays).
+  // (each live entry sits in exactly one of its slots at API boundaries).
+  // Retired entries and views belong to the domain's queue.
   View* v = view_.load(std::memory_order_relaxed);
-  for (auto& s : v->slots) {
-    Entry* e = word_ptr(s.load(std::memory_order_relaxed));
-    if (e != nullptr) free_entry(e);
-  }
+  for (auto& s : v->slots) delete word_ptr(s.load(std::memory_order_relaxed));
   delete v;
-  retired_entries_.reclaim_into(UINT64_MAX, [](Entry* e) { free_entry(e); });
-  retired_views_.reclaim_into(UINT64_MAX, [](View* v) { delete v; });
 }
 
 uint64_t CuckooTable::pack_word(const Entry* e) {
   const uint64_t p = reinterpret_cast<uint64_t>(e);
   ESW_CHECK_MSG((p >> 48) == 0, "entry pointer exceeds 48 bits");
   return p | (e->hash >> 48 << 48);
-}
-
-void CuckooTable::free_entry(Entry* e) {
-  e->~Entry();
-  ::operator delete(e);
 }
 
 CuckooTable::Entry* CuckooTable::make_entry(const uint8_t* key, uint32_t key_len,
@@ -56,25 +46,13 @@ CuckooTable::Entry* CuckooTable::make_entry(const uint8_t* key, uint32_t key_len
 
 void CuckooTable::retire_entry(Entry* e) {
   entry_bytes_ -= sizeof(Entry) + e->key_len;
-  if (domain_ == nullptr || !domain_->has_workers()) {
-    free_entry(e);
-    return;
-  }
-  retired_entries_.retire(e, domain_->current_epoch());
+  std::unique_ptr<Entry> gone(e);
+  if (domain_ != nullptr) domain_->retire(std::move(gone));
 }
 
 void CuckooTable::retire_view(View* v) {
-  if (domain_ == nullptr || !domain_->has_workers()) {
-    delete v;
-    return;
-  }
-  retired_views_.retire(v, domain_->current_epoch());
-}
-
-uint64_t CuckooTable::epoch_reclaim(uint64_t horizon) {
-  uint64_t n = retired_entries_.reclaim_into(horizon, [](Entry* e) { free_entry(e); });
-  n += retired_views_.reclaim_into(horizon, [](View* v) { delete v; });
-  return n;
+  std::unique_ptr<View> gone(v);
+  if (domain_ != nullptr) domain_->retire(std::move(gone));
 }
 
 size_t CuckooTable::memory_bytes() const {

@@ -69,8 +69,9 @@ class CuckooTable {
   CuckooTable(const CuckooTable&) = delete;
   CuckooTable& operator=(const CuckooTable&) = delete;
 
-  /// Wires retirement to the datapath's epoch domain.  Null (the default)
-  /// reclaims immediately — the single-threaded build/bench path.
+  /// Wires retirement to the datapath's epoch domain, whose queue frees the
+  /// displaced entries and views.  Null (the default) frees them at once —
+  /// the single-threaded build/bench path.
   void set_domain(common::EpochDomain* d) { domain_ = d; }
 
   /// Inserts or replaces (single control-plane writer).
@@ -119,20 +120,16 @@ class CuckooTable {
   uint64_t grows() const { return grows_; }
   uint64_t reseeds() const { return reseeds_; }
 
-  /// Frees retired entries/views stamped strictly below `horizon`
-  /// (control thread; rides the datapath's reclaim pass).
-  uint64_t epoch_reclaim(uint64_t horizon);
-  size_t retired_pending() const {
-    return retired_entries_.pending() + retired_views_.pending();
-  }
-
  private:
   // Immutable once published: a reader holding the pointer never re-checks.
+  // The key bytes trail the header in one allocation (make_entry), so a
+  // delete frees it unsized.
   struct Entry {
     uint64_t hash;  // salt-independent key hash (valid across reseeds)
     uint64_t value;
     uint32_t key_len;
     uint16_t aux;
+    static void operator delete(void* p) { ::operator delete(p); }
     const uint8_t* key() const {
       return reinterpret_cast<const uint8_t*>(this) + sizeof(Entry);
     }
@@ -158,7 +155,6 @@ class CuckooTable {
   static Entry* word_ptr(uint64_t w) { return reinterpret_cast<Entry*>(w & kPtrMask); }
   static uint16_t word_tag(uint64_t w) { return static_cast<uint16_t>(w >> 48); }
   static uint64_t pack_word(const Entry* e);
-  static void free_entry(Entry* e);
 
   static uint32_t bucket1(const View* v, uint64_t h) {
     return static_cast<uint32_t>(mix64(h ^ v->salt)) & v->mask;
@@ -196,8 +192,6 @@ class CuckooTable {
   std::atomic<uint64_t> seq_{0};
 
   common::EpochDomain* domain_ = nullptr;
-  common::RetireList<Entry*> retired_entries_;
-  common::RetireList<View*> retired_views_;
 
   size_t size_ = 0;
   size_t entry_bytes_ = 0;  // live heap bytes in Entry blobs

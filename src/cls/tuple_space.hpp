@@ -26,8 +26,8 @@
 //     one atomic store.  The published min_rank never exceeds the tuple's
 //     live minimum at any instant a reader can observe, so early exit never
 //     skips a better entry;
-//   * displaced nodes, arrays and emptied tuples retire through the owning
-//     datapath's EpochDomain.  Without a domain (or without registered
+//   * displaced nodes, arrays and emptied tuples retire into the owning
+//     datapath's EpochDomain queue.  Without a domain (or without registered
 //     workers) they are freed at once.
 //
 // `Value` is the per-entry payload (compiled lookup results, megaflow entry
@@ -130,7 +130,7 @@ class TupleSpace {
       std::unique_ptr<Tuple> gone = std::move(*pos);
       tuples_.erase(pos);
       publish_order();  // unlink before the tuple retires
-      retire(retired_tuples_, std::move(gone));
+      if (domain_ != nullptr) domain_->retire(std::move(gone));
     } else if (t->min_rank < t->nodes.begin()->first) {
       t->min_rank = t->nodes.begin()->first;
       publish_order();
@@ -190,21 +190,6 @@ class TupleSpace {
 
   size_t size() const { return size_; }
   size_t num_tuples() const { return tuples_.size(); }
-
-  /// Frees retired nodes, scan arrays and tuples stamped strictly below
-  /// `horizon` (control thread; rides the datapath's reclaim pass).
-  uint64_t epoch_reclaim(uint64_t horizon) {
-    uint64_t n = retired_nodes_.reclaim(horizon) + retired_orders_.reclaim(horizon) +
-                 retired_tuples_.reclaim(horizon);
-    for (const auto& t : tuples_) n += t->index.epoch_reclaim(horizon);
-    return n;
-  }
-  size_t retired_pending() const {
-    size_t n = retired_nodes_.pending() + retired_orders_.pending() +
-               retired_tuples_.pending();
-    for (const auto& t : tuples_) n += t->index.retired_pending();
-    return n;
-  }
 
  private:
   static constexpr uint32_t kMaxKeyBytes = 8 * flow::kNumFields;
@@ -307,7 +292,9 @@ class TupleSpace {
       t.index.insert(s.key, s.key_len, reinterpret_cast<uint64_t>(rest));
     else
       t.index.erase(s.key, s.key_len);
-    for (auto& e : unlinked) retire(retired_nodes_, std::move(e));
+    // Without a domain no reader can hold them: they are freed here.
+    if (domain_ != nullptr)
+      for (auto& e : unlinked) domain_->retire(std::move(e));
   }
 
   /// Swaps in a freshly sorted scan order (null when no tuple is left).
@@ -321,14 +308,9 @@ class TupleSpace {
                 [](const Slot& a, const Slot& b) { return a.min_rank < b.min_rank; });
     }
     const Slot* old = order_.exchange(order.release(), std::memory_order_acq_rel);
-    retire(retired_orders_, std::unique_ptr<const Slot[]>(old));
+    std::unique_ptr<const Slot[]> gone(old);
+    if (domain_ != nullptr) domain_->retire(std::move(gone));
   }
-
-  template <typename T>
-  void retire(common::RetireList<std::unique_ptr<T>>& list, std::unique_ptr<T> obj) {
-    if (obj != nullptr && domain_ != nullptr && domain_->has_workers())
-      list.retire(std::move(obj), domain_->current_epoch());
-  }  // otherwise `obj` is freed here: no reader can hold it
 
   static uint32_t key_from_match(const Tuple& t, const flow::Match& m, uint8_t* out) {
     uint32_t n = 0;
@@ -361,9 +343,6 @@ class TupleSpace {
   uint64_t next_seq_ = 0;
   size_t size_ = 0;
   common::EpochDomain* domain_ = nullptr;
-  common::RetireList<std::unique_ptr<const Entry>> retired_nodes_;
-  common::RetireList<std::unique_ptr<const Slot[]>> retired_orders_;
-  common::RetireList<std::unique_ptr<Tuple>> retired_tuples_;
 };
 
 }  // namespace esw::cls

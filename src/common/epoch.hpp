@@ -1,38 +1,48 @@
 // Epoch-based reclamation (quiescent-state flavor, QSBR) — the memory
 // lifetime contract between one control-plane writer and N packet workers.
 //
-// The datapath publishes rebuilt tables with an atomic trampoline swap; the
-// *old* table object may still be referenced by workers that snapshotted it
-// at the start of their current burst.  Instead of the previous
-// caller-coordinated `collect()` ("free when you know nobody is inside
-// process()"), retirement now rides a global epoch counter:
+// The writer publishes a new structure beside the old one with one atomic
+// swap (a trampoline slot, the fused plan, a cuckoo slot word or view, a
+// tuple-space chain head or scan order); the *old* object may still be
+// referenced by workers that loaded it at the start of their current burst.
+// Its freeing rides a global epoch counter:
 //
 //   * every packet worker registers a WorkerSlot and ticks `quiescent()`
 //     once per burst, at a point where it holds no datapath pointers;
-//   * the writer stamps each retired object with the epoch current at
-//     retirement, then advances the epoch;
+//   * the writer hands each displaced object to retire(), which stamps it
+//     with the epoch current at retirement; reclaim() advances the epoch;
 //   * an object is reclaimable once every registered worker has ticked in a
 //     *later* epoch than the object's stamp (`min_observed()` > stamp): the
 //     tick's acquire of the epoch counter synchronizes with the writer's
-//     release advance, so the worker's next burst re-reads the trampoline
-//     and cannot resurrect the retired pointer.
+//     release advance, so the worker's next burst re-reads the fused plan
+//     (and every slot word) and cannot resurrect the retired pointer.
+//
+// The domain owns the one retire queue every control-plane structure frees
+// through: the datapath's displaced impls and plans, cuckoo entries and
+// views, tuple-space nodes, scan arrays and tuples.  The queue is the
+// writer's alone (retire() and reclaim() run on the control thread).  A
+// stamp may be later than the swap it covers, never earlier: a later stamp
+// only delays the free by a pass.  Stamps are read on the writer thread
+// from a monotonic counter, so the queue is in stamp order and its front
+// is the oldest.
 //
 // Registration is control-thread-only.  advance() and min_observed() may run
 // on any thread: the control-plane writer calls them, and so do packet
 // workers through the conntrack layer (Conntrack::poll's expiry and reclaim,
 // and commit-time eviction, advance the epoch and read the horizon from the
-// packet path).  Each RetireList is owned by one lock or one thread, never by
-// the domain.  Workers write only their own slot's `seen`; a slot's `active`
-// flag is published with release and read with acquire, so a worker scanning
-// the slots while the control thread registers another reads a whole,
-// initialized slot or skips it.  With no registered workers the grace period
-// is trivially satisfied and retirement degenerates to immediate
-// reclamation — the single-threaded benches keep their old cost.
+// packet path; conntrack keeps its own per-shard retire lists under its
+// shard locks).  Workers write only their own slot's `seen`; a slot's
+// `active` flag is published with release and read with acquire, so a worker
+// scanning the slots while the control thread registers another reads a
+// whole, initialized slot or skips it.  With no registered worker the grace
+// period is trivially satisfied: retire() frees at once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -76,8 +86,8 @@ class EpochDomain {
 
   /// Worker-side per-burst tick.  Must be called when the worker holds no
   /// pointers obtained from epoch-protected structures (i.e. between bursts).
-  /// The acquire/release pair is what orders a later trampoline re-read after
-  /// the writer's swap.
+  /// The acquire/release pair is what orders the next burst's plan re-read
+  /// after the writer's swap.
   void quiescent(WorkerSlot& s) {
     s.seen.store(epoch_.load(std::memory_order_acquire), std::memory_order_release);
   }
@@ -91,7 +101,7 @@ class EpochDomain {
 
   /// Advances the global epoch (writer side); returns the new epoch.  The
   /// release ordering makes everything the writer did before the advance —
-  /// in particular the trampoline swap that unpublished a retiring object —
+  /// in particular the swap that unpublished a retiring object —
   /// visible to any worker whose tick observes the new epoch.
   uint64_t advance() { return epoch_.fetch_add(1, std::memory_order_acq_rel) + 1; }
 
@@ -108,21 +118,64 @@ class EpochDomain {
     return min;
   }
 
-  /// Writer-side convenience: advance, then report the reclamation horizon.
-  uint64_t advance_and_horizon() {
-    advance();
-    return min_observed();
+  /// Hands a displaced object to the domain (writer side).  It is stamped
+  /// with the current epoch and freed by the first reclaim() whose horizon
+  /// passes the stamp; with no registered worker no reader can hold it, so
+  /// it is freed at once.  The owner is type-erased into a function-pointer
+  /// deleter: no allocation per retire beyond the queue's own blocks.
+  template <typename T>
+  void retire(std::unique_ptr<T> obj) {
+    if (obj == nullptr) return;
+    ++retired_;
+    if (!has_workers()) {
+      ++reclaimed_;
+      return;  // `obj` is freed here
+    }
+    using Elem = std::remove_extent_t<T>;
+    void* raw = const_cast<void*>(static_cast<const void*>(obj.release()));
+    q_.push_back({Owner(raw, [](void* p) { std::default_delete<T>()(static_cast<Elem*>(p)); }),
+                  current_epoch()});
   }
+
+  /// Writer side: advances the epoch, then frees every retiree stamped
+  /// strictly below the horizon, oldest first.  Returns the horizon, so a
+  /// caller can release its own epoch-stamped records (the datapath's slot
+  /// ids) on the same pass.
+  uint64_t reclaim() {
+    advance();
+    const uint64_t horizon = min_observed();
+    while (!q_.empty() && q_.front().epoch < horizon) {
+      // Freed after the pop: a destructor never sees a half-popped queue.
+      const Owner gone = std::move(q_.front().obj);
+      q_.pop_front();
+      ++reclaimed_;
+    }
+    return horizon;
+  }
+
+  /// Retire-queue totals (writer side): every retire() counts once in
+  /// `retired`, and once more in `reclaimed` when it is freed.
+  uint64_t retired() const { return retired_; }
+  uint64_t reclaimed() const { return reclaimed_; }
+  uint64_t pending() const { return q_.size(); }
 
  private:
   std::atomic<uint64_t> epoch_{1};
   std::atomic<uint32_t> n_active_{0};
   WorkerSlot slots_[kMaxWorkers];
+
+  using Owner = std::unique_ptr<void, void (*)(void*)>;
+  struct Retiree {
+    Owner obj;
+    uint64_t epoch;
+  };
+  std::deque<Retiree> q_;
+  uint64_t retired_ = 0;
+  uint64_t reclaimed_ = 0;
 };
 
-/// Writer-side list of retired objects awaiting their grace period.  Not
-/// thread-safe — lives with the single control-plane writer, like the domain's
-/// retire protocol itself.
+/// A retire list owned by one lock: conntrack's per-shard lists, which packet
+/// workers retire slab slots into under the shard lock.  Not thread-safe.
 template <typename T>
 class RetireList {
  public:
@@ -131,21 +184,9 @@ class RetireList {
     ++retired_total_;
   }
 
-  /// Destroys (or hands to `out`, see below) every entry stamped strictly
-  /// below `horizon`; returns how many were reclaimed.  Entries are stamped
-  /// in nondecreasing order, so the queue front is always the oldest.
-  uint64_t reclaim(uint64_t horizon) {
-    uint64_t n = 0;
-    while (!q_.empty() && q_.front().epoch < horizon) {
-      q_.pop_front();
-      ++n;
-    }
-    reclaimed_total_ += n;
-    return n;
-  }
-
-  /// Variant that moves each reclaimable object out (e.g. to recycle a slot
-  /// index rather than destroy it).
+  /// Moves every entry stamped strictly below `horizon` into `fn` (e.g. to
+  /// recycle a slot index); returns how many.  Entries are stamped in
+  /// nondecreasing order, so the queue front is always the oldest.
   template <typename Fn>
   uint64_t reclaim_into(uint64_t horizon, Fn&& fn) {
     uint64_t n = 0;
@@ -156,11 +197,6 @@ class RetireList {
     }
     reclaimed_total_ += n;
     return n;
-  }
-
-  void clear() {
-    reclaimed_total_ += q_.size();
-    q_.clear();
   }
 
   size_t pending() const { return q_.size(); }

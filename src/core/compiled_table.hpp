@@ -81,17 +81,12 @@ class CompiledTable {
   virtual bool try_add(const flow::FlowEntry&, BuildCtx&) { return false; }
   virtual bool try_remove(const flow::Match&, uint16_t) { return false; }
 
-  /// Epoch-reclamation hooks for templates that retire *internal* memory
-  /// (cuckoo entries/views, tuple-space chain nodes) rather than being
-  /// swapped wholesale.  The datapath attaches its domain at publication and
-  /// drains the template's retire lists during its reclaim pass; defaults
-  /// are no-ops.
+  /// For templates that retire *internal* memory (cuckoo entries/views,
+  /// tuple-space nodes, scan arrays and tuples) rather than being swapped
+  /// wholesale: the datapath attaches its domain at publication, and the
+  /// template retires into that domain's queue from then on.  The default
+  /// is a no-op.
   virtual void attach_epoch_domain(common::EpochDomain*) {}
-  virtual uint64_t epoch_reclaim(uint64_t horizon) {
-    (void)horizon;
-    return 0;
-  }
-  virtual size_t retired_pending() const { return 0; }
 };
 
 // --- direct code -------------------------------------------------------------
@@ -153,10 +148,6 @@ class CuckooTemplateTable final : public CompiledTable {
   bool try_remove(const flow::Match& m, uint16_t priority) override;
 
   void attach_epoch_domain(common::EpochDomain* d) override { index_.set_domain(d); }
-  uint64_t epoch_reclaim(uint64_t horizon) override {
-    return index_.epoch_reclaim(horizon);
-  }
-  size_t retired_pending() const override { return index_.retired_pending(); }
 
   uint64_t grows() const { return index_.grows(); }
   uint64_t reseeds() const { return index_.reseeds(); }
@@ -284,8 +275,6 @@ class LinkedListTable final : public CompiledTable {
   bool try_remove(const flow::Match& m, uint16_t priority) override;
 
   void attach_epoch_domain(common::EpochDomain* d) override { ts_.set_domain(d); }
-  uint64_t epoch_reclaim(uint64_t horizon) override { return ts_.epoch_reclaim(horizon); }
-  size_t retired_pending() const override { return ts_.retired_pending(); }
 
   size_t num_tuples() const { return ts_.num_tuples(); }
 

@@ -80,17 +80,18 @@ void CompiledDatapath::retire_slot(int32_t slot) {
   // The impl stays *published*: a reader mid-burst on the pre-swap root may
   // still jump here and must find the old table, not a nullptr miss (the
   // old-or-new verdict guarantee).  The slot only becomes unreachable for
-  // bursts that start after the swap, so pointer, object and slot id are all
-  // reclaimed together once the grace period ends (recycle_slot).
+  // bursts that start after the swap, so the impl goes to the domain's queue
+  // and the slot id is recycled on the same grace period (stamp_unpublished,
+  // recycle_slot).
   unpublished_.slots.push_back(slot);
 }
 
 void CompiledDatapath::recycle_slot(int32_t slot) {
   // Grace period over: no worker can reach this slot anymore (every burst
-  // started after the root swap), so unpublishing, destroying the impl and
-  // zeroing the counters cannot race anything.
-  CompiledTable* old = slots_[slot].impl.exchange(nullptr, std::memory_order_relaxed);
-  if (old != nullptr) take_live(old);  // destroyed here — grace already served
+  // started after the root swap), so unpublishing it and zeroing the
+  // counters cannot race anything.  Its impl went to the domain's queue
+  // with a stamp no earlier than the slot's.
+  slots_[slot].impl.store(nullptr, std::memory_order_relaxed);
   slots_[slot].stats.clear();
   free_slots_.push_back(slot);
 }
@@ -100,39 +101,36 @@ void CompiledDatapath::recycle_slot(int32_t slot) {
 // packet workers advance the epoch too (conntrack expiry and eviction), so a
 // stamp taken at the swap can fall behind the epoch a worker ticks in while
 // it still loads the old plan, and that worker's impl would be freed under
-// it.  The stamp comes from an advance of the writer's own, after the
+// it.  The stamps are read after an advance of the writer's own, after the
 // republish: a worker that ticks in any later epoch has synchronized with it
 // and loads the new plan.
 void CompiledDatapath::stamp_unpublished() {
   Unpublished& u = unpublished_;
   if (u.impls.empty() && u.slots.empty() && u.plans.empty()) return;
-  const uint64_t stamp = domain_.advance() - 1;
-  for (auto& t : u.impls) retired_impls_.retire(std::move(t), stamp);
-  for (const int32_t slot : u.slots) retired_slots_.retire(slot, stamp);
-  for (auto& p : u.plans) retired_fused_.retire(std::move(p), stamp);
+  domain_.advance();
+  for (auto& t : u.impls) domain_.retire(std::move(t));
+  for (const int32_t slot : u.slots) {
+    // The id is stamped no later than its impl, so the pass that frees the
+    // impl (still published in the slot) also recycles the slot.
+    retired_slots_.push_back({domain_.current_epoch(), slot});
+    if (CompiledTable* t = slots_[slot].impl.load(std::memory_order_relaxed))
+      domain_.retire(take_live(t));
+  }
+  for (auto& p : u.plans) domain_.retire(std::move(p));
   u = {};
 }
 
-uint64_t CompiledDatapath::reclaim() {
-  stamp_unpublished();
+void CompiledDatapath::reclaim() {
   // Injectable stall: skip this pass as if no grace period had elapsed.
-  // Retirements stay pending (bounded growth, audited by the soak's reclaim
-  // check) until a later pass runs with the point disarmed.
-  if (ESW_FAILPOINT("epoch.reclaim")) return 0;
-  size_t internal_pending = 0;
-  for (const auto& t : live_) internal_pending += t->retired_pending();
-  if (retired_impls_.pending() == 0 && retired_slots_.pending() == 0 &&
-      retired_fused_.pending() == 0 && internal_pending == 0)
-    return 0;
-  const uint64_t horizon = domain_.advance_and_horizon();
-  uint64_t n = retired_impls_.reclaim(horizon);
-  n += retired_slots_.reclaim_into(horizon,
-                                   [this](int32_t slot) { recycle_slot(slot); });
-  n += retired_fused_.reclaim(horizon);
-  // Drain template-internal retire lists (cuckoo entries/views) on the same
-  // horizon.
-  for (const auto& t : live_) n += t->epoch_reclaim(horizon);
-  return n;
+  // Retirements stay pending, unstamped (bounded growth, audited by the
+  // soak's reclaim check), until a later pass runs with the point disarmed.
+  if (ESW_FAILPOINT("epoch.reclaim")) return;
+  stamp_unpublished();
+  if (domain_.pending() == 0 && retired_slots_.empty()) return;
+  const uint64_t horizon = domain_.reclaim();
+  auto it = retired_slots_.begin();
+  for (; it != retired_slots_.end() && it->epoch < horizon; ++it) recycle_slot(it->slot);
+  retired_slots_.erase(retired_slots_.begin(), it);
 }
 
 void CompiledDatapath::set_fused(std::unique_ptr<FusedPipeline> fused) {
@@ -144,6 +142,9 @@ void CompiledDatapath::set_fused(std::unique_ptr<FusedPipeline> fused) {
 void CompiledDatapath::reset() {
   ESW_CHECK_MSG(!domain_.has_workers(),
                 "reset()/install() is stop-the-world: unregister workers first");
+  stamp_unpublished();  // no workers: every retiree is freed now
+  domain_.reclaim();
+  retired_slots_.clear();
   const int32_t n = n_slots_.load(std::memory_order_relaxed);
   for (int32_t i = 0; i < n; ++i) {
     slots_[i].impl.store(nullptr, std::memory_order_relaxed);
@@ -154,10 +155,6 @@ void CompiledDatapath::reset() {
   live_.clear();
   fused_.store(nullptr, std::memory_order_release);
   fused_live_.reset();
-  unpublished_ = {};        // no workers: immediate free is safe
-  retired_impls_.clear();
-  retired_slots_.clear();
-  retired_fused_.clear();
   start_.store(-1, std::memory_order_release);
   clear_stats();
 }
@@ -455,18 +452,10 @@ void CompiledDatapath::clear_stats() {
 }
 
 CompiledDatapath::ReclaimStats CompiledDatapath::reclaim_stats() const {
-  uint64_t internal_pending = 0;
-  for (const auto& t : live_) internal_pending += t->retired_pending();
   // Displaced but not yet stamped counts as retired and pending.
   const uint64_t unstamped =
       unpublished_.impls.size() + unpublished_.slots.size() + unpublished_.plans.size();
-  return {retired_impls_.retired_total() + retired_slots_.retired_total() +
-              retired_fused_.retired_total() + unstamped,
-          retired_impls_.reclaimed_total() + retired_slots_.reclaimed_total() +
-              retired_fused_.reclaimed_total(),
-          retired_impls_.pending() + retired_slots_.pending() +
-              retired_fused_.pending() + unstamped,
-          internal_pending};
+  return {domain_.retired() + unstamped, domain_.reclaimed(), domain_.pending() + unstamped};
 }
 
 size_t CompiledDatapath::memory_bytes() const {

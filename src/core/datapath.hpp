@@ -8,16 +8,16 @@
 //
 // Concurrency model (one writer, N packet workers):
 //   * the control thread is the only mutator — it swaps trampolines
-//     (release) and retires the displaced objects into an epoch domain
-//     (`common/epoch.hpp`);
+//     (release) and retires the displaced objects into the epoch domain's
+//     one retire queue (`common/epoch.hpp`), which the templates' in-place
+//     updates retire into as well;
 //   * each packet worker runs inside a registered `Worker` context: its own
 //     burst scratch (per-stage stat deltas), its own cacheline-padded verdict
 //     counters, and an epoch slot it ticks once per burst, at which point it
 //     provably holds no datapath pointers;
-//   * retired tables and recycled trampoline slots are freed by `reclaim()`
-//     once every registered worker has ticked past the retirement epoch —
-//     the old caller-coordinated `collect()` contract ("call when no
-//     process() is in flight") is gone;
+//   * retired objects are freed, and retired trampoline slots recycled, by
+//     `reclaim()` once every registered worker has ticked past the
+//     retirement epoch;
 //   * the owner-context `process()`/`process_burst()` overloads run in an
 //     implicit owner context: they are for single-threaded use (the control
 //     thread itself, or a thread that is the only one touching the object),
@@ -107,13 +107,13 @@ class CompiledDatapath {
     uint64_t drops = 0;
     uint64_t to_controller = 0;
   };
+  /// The domain's retire-queue totals plus what was displaced but not yet
+  /// stamped.  Template-internal retirements (cuckoo entries and views,
+  /// tuple-space nodes, scan arrays and tuples) count like tables and plans.
   struct ReclaimStats {
     uint64_t retired = 0;    // objects handed to the epoch domain
     uint64_t reclaimed = 0;  // freed after their grace period
     uint64_t pending = 0;    // retired, grace period not yet over
-    // Template-internal retirements (cuckoo entries and views, tuple-space
-    // nodes, scan arrays and tuples) awaiting their grace period.
-    uint64_t internal_pending = 0;
   };
 
   /// Upper bound on table hops per packet, for slot-walking callers outside
@@ -168,14 +168,14 @@ class CompiledDatapath {
   /// Retires a slot stranded by a root swap (a decomposed table's previous
   /// sub-table chain).  Its impl stays published until the grace period ends
   /// — pre-swap bursts may still jump into it and must see the old table —
-  /// then impl and slot id are reclaimed together for reuse.
+  /// then the impl is freed and the slot id recycled on the same pass.
   void retire_slot(int32_t slot);
 
-  /// Stamps what was displaced since the last pass (impls, slots, plans),
-  /// then frees every retirement whose grace period has elapsed (advances
-  /// the epoch first).  With no registered workers this reclaims everything
-  /// immediately.  Returns the number of objects freed.
-  uint64_t reclaim();
+  /// Stamps what was displaced since the last pass (impls, slots, plans)
+  /// into the domain's queue, then frees every retirement whose grace period
+  /// has elapsed and recycles the retired slots (advances the epoch first).
+  /// With no registered workers this reclaims everything immediately.
+  void reclaim();
 
   void set_start(int32_t slot) { start_.store(slot, std::memory_order_release); }
 
@@ -326,9 +326,13 @@ class CompiledDatapath {
     std::vector<int32_t> slots;
     std::vector<std::unique_ptr<FusedPipeline>> plans;
   } unpublished_;
-  common::RetireList<std::unique_ptr<CompiledTable>> retired_impls_;
-  common::RetireList<int32_t> retired_slots_;
-  common::RetireList<std::unique_ptr<FusedPipeline>> retired_fused_;
+  // Stamped slot ids awaiting recycling (their impls sit in the domain's
+  // queue): recycling needs the datapath, so the ids stay here.
+  struct RetiredSlot {
+    uint64_t epoch;
+    int32_t slot;
+  };
+  std::vector<RetiredSlot> retired_slots_;  // stamp order
   std::atomic<state::Conntrack*> ct_{nullptr};
   // Published fused plan (readers, acquire) + writer-side ownership of it.
   std::atomic<const FusedPipeline*> fused_{nullptr};

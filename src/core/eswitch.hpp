@@ -147,8 +147,8 @@ class Eswitch {
   /// datapath().fused()->program.
   bool fused_active() const { return dp_.fused() != nullptr; }
 
-  /// Retire/reclaim counters of the epoch-based reclamation path (the only
-  /// reclamation path; the old caller-coordinated collect() is gone).
+  /// Retire/reclaim counters of the epoch domain's one retire queue, which
+  /// frees every displaced table, plan and template-internal object.
   CompiledDatapath::ReclaimStats reclaim_stats() const { return dp_.reclaim_stats(); }
 
  private:

@@ -507,10 +507,9 @@ SoakReport run_soak(const SoakOptions& opts) {
   // Reclamation leak: after the run and a final reclaim() nothing may stay
   // pending — a grace period that never ends is a leak in motion.
   add("reclaim",
-      rs.pending == 0 && rs.internal_pending == 0,
+      rs.pending == 0,
       "retired=" + u64s(rs.retired) + " reclaimed=" + u64s(rs.reclaimed) +
-          " pending=" + u64s(rs.pending) + " internal_pending=" +
-          u64s(rs.internal_pending) + " max_pending_seen=" + u64s(max_pending));
+          " pending=" + u64s(rs.pending) + " max_pending_seen=" + u64s(max_pending));
 
   // Verdict drift: the backend's own counters must agree with the runtime's
   // and be internally consistent — a torn counter path miscounts forever.

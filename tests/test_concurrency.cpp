@@ -6,7 +6,8 @@
 // installed rules, and that retired tables are reclaimed via the epoch grace
 // period — while readers are live — rather than via caller quiescence.  The
 // counter cells those stats blocks are built from (common/counters.hpp) are
-// checked here too, single-writer and shared, under four writer threads.
+// checked here too, single-writer and shared, under four writer threads, and
+// so is the epoch domain's retire queue (common/epoch.hpp) on its own.
 //
 // Designed to run under ASan and TSan: iteration counts are modest and
 // scalable via ESW_CONC_SCALE (CI's TSan job runs with the default).
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/epoch.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/eswitch.hpp"
@@ -152,7 +154,7 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   int i = 0;
-  for (; (i < churn || table->retired_pending() >= static_cast<size_t>(i)) &&
+  for (; (i < churn || sw.reclaim_stats().pending >= static_cast<uint64_t>(i)) &&
          std::chrono::steady_clock::now() < deadline;
        ++i) {
     // Seeded random churn target: the interleaving is scheduler-driven, but
@@ -164,7 +166,7 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
     if (i % 16 == 15) std::this_thread::yield();  // let workers tick
   }
   const int applied = i;
-  const size_t pending_live = table->retired_pending();
+  const uint64_t pending_live = sw.reclaim_stats().pending;
   stop = true;
   for (auto& t : threads) t.join();
 
@@ -189,7 +191,7 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   EXPECT_EQ(sw.update_stats().cow_swaps, 0u);
   EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * applied));
   EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), table);
-  EXPECT_LT(pending_live, static_cast<size_t>(applied));
+  EXPECT_LT(pending_live, static_cast<uint64_t>(applied));
 
   for (auto& r : readers) sw.unregister_worker(r->ctx);
 }
@@ -237,7 +239,7 @@ TEST(Concurrency, VerdictConservationUnderLinkedListChurn) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   int i = 0;
-  for (; (i < churn || table->retired_pending() >= static_cast<size_t>(i)) &&
+  for (; (i < churn || sw.reclaim_stats().pending >= static_cast<uint64_t>(i)) &&
          std::chrono::steady_clock::now() < deadline;
        ++i) {
     const std::string k = std::to_string(rng.below(16));
@@ -256,7 +258,7 @@ TEST(Concurrency, VerdictConservationUnderLinkedListChurn) {
     if (i % 16 == 15) std::this_thread::yield();  // let workers tick
   }
   const int applied = i;
-  const size_t pending_live = table->retired_pending();
+  const uint64_t pending_live = sw.reclaim_stats().pending;
   stop = true;
   for (auto& t : threads) t.join();
 
@@ -277,7 +279,7 @@ TEST(Concurrency, VerdictConservationUnderLinkedListChurn) {
   EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * applied));
   EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before);
   EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), table);
-  EXPECT_LT(pending_live, static_cast<size_t>(applied));
+  EXPECT_LT(pending_live, static_cast<uint64_t>(applied));
 
   for (auto& r : readers) sw.unregister_worker(r->ctx);
 }
@@ -879,6 +881,80 @@ TEST(Counters, SingleWriterAndSharedCellsUnderFourThreads) {
   EXPECT_EQ(sh.a, kThreads * rounds);
   EXPECT_EQ(sh.b, kThreads * rounds * 3);
   EXPECT_EQ(sh.c, rounds * (0 + 1 + 2 + 3));
+}
+
+// --- the epoch domain's retire queue ------------------------------------------
+
+/// Logs its id into `freed` when destroyed: the queue's frees, in order.
+struct Tracked {
+  Tracked(std::vector<int>* log, int i) : freed(log), id(i) {}
+  ~Tracked() { freed->push_back(id); }
+  std::vector<int>* freed;
+  int id;
+};
+
+bool totals_balance(const common::EpochDomain& d) {
+  return d.retired() == d.reclaimed() + d.pending();
+}
+
+TEST(Epoch, RetireWaitsForEveryRegisteredTick) {
+  common::EpochDomain domain;
+  std::vector<int> freed;
+  common::EpochDomain::WorkerSlot* a = domain.register_worker();
+  common::EpochDomain::WorkerSlot* b = domain.register_worker();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  domain.retire(std::make_unique<Tracked>(&freed, 1));
+  domain.reclaim();  // advances: the next retiree is stamped later
+  domain.retire(std::make_unique<Tracked>(&freed, 2));
+  EXPECT_EQ(domain.pending(), 2u);
+  EXPECT_TRUE(freed.empty()) << "freed before any worker ticked";
+  EXPECT_TRUE(totals_balance(domain));
+
+  domain.quiescent(*a);
+  domain.reclaim();
+  EXPECT_TRUE(freed.empty()) << "freed while worker b had not ticked";
+  EXPECT_TRUE(totals_balance(domain));
+
+  // a last ticked in the epoch the second retiree was stamped in, not a
+  // later one: the horizon passes the first stamp and not the second.
+  domain.quiescent(*b);
+  domain.reclaim();
+  EXPECT_EQ(freed, std::vector<int>{1});
+  EXPECT_EQ(domain.pending(), 1u);
+  EXPECT_TRUE(totals_balance(domain));
+
+  domain.quiescent(*a);
+  domain.reclaim();
+  EXPECT_EQ(freed, (std::vector<int>{1, 2})) << "not freed in stamp order";
+  EXPECT_EQ(domain.pending(), 0u);
+  EXPECT_EQ(domain.retired(), 2u);
+  EXPECT_TRUE(totals_balance(domain));
+  domain.unregister_worker(a);
+  domain.unregister_worker(b);
+}
+
+TEST(Epoch, RetireWithoutWorkersFreesAtOnce) {
+  common::EpochDomain domain;
+  std::vector<int> freed;
+  domain.retire(std::make_unique<Tracked>(&freed, 1));
+  EXPECT_EQ(freed, std::vector<int>{1}) << "no reader can hold it: no wait";
+  EXPECT_EQ(domain.pending(), 0u);
+  EXPECT_EQ(domain.retired(), 1u);
+  EXPECT_TRUE(totals_balance(domain));
+
+  // Retired under a worker that then leaves: the next pass frees it, since
+  // the horizon passes every stamp with no worker registered.
+  common::EpochDomain::WorkerSlot* w = domain.register_worker();
+  ASSERT_NE(w, nullptr);
+  domain.retire(std::make_unique<Tracked>(&freed, 2));
+  EXPECT_EQ(freed.size(), 1u);
+  domain.unregister_worker(w);
+  domain.reclaim();
+  EXPECT_EQ(freed, (std::vector<int>{1, 2}));
+  EXPECT_EQ(domain.pending(), 0u);
+  EXPECT_TRUE(totals_balance(domain));
 }
 
 }  // namespace

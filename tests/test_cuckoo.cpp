@@ -209,7 +209,7 @@ TEST(Cuckoo, GrowOldOrNewVisibility) {
     const auto k = key_of(i);
     t.insert(bytes(k), 8, value_of(i));
     published.store(i + 1, std::memory_order_release);
-    if (i % 256 == 0) t.epoch_reclaim(domain.advance_and_horizon());
+    if (i % 256 == 0) domain.reclaim();
     if (t.grows() == grows_seen) continue;
     grows_seen = t.grows();
     for (uint64_t j = 0; j <= i; ++j) {
@@ -226,8 +226,8 @@ TEST(Cuckoo, GrowOldOrNewVisibility) {
   EXPECT_EQ(anomalies.load(), 0u);
   EXPECT_EQ(t.size(), kKeys);
   EXPECT_GE(t.grows(), 13u);  // 4 -> 32768 buckets
-  t.epoch_reclaim(domain.advance_and_horizon());
-  EXPECT_EQ(t.retired_pending(), 0u);
+  domain.reclaim();
+  EXPECT_EQ(domain.pending(), 0u);
 }
 
 TEST(Cuckoo, OneViewAfterGrow) {
@@ -374,7 +374,7 @@ TEST(Cuckoo, SeededChurnWithConcurrentReaders) {
   Rng rng(seed);
   uint64_t ops = 0;
   const auto maybe_reclaim = [&] {
-    if (++ops % 1024 == 0) t.epoch_reclaim(domain.advance_and_horizon());
+    if (++ops % 1024 == 0) domain.reclaim();
   };
   for (uint64_t i = n_stable; i < target; ++i) {
     const auto k = key_of(i);
@@ -419,8 +419,8 @@ TEST(Cuckoo, SeededChurnWithConcurrentReaders) {
   }
   // With every worker unregistered the grace period is trivially satisfied:
   // one reclaim pass must drain the whole retire backlog.
-  t.epoch_reclaim(domain.advance_and_horizon());
-  EXPECT_EQ(t.retired_pending(), 0u);
+  domain.reclaim();
+  EXPECT_EQ(domain.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +612,7 @@ TEST(CuckooTemplate, BurstLookupUnderConcurrentGrowth) {
       const FlowEntry e = churn_entry(kChurnBase + k / 2);
       table.try_remove(e.match, e.priority);
     }
-    if (k % 256 == 0) impl->epoch_reclaim(domain.advance_and_horizon());
+    if (k % 256 == 0) domain.reclaim();
     if (k % 4096 == 0) std::this_thread::yield();
   }
   stop = true;
@@ -622,8 +622,8 @@ TEST(CuckooTemplate, BurstLookupUnderConcurrentGrowth) {
   EXPECT_EQ(refused, 0u);
   EXPECT_EQ(anomalies.load(), 0u);
   EXPECT_GE(table.grows(), 2u);
-  impl->epoch_reclaim(domain.advance_and_horizon());
-  EXPECT_EQ(impl->retired_pending(), 0u);
+  domain.reclaim();
+  EXPECT_EQ(domain.pending(), 0u);
 }
 
 TEST(CuckooTemplate, Tab02ScaleParityWithLinkedList) {

@@ -155,18 +155,21 @@ TEST(TupleSpace, RetiresThroughDomainUntilGraceEnds) {
   ts.set_domain(&domain);
   ts.add(m_port(80), 5, 1);
   ts.remove(m_port(80), 5);
-  EXPECT_EQ(ts.retired_pending(), 0u);
+  EXPECT_EQ(domain.pending(), 0u);
 
   common::EpochDomain::WorkerSlot* w = domain.register_worker();
   ASSERT_NE(w, nullptr);
   ts.add(m_port(80), 5, 1);
   ts.add(m_port(80), 5, 2);     // replace: the old node retires
   ts.remove(m_port(80), 5);     // node, tuple and scan array retire
-  EXPECT_GT(ts.retired_pending(), 0u);
-  EXPECT_EQ(ts.epoch_reclaim(domain.advance_and_horizon()), 0u);  // worker not ticked
+  EXPECT_GT(domain.pending(), 0u);
+  uint64_t reclaimed = domain.reclaimed();
+  domain.reclaim();
+  EXPECT_EQ(domain.reclaimed(), reclaimed);  // worker not ticked
   domain.quiescent(*w);
-  EXPECT_GT(ts.epoch_reclaim(domain.advance_and_horizon()), 0u);
-  EXPECT_EQ(ts.retired_pending(), 0u);
+  domain.reclaim();
+  EXPECT_GT(domain.reclaimed(), reclaimed);
+  EXPECT_EQ(domain.pending(), 0u);
   domain.unregister_worker(w);
 }
 
@@ -209,7 +212,7 @@ TEST(TupleSpace, ConcurrentReaderSeesOldOrNew) {
     ts.remove(m_ipdst24(0x0B000000 + (i % 4) * 256), 30);
     ts.remove(Match{}, 2);                         // tuple retires
     if (i % 64 == 63) {
-      ts.epoch_reclaim(domain.advance_and_horizon());
+      domain.reclaim();
       std::this_thread::yield();
     }
   }
