@@ -52,13 +52,13 @@ inline const TraceInput& trace_input() {
                    r.error().c_str());
       std::exit(2);
     }
-    net::TraceSource::Options so;
-    if (const char* p = std::getenv("ESW_TRACE_PORT")) so.in_port = std::atoi(p);
-    const net::TraceSource src(r, so);
-    if (src.skipped() > 0)
+    uint32_t in_port = 1;
+    if (const char* p = std::getenv("ESW_TRACE_PORT")) in_port = std::atoi(p);
+    uint64_t skipped = 0;
+    t.ts = net::traffic_from_pcap(r, in_port, &skipped);
+    if (skipped > 0)
       std::fprintf(stderr, "[bench] trace: skipped %llu unusable records\n",
-                   static_cast<unsigned long long>(src.skipped()));
-    t.ts = src.to_traffic_set();
+                   static_cast<unsigned long long>(skipped));
     t.active = true;
     return t;
   }();

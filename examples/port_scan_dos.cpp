@@ -107,9 +107,7 @@ int main() {
   // the bench runs the same bytes a `tcpreplay` of the file would.
   const auto flood_pcap = syn_flood_pcap(200000, 3);
   const auto reader = net::PcapReader::from_buffer(flood_pcap.buffer());
-  net::TraceSource::Options topts;
-  topts.in_port = uc::kCtInsidePort;
-  const auto flood = net::TraceSource(reader, topts).to_traffic_set();
+  const auto flood = net::traffic_from_pcap(reader, uc::kCtInsidePort, nullptr);
 
   uc::CtUseCase fw = uc::make_ct_firewall(/*capacity=*/8192);
   core::CompilerConfig cfg;

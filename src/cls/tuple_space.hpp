@@ -1,15 +1,16 @@
 // Tuple space search (Srinivasan et al., SIGCOMM '99) — the classifier behind
 // the paper's *linked list* template and the OVS-model megaflow cache.
 //
-// Entries are grouped into tuples by their exact mask signature; each tuple
+// Entries are grouped into tuples by their exact mask signature (a
+// cls::KeyShape, the compound-hash template's key format too); each tuple
 // indexes its entries with a cuckoo hash (cls::CuckooTable, created at its
 // smallest size, updated in place, grown by a private rebuild and one view
-// swap) over the masked key — the dpcls subtable shape.  Lookup scans tuples
-// best-rank-first with early exit (OVS's "tuple priority sorting") and can
-// report which tuples were visited — the information a flow-caching switch
-// turns into megaflow wildcards (§2.2: fields "that caused a match as well as
-// those higher priority ones that did not, need to be taken into
-// consideration").
+// swap) over the shape's masked key — the dpcls subtable shape.  Lookup
+// scans tuples best-rank-first with early exit (OVS's "tuple priority
+// sorting") and can report which tuples were visited — the information a
+// flow-caching switch turns into megaflow wildcards (§2.2: fields "that
+// caused a match as well as those higher priority ones that did not, need to
+// be taken into consideration").
 //
 // The tuple space owns the match order: an entry's rank is its priority, then
 // a 64-bit insertion sequence (earlier wins among equals), exactly the
@@ -38,12 +39,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "cls/cuckoo.hpp"
+#include "cls/key_shape.hpp"
 #include "common/epoch.hpp"
 #include "common/memtrace.hpp"
 #include "flow/match.hpp"
@@ -156,15 +157,15 @@ class TupleSpace {
       const Tuple& t = *s->tuple;
       if (visit) {
         ++visit->tuples_visited;
-        visit->fields_union |= t.present;
-        for (uint32_t bits = t.present; bits != 0; bits &= bits - 1) {
+        visit->fields_union |= t.shape.present_bits();
+        for (uint32_t bits = t.shape.present_bits(); bits != 0; bits &= bits - 1) {
           const unsigned i = static_cast<unsigned>(__builtin_ctz(bits));
-          visit->mask_union[i] |= t.masks[i];
+          visit->mask_union[i] |= t.shape.mask(static_cast<flow::FieldId>(i));
         }
       }
-      if ((pi.proto_mask & t.proto_required) != t.proto_required) continue;
-      uint8_t key[kMaxKeyBytes];
-      const uint32_t key_len = key_from_packet(t, pkt, pi, key);
+      if (!t.shape.applies(pi)) continue;
+      uint8_t key[KeyShape::kMaxKeyBytes];
+      const uint32_t key_len = t.shape.key(pkt, pi, key);
       const auto found = t.index.lookup(key, key_len, trace);
       if (!found) continue;
       const Entry* e = reinterpret_cast<const Entry*>(found->value);  // chain head
@@ -182,9 +183,9 @@ class TupleSpace {
     const Slot* order = order_.load(std::memory_order_acquire);
     if (order == nullptr) return;
     const Tuple& t = *order->tuple;
-    if ((pi.proto_mask & t.proto_required) != t.proto_required) return;
-    uint8_t key[kMaxKeyBytes];
-    const uint32_t key_len = key_from_packet(t, pkt, pi, key);
+    if (!t.shape.applies(pi)) return;
+    uint8_t key[KeyShape::kMaxKeyBytes];
+    const uint32_t key_len = t.shape.key(pkt, pi, key);
     t.index.prefetch(key, key_len);
   }
 
@@ -192,13 +193,9 @@ class TupleSpace {
   size_t num_tuples() const { return tuples_.size(); }
 
  private:
-  static constexpr uint32_t kMaxKeyBytes = 8 * flow::kNumFields;
-
   struct Tuple {
-    // Immutable after creation: readers use these without synchronization.
-    uint32_t present = 0;
-    std::array<uint64_t, flow::kNumFields> masks{};
-    uint32_t proto_required = 0;
+    // Immutable after creation: readers use it without synchronization.
+    KeyShape shape;
     // Masked key -> chain head (const Entry*).  Starts at the index's
     // smallest size: most tuples hold a handful of keys.
     CuckooTable index{1};
@@ -214,26 +211,15 @@ class TupleSpace {
   };
 
   Tuple* find_tuple(const flow::Match& match) const {
-    for (const auto& tp : tuples_) {
-      if (tp->present != match.present_bits()) continue;
-      bool same = true;
-      for (flow::FieldId f : flow::MatchFields(match))
-        if (tp->masks[static_cast<unsigned>(f)] != match.mask(f)) {
-          same = false;
-          break;
-        }
-      if (same) return tp.get();
-    }
+    for (const auto& tp : tuples_)
+      if (tp->shape.fits(match)) return tp.get();
     return nullptr;
   }
 
   /// A tuple for `match`'s mask signature, not yet in the scan order.
   std::unique_ptr<Tuple> make_tuple(const flow::Match& match) {
     auto t = std::make_unique<Tuple>();
-    t->present = match.present_bits();
-    for (flow::FieldId f : flow::MatchFields(match))
-      t->masks[static_cast<unsigned>(f)] = match.mask(f);
-    t->proto_required = match.proto_required();
+    t->shape = KeyShape(match);
     t->index.set_domain(domain_);
     return t;
   }
@@ -241,7 +227,7 @@ class TupleSpace {
   /// Where a (match, priority) entry sits, or would go, in its key's chain.
   struct Spot {
     Tuple* tuple = nullptr;  // null: no tuple has the mask signature
-    uint8_t key[kMaxKeyBytes];
+    uint8_t key[KeyShape::kMaxKeyBytes];
     uint32_t key_len = 0;
     const Entry* head = nullptr;
     const Entry* at = nullptr;  // first node at or below the priority
@@ -252,7 +238,7 @@ class TupleSpace {
     Spot s;
     s.tuple = t;
     if (t == nullptr) return s;
-    s.key_len = key_from_match(*t, match, s.key);
+    s.key_len = t->shape.key(match, s.key);
     if (const auto found = t->index.lookup(s.key, s.key_len))
       s.head = reinterpret_cast<const Entry*>(found->value);
     s.at = s.head;
@@ -310,32 +296,6 @@ class TupleSpace {
     const Slot* old = order_.exchange(order.release(), std::memory_order_acq_rel);
     std::unique_ptr<const Slot[]> gone(old);
     if (domain_ != nullptr) domain_->retire(std::move(gone));
-  }
-
-  static uint32_t key_from_match(const Tuple& t, const flow::Match& m, uint8_t* out) {
-    uint32_t n = 0;
-    for (uint32_t bits = t.present; bits != 0; bits &= bits - 1) {
-      const unsigned i = static_cast<unsigned>(__builtin_ctz(bits));
-      const uint64_t v = m.value(static_cast<flow::FieldId>(i));  // already masked
-      std::memcpy(out + n, &v, 8);
-      n += 8;
-    }
-    if (n == 0) out[n++] = 0;  // catch-all tuple: single sentinel key
-    return n;
-  }
-
-  static uint32_t key_from_packet(const Tuple& t, const uint8_t* pkt,
-                                  const proto::ParseInfo& pi, uint8_t* out) {
-    uint32_t n = 0;
-    for (uint32_t bits = t.present; bits != 0; bits &= bits - 1) {
-      const unsigned i = static_cast<unsigned>(__builtin_ctz(bits));
-      const uint64_t v =
-          flow::extract_field(static_cast<flow::FieldId>(i), pkt, pi) & t.masks[i];
-      std::memcpy(out + n, &v, 8);
-      n += 8;
-    }
-    if (n == 0) out[n++] = 0;  // catch-all tuple: single sentinel key
-    return n;
   }
 
   std::vector<std::unique_ptr<Tuple>> tuples_;  // writer's catalogue, unordered

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/bits.hpp"
 
 namespace esw::core {
 
 using flow::FieldId;
-using flow::Match;
 
-bool hash_prerequisite(const AnalysisEntries& entries, Match* mask_out,
-                       bool* has_catch_all) {
-  const Match* shape = nullptr;
+bool hash_prerequisite(const AnalysisEntries& entries, cls::KeyShape* shape_out) {
+  std::optional<cls::KeyShape> shape;
   bool catch_all_seen = false;
   uint16_t catch_all_prio = 0;
   uint16_t min_specific_prio = 0xFFFF;
@@ -25,9 +24,9 @@ bool hash_prerequisite(const AnalysisEntries& entries, Match* mask_out,
       catch_all_prio = e.priority;
       continue;
     }
-    if (shape == nullptr) {
-      shape = &e.match;
-    } else if (!shape->same_mask_set(e.match)) {
+    if (!shape.has_value()) {
+      shape.emplace(e.match);
+    } else if (!shape->fits(e.match)) {
       return false;
     }
     have_specific = true;
@@ -36,12 +35,7 @@ bool hash_prerequisite(const AnalysisEntries& entries, Match* mask_out,
   if (!have_specific) return false;  // pure-default tables stay direct code
   if (catch_all_seen && catch_all_prio >= min_specific_prio) return false;
 
-  if (mask_out != nullptr) {
-    Match m;
-    for (FieldId f : flow::MatchFields(*shape)) m.set(f, 0, shape->mask(f));
-    *mask_out = m;
-  }
-  if (has_catch_all != nullptr) *has_catch_all = catch_all_seen;
+  if (shape_out != nullptr) *shape_out = *shape;
   return true;
 }
 
@@ -134,7 +128,7 @@ AnalysisResult analyze_entries(const AnalysisEntries& entries,
   if (entries.size() <= cfg.direct_code_max_entries)
     return {TableTemplate::kDirectCode,
             "table small enough to compile rules straight to code"};
-  if (hash_prerequisite(entries, nullptr, nullptr))
+  if (hash_prerequisite(entries, nullptr))
     return {TableTemplate::kCuckooHash, "global mask, exact match under mask"};
   if (lpm_prerequisite(entries, nullptr))
     return {TableTemplate::kLpm, "single-field prefix rules, priority-consistent"};

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cls/key_shape.hpp"
 #include "core/decompose.hpp"
 #include "core/template_kind.hpp"
 #include "flow/table.hpp"
@@ -61,9 +62,8 @@ struct AnalysisResult {
 /// share one field set and identical per-field masks ("every field is
 /// matched by exactly the same mask in each entry"), plus at most one
 /// catch-all default with strictly lowest priority.  On success reports the
-/// shared mask template via `mask_out` and whether a catch-all exists.
-bool hash_prerequisite(const AnalysisEntries& entries, flow::Match* mask_out,
-                       bool* has_catch_all);
+/// shared key shape via `shape_out` (nullable).
+bool hash_prerequisite(const AnalysisEntries& entries, cls::KeyShape* shape_out);
 
 /// LPM prerequisite: single IPv4 field, prefix masks only, overlapping
 /// prefixes ordered so the more specific has strictly higher priority; at most

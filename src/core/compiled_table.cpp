@@ -1,7 +1,6 @@
 #include "core/compiled_table.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -76,22 +75,17 @@ size_t DirectCodeTable::memory_bytes() const {
 // --- cuckoo hash -------------------------------------------------------------
 
 std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
-    const std::vector<BuildEntry>& entries, const Match& mask_template, BuildCtx& ctx) {
+    const std::vector<BuildEntry>& entries, const cls::KeyShape& shape, BuildCtx& ctx) {
   // Room for every input key below the grow threshold.
   const auto buckets = static_cast<uint32_t>(
       static_cast<double>(entries.size()) /
           (cls::CuckooTable::kGrowLoad * cls::CuckooTable::kSlotsPerBucket) +
       1);
-  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(buckets));
-  for (FieldId f : flow::MatchFields(mask_template)) {
-    t->fields_.push_back(f);
-    t->field_masks_.push_back(mask_template.mask(f));
-  }
-  t->proto_required_ = mask_template.proto_required();
+  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(shape, buckets));
 
   // Entries arrive priority-descending: on duplicate keys the first (highest
   // priority) wins, preserving flow-table semantics.
-  uint8_t key[8 * flow::kNumFields];
+  uint8_t key[cls::KeyShape::kMaxKeyBytes];
   for (const BuildEntry& e : entries) {
     if (e.match.is_catch_all()) {
       if (t->has_catch_all_) {
@@ -104,7 +98,7 @@ std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
       ++t->count_;
       continue;
     }
-    const uint32_t key_len = t->key_from_match(e.match, key);
+    const uint32_t key_len = shape.key(e.match, key);
     if (t->index_.lookup(key, key_len).has_value()) {
       t->shadows_ = true;
       continue;
@@ -116,50 +110,20 @@ std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
   return t;
 }
 
-bool CuckooTemplateTable::same_shape(const Match& m) const {
-  if (static_cast<unsigned>(__builtin_popcount(m.present_bits())) != fields_.size())
-    return false;
-  for (size_t i = 0; i < fields_.size(); ++i)
-    if (!m.has(fields_[i]) || m.mask(fields_[i]) != field_masks_[i]) return false;
-  return true;
-}
-
-uint32_t CuckooTemplateTable::key_from_match(const Match& m, uint8_t* out) const {
-  uint32_t n = 0;
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    const uint64_t v = m.value(fields_[i]) & field_masks_[i];
-    std::memcpy(out + n, &v, 8);
-    n += 8;
-  }
-  return n;
-}
-
-uint32_t CuckooTemplateTable::key_from_packet(const uint8_t* pkt,
-                                              const proto::ParseInfo& pi,
-                                              uint8_t* out) const {
-  uint32_t n = 0;
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    const uint64_t v = flow::extract_field(fields_[i], pkt, pi) & field_masks_[i];
-    std::memcpy(out + n, &v, 8);
-    n += 8;
-  }
-  return n;
-}
-
 uint64_t CuckooTemplateTable::lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                                      MemTrace* trace) const {
-  if ((pi.proto_mask & proto_required_) == proto_required_) {
-    uint8_t key[8 * flow::kNumFields];
-    const uint32_t key_len = key_from_packet(pkt, pi, key);
+  if (shape_.applies(pi)) {
+    uint8_t key[cls::KeyShape::kMaxKeyBytes];
+    const uint32_t key_len = shape_.key(pkt, pi, key);
     if (const auto v = index_.lookup(key, key_len, trace)) return v->value;
   }
   return catch_all_result_.load(std::memory_order_acquire);
 }
 
 void CuckooTemplateTable::prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const {
-  if ((pi.proto_mask & proto_required_) != proto_required_) return;
-  uint8_t key[8 * flow::kNumFields];
-  const uint32_t key_len = key_from_packet(pkt, pi, key);
+  if (!shape_.applies(pi)) return;
+  uint8_t key[cls::KeyShape::kMaxKeyBytes];
+  const uint32_t key_len = shape_.key(pkt, pi, key);
   index_.prefetch(key, key_len);
 }
 
@@ -167,11 +131,11 @@ void CuckooTemplateTable::lookup_burst(const uint8_t* const* pkts,
                                        const proto::ParseInfo* const* pis, uint32_t m,
                                        uint64_t* res) const {
   constexpr uint32_t kGroup = 32;
-  const uint32_t key_len = static_cast<uint32_t>(8 * fields_.size());
+  const uint32_t key_len = shape_.key_len();
   // One catch-all load per call: a concurrent catch-all add/remove lands
   // old-or-new for the whole group, as it would between scalar lookups.
   const uint64_t catch_all = catch_all_result_.load(std::memory_order_acquire);
-  uint8_t keys[kGroup * 8 * flow::kNumFields];
+  uint8_t keys[kGroup * cls::KeyShape::kMaxKeyBytes];
   const uint8_t* key_ptrs[kGroup];
   uint32_t lens[kGroup];
   uint32_t owner[kGroup];  // key j belongs to packet base + owner[j]
@@ -182,12 +146,12 @@ void CuckooTemplateTable::lookup_burst(const uint8_t* const* pkts,
     uint32_t k = 0;
     for (uint32_t i = 0; i < c; ++i) {
       const proto::ParseInfo& pi = *pis[base + i];
-      if ((pi.proto_mask & proto_required_) != proto_required_) {
+      if (!shape_.applies(pi)) {
         res[base + i] = catch_all;
         continue;
       }
       uint8_t* key = keys + k * key_len;
-      key_from_packet(pkts[base + i], pi, key);
+      shape_.key(pkts[base + i], pi, key);
       key_ptrs[k] = key;
       lens[k] = key_len;
       owner[k++] = i;
@@ -215,11 +179,11 @@ bool CuckooTemplateTable::try_add(const FlowEntry& e, BuildCtx& ctx) {
     return true;
   }
   // Must share the template's exact mask set and outrank the default.
-  if (!same_shape(e.match)) return false;
+  if (!shape_.fits(e.match)) return false;
   if (has_catch_all_ && e.priority <= catch_all_priority_) return false;
 
-  uint8_t key[8 * flow::kNumFields];
-  const uint32_t key_len = key_from_match(e.match, key);
+  uint8_t key[cls::KeyShape::kMaxKeyBytes];
+  const uint32_t key_len = shape_.key(e.match, key);
   if (const auto v = index_.lookup(key, key_len)) {
     // Same key: a same-priority add replaces in place; another priority
     // would leave two entries for one slot, so rebuild.
@@ -242,9 +206,9 @@ bool CuckooTemplateTable::try_remove(const Match& m, uint16_t priority) {
     --count_;
     return true;
   }
-  if (!same_shape(m)) return false;  // cheap check before the hash probe
-  uint8_t key[8 * flow::kNumFields];
-  const uint32_t key_len = key_from_match(m, key);
+  if (!shape_.fits(m)) return false;  // cheap check before the hash probe
+  uint8_t key[cls::KeyShape::kMaxKeyBytes];
+  const uint32_t key_len = shape_.key(m, key);
   const auto v = index_.lookup(key, key_len);
   if (!v || v->aux != priority) return false;
   index_.erase(key, key_len);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cls/cuckoo.hpp"
+#include "cls/key_shape.hpp"
 #include "cls/lpm.hpp"
 #include "cls/range_tree.hpp"
 #include "cls/tuple_space.hpp"
@@ -116,18 +117,19 @@ class DirectCodeTable final : public CompiledTable {
 
 // --- cuckoo hash (the compound hash template) -------------------------------------
 
-/// The paper's compound hash (§3.1): exact match under one global mask, at
-/// most one lowest-priority catch-all.  Backed by the resizable reader-safe
-/// cls::CuckooTable: one control-plane writer mutates in place under live
-/// readers (epoch-retired entries, seqlock-guarded displacement), so no
-/// update ever clones the table, from a dozen entries to millions.
+/// The paper's compound hash (§3.1): exact match under one global mask (the
+/// table's cls::KeyShape, the key format tuples use too), at most one
+/// lowest-priority catch-all, kept outside the index.  Backed by the
+/// resizable reader-safe cls::CuckooTable: one control-plane writer mutates
+/// in place under live readers (epoch-retired entries, seqlock-guarded
+/// displacement), so no update ever clones the table, from a dozen entries
+/// to millions.
 class CuckooTemplateTable final : public CompiledTable {
  public:
   /// Sizes the index from `entries`, so the build never grows it and small
   /// tables stay small.
   static std::unique_ptr<CuckooTemplateTable> build(
-      const std::vector<BuildEntry>& entries, const flow::Match& mask_template,
-      BuildCtx& ctx);
+      const std::vector<BuildEntry>& entries, const cls::KeyShape& shape, BuildCtx& ctx);
 
   uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                   MemTrace* trace) const override;
@@ -154,16 +156,10 @@ class CuckooTemplateTable final : public CompiledTable {
   const cls::CuckooTable& index() const { return index_; }
 
  private:
-  explicit CuckooTemplateTable(uint32_t initial_buckets) : index_(initial_buckets) {}
+  CuckooTemplateTable(const cls::KeyShape& shape, uint32_t initial_buckets)
+      : shape_(shape), index_(initial_buckets) {}
 
-  bool same_shape(const flow::Match& m) const;
-  uint32_t key_from_match(const flow::Match& m, uint8_t* out) const;
-  uint32_t key_from_packet(const uint8_t* pkt, const proto::ParseInfo& pi,
-                           uint8_t* out) const;
-
-  std::vector<flow::FieldId> fields_;
-  std::vector<uint64_t> field_masks_;
-  uint32_t proto_required_ = 0;
+  cls::KeyShape shape_;
   // value = packed result, aux = priority — no side array to keep coherent
   // with the index under concurrent readers.
   cls::CuckooTable index_;

@@ -14,13 +14,12 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
   AnalysisResult ar = analyze_entries(entries, cfg);
 
   // A forced template only sticks when its prerequisite actually holds.
-  flow::Match mask_template;
-  bool has_catch_all = false;
+  cls::KeyShape key_shape;
   FieldId lpm_field = FieldId::kCount;
   FieldId range_field = FieldId::kCount;
   switch (ar.chosen) {
     case TableTemplate::kCuckooHash:
-      if (!hash_prerequisite(entries, &mask_template, &has_catch_all))
+      if (!hash_prerequisite(entries, &key_shape))
         ar.chosen = TableTemplate::kLinkedList;
       break;
     case TableTemplate::kLpm:
@@ -42,7 +41,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
         impl = DirectCodeTable::build(entries, ctx);
         break;
       case TableTemplate::kCuckooHash:
-        impl = CuckooTemplateTable::build(entries, mask_template, ctx);
+        impl = CuckooTemplateTable::build(entries, key_shape, ctx);
         break;
       case TableTemplate::kLpm:
         impl = LpmTemplateTable::build(entries, lpm_field, ctx);

@@ -3,32 +3,10 @@
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "core/dataplane.hpp"
 #include "state/conntrack.hpp"
 
 namespace esw::core {
-
-namespace {
-
-/// Global-stat outcome of a verdict.  A controller verdict covers both the
-/// miss-policy punt and an explicit controller action; flood counts as
-/// output.  Folding the bookkeeping over the verdict keeps every exit path
-/// (miss, action set, loop guard, empty datapath) on one counting rule.
-void count_verdict(const flow::Verdict& v, CompiledDatapath::Stats& st) {
-  switch (v.kind) {
-    case flow::Verdict::Kind::kOutput:
-    case flow::Verdict::Kind::kFlood:
-      ++st.outputs;
-      break;
-    case flow::Verdict::Kind::kController:
-      ++st.to_controller;
-      break;
-    case flow::Verdict::Kind::kDrop:
-      ++st.drops;
-      break;
-  }
-}
-
-}  // namespace
 
 CompiledDatapath::CompiledDatapath()
     : slots_(new Slot[kMaxSlots]), workers_(new Worker[kMaxWorkers + 1]) {

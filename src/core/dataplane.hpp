@@ -57,6 +57,26 @@ struct DataplaneStats {
   uint64_t ct_expired = 0;               // idle-timeout removals
 };
 
+/// The one verdict-counting rule of every backend: a controller verdict
+/// covers both the miss-policy punt and an explicit controller action, and
+/// flood counts as output.  `Stats` is any struct with outputs, drops and
+/// to_controller counters (DataplaneStats, CompiledDatapath::Stats).
+template <typename Stats>
+inline void count_verdict(const flow::Verdict& v, Stats& st) {
+  switch (v.kind) {
+    case flow::Verdict::Kind::kOutput:
+    case flow::Verdict::Kind::kFlood:
+      ++st.outputs;
+      break;
+    case flow::Verdict::Kind::kController:
+      ++st.to_controller;
+      break;
+    case flow::Verdict::Kind::kDrop:
+      ++st.drops;
+      break;
+  }
+}
+
 /// What a switch backend must provide: bulk install, single, transactional
 /// batched and best-effort batched flow-mods, scalar and burst processing,
 /// verdict-level stats and the authoritative rule store.  Every flow-mod of

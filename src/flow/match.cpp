@@ -63,13 +63,6 @@ bool Match::overlaps(const Match& other) const {
   return true;
 }
 
-bool Match::same_mask_set(const Match& other) const {
-  if (present_ != other.present_) return false;
-  for (FieldId f : MatchFields(*this))
-    if (mask_[idx(f)] != other.mask_[idx(f)]) return false;
-  return true;
-}
-
 bool Match::operator==(const Match& other) const {
   if (present_ != other.present_) return false;
   for (FieldId f : MatchFields(*this)) {

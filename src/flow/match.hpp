@@ -47,10 +47,6 @@ class Match {
   /// exact for mask-style matches).
   bool overlaps(const Match& other) const;
 
-  /// Same field set and same masks — the prerequisite grouping used by the
-  /// tuple-space classifier and the compound-hash template.
-  bool same_mask_set(const Match& other) const;
-
   bool operator==(const Match& other) const;
   uint64_t hash() const;
 

@@ -25,12 +25,6 @@ const FlowTable* Pipeline::first_table() const {
   return tables_.empty() ? nullptr : &tables_.front();
 }
 
-uint64_t Pipeline::version() const {
-  uint64_t v = 0;
-  for (const FlowTable& t : tables_) v += t.version();
-  return v;
-}
-
 std::optional<std::string> Pipeline::validate() const {
   for (const FlowTable& t : tables_) {
     for (const FlowEntry& e : t.entries()) {

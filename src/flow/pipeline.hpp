@@ -36,9 +36,6 @@ class Pipeline {
   std::vector<FlowTable>& tables() { return tables_; }
   bool empty() const { return tables_.empty(); }
 
-  /// Sum of version counters — cheap global staleness check.
-  uint64_t version() const;
-
   /// Validates OpenFlow constraints (goto targets exist and go forward only);
   /// returns an error message or nullopt.
   std::optional<std::string> validate() const;

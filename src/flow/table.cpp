@@ -38,7 +38,6 @@ void FlowTable::rebuild_index() {
 }
 
 void FlowTable::add(FlowEntry entry) {
-  ++version_;
   const auto [lo, hi] = index_.equal_range(identity_key(entry.match, entry.priority));
   for (auto it = lo; it != hi; ++it) {
     FlowEntry& old = entries_[it->second];
@@ -66,7 +65,6 @@ bool FlowTable::remove(const Match& match, uint16_t priority) {
       index_.erase(it);
       entries_.erase(entries_.begin() + pos);
       for (uint32_t i = pos; i < entries_.size(); ++i) index_repoint(i, i + 1);
-      ++version_;
       return true;
     }
   }
@@ -86,13 +84,11 @@ void FlowTable::replace_all(std::vector<FlowEntry> entries) {
                    });
   entries_ = std::move(entries);
   rebuild_index();
-  ++version_;
 }
 
 void FlowTable::clear() {
   entries_.clear();
   index_.clear();
-  ++version_;
 }
 
 }  // namespace esw::flow

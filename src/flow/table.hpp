@@ -58,14 +58,8 @@ class FlowTable {
   bool empty() const { return entries_.empty(); }
   void clear();
 
-  /// Bumped on every mutation; lets caches/compilers detect staleness.
-  uint64_t version() const { return version_; }
-
   MissPolicy miss_policy() const { return miss_policy_; }
-  void set_miss_policy(MissPolicy p) {
-    miss_policy_ = p;
-    ++version_;
-  }
+  void set_miss_policy(MissPolicy p) { miss_policy_ = p; }
 
  private:
   /// Re-points the index node that held `old_pos` at the entry's new `pos`.
@@ -83,7 +77,6 @@ class FlowTable {
   // cost class as the vector's own element moves, so mutation asymptotics
   // are unchanged while the band scan is gone.
   std::unordered_multimap<uint64_t, uint32_t> index_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace esw::flow

@@ -67,8 +67,6 @@ class TrafficSet {
     out.set_in_port(f.in_port);
   }
 
-  uint32_t frame_len(size_t i) const { return frames_[i % frames_.size()].len; }
-
  private:
   struct Frame {
     uint32_t offset;

@@ -63,11 +63,6 @@ class MegaflowCache {
   void invalidate_all();
 
   size_t size() const { return live_count_; }
-  size_t num_masks() const {
-    size_t n = 0;
-    for (const auto& [mask, ts] : index_) n += ts.num_tuples();
-    return n;
-  }
   uint64_t evictions() const { return evictions_; }
   size_t memory_bytes() const {
     size_t idx = 0;

@@ -98,18 +98,7 @@ Verdict OvsSwitch::replay(const MegaflowCache::Entry& e, net::Packet& pkt,
 Verdict OvsSwitch::process(net::Packet& pkt, MemTrace* trace) {
   const Verdict v = classify(pkt, trace);
   ++stats_.packets;
-  switch (v.kind) {
-    case Verdict::Kind::kOutput:
-    case Verdict::Kind::kFlood:
-      ++stats_.outputs;
-      break;
-    case Verdict::Kind::kController:
-      ++stats_.to_controller;
-      break;
-    case Verdict::Kind::kDrop:
-      ++stats_.drops;
-      break;
-  }
+  core::count_verdict(v, stats_);
   return v;
 }
 

@@ -618,18 +618,18 @@ void check_latency_block(const BenchReport& r, const BenchSeries& s,
   }
 }
 
-/// fig19 point-shape contract: every point carries `threads`, one
-/// `pps_w<i>` per worker, and the per-worker rates sum to the aggregate
-/// `pps` (the true-thread measurement is per-worker and summed, so a
-/// mismatch means the bench or the distiller dropped a counter).  Churn
-/// points must additionally carry the latency block — p99/p99.9 under
-/// sustained update load is what that variant exists to measure.
-void check_fig19_point(const BenchReport& r, const BenchSeries& s,
-                       const BenchPoint& p, std::vector<std::string>* errors) {
+/// The per-worker rate contract of the multi-worker points: a `threads`
+/// counter, one `pps_w<i>` per worker, and the per-worker rates summing to
+/// the aggregate `pps` within 2% (the true-thread measurement is per-worker
+/// and summed, so a mismatch means the bench or the distiller dropped a
+/// counter).  False when a counter is missing — the point's remaining
+/// checks are then moot.
+bool check_worker_pps(const BenchReport& r, const BenchSeries& s, const BenchPoint& p,
+                      std::vector<std::string>* errors) {
   const auto threads_it = p.counters.find("threads");
   if (threads_it == p.counters.end() || threads_it->second < 1) {
     errors->push_back(point_id(r, s, p) + ": missing threads counter");
-    return;
+    return false;
   }
   const int threads = static_cast<int>(threads_it->second);
   double sum = 0;
@@ -637,13 +637,23 @@ void check_fig19_point(const BenchReport& r, const BenchSeries& s,
     const auto it = p.counters.find("pps_w" + std::to_string(w));
     if (it == p.counters.end()) {
       errors->push_back(point_id(r, s, p) + ": missing pps_w" + std::to_string(w));
-      return;
+      return false;
     }
     sum += it->second;
   }
   if (p.pps > 0 && (sum < p.pps * 0.98 || sum > p.pps * 1.02))
     errors->push_back(point_id(r, s, p) + ": per-worker pps sum " +
                       std::to_string(sum) + " != aggregate " + std::to_string(p.pps));
+  return true;
+}
+
+/// fig19 point-shape contract: the per-worker rate contract
+/// (check_worker_pps), and churn points must carry the latency block —
+/// p99/p99.9 under sustained update load is what that variant exists to
+/// measure.
+void check_fig19_point(const BenchReport& r, const BenchSeries& s,
+                       const BenchPoint& p, std::vector<std::string>* errors) {
+  if (!check_worker_pps(r, s, p, errors)) return;
   if (p.label.find("churn:1") != std::string::npos && p.latency_ns.empty())
     errors->push_back(point_id(r, s, p) +
                       ": churn point carries no latency_ns percentile block");
@@ -753,33 +763,15 @@ void check_scale_point(const BenchReport& r, const BenchSeries& s,
                       std::to_string(miss->second) + " probe misses)");
 }
 
-/// Batched flow-mod churn ("churn") point-shape contract: the fig19 worker
-/// discipline (a `threads` counter and one `pps_w<i>` per worker summing to
-/// the aggregate) plus the churn pair — `churn_target` and achieved
+/// Batched flow-mod churn ("churn") point-shape contract: the per-worker
+/// rate contract (check_worker_pps) plus the churn pair — `churn_target` and achieved
 /// `churn_mods_per_s`, the latter positive whenever the target is — and the
 /// latency percentile block on every point, since tail-under-batched-update
 /// load is the figure's claim.  The CI gate divides the 100k-target point's
 /// pps by the 0-target baseline's.
 void check_churn_point(const BenchReport& r, const BenchSeries& s,
                        const BenchPoint& p, std::vector<std::string>* errors) {
-  const auto threads_it = p.counters.find("threads");
-  if (threads_it == p.counters.end() || threads_it->second < 1) {
-    errors->push_back(point_id(r, s, p) + ": missing threads counter");
-    return;
-  }
-  const int threads = static_cast<int>(threads_it->second);
-  double sum = 0;
-  for (int w = 0; w < threads; ++w) {
-    const auto it = p.counters.find("pps_w" + std::to_string(w));
-    if (it == p.counters.end()) {
-      errors->push_back(point_id(r, s, p) + ": missing pps_w" + std::to_string(w));
-      return;
-    }
-    sum += it->second;
-  }
-  if (p.pps > 0 && (sum < p.pps * 0.98 || sum > p.pps * 1.02))
-    errors->push_back(point_id(r, s, p) + ": per-worker pps sum " +
-                      std::to_string(sum) + " != aggregate " + std::to_string(p.pps));
+  if (!check_worker_pps(r, s, p, errors)) return;
   const auto target_it = p.counters.find("churn_target");
   const auto rate_it = p.counters.find("churn_mods_per_s");
   if (target_it == p.counters.end() || rate_it == p.counters.end()) {

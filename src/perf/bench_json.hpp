@@ -40,7 +40,6 @@ class Json {
   static Json object();
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
 
   // Typed accessors; CHECK-fail on kind mismatch.
   bool as_bool() const;

@@ -300,7 +300,7 @@ SoakReport run_soak(const SoakOptions& opts) {
   if (!opts.trace_pcap.empty()) {
     const net::PcapReader r = net::PcapReader::from_file(opts.trace_pcap);
     ESW_CHECK_MSG(r.ok(), "soak: unreadable trace pcap");
-    rt.set_source(net::ReplaySource(net::TraceSource(r, {}).to_traffic_set(), opts.workers));
+    rt.set_source(net::ReplaySource(net::traffic_from_pcap(r, 1, nullptr), opts.workers));
   } else {
     rt.set_source(
         net::ReplaySource(uc::traffic_shards(uc, opts.n_flows, opts.workers, opts.seed)));

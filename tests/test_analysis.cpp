@@ -51,17 +51,18 @@ TEST(Analysis, HashPrerequisiteGlobalMask) {
   for (int i = 0; i < 6; ++i)
     good.add(parse_rule("priority=5,ip_dst=192.0." + std::to_string(i) +
                         ".0/24,tcp_dst=80,actions=output:1"));
-  Match mask;
-  bool has_catch_all = true;
-  EXPECT_TRUE(hash_prerequisite(analyze_helper(good), &mask, &has_catch_all));
-  EXPECT_EQ(mask.mask(FieldId::kIpDst), 0xFFFFFF00u);
-  EXPECT_EQ(mask.mask(FieldId::kTcpDst), 0xFFFFu);
-  EXPECT_FALSE(has_catch_all);
+  cls::KeyShape shape;
+  EXPECT_TRUE(hash_prerequisite(analyze_helper(good), &shape));
+  EXPECT_EQ(shape.present_bits(), (1u << static_cast<unsigned>(FieldId::kIpDst)) |
+                                      (1u << static_cast<unsigned>(FieldId::kTcpDst)));
+  EXPECT_EQ(shape.mask(FieldId::kIpDst), 0xFFFFFF00u);
+  EXPECT_EQ(shape.mask(FieldId::kTcpDst), 0xFFFFu);
+  EXPECT_EQ(shape.key_len(), 16u);
 
   // …but adding an entry that drops tcp_dst violates the prerequisite.
   FlowTable bad = good;
   bad.add(parse_rule("priority=5,ip_dst=203.0.113.0/24,actions=output:3"));
-  EXPECT_FALSE(hash_prerequisite(analyze_helper(bad), nullptr, nullptr));
+  EXPECT_FALSE(hash_prerequisite(analyze_helper(bad), nullptr));
   EXPECT_EQ(analyze_table(bad, {}).chosen, TableTemplate::kLinkedList);
 }
 

@@ -34,7 +34,7 @@ TEST(Decompose, Fig5PicksMinimalDiversityColumn) {
   // Residual tables are single-field exact -> hash-template compliant.
   for (size_t i = 1; i < d.tables.size(); ++i) {
     const AnalysisEntries& sub = d.tables[i].entries;
-    EXPECT_TRUE(hash_prerequisite(sub, nullptr, nullptr));
+    EXPECT_TRUE(hash_prerequisite(sub, nullptr));
   }
 }
 

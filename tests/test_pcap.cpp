@@ -1,6 +1,6 @@
 // pcap I/O and trace plumbing: writer→reader byte-exact round trips in all
 // four header variants, every malformed-capture corner case the reader must
-// survive, and the TraceSource/SwitchRuntime path that runs a switch
+// survive, and the traffic_from_pcap/SwitchRuntime path that runs a switch
 // entirely from/to capture files.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/eswitch.hpp"
 #include "core/switch_runtime.hpp"
 #include "netio/pcap.hpp"
@@ -144,10 +145,11 @@ TEST(Pcap, SnaplenSmallerThanWireLength) {
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r.packet(0).len, 96u);        // captured bytes
   EXPECT_EQ(r.packet(0).orig_len, 300u);  // wire length preserved
-  // The truncated record is not a replayable frame: TraceSource skips it.
-  const TraceSource src(r);
-  EXPECT_EQ(src.size(), 0u);
-  EXPECT_EQ(src.skipped(), 1u);
+  // The truncated record is not a replayable frame: it is skipped, and a
+  // capture with nothing else in it is refused.
+  uint64_t skipped = 0;
+  EXPECT_THROW(traffic_from_pcap(r, 1, &skipped), CheckError);
+  EXPECT_EQ(skipped, 1u);
 }
 
 TEST(Pcap, CapturedLengthBeyondSnaplenRejected) {
@@ -163,50 +165,34 @@ TEST(Pcap, CapturedLengthBeyondSnaplenRejected) {
   EXPECT_NE(r.error().find("snaplen"), std::string::npos) << r.error();
 }
 
-TEST(TraceSource, BurstsAndTrafficSet) {
+TEST(Pcap, TrafficFromPcapKeepsWireFrames) {
   std::vector<std::vector<uint8_t>> frames;
-  PcapWriter w;
+  PcapWriter::Options wo;
+  wo.snaplen = 200;
+  PcapWriter w(wo);
   for (int i = 0; i < 5; ++i) {
     const net::Packet p = make_packet(test::udp_spec(0x0A000001, 0x0A000002, 1000, 80 + i));
     frames.push_back({p.data(), p.data() + p.len()});
     w.add(p.data(), p.len(), i);
   }
+  const auto big = frame_of(7, 300);  // snaplen-truncated on add
+  w.add(big.data(), static_cast<uint32_t>(big.size()), 5);
+  w.add(big.data(), 0, 6);  // empty record
   const PcapReader r = PcapReader::from_buffer(w.buffer());
   ASSERT_TRUE(r.ok());
-  TraceSource::Options so;
-  so.in_port = 3;
-  TraceSource src(r, so);
-  ASSERT_EQ(src.size(), 5u);
+  ASSERT_EQ(r.size(), 7u);
 
-  net::Packet scratch[4];
-  net::Packet* bufs[4] = {&scratch[0], &scratch[1], &scratch[2], &scratch[3]};
-  EXPECT_EQ(src.next_burst(bufs, 4), 4u);
-  EXPECT_EQ(scratch[0].in_port(), 3u);
-  EXPECT_EQ(scratch[0].len(), frames[0].size());
-  EXPECT_EQ(src.next_burst(bufs, 4), 1u);  // tail
-  EXPECT_TRUE(src.exhausted());
-  EXPECT_EQ(src.next_burst(bufs, 4), 0u);
-  src.rewind();
-  EXPECT_EQ(src.next_burst(bufs, 2), 2u);
-
-  const TrafficSet ts = src.to_traffic_set();
+  uint64_t skipped = 0;
+  const TrafficSet ts = traffic_from_pcap(r, 3, &skipped);
+  EXPECT_EQ(skipped, 2u);
   ASSERT_EQ(ts.size(), 5u);
-  net::Packet out;
-  ts.load(2, out);
-  EXPECT_EQ(out.in_port(), 3u);
-  ASSERT_EQ(out.len(), frames[2].size());
-  EXPECT_EQ(0, std::memcmp(out.data(), frames[2].data(), out.len()));
-}
-
-TEST(TraceSource, LoopingRewinds) {
-  const net::Packet p = make_packet(test::udp_spec(1, 2, 3, 4));
-  TraceSource::Options so;
-  so.loop = true;
-  TraceSource src({{p.data(), p.data() + p.len()}}, so);
-  net::Packet scratch[3];
-  net::Packet* bufs[3] = {&scratch[0], &scratch[1], &scratch[2]};
-  EXPECT_EQ(src.next_burst(bufs, 3), 3u);  // 1-frame trace loops forever
-  EXPECT_FALSE(src.exhausted());
+  for (size_t i = 0; i < ts.size(); ++i) {
+    net::Packet out;
+    ts.load(i, out);
+    EXPECT_EQ(out.in_port(), 3u);
+    ASSERT_EQ(out.len(), frames[i].size());
+    EXPECT_EQ(0, std::memcmp(out.data(), frames[i].data(), out.len()));
+  }
 }
 
 TEST(PcapPort, SwitchRuntimeRunsEntirelyFromCaptureFiles) {
@@ -222,7 +208,7 @@ TEST(PcapPort, SwitchRuntimeRunsEntirelyFromCaptureFiles) {
   }
   const PcapReader in = PcapReader::from_buffer(in_writer.buffer());
   ASSERT_TRUE(in.ok());
-  TraceSource src(in);
+  const TrafficSet traffic = traffic_from_pcap(in, 1, nullptr);
 
   core::SwitchRuntime<core::Eswitch>::Config cfg;
   cfg.sink_tx = false;  // the capture is the wire
@@ -232,7 +218,7 @@ TEST(PcapPort, SwitchRuntimeRunsEntirelyFromCaptureFiles) {
   host.backend().install(pl);
 
   PcapWriter captured;
-  const PcapRunStats st = run_pcap_through_host(host, src, &captured);
+  const PcapRunStats st = run_pcap_through_host(host, traffic, &captured);
   EXPECT_EQ(st.injected, 40u);
   EXPECT_EQ(st.rejected, 0u);
   EXPECT_EQ(st.processed, 40u);

@@ -13,8 +13,11 @@
 #include <string>
 
 #include "common/failpoint.hpp"
+#include "netio/pcap.hpp"
+#include "netio/pktgen.hpp"
 #include "perf/bench_json.hpp"
 #include "perf/soak.hpp"
+#include "usecases/usecases.hpp"
 
 namespace {
 
@@ -71,6 +74,28 @@ TEST(Soak, CleanRunPassesEveryCheck) {
   EXPECT_LE(r.latency_ns.p50, r.latency_ns.p99);
   EXPECT_LE(r.latency_ns.p99, r.latency_ns.p999);
   EXPECT_LE(r.latency_ns.p999, r.latency_ns.max);
+}
+
+TEST(Soak, TraceReplayPassesEveryCheck) {
+  // The --trace leg: every worker replays a saved capture instead of its
+  // generated shard.  The capture holds the soak's own L3 mix.
+  SoakOptions o = test_opts();
+  const auto uc = esw::uc::make_l3(o.n_prefixes, o.seed);
+  const auto traffic = esw::net::TrafficSet::from_flows(uc.traffic(256, o.seed));
+  esw::net::PcapWriter w;
+  esw::net::Packet p;
+  for (size_t i = 0; i < traffic.size(); ++i) {
+    traffic.load(i, p);
+    w.add(p.data(), p.len(), i);
+  }
+  o.trace_pcap = ::testing::TempDir() + "soak_trace.pcap";
+  ASSERT_TRUE(w.save(o.trace_pcap));
+  const SoakReport r = run_soak(o);
+  std::remove(o.trace_pcap.c_str());
+  EXPECT_GE(r.packets, o.target_packets);
+  EXPECT_GT(r.churn_mods, 0u);
+  EXPECT_GE(r.checks.size(), 6u);
+  for (const auto& c : r.checks) EXPECT_TRUE(c.ok) << c.name << ": " << c.detail;
 }
 
 TEST(Soak, ChurnExercisesReclamation) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "cls/tuple_space.hpp"
@@ -30,6 +31,69 @@ Match m_port(uint16_t port) {
   Match m;
   m.set(FieldId::kTcpDst, port);
   return m;
+}
+
+TEST(KeyShape, FitsSameFieldsUnderSameMasks) {
+  const cls::KeyShape shape(m_ipdst24(0x0A000100));
+  EXPECT_TRUE(shape.fits(m_ipdst24(0x0A000200)));  // values do not matter
+  Match two_fields = m_ipdst24(0x0A000100);
+  two_fields.set(FieldId::kTcpDst, 80);
+  EXPECT_FALSE(shape.fits(two_fields));  // an extra field
+  Match narrower;
+  narrower.set(FieldId::kIpDst, 0x0A000100, 0xFFFFFFFC);
+  EXPECT_FALSE(shape.fits(narrower));  // the same field under another mask
+  EXPECT_FALSE(shape.fits(Match{}));
+}
+
+TEST(KeyShape, MatchAndPacketKeysAgree) {
+  Match m = m_ipdst24(0x0A000100);
+  m.set(FieldId::kTcpDst, 80);
+  const cls::KeyShape shape(m);
+  EXPECT_EQ(shape.key_len(), 16u);
+
+  auto p = make_packet(test::tcp_spec(1, 0x0A000142, 7, 80));
+  auto pi = parse_packet(p);
+  ASSERT_TRUE(m.matches_packet(p.data(), pi));
+  ASSERT_TRUE(shape.applies(pi));
+  uint8_t from_match[cls::KeyShape::kMaxKeyBytes];
+  uint8_t from_packet[cls::KeyShape::kMaxKeyBytes];
+  ASSERT_EQ(shape.key(m, from_match), 16u);
+  ASSERT_EQ(shape.key(p.data(), pi, from_packet), 16u);
+  EXPECT_EQ(0, std::memcmp(from_match, from_packet, 16));
+
+  // A packet without the TCP layer is outside the shape's protocol gate.
+  auto u = make_packet(test::udp_spec(1, 0x0A000142, 7, 80));
+  EXPECT_FALSE(shape.applies(parse_packet(u)));
+}
+
+TEST(KeyShape, CatchAllKeysToOneSentinelByte) {
+  const cls::KeyShape shape{Match{}};
+  EXPECT_EQ(shape.key_len(), 1u);
+  uint8_t key[cls::KeyShape::kMaxKeyBytes];
+  key[0] = 0xAB;
+  EXPECT_EQ(shape.key(Match{}, key), 1u);
+  EXPECT_EQ(key[0], 0u);
+  auto p = make_packet(test::udp_spec(1, 2, 3, 4));
+  auto pi = parse_packet(p);
+  EXPECT_TRUE(shape.applies(pi));
+  key[0] = 0xAB;
+  EXPECT_EQ(shape.key(p.data(), pi, key), 1u);
+  EXPECT_EQ(key[0], 0u);
+}
+
+TEST(KeyShape, EveryFieldKeysMaxKeyBytes) {
+  Match all;
+  for (unsigned i = 0; i < kNumFields; ++i) all.set(static_cast<FieldId>(i), i + 1);
+  const cls::KeyShape shape(all);
+  EXPECT_EQ(shape.key_len(), cls::KeyShape::kMaxKeyBytes);
+  uint8_t key[cls::KeyShape::kMaxKeyBytes];
+  EXPECT_EQ(shape.key(all, key), cls::KeyShape::kMaxKeyBytes);
+  // Field-id order, 8 bytes each.
+  for (unsigned i = 0; i < kNumFields; ++i) {
+    uint64_t v;
+    std::memcpy(&v, key + 8 * i, 8);
+    EXPECT_EQ(v, all.value(static_cast<FieldId>(i))) << "field " << i;
+  }
 }
 
 TEST(TupleSpace, GroupsByMaskSignature) {
