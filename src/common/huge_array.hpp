@@ -1,6 +1,7 @@
 // Fixed-size, owning, move-only array whose large instances live on 2 MB
 // pages — the storage under the tables the packet path probes at random
-// (LPM tbl24/tbl8, cuckoo slot words, the conntrack slab and bucket heads).
+// (LPM tbl24/tbl8, cuckoo slot words, the conntrack slab and bucket heads)
+// and the packet buffers of net::MbufPool.
 //
 // A random probe into a multi-megabyte array on 4 KB pages misses the TLB
 // almost every time, and inside a VM each miss is a two-level (guest plus

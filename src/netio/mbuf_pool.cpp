@@ -7,7 +7,7 @@ namespace esw::net {
 
 MbufPool::MbufPool(uint32_t capacity) : capacity_(capacity) {
   ESW_CHECK(capacity > 0);
-  storage_ = std::make_unique<Packet[]>(capacity);
+  storage_ = common::HugeArray<Packet>(capacity);
   free_.reserve(capacity);
   for (uint32_t i = 0; i < capacity; ++i) free_.push_back(&storage_[i]);
 }
@@ -30,7 +30,7 @@ Packet* MbufPool::alloc() {
 }
 
 void MbufPool::free(Packet* pkt) {
-  ESW_DCHECK(pkt >= storage_.get() && pkt < storage_.get() + capacity_);
+  ESW_DCHECK(pkt >= storage_.data() && pkt < storage_.data() + capacity_);
   std::lock_guard<std::mutex> lock(mu_);
   free_.push_back(pkt);
 }
@@ -53,7 +53,7 @@ uint32_t MbufPool::alloc_bulk(Packet** out, uint32_t n) {
 void MbufPool::free_bulk(Packet* const* pkts, uint32_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t i = 0; i < n; ++i) {
-    ESW_DCHECK(pkts[i] >= storage_.get() && pkts[i] < storage_.get() + capacity_);
+    ESW_DCHECK(pkts[i] >= storage_.data() && pkts[i] < storage_.data() + capacity_);
     free_.push_back(pkts[i]);
   }
 }

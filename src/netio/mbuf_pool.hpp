@@ -1,7 +1,11 @@
 // Fixed-size packet-buffer pool with a freelist, modeled on DPDK mempools.
 //
 // Allocation never touches the system allocator after construction; the
-// datapath allocates and frees buffers in O(1).
+// datapath allocates and frees buffers in O(1).  The buffers live in one
+// common::HugeArray, on 2 MB pages where the kernel allows them, as DPDK
+// mempools live in hugepage memory: a pool is a few dozen page faults at
+// construction whether its storage is a fresh mapping or reused heap, and
+// workers cycling through thousands of buffers stay within a few TLB entries.
 //
 // Threading: the shared freelist is mutex-protected (any thread may
 // alloc/free), and workers are expected to go through a per-worker MbufCache
@@ -13,10 +17,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/huge_array.hpp"
 #include "netio/packet.hpp"
 
 namespace esw::net {
@@ -46,7 +50,7 @@ class MbufPool {
 
  private:
   uint32_t capacity_;
-  std::unique_ptr<Packet[]> storage_;
+  common::HugeArray<Packet> storage_;
   mutable std::mutex mu_;
   std::vector<Packet*> free_;
   std::atomic<uint64_t> alloc_failures_{0};

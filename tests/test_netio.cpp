@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/huge_array.hpp"
 #include "netio/mbuf_pool.hpp"
 #include "netio/nfpa.hpp"
 #include "netio/pktgen.hpp"
@@ -50,6 +56,23 @@ TEST(MbufPool, ExhaustionAndReuse) {
   pool.free(got[2]);
   EXPECT_EQ(pool.available(), 1u);
   EXPECT_EQ(pool.alloc(), got[2]);
+}
+
+TEST(MbufPool, LargePoolIsOneHugePageAlignedZeroedArray) {
+  constexpr uint32_t kCap = 2048;  // 4 MB of buffers
+  MbufPool pool(kCap);
+  std::vector<Packet*> got(kCap);
+  ASSERT_EQ(pool.alloc_bulk(got.data(), kCap), kCap);
+  const Packet* lo = *std::min_element(got.begin(), got.end());
+  const Packet* hi = *std::max_element(got.begin(), got.end());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(lo) % common::kHugePageBytes, 0u);
+  EXPECT_EQ(hi - lo, std::ptrdiff_t{kCap - 1});  // one contiguous array, every buffer once
+  for (const Packet* p : got) {
+    EXPECT_EQ(p->len(), 0u);
+    EXPECT_EQ(p->data()[0], 0u);
+  }
+  pool.free_bulk(got.data(), kCap);
+  EXPECT_EQ(pool.available(), kCap);
 }
 
 TEST(Port, Counters) {
