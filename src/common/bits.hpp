@@ -67,14 +67,6 @@ inline void store_be(uint8_t* p, uint64_t v, unsigned width) {
     p[i] = static_cast<uint8_t>(v >> (8 * (width - 1 - i)));
 }
 
-/// Unaligned little-endian load of `width` (1, 2, 4 or 8) bytes — the load the
-/// generated matcher code performs on x86.
-inline uint64_t load_le(const uint8_t* p, unsigned width) {
-  uint64_t v = 0;
-  std::memcpy(&v, p, width);
-  return v;
-}
-
 /// Converts a host-order field value of `width` bytes into the constant a
 /// little-endian raw load of those bytes would produce.  Used to pre-swizzle
 /// match keys into the lowered IR ("template specialization" in the paper).

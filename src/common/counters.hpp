@@ -2,21 +2,20 @@
 // worker and slot counters, runtime worker blocks, port and conntrack
 // counters).
 //
-// Two disciplines, one header, so the single-writer reasoning is stated once:
-//   * counter_bump — the cell has exactly ONE writer (its owning worker), so
-//     load+store (not an RMW) is exact and costs plain moves on x86; the
-//     atomic type exists so aggregating readers are race-free.
-//   * counter_add — the cell is shared across writers (per-slot table stats,
-//     multi-producer TX counters): one relaxed fetch_add, amortized to once
-//     per burst by the callers.
-//
 // CounterCells<S> is the atomic mirror of a plain snapshot struct S, so a
 // counter block is written once: S names the counters, the cells hold them,
 // and bump/add/add_to/clear each touch every field in one call.  A writer
-// counts a burst into a local S and flushes it with one bump() (its own
-// cells) or add() (shared cells).  Alignment is the owner's: the cells are
-// exactly sizeof(S), and a block that needs its own cache line declares the
-// member alignas(64).
+// counts a burst into a local S and flushes it once.  Two disciplines, so the
+// single-writer reasoning is stated once:
+//   * bump — the cells have exactly ONE writer (their owning worker), so
+//     load+store (not an RMW) is exact and costs plain moves on x86; the
+//     atomic type exists so aggregating readers are race-free.
+//   * add — the cells are shared across writers (per-slot table stats,
+//     conntrack, multi-producer port TX): one relaxed fetch_add per non-zero
+//     field, amortized to once per burst by the callers.
+// Alignment is the owner's: the cells are exactly sizeof(S), and a block that
+// needs its own cache line declares the member alignas(64) (each port
+// direction does).
 #pragma once
 
 #include <array>
@@ -27,14 +26,6 @@
 #include <type_traits>
 
 namespace esw::common {
-
-inline void counter_bump(std::atomic<uint64_t>& c, uint64_t d) {
-  if (d != 0) c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-}
-
-inline void counter_add(std::atomic<uint64_t>& c, uint64_t d) {
-  if (d != 0) c.fetch_add(d, std::memory_order_relaxed);
-}
 
 /// One relaxed atomic per field of `S`, a plain struct of uint64_t counters.
 template <typename S>
@@ -50,15 +41,15 @@ class CounterCells {
   /// Single writer: adds every non-zero field of `d` by load+store.
   void bump(const S& d) {
     const Words w = std::bit_cast<Words>(d);
-    for (size_t i = 0; i < kN; ++i) counter_bump(c_[i], w[i]);
+    for (size_t i = 0; i < kN; ++i) bump_cell(c_[i], w[i]);
   }
-  void bump(uint64_t S::*field, uint64_t d) { counter_bump(c_[index(field)], d); }
+  void bump(uint64_t S::*field, uint64_t d) { bump_cell(c_[index(field)], d); }
   /// Shared cells: adds every non-zero field of `d` by fetch_add.
   void add(const S& d) {
     const Words w = std::bit_cast<Words>(d);
-    for (size_t i = 0; i < kN; ++i) counter_add(c_[i], w[i]);
+    for (size_t i = 0; i < kN; ++i) add_cell(c_[i], w[i]);
   }
-  void add(uint64_t S::*field, uint64_t d) { counter_add(c_[index(field)], d); }
+  void add(uint64_t S::*field, uint64_t d) { add_cell(c_[index(field)], d); }
 
   /// Adds the cells into `sum` (aggregating several blocks into one).
   void add_to(S& sum) const {
@@ -79,6 +70,13 @@ class CounterCells {
   }
 
  private:
+  static void bump_cell(std::atomic<uint64_t>& c, uint64_t d) {
+    if (d != 0) c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+  }
+  static void add_cell(std::atomic<uint64_t>& c, uint64_t d) {
+    if (d != 0) c.fetch_add(d, std::memory_order_relaxed);
+  }
+
   /// The cell of a field: its position in S's object representation.
   static constexpr size_t index(uint64_t S::*field) {
     S probe{};

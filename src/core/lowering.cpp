@@ -1,7 +1,6 @@
 #include "core/lowering.hpp"
 
 #include "common/bits.hpp"
-#include "common/check.hpp"
 
 namespace esw::core {
 
@@ -53,27 +52,6 @@ void lower_match(const flow::Match& m, jit::LoweredEntry& out) {
   out.proto_required = m.proto_required();
   for (FieldId f : flow::MatchFields(m))
     out.tests.push_back(lower_field_test(f, m.value(f), m.mask(f)));
-}
-
-jit::LoweredEntry lower_entry(const flow::FlowEntry& e, flow::ActionSetRegistry& registry,
-                              const GotoMap& goto_map, int32_t internal_next) {
-  jit::LoweredEntry out;
-  lower_match(e.match, out);
-
-  const int32_t action_set =
-      e.actions.empty() ? -1 : static_cast<int32_t>(registry.intern(e.actions));
-
-  int32_t next = -1;
-  if (internal_next != kNoInternal) {
-    next = internal_next;
-  } else if (e.goto_table != flow::kNoGoto) {
-    ESW_CHECK_MSG(static_cast<size_t>(e.goto_table) < goto_map.size() &&
-                      goto_map[e.goto_table] >= 0,
-                  "goto target not compiled");
-    next = goto_map[e.goto_table];
-  }
-  out.result = jit::pack_result(action_set, next);
-  return out;
 }
 
 }  // namespace esw::core

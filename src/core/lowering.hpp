@@ -6,8 +6,7 @@
 
 #include <vector>
 
-#include "flow/actions.hpp"
-#include "flow/table.hpp"
+#include "flow/match.hpp"
 #include "jit/ir.hpp"
 
 namespace esw::core {
@@ -21,12 +20,5 @@ jit::FieldTest lower_field_test(flow::FieldId f, uint64_t value, uint64_t mask);
 
 /// Lowers a whole match into protocol guard + matcher chain.
 void lower_match(const flow::Match& m, jit::LoweredEntry& out);
-
-/// Lowers a flow entry; actions are interned in `registry`, the goto target
-/// resolved through `goto_map`.  `internal_next` overrides the goto target for
-/// decomposition-internal links (pass kNoInternal to use the entry's own).
-inline constexpr int32_t kNoInternal = -2;
-jit::LoweredEntry lower_entry(const flow::FlowEntry& e, flow::ActionSetRegistry& registry,
-                              const GotoMap& goto_map, int32_t internal_next = kNoInternal);
 
 }  // namespace esw::core

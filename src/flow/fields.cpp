@@ -87,13 +87,12 @@ uint64_t extract_field(FieldId f, const uint8_t* pkt, const ParseInfo& pi) {
 
 namespace {
 
-// Incrementally fixes the IPv4 header checksum after the 16-bit word at
-// byte offset `word_off` (relative to the IP header) changed.
-void fix_ip_csum16(uint8_t* ip, unsigned word_off, uint16_t old_word, uint16_t new_word) {
+// Incrementally fixes the IPv4 header checksum after one 16-bit word of the
+// IP header changed from `old_word` to `new_word`.
+void fix_ip_csum16(uint8_t* ip, uint16_t old_word, uint16_t new_word) {
   const uint16_t old_csum = load_be16(ip + proto::kIpv4ChecksumOff);
   store_be16(ip + proto::kIpv4ChecksumOff,
              proto::checksum_update16(old_csum, old_word, new_word));
-  (void)word_off;
 }
 
 // Fixes the TCP/UDP checksum after a 32-bit change anywhere covered by it
@@ -152,14 +151,14 @@ bool store_field(FieldId f, uint64_t value, uint8_t* pkt, ParseInfo& pi) {
       const uint16_t old_word = load_be16(ip + proto::kIpv4TtlOff);
       pkt[off] = static_cast<uint8_t>(value);
       const uint16_t new_word = load_be16(ip + proto::kIpv4TtlOff);
-      if (old_word != new_word) fix_ip_csum16(ip, 8, old_word, new_word);
+      if (old_word != new_word) fix_ip_csum16(ip, old_word, new_word);
       return true;
     }
     case FieldId::kIpDscp: {
       const uint16_t old_word = load_be16(ip);  // version/ihl + dscp/ecn word
       pkt[off] = static_cast<uint8_t>((pkt[off] & 0x03) | (value << 2));
       const uint16_t new_word = load_be16(ip);
-      if (old_word != new_word) fix_ip_csum16(ip, 0, old_word, new_word);
+      if (old_word != new_word) fix_ip_csum16(ip, old_word, new_word);
       return true;
     }
     case FieldId::kTcpSrc:

@@ -21,13 +21,11 @@ TrafficSet TrafficSet::from_flows(const std::vector<FlowSpec>& flows) {
   return ts;
 }
 
-TrafficSet TrafficSet::from_frames(
-    const std::vector<std::pair<const uint8_t*, uint32_t>>& frames,
-    uint32_t in_port) {
+TrafficSet TrafficSet::from_frames(const std::vector<RawFrame>& frames) {
   ESW_CHECK_MSG(!frames.empty(), "traffic set needs at least one frame");
   TrafficSet ts;
   ts.frames_.reserve(frames.size());
-  for (const auto& [data, len] : frames) {
+  for (const auto& [data, len, in_port] : frames) {
     ESW_CHECK_MSG(len > 0 && len <= Packet::kMaxFrame, "bad trace frame length");
     const uint32_t off = static_cast<uint32_t>(ts.arena_.size());
     ts.arena_.insert(ts.arena_.end(), data, data + len);

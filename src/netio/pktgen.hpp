@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -33,12 +32,17 @@ class TrafficSet {
   /// Builds one frame per flow.  Throws if a spec does not serialize.
   static TrafficSet from_flows(const std::vector<FlowSpec>& flows);
 
+  /// One pre-serialized frame and its ingress port.
+  struct RawFrame {
+    const uint8_t* data;
+    uint32_t len;
+    uint32_t in_port;
+  };
+
   /// Builds from pre-serialized frames (trace replay: the bytes ARE the
-  /// workload).  Every frame gets the same ingress port.  Throws on empty
+  /// workload), each stamped with its own ingress port.  Throws on empty
   /// input or frames over Packet::kMaxFrame.
-  static TrafficSet from_frames(
-      const std::vector<std::pair<const uint8_t*, uint32_t>>& frames,
-      uint32_t in_port);
+  static TrafficSet from_frames(const std::vector<RawFrame>& frames);
 
   size_t size() const { return frames_.size(); }
 

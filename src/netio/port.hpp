@@ -12,10 +12,10 @@
 //     nor do hot bursts share a counter line with another port.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
+#include "common/counters.hpp"
 #include "netio/ring.hpp"
 
 namespace esw::net {
@@ -58,34 +58,32 @@ class Port {
 
   /// Counter snapshot (relaxed-aggregated; exact once producers pause).
   PortCounters counters() const {
-    return {rx_counters_.packets.load(std::memory_order_relaxed),
-            tx_counters_.packets.load(std::memory_order_relaxed),
-            rx_counters_.bytes.load(std::memory_order_relaxed),
-            tx_counters_.bytes.load(std::memory_order_relaxed),
-            tx_counters_.drops.load(std::memory_order_relaxed)};
+    const RxCounts rx = rx_counters_.load();
+    const TxCounts tx = tx_counters_.load();
+    return {rx.packets, tx.packets, rx.bytes, tx.bytes, tx.drops};
   }
   const std::string& name() const { return name_; }
 
  private:
-  /// One direction's counters on its own line, so a burst's counter flush
-  /// never false-shares with the other direction, the adjacent port's
-  /// counters or the ring indexes.  RX is written by the port's single
-  /// injector, TX by every worker's MP enqueue.
-  struct alignas(64) RxCounters {
-    std::atomic<uint64_t> packets{0};
-    std::atomic<uint64_t> bytes{0};
+  /// One direction's counters, each block on its own line so a burst's
+  /// counter flush never false-shares with the other direction, the adjacent
+  /// port's counters or the ring indexes.  RX is written by the port's single
+  /// injector, TX by every worker's MP enqueue, so both flush with add().
+  struct RxCounts {
+    uint64_t packets = 0;
+    uint64_t bytes = 0;
   };
-  struct alignas(64) TxCounters {
-    std::atomic<uint64_t> packets{0};
-    std::atomic<uint64_t> bytes{0};
-    std::atomic<uint64_t> drops{0};
+  struct TxCounts {
+    uint64_t packets = 0;
+    uint64_t bytes = 0;
+    uint64_t drops = 0;
   };
 
   std::string name_;
   Ring rx_;
   Ring tx_;
-  RxCounters rx_counters_;
-  TxCounters tx_counters_;
+  alignas(64) common::CounterCells<RxCounts> rx_counters_;
+  alignas(64) common::CounterCells<TxCounts> tx_counters_;
 };
 
 }  // namespace esw::net

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 
 #include "common/check.hpp"
 
@@ -672,6 +673,21 @@ void check_trace_point(const BenchReport& r, const BenchSeries& s,
     errors->push_back(point_id(r, s, p) + ": trace counter must be 0 or 1");
 }
 
+/// Reports "<kind> point missing <key> counter" for each of `keys` the point
+/// lacks; true when it carries them all.
+bool require_counters(const BenchReport& r, const BenchSeries& s, const BenchPoint& p,
+                      const char* kind, std::initializer_list<const char*> keys,
+                      std::vector<std::string>* errors) {
+  bool all = true;
+  for (const char* key : keys) {
+    if (p.counters.find(key) != p.counters.end()) continue;
+    errors->push_back(point_id(r, s, p) + ": " + kind + " point missing " + key +
+                      " counter");
+    all = false;
+  }
+  return all;
+}
+
 /// Chaos point-shape contract: a point measured with failpoints armed
 /// (counter chaos == 1) must carry the backend's whole degradation ledger
 /// (core::DataplaneStats), so a chaos leg's results always say where the
@@ -681,12 +697,9 @@ void check_chaos_point(const BenchReport& r, const BenchSeries& s,
                        const BenchPoint& p, std::vector<std::string>* errors) {
   const auto it = p.counters.find("chaos");
   if (it == p.counters.end() || it->second != 1) return;
-  static const char* kRequired[] = {"template_fallbacks", "fusion_fallbacks",
-                                    "mods_refused_table_full"};
-  for (const char* key : kRequired)
-    if (p.counters.find(key) == p.counters.end())
-      errors->push_back(point_id(r, s, p) + ": chaos point missing " +
-                        std::string(key) + " counter");
+  require_counters(r, s, p, "chaos",
+                   {"template_fallbacks", "fusion_fallbacks", "mods_refused_table_full"},
+                   errors);
 }
 
 /// Conntrack ("ct") point-shape contract: every point carries the full
@@ -696,16 +709,11 @@ void check_chaos_point(const BenchReport& r, const BenchSeries& s,
 /// stateful layer lost track of a connection.
 void check_ct_point(const BenchReport& r, const BenchSeries& s,
                     const BenchPoint& p, std::vector<std::string>* errors) {
-  static const char* kRequired[] = {"ct_entries", "ct_commits",
-                                    "ct_commit_drops", "ct_evictions_forced",
-                                    "ct_expired"};
-  for (const char* key : kRequired) {
-    if (p.counters.find(key) == p.counters.end()) {
-      errors->push_back(point_id(r, s, p) + ": ct point missing " +
-                        std::string(key) + " counter");
-      return;
-    }
-  }
+  if (!require_counters(r, s, p, "ct",
+                        {"ct_entries", "ct_commits", "ct_commit_drops",
+                         "ct_evictions_forced", "ct_expired"},
+                        errors))
+    return;
   const double commits = p.counters.at("ct_commits");
   const double accounted = p.counters.at("ct_entries") +
                            p.counters.at("ct_expired") +
@@ -743,16 +751,11 @@ void check_fusion_point(const BenchReport& r, const BenchSeries& s,
 /// misses) would make those ratios lie.
 void check_scale_point(const BenchReport& r, const BenchSeries& s,
                        const BenchPoint& p, std::vector<std::string>* errors) {
-  static const char* kRequired[] = {"entries",          "build_seconds",
-                                    "lookups_per_s",    "lines_per_lookup",
-                                    "memory_bytes",     "grows"};
-  for (const char* key : kRequired) {
-    if (p.counters.find(key) == p.counters.end()) {
-      errors->push_back(point_id(r, s, p) + ": scale point missing " +
-                        std::string(key) + " counter");
-      return;
-    }
-  }
+  if (!require_counters(r, s, p, "scale",
+                        {"entries", "build_seconds", "lookups_per_s", "lines_per_lookup",
+                         "memory_bytes", "grows"},
+                        errors))
+    return;
   if (p.counters.at("entries") <= 0)
     errors->push_back(point_id(r, s, p) + ": scale point has no entries");
   if (p.counters.at("lookups_per_s") <= 0)

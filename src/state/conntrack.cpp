@@ -395,7 +395,7 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
           head.store((slot << 1) | d, std::memory_order_release);
         }
         wheel_insert_locked(shards_[s0], slot, e.gen.load(std::memory_order_relaxed),
-                            now + timeout_ms(e), now);
+                            now + timeout_ms(e));
         c_.cells.add(&Counts::commits, 1);
         c_.live.fetch_add(1, std::memory_order_relaxed);
         return &e;
@@ -455,7 +455,7 @@ bool Conntrack::remove_entry(uint32_t slot, uint32_t gen, bool expire_check,
       if (deadline > now) {
         // Saw traffic since scheduling: push the wheel item out to the
         // refreshed deadline instead of expiring.
-        wheel_insert_locked(shards_[s0], slot, gen, deadline, now);
+        wheel_insert_locked(shards_[s0], slot, gen, deadline);
         return false;
       }
     }
@@ -487,8 +487,7 @@ bool Conntrack::evict_one(uint64_t now) {
 }
 
 void Conntrack::wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen,
-                                    uint64_t due_ms, uint64_t now) {
-  (void)now;
+                                    uint64_t due_ms) {
   const uint64_t slot_ms = uint64_t{1} << kWheelShift;
   const uint64_t lo = s.wheel_cursor_ms + slot_ms;
   const uint64_t hi = s.wheel_cursor_ms + (uint64_t{kWheelSlots - 1} << kWheelShift);

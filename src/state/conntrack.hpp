@@ -241,8 +241,7 @@ class Conntrack {
   /// have passed.  Takes both of the entry's shard locks in index order.
   bool remove_entry(uint32_t slot, uint32_t gen, bool expire_check, uint64_t now_ms);
   void unlink_locked(uint32_t slot);
-  void wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen, uint64_t due_ms,
-                           uint64_t now_ms);
+  void wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen, uint64_t due_ms);
   bool evict_one(uint64_t now_ms);
   void reclaim_locked(Shard& s);
 

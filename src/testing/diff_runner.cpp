@@ -7,11 +7,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/check.hpp"
 #include "core/eswitch.hpp"
 #include "flow/dsl.hpp"
 #include "netio/pcap.hpp"
-#include "proto/build.hpp"
 
 namespace esw::testing {
 
@@ -98,7 +96,7 @@ void for_each_leg(const flow::Pipeline& pl, const core::CompilerConfig& cfg,
 /// (verdict, mutated bytes) into a behavior hash.  `fault` (nullable) rewrites
 /// the observed verdict stream — the planted-bug hook.
 template <typename Sw>
-uint64_t replay_hash(Sw& sw, const DiffTrace& trace, size_t prefix,
+uint64_t replay_hash(Sw& sw, const net::TrafficSet& trace, size_t prefix,
                      const std::function<Verdict(size_t, Verdict)>* fault) {
   std::vector<net::Packet> scratch(net::kBurstSize);
   net::Packet* pkts[net::kBurstSize];
@@ -110,11 +108,7 @@ uint64_t replay_hash(Sw& sw, const DiffTrace& trace, size_t prefix,
   while (done < prefix) {
     const uint32_t n =
         static_cast<uint32_t>(std::min<size_t>(net::kBurstSize, prefix - done));
-    for (uint32_t i = 0; i < n; ++i) {
-      const DiffTrace::Item& it = trace.items[done + i];
-      scratch[i].assign(it.frame.data(), static_cast<uint32_t>(it.frame.size()));
-      scratch[i].set_in_port(it.in_port);
-    }
+    for (uint32_t i = 0; i < n; ++i) trace.load(done + i, scratch[i]);
     sw.process_burst(pkts, n, verdicts);
     for (uint32_t i = 0; i < n; ++i) {
       Verdict v = verdicts[i];
@@ -134,13 +128,11 @@ uint64_t replay_hash(Sw& sw, const DiffTrace& trace, size_t prefix,
 /// One packet through `sw` after replaying the preceding prefix: used to
 /// produce the human-readable classification of a minimized divergence.
 template <typename Sw>
-Verdict step_last(Sw& sw, const DiffTrace& trace, size_t prefix,
+Verdict step_last(Sw& sw, const net::TrafficSet& trace, size_t prefix,
                   const std::function<Verdict(size_t, Verdict)>* fault,
                   net::Packet& out_pkt) {
   if (prefix > 1) replay_hash(sw, trace, prefix - 1, fault);
-  const DiffTrace::Item& it = trace.items[prefix - 1];
-  out_pkt.assign(it.frame.data(), static_cast<uint32_t>(it.frame.size()));
-  out_pkt.set_in_port(it.in_port);
+  trace.load(prefix - 1, out_pkt);
   net::Packet* p = &out_pkt;
   Verdict v;
   sw.process_burst(&p, 1, &v);
@@ -162,20 +154,8 @@ std::string cfg_line(const core::CompilerConfig& cfg) {
 
 }  // namespace
 
-DiffTrace DiffTrace::from_flows(const std::vector<net::FlowSpec>& flows) {
-  DiffTrace t;
-  t.items.reserve(flows.size());
-  uint8_t buf[net::Packet::kMaxFrame];
-  for (const net::FlowSpec& fs : flows) {
-    const uint32_t len = proto::build_packet(fs.pkt, buf, sizeof buf);
-    ESW_CHECK_MSG(len > 0, "generated packet spec failed to serialize");
-    t.items.push_back({{buf, buf + len}, fs.in_port});
-  }
-  return t;
-}
-
 bool DiffRunner::diverged(const flow::Pipeline& pl, const core::CompilerConfig& cfg,
-                          const DiffTrace& trace, size_t prefix,
+                          const net::TrafficSet& trace, size_t prefix,
                           std::string* kind) {
   uint64_t hash[kLegs];
   DataplaneStats st[kLegs];
@@ -193,7 +173,7 @@ bool DiffRunner::diverged(const flow::Pipeline& pl, const core::CompilerConfig& 
 
 std::string DiffRunner::classify(const flow::Pipeline& pl,
                                  const core::CompilerConfig& cfg,
-                                 const DiffTrace& trace, size_t prefix,
+                                 const net::TrafficSet& trace, size_t prefix,
                                  std::string* kind) {
   Verdict v[kLegs];
   net::Packet pkt[kLegs];
@@ -242,9 +222,9 @@ std::string DiffRunner::classify(const flow::Pipeline& pl,
 
 std::optional<Divergence> DiffRunner::run(const flow::Pipeline& pl,
                                           const core::CompilerConfig& cfg,
-                                          const DiffTrace& trace,
+                                          const net::TrafficSet& trace,
                                           const std::string& tag) {
-  if (trace.items.empty()) return std::nullopt;
+  if (trace.size() == 0) return std::nullopt;
   if (!diverged(pl, cfg, trace, trace.size(), nullptr)) return std::nullopt;
 
   // Binary search the shortest failing prefix.  The predicate is monotone:
@@ -292,8 +272,11 @@ std::optional<Divergence> DiffRunner::campaign(uint64_t seed, uint32_t n_pipelin
         gen.rng().chance(1, 4)
             ? 1 + gen.rng().below(8)
             : 8 + gen.rng().below(std::max<uint64_t>(1, packets_per_pipeline / 4));
-    const DiffTrace trace =
-        DiffTrace::from_flows(gen.traffic(wl, packets_per_pipeline, n_flows));
+    const std::vector<net::FlowSpec> flows =
+        gen.traffic(wl, packets_per_pipeline, n_flows);
+    // Zero packets per pipeline makes an empty trace, which run() accepts.
+    const net::TrafficSet trace =
+        flows.empty() ? net::TrafficSet{} : net::TrafficSet::from_flows(flows);
     cs.pipelines += 1;
     cs.packets += trace.size();
     auto d = run(wl.pipeline, wl.cfg, trace,
@@ -310,15 +293,18 @@ std::optional<Divergence> DiffRunner::campaign(uint64_t seed, uint32_t n_pipelin
 
 bool write_repro(const std::string& pcap_path, const std::string& rules_path,
                  const flow::Pipeline& pl, const core::CompilerConfig& cfg,
-                 const DiffTrace& trace, size_t prefix_len,
+                 const net::TrafficSet& trace, size_t prefix_len,
                  const std::string& header_comment) {
-  prefix_len = std::min(prefix_len, trace.items.size());
+  prefix_len = std::min(prefix_len, trace.size());
 
   net::PcapWriter pcap;
-  for (size_t i = 0; i < prefix_len; ++i)
-    pcap.add(trace.items[i].frame.data(),
-             static_cast<uint32_t>(trace.items[i].frame.size()),
-             /*ts_ns=*/i * 1000);
+  std::vector<uint32_t> in_ports(prefix_len);
+  net::Packet pkt;
+  for (size_t i = 0; i < prefix_len; ++i) {
+    trace.load(i, pkt);
+    pcap.add(pkt.data(), pkt.len(), /*ts_ns=*/i * 1000);
+    in_ports[i] = pkt.in_port();
+  }
   if (!pcap.save(pcap_path)) return false;
 
   std::ofstream rf(rules_path);
@@ -335,7 +321,7 @@ bool write_repro(const std::string& pcap_path, const std::string& rules_path,
     for (const flow::FlowEntry& e : t.entries()) rf << flow::format_rule(e) << "\n";
   }
   rf << "# in_ports:";
-  for (size_t i = 0; i < prefix_len; ++i) rf << ' ' << trace.items[i].in_port;
+  for (const uint32_t p : in_ports) rf << ' ' << p;
   rf << "\n";
   return rf.good();
 }
@@ -368,13 +354,24 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
         const size_t eq = kv.find('=');
         if (eq == std::string::npos) continue;
         const std::string key = kv.substr(0, eq), val = kv.substr(eq + 1);
-        auto num = [&] { return std::strtoul(val.c_str(), nullptr, 0); };
+        bool numeric = true;  // a known key's value must parse whole
+        auto num = [&] {
+          char* end = nullptr;
+          const unsigned long n = std::strtoul(val.c_str(), &end, 0);
+          numeric = !val.empty() && *end == '\0';
+          return n;
+        };
         if (key == "direct_code_max_entries")
           art.cfg.direct_code_max_entries = static_cast<uint32_t>(num());
         else if (key == "enable_decomposition")
           art.cfg.enable_decomposition = num() != 0;
-        else if (key == "force_template" && val != "-")
-          art.cfg.force_template = static_cast<core::TableTemplate>(num());
+        else if (key == "force_template" && val != "-") {
+          const unsigned long t = num();
+          if (t > static_cast<unsigned long>(core::TableTemplate::kLinkedList))
+            return fail("bad force_template: " + val);
+          art.cfg.force_template = static_cast<core::TableTemplate>(t);
+        }
+        if (!numeric) return fail("bad cfg value: " + kv);
       }
       continue;
     }
@@ -409,6 +406,8 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
 
   net::PcapReader pcap = net::PcapReader::from_file(pcap_path);
   if (!pcap.ok()) return fail("bad pcap: " + pcap.error());
+  std::vector<net::TrafficSet::RawFrame> frames;
+  frames.reserve(pcap.size());
   for (size_t i = 0; i < pcap.size(); ++i) {
     const net::PcapPacket p = pcap.packet(i);
     if (p.len != p.orig_len)
@@ -416,9 +415,9 @@ std::optional<ReproArtifact> load_repro(const std::string& rules_path,
     if (p.len == 0 || p.len > net::Packet::kMaxFrame)
       return fail("pcap record " + std::to_string(i) + " length " +
                   std::to_string(p.len) + " is outside the replayable range");
-    art.trace.items.push_back(
-        {{p.data, p.data + p.len}, i < in_ports.size() ? in_ports[i] : 1});
+    frames.push_back({p.data, p.len, i < in_ports.size() ? in_ports[i] : 1});
   }
+  if (!frames.empty()) art.trace = net::TrafficSet::from_frames(frames);
   return art;
 }
 

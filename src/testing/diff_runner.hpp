@@ -31,7 +31,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/analysis.hpp"
 #include "flow/pipeline.hpp"
@@ -41,18 +40,11 @@
 
 namespace esw::testing {
 
-/// A replayable trace: raw frames plus per-frame ingress ports (pcap carries
-/// no port metadata, so the artifact stores ports in the rules dump).
-struct DiffTrace {
-  struct Item {
-    std::vector<uint8_t> frame;
-    uint32_t in_port = 1;
-  };
-  std::vector<Item> items;
-
-  static DiffTrace from_flows(const std::vector<net::FlowSpec>& flows);
-  size_t size() const { return items.size(); }
-};
+/// The oracle replays a net::TrafficSet like every other harness: raw frames,
+/// each with its own ingress port (pcap carries no port metadata, so the
+/// artifact stores ports in the rules dump).  The old name stays only for the
+/// frozen end-to-end benchmark.
+using DiffTrace = net::TrafficSet;
 
 struct DiffOptions {
   /// Where repro artifacts land on divergence; empty = don't write.
@@ -85,7 +77,7 @@ class DiffRunner {
   /// `<tag>.rules`.
   std::optional<Divergence> run(const flow::Pipeline& pl,
                                 const core::CompilerConfig& cfg,
-                                const DiffTrace& trace,
+                                const net::TrafficSet& trace,
                                 const std::string& tag = "repro");
 
   struct CampaignStats {
@@ -108,9 +100,9 @@ class DiffRunner {
   };
 
   bool diverged(const flow::Pipeline& pl, const core::CompilerConfig& cfg,
-                const DiffTrace& trace, size_t prefix, std::string* kind);
+                const net::TrafficSet& trace, size_t prefix, std::string* kind);
   std::string classify(const flow::Pipeline& pl, const core::CompilerConfig& cfg,
-                       const DiffTrace& trace, size_t prefix, std::string* kind);
+                       const net::TrafficSet& trace, size_t prefix, std::string* kind);
 
   DiffOptions opts_;
 };
@@ -118,13 +110,13 @@ class DiffRunner {
 /// Serializes the repro artifact pair.  Returns false on I/O failure.
 bool write_repro(const std::string& pcap_path, const std::string& rules_path,
                  const flow::Pipeline& pl, const core::CompilerConfig& cfg,
-                 const DiffTrace& trace, size_t prefix_len,
+                 const net::TrafficSet& trace, size_t prefix_len,
                  const std::string& header_comment);
 
 struct ReproArtifact {
   flow::Pipeline pipeline;
   core::CompilerConfig cfg;
-  DiffTrace trace;
+  net::TrafficSet trace;  // empty when the pcap holds no records
 };
 
 /// Reads a `.rules` + `.pcap` artifact pair back; nullopt (with `error` set)

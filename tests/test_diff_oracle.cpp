@@ -12,10 +12,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "netio/pcap.hpp"
 #include "testing/diff_runner.hpp"
 #include "testing/pipeline_gen.hpp"
 #include "testing/seed.hpp"
@@ -26,7 +29,6 @@ namespace {
 
 using esw::testing::DiffOptions;
 using esw::testing::DiffRunner;
-using esw::testing::DiffTrace;
 using esw::testing::GeneratedWorkload;
 using esw::testing::GenOptions;
 using esw::testing::PipelineGen;
@@ -126,7 +128,7 @@ TEST(DiffOracle, InjectedFaultMinimizesToReproArtifact) {
       esw::testing::test_seed(0xFA17ull, "diff-oracle fault injection");
   PipelineGen gen(seed);
   const GeneratedWorkload wl = gen.next_pipeline();
-  const DiffTrace trace = DiffTrace::from_flows(gen.traffic(wl, 5000, 64));
+  const net::TrafficSet trace = net::TrafficSet::from_flows(gen.traffic(wl, 5000, 64));
 
   // Clean run first: the workload itself must agree.
   {
@@ -162,9 +164,14 @@ TEST(DiffOracle, InjectedFaultMinimizesToReproArtifact) {
   ASSERT_EQ(art->pipeline.tables().size(), wl.pipeline.tables().size());
   for (size_t t = 0; t < art->pipeline.tables().size(); ++t)
     EXPECT_EQ(art->pipeline.tables()[t].size(), wl.pipeline.tables()[t].size());
+  net::Packet loaded, original;
   for (size_t i = 0; i < art->trace.size(); ++i) {
-    ASSERT_EQ(art->trace.items[i].frame, trace.items[i].frame) << "frame " << i;
-    ASSERT_EQ(art->trace.items[i].in_port, trace.items[i].in_port);
+    art->trace.load(i, loaded);
+    trace.load(i, original);
+    ASSERT_EQ(loaded.len(), original.len()) << "frame " << i;
+    ASSERT_EQ(std::memcmp(loaded.data(), original.data(), loaded.len()), 0)
+        << "frame " << i;
+    ASSERT_EQ(loaded.in_port(), original.in_port()) << "frame " << i;
   }
 
   // ...and reproduces: under the same fault the replay diverges at the same
@@ -182,13 +189,28 @@ TEST(DiffOracle, EmptyTraceAgreesTrivially) {
   PipelineGen gen(5);
   const GeneratedWorkload wl = gen.next_pipeline();
   DiffRunner runner;
-  EXPECT_FALSE(runner.run(wl.pipeline, wl.cfg, DiffTrace{}).has_value());
+  EXPECT_FALSE(runner.run(wl.pipeline, wl.cfg, net::TrafficSet{}).has_value());
+
+  // An artifact whose pcap holds no records loads as an empty trace (a
+  // TrafficSet cannot be built from zero frames, so the loader keeps it
+  // default-constructed), and that trace agrees too.
+  const std::string rules = ::testing::TempDir() + "esw_empty.rules";
+  const std::string pcap = ::testing::TempDir() + "esw_empty.pcap";
+  ASSERT_TRUE(esw::testing::write_repro(pcap, rules, wl.pipeline, wl.cfg,
+                                        net::TrafficSet{}, 0, "empty"));
+  std::string err;
+  const auto art = esw::testing::load_repro(rules, pcap, &err);
+  ASSERT_TRUE(art.has_value()) << err;
+  EXPECT_EQ(art->trace.size(), 0u);
+  EXPECT_FALSE(runner.run(art->pipeline, art->cfg, art->trace).has_value());
+  std::remove(rules.c_str());
+  std::remove(pcap.c_str());
 }
 
 TEST(DiffOracle, ReproConfigRoundTripsAndSkipsRetiredKeys) {
   PipelineGen gen(11);
   const GeneratedWorkload wl = gen.next_pipeline();
-  const DiffTrace trace = DiffTrace::from_flows(gen.traffic(wl, 8, 4));
+  const net::TrafficSet trace = net::TrafficSet::from_flows(gen.traffic(wl, 8, 4));
   core::CompilerConfig cfg;
   cfg.direct_code_max_entries = 7;
   cfg.force_template = core::TableTemplate::kCompoundHash;  // stored as 1
@@ -261,7 +283,51 @@ TEST(DiffOracle, LoadReproRejectsMalformedInputs) {
   err.clear();
   EXPECT_FALSE(esw::testing::load_repro(rules, "/nonexistent.pcap", &err).has_value());
   EXPECT_NE(err.find("table header"), std::string::npos) << err;
+
+  // A template ordinal past the last template is refused, not cast, and so
+  // is a knob value that is not a number.
+  for (const char* cfg : {"force_template=9", "direct_code_max_entries=abc"}) {
+    std::FILE* f = std::fopen(rules.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "# cfg %s\ntable 0 miss=drop\n", cfg);
+    std::fclose(f);
+    err.clear();
+    EXPECT_FALSE(esw::testing::load_repro(rules, "/nonexistent.pcap", &err).has_value())
+        << cfg;
+    EXPECT_NE(err.find(std::string(cfg).substr(0, 8)), std::string::npos) << err;
+  }
+
+  // A well-formed rules file, then pcaps whose records are not replayable
+  // wire frames: the loader refuses them (it does not skip, as trace replay
+  // does), so an artifact replays exactly what was written.
+  {
+    std::FILE* f = std::fopen(rules.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("table 0 miss=drop\npriority=1, actions=drop\n", f);
+    std::fclose(f);
+  }
+  const std::string pcap = dir + "esw_bad.pcap";
+  const std::vector<uint8_t> frame(net::Packet::kMaxFrame + 1, 0xAB);
+  const auto expect_refused = [&](const net::PcapWriter& w, const std::string& why) {
+    ASSERT_TRUE(w.save(pcap));
+    err.clear();
+    EXPECT_FALSE(esw::testing::load_repro(rules, pcap, &err).has_value()) << why;
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+  };
+  {
+    net::PcapWriter::Options wo;
+    wo.snaplen = 64;
+    net::PcapWriter w(wo);
+    w.add(frame.data(), 100, 0);  // 64 bytes stored, 100 on the wire
+    expect_refused(w, "snaplen-truncated");
+  }
+  {
+    net::PcapWriter w;
+    w.add(frame.data(), static_cast<uint32_t>(frame.size()), 0);
+    expect_refused(w, "outside the replayable range");
+  }
   std::remove(rules.c_str());
+  std::remove(pcap.c_str());
 }
 
 }  // namespace

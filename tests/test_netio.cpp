@@ -129,6 +129,28 @@ TEST(TrafficSet, LoadNextMatchesLoad) {
   EXPECT_EQ(cursor, 13 % 5);
 }
 
+// Trace frames carry their own ingress ports (the oracle's repro artifacts
+// store one per frame): load() stamps each frame's port, not a shared one.
+TEST(TrafficSet, FromFramesKeepsPerFramePorts) {
+  std::vector<Packet> pkts;
+  for (uint32_t i = 0; i < 4; ++i)
+    pkts.push_back(test::make_packet(test::udp_spec(i + 1, 2, 3, 4)));
+  const uint32_t ports[4] = {7, 1, 42, 7};
+  std::vector<TrafficSet::RawFrame> frames;
+  for (uint32_t i = 0; i < 4; ++i)
+    frames.push_back({pkts[i].data(), pkts[i].len(), ports[i]});
+  const TrafficSet ts = TrafficSet::from_frames(frames);
+  ASSERT_EQ(ts.size(), 4u);
+  Packet p;
+  for (uint32_t i = 0; i < 4; ++i) {
+    ts.load(i, p);
+    EXPECT_EQ(p.in_port(), ports[i]) << i;
+    ASSERT_EQ(p.len(), pkts[i].len()) << i;
+    EXPECT_EQ(std::memcmp(p.data(), pkts[i].data(), p.len()), 0) << i;
+  }
+  EXPECT_THROW(TrafficSet::from_frames({}), CheckError);
+}
+
 uint32_t ip_src(const Packet& p) {
   return static_cast<uint32_t>(
       flow::extract_field(flow::FieldId::kIpSrc, p.data(), test::parse_packet(p)));
